@@ -27,8 +27,7 @@ from .lattice import (IntersectionForm, Vector, as_vector, congruent_mod2,
                       find_hyperbolic_pair, find_vector_with_square,
                       mod2_reduce, orthogonal_complement, vec_add)
 from .linsolve import LinearSystem
-from .series import (FormalSeries, HomogeneousPolynomial, exp_linear,
-                     exp_quadratic)
+from .series import FormalSeries, HomogeneousPolynomial, gaussian_sum
 
 
 class Verdict(enum.Enum):
@@ -182,27 +181,23 @@ def sw_dimension_warnings(m: ManifoldData) -> list[str]:
 # ---------------------------------------------------------------------------
 # the series formulas
 
+def _sw_terms(m: ManifoldData, w: Sequence[int]):
+    """(signed SW invariant, c1) for every spin-c entry with SW != 0."""
+    w = m.form._check_vector(w)
+    return [(_sign(m.form, w, e.c1) * e.sw, e.c1) for e in m.spinc if e.sw]
+
+
 def sw_series(m: ManifoldData, w: Sequence[int], degree_cap: int) -> FormalSeries:
     """Signed exponential sum over spin-c structures:
     sum_s (-1)^((w^2 + c1(s).w)/2) SW(s) exp(<c1(s), h>)."""
-    w = m.form._check_vector(w)
-    total = FormalSeries.zero(m.rank, degree_cap)
-    for entry in sorted(m.spinc, key=lambda e: e.c1):
-        if entry.sw == 0:
-            continue
-        coeff = _sign(m.form, w, entry.c1) * entry.sw
-        total = total + exp_linear(m.form, entry.c1, degree_cap) * coeff
-    return total
+    return gaussian_sum(m.form, _sw_terms(m, w), degree_cap, quadratic=False)
 
 
 def km_series(km: KMData, form: IntersectionForm, degree_cap: int) -> FormalSeries:
     """Basic-class expansion of the Donaldson series:
     exp(Q/2) * sum_r (-1)^((w^2 + w.K_r)/2) a_r exp(<K_r, h>)."""
-    acc = FormalSeries.zero(form.rank, degree_cap)
-    for a, k in km.terms:
-        coeff = a * _sign(form, km.w, k)
-        acc = acc + exp_linear(form, k, degree_cap) * coeff
-    return exp_quadratic(form, degree_cap) * acc
+    terms = [(a * _sign(form, km.w, k), k) for a, k in km.terms]
+    return gaussian_sum(form, terms, degree_cap)
 
 
 def witten_rhs(m: ManifoldData, w: Sequence[int], degree_cap: int) -> FormalSeries:
@@ -216,7 +211,7 @@ def witten_rhs(m: ManifoldData, w: Sequence[int], degree_cap: int) -> FormalSeri
         raise NonIntegralError(
             f"c = {c} is not an integer; 2^(2-c) is not rational")
     factor = Fraction(2) ** (2 - int(c))
-    return exp_quadratic(m.form, degree_cap) * sw_series(m, w, degree_cap) * factor
+    return gaussian_sum(m.form, _sw_terms(m, w), degree_cap, scale=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +298,7 @@ def fit_km_coefficients(target: FormalSeries,
     if not candidates:
         raise ValueError("no candidate classes")
     n = degree_cap
-    eq = exp_quadratic(form, n)
-    basis = [eq * exp_linear(form, k, n) for k in candidates]
+    basis = [gaussian_sum(form, [(1, k)], n) for k in candidates]
     target = target.truncate_to(min(target.degree_cap, n))
 
     monomials = set(target.terms)

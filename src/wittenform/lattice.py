@@ -393,6 +393,8 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
     if target == 0 and allow_zero:
         return zero_vector(sub.parent.rank)
     gram = sub.induced_gram()
@@ -419,6 +421,8 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
     gram = sub.induced_gram()
     isotropic: list[Vector] = []
     remaining = budget

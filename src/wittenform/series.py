@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from math import factorial, lcm
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, TruncationError
 from .lattice import IntersectionForm
@@ -55,6 +56,8 @@ class FormalSeries:
                 if len(exps) != num_vars:
                     raise DimensionMismatch(
                         f"exponent tuple {exps} does not have {num_vars} entries")
+                if any(e < 0 for e in exps):
+                    raise ValueError(f"exponent tuple {exps} has a negative entry")
                 if sum(exps) >= degree_cap:
                     continue
                 c = _as_fraction(coeff)
@@ -339,27 +342,98 @@ def quadratic_series(form: IntersectionForm, degree_cap: int) -> FormalSeries:
     return FormalSeries(n, degree_cap, terms)
 
 
-def _exp(p: FormalSeries) -> FormalSeries:
-    # requires zero constant term, so powers gain degree and the loop stops
-    if (0,) * p.num_vars in p.terms:
-        raise ValueError("exp of a series with nonzero constant term")
-    result = FormalSeries.one(p.num_vars, p.degree_cap)
-    term = result
-    n = 1
-    while True:
-        term = term * p * Fraction(1, n)
-        if term.is_zero():
-            return result
-        result = result + term
-        n += 1
+def gaussian_sum(form: IntersectionForm,
+                 weighted_classes: Iterable[tuple[Fraction, Sequence[int]]],
+                 degree_cap: int, scale=1, quadratic: bool = True
+                 ) -> FormalSeries:
+    """scale * sum_r c_r exp(Q(h, h)/2 + <K_r, h>) truncated at degree_cap,
+    for (c_r, K_r) in `weighted_classes`; Q is dropped when not `quadratic`.
+
+    Each exponential is held as its integer divided powers
+    F(e) = e! [h^e] exp(Q/2 + <K, h>), filled degree by degree with
+        F(e + u_i) = d_i F(e) + sum_j G_ij e_j F(e - u_j),   d = G K,
+    which is d^e for a pure linear exponent and a sum over matchings of the
+    Gram graph for exp(Q/2). The weighted F are summed as integers, and each
+    monomial's coefficient is divided by e! and scaled only at the end.
+
+    A degree-(n+1) value can be nonzero only at e + u_i with F(e) != 0 at
+    degree n and d_i != 0, or at f + u_i + u_j with F(f) != 0 at degree
+    n - 1 and G_ij != 0; only those candidates are visited, so sparse forms
+    and zero classes walk just their reachable support.
+    """
+    n = form.rank
+    cap = degree_cap
+    out = FormalSeries(n, cap)
+    pairs = [(_as_fraction(c), form.dual_coefficients(k))
+             for c, k in weighted_classes]
+    den = lcm(*(c.denominator for c, _ in pairs))
+    scale = _as_fraction(scale) / den
+    # an exponent tuple is packed into one integer, `width` bits per entry
+    # (no exponent of degree < cap overflows them): e + u_i is key + place[i]
+    width = max(cap - 1, 1).bit_length()
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(n)]
+    place = [1 << sh for sh in shifts]
+    gram = form.gram if quadratic else ((0,) * n,) * n
+    nbrs = [[(g, place[j], shifts[j]) for j, g in enumerate(row) if g]
+            for row in gram]
+    quad_steps = [(place[i] + place[j], i) for i in range(n)
+                  for j in range(i, n) if gram[i][j]]
+    total: dict[int, int] = {}
+    for c, d in pairs:
+        weight = c.numerator * (den // c.denominator)
+        if weight and scale:
+            _add_divided_powers(total, weight, d, nbrs, quad_steps, place,
+                                mask, cap)
+
+    fact = [factorial(e) for e in range(cap)]
+    num, dnm = scale.numerator, scale.denominator
+    for key, v in total.items():
+        if v:
+            exps = tuple([key >> sh & mask for sh in shifts])
+            ef = 1
+            for e in exps:
+                if e > 1:
+                    ef *= fact[e]
+            # canonical already: n entries, degree < cap, nonzero
+            out.terms[exps] = Fraction(v * num, ef * dnm)
+    return out
+
+
+def _add_divided_powers(total, weight, d, nbrs, quad_steps, place, mask, cap):
+    """total[e] += weight * F(e) for every degree < cap (see gaussian_sum)."""
+    lin_steps = [(place[i], i) for i, di in enumerate(d) if di]
+    prev: dict[int, int] = {}
+    cur: dict[int, int] = {0: 1}
+    for degree in range(cap):
+        for key, v in cur.items():
+            total[key] = total.get(key, 0) + weight * v
+        if degree + 1 == cap:
+            break
+        # candidate -> a direction i with e_i > 0 to run the recurrence on
+        cand = {key + p: i for key in cur for p, i in lin_steps}
+        cand.update({key + p: i for key in prev for p, i in quad_steps})
+        nxt = {}
+        for key, i in cand.items():
+            e = key - place[i]
+            v = d[i] * cur.get(e, 0)
+            for g, p, sh in nbrs[i]:
+                # only a true e - u_j (e_j > 0) is a degree-(n-1) key; a
+                # borrow across fields raises the entry sum instead
+                f = prev.get(e - p)
+                if f:
+                    v += g * (e >> sh & mask) * f
+            if v:
+                nxt[key] = v
+        prev, cur = cur, nxt
 
 
 def exp_linear(form: IntersectionForm, k: Sequence[int],
                degree_cap: int) -> FormalSeries:
     """exp(<k, h>) truncated: sum_{n < cap} <k, h>^n / n!."""
-    return _exp(linear_series(form, k, degree_cap))
+    return gaussian_sum(form, [(1, k)], degree_cap, quadratic=False)
 
 
 def exp_quadratic(form: IntersectionForm, degree_cap: int) -> FormalSeries:
     """exp(Q(h, h) / 2) truncated: sum_{2n < cap} (Q/2)^n / n!."""
-    return _exp(quadratic_series(form, degree_cap) * Fraction(1, 2))
+    return gaussian_sum(form, [(1, (0,) * form.rank)], degree_cap)

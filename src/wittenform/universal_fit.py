@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InadmissibleDeltaError, LevelError
+from .errors import DimensionMismatch, InadmissibleDeltaError, LevelError
 from .invariants import ManifoldData, _sign
 from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
@@ -192,6 +192,12 @@ class Observation:
         object.__setattr__(self, "lambda_", as_vector(self.lambda_))
         degree = self.delta - 2 * self.m
         lhs = self.observed_lhs
+        rank = self.manifold.rank
+        for what, size in (("observed value", lhs.num_vars),
+                           ("w", len(self.w)), ("lambda", len(self.lambda_))):
+            if size != rank:
+                raise DimensionMismatch(
+                    f"{what} has {size} entries, manifold rank is {rank}")
         # accept any series that happens to be homogeneous of the right degree
         bad = next((sum(e) for e in lhs.terms if sum(e) != degree), None)
         if bad is not None:

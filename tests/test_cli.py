@@ -122,6 +122,14 @@ def test_hypotheses_small_budget_unknown(capsys):
     assert "overall=unknown-bounded" in out
 
 
+def test_hypotheses_negative_budget_exit_2(capsys):
+    code, out, err = run_cli(capsys, "hypotheses", K3_PATH,
+                             "--variant", "level0", "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "budget must be >= 1" in err
+
+
 def test_levels_k3(capsys):
     code, out, _ = run_cli(capsys, "levels", K3_PATH, "--delta", "2",
                            "--ell-max", "4")

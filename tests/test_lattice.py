@@ -390,6 +390,18 @@ def test_search_budget_cancellation():
     assert find_hyperbolic_pair(sub, bound=20, budget=2) is None
 
 
+def test_search_rejects_budget_below_one():
+    sub = Sublattice.full(direct_sum(H, H))
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget"):
+            find_vector_with_square(sub, -2, bound=3, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            find_vector_with_square(sub, 0, bound=3, allow_zero=True,
+                                    budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            find_hyperbolic_pair(sub, bound=3, budget=budget)
+
+
 def test_searches_agree_with_oracles():
     # smaller edition of the acceptance sweep
     rng = random.Random(12)

@@ -1,13 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from wittenform.errors import DimensionMismatch, TruncationError
-from wittenform.lattice import IntersectionForm, diagonal_form, hyperbolic_plane
+from wittenform.corpus import k3_form
+from wittenform.lattice import (IntersectionForm, diagonal_form, direct_sum,
+                                e8_form, hyperbolic_plane)
 from wittenform.series import (FormalSeries, HomogeneousPolynomial,
                                exp_linear, exp_quadratic, first_difference,
-                               linear_series, quadratic_series)
+                               gaussian_sum, linear_series, quadratic_series)
 from wittenform.synthetic import random_unimodular_form
 
 H = hyperbolic_plane()
@@ -48,6 +52,14 @@ def test_add_examples():
     a = S(1, 5, {(0,): 1, (1,): 1})
     b = S(1, 5, {(0,): 1, (1,): -1})
     assert a + b == S(1, 5, {(0,): 2})
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(ValueError, match=r"\(-1,\)"):
+        FormalSeries(1, 4, {(-1,): 1})
+    # checked before truncation drops the term
+    with pytest.raises(ValueError, match=r"\(6, -1\)"):
+        FormalSeries(2, 4, {(6, -1): Fraction(3)})
 
 
 def test_add_cap_is_min():
@@ -289,3 +301,91 @@ def test_first_difference_reports_smallest_monomial():
     c = S(2, 6, {(1, 1): 2, (2, 0): 9, (3, 0): 5})
     exps, ca, cb = first_difference(a, c, 6)
     assert exps == (0, 0) and ca == 1 and cb == 0
+
+
+# ---------------------------------------------------------------------------
+# the divided-power kernel against the product route
+
+def exp_by_products(p):
+    """exp(p) for p without constant term: sum_n p^n / n! by __mul__."""
+    result = term = FormalSeries.one(p.num_vars, p.degree_cap)
+    n = 1
+    while True:
+        term = term * p * Fraction(1, n)
+        if term.is_zero():
+            return result
+        result = result + term
+        n += 1
+
+
+def product_route(form, weighted_classes, cap, scale=1):
+    acc = FormalSeries.zero(form.rank, cap)
+    for c, k in weighted_classes:
+        acc = acc + exp_by_products(linear_series(form, k, cap)) * c
+    half_q = quadratic_series(form, cap) * Fraction(1, 2)
+    return exp_by_products(half_q) * acc * scale
+
+
+def assert_kernel_matches(form, weighted_classes, cap, scale=1):
+    got = gaussian_sum(form, weighted_classes, cap, scale=scale)
+    want = product_route(form, weighted_classes, cap, scale)
+    # equal term counts: the support walk reaches every nonzero monomial
+    assert len(got.terms) == len(want.terms)
+    assert got.to_text() == want.to_text()
+
+
+def test_kernel_matches_product_route_on_dense_forms():
+    rng = random.Random(28)
+    for rank in range(2, 7):
+        form = random_unimodular_form(rng, rank, ops=3 * rank)
+        assert sum(1 for row in form.gram for g in row if g) > rank * rank // 2
+        for cap in (rng.randint(1, 9), 10):
+            classes = [(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                        tuple(rng.randint(-2, 2) for _ in range(rank)))
+                       for _ in range(rng.randint(1, 3))]
+            scale = Fraction(rng.choice((-1, 1)), 2 ** rng.randint(0, 5))
+            assert_kernel_matches(form, classes, cap, scale)
+
+
+def test_kernel_matches_product_route_on_k3():
+    form = k3_form()
+    zero = (0,) * 22
+    assert_kernel_matches(form, [(1, zero)], 8, scale=Fraction(1, 2))
+
+
+def test_kernel_matches_product_route_on_sparse_e4():
+    # E(4) = 7H + 4(-E8); basic classes 2F, 0, -2F with F isotropic
+    h = hyperbolic_plane()
+    form = direct_sum(*([h] * 7 + [e8_form(negative=True)] * 4))
+    f = (1,) + (0,) * 45
+    two_f = tuple(2 * x for x in f)
+    classes = [(1, two_f), (-2, (0,) * 46), (1, tuple(-x for x in two_f))]
+    assert_kernel_matches(form, classes, 6, scale=Fraction(1, 4))
+
+
+def test_kernel_divided_powers_of_linear_exponent():
+    # F(e) = e! [h^e] exp(<K, h>) = (G K)^e exactly, zero only where it must be
+    rng = random.Random(30)
+    for _ in range(6):
+        rank = rng.randint(1, 4)
+        form = random_unimodular_form(rng, rank)
+        k = tuple(rng.randint(-2, 2) for _ in range(rank))
+        d = form.dual_coefficients(k)
+        cap = rng.randint(1, 8)
+        got = gaussian_sum(form, [(1, k)], cap, quadratic=False)
+        for e in itertools.product(range(cap), repeat=rank):
+            if sum(e) >= cap:
+                continue
+            f = got.terms.get(e, Fraction(0)) * prod(factorial(x) for x in e)
+            assert f == prod(di ** x for di, x in zip(d, e))
+        assert got == exp_linear(form, k, cap)
+
+
+def test_kernel_edge_cases():
+    form = random_unimodular_form(random.Random(31), 3)
+    k = (1, 0, -1)
+    assert gaussian_sum(form, [], 5) == FormalSeries.zero(3, 5)
+    assert gaussian_sum(form, [(1, k)], 5, scale=0) == FormalSeries.zero(3, 5)
+    assert gaussian_sum(form, [(1, k)], 0) == FormalSeries.zero(3, 0)
+    assert gaussian_sum(form, [(2, k), (-2, k)], 5) == FormalSeries.zero(3, 5)
+    assert gaussian_sum(form, [(3, k)], 1) == FormalSeries.constant(3, 3, 1)

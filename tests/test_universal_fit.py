@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from wittenform.corpus import k3_manifold
-from wittenform.errors import InadmissibleDeltaError
+from wittenform.errors import DimensionMismatch, InadmissibleDeltaError
 from wittenform.invariants import KMData, ManifoldData, SpincEntry, point_evaluate
 from wittenform.lattice import hyperbolic_plane
 from wittenform.manifold_io import witten_consistent_km
+from wittenform.series import HomogeneousPolynomial
 from wittenform.universal_fit import (FitProblem, Observation, Unknown,
                                       assemble_rough_rhs, build_template,
                                       solve_coefficients, validate_solution)
@@ -234,6 +235,19 @@ def test_observation_degree_checked():
     good = witten_observation(m, w, lam, 2, 0)
     with pytest.raises(ValueError):
         Observation(m, w, lam, 4, 0, good.observed_lhs)
+
+
+def test_observation_rank_checked():
+    k3 = k3_manifold()
+    zero = (0,) * 22
+    good = witten_observation(k3, zero, zero, 2, 0)
+    small_lhs = HomogeneousPolynomial(3, 3, {(1, 1, 0): Fraction(1)}, degree=2)
+    with pytest.raises(DimensionMismatch, match="observed value"):
+        Observation(k3, zero, zero, 2, 0, small_lhs)
+    with pytest.raises(DimensionMismatch, match="w has 5"):
+        Observation(k3, (0,) * 5, zero, 2, 0, good.observed_lhs)
+    with pytest.raises(DimensionMismatch, match="lambda has 21"):
+        Observation(k3, zero, (0,) * 21, 2, 0, good.observed_lhs)
 
 
 def test_report_text_lists_template_slots():
