@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import (DimensionMismatch, InadmissibleDeltaError, LevelError,
                      LoadError, NonCharacteristicError, NonIntegralError,
@@ -26,14 +25,6 @@ from .monopole_levels import (check_delta_window, delta_admissible,
                               enumerate_contributions, i_lambda)
 from .series import first_difference
 from .universal_fit import solve_coefficients, validate_solution
-
-
-@dataclass
-class RunConfig:
-    degree_cap: int = 12
-    search_bound: int = 20
-    budget: int = 2_000_000
-    inclusive: bool = False
 
 
 def parse_cli_vector(text: str, rank: int) -> tuple[int, ...]:
@@ -78,10 +69,10 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_witten(args, config: RunConfig) -> int:
+def cmd_witten(args) -> int:
     m = load_manifold(args.file)
     w = parse_cli_vector(args.w, m.rank)
-    n = args.degree if args.degree is not None else config.degree_cap
+    n = args.degree
     rhs = witten_rhs(m, w, n)
     if args.compare is None:
         text = rhs.to_text()
@@ -103,7 +94,7 @@ def cmd_witten(args, config: RunConfig) -> int:
     from .invariants import km_series
     lhs = km_series(km, m.form, n)
     mod = args.mod_degree if args.mod_degree is not None else n
-    if config.inclusive:
+    if args.inclusive:
         mod += 1  # inclusive reading: compare all degrees <= the stated one
     if mod > n:
         raise TruncationError(
@@ -119,7 +110,7 @@ def cmd_witten(args, config: RunConfig) -> int:
     return 4
 
 
-def cmd_hypotheses(args, config: RunConfig) -> int:
+def cmd_hypotheses(args) -> int:
     m = load_manifold(args.file)
     lam = None
     if args.lambda_ is not None:
@@ -131,7 +122,7 @@ def cmd_hypotheses(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_levels(args, config: RunConfig) -> int:
+def cmd_levels(args) -> int:
     m = load_manifold(args.file)
     w = parse_cli_vector(args.w, m.rank)
     lam = parse_cli_vector(args.lambda_, m.rank)
@@ -154,7 +145,7 @@ def cmd_levels(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_fit(args, config: RunConfig) -> int:
+def cmd_fit(args) -> int:
     problem = load_fit_problem(args.file)
     report = solve_coefficients(problem)
     print(f"delta={problem.delta} m={problem.m} "
@@ -189,16 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wittenform",
         description="Exact arithmetic for Donaldson / Seiberg-Witten "
                     "series identities")
-    parser.add_argument("--degree", type=int, default=None,
+    parser.add_argument("--degree", type=int, default=12,
                         help="series degree cap (default 12)")
     parser.add_argument("--inclusive", action="store_true",
                         help="read 'mod degree N' inclusively (<= N instead of < N)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="print invariants of a manifold file")
+    p.set_defaults(func=cmd_info)
     p.add_argument("file")
 
     p = sub.add_parser("witten", help="canonical text of 2^(2-c) e^(Q/2) SW(h)")
+    p.set_defaults(func=cmd_witten)
     p.add_argument("file")
     p.add_argument("--w", default="0", help="comma-separated class (default 0)")
     p.add_argument("--compare", metavar="KMFILE", default=None,
@@ -209,18 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hypotheses",
                        help="check the level-0/level-1 theorem hypotheses")
+    p.set_defaults(func=cmd_hypotheses)
     p.add_argument("file")
     p.add_argument("--variant", choices=("level0", "level1"), required=True)
     p.add_argument("--lambda", dest="lambda_", default=None,
                    help="candidate class; omit to search")
-    p.add_argument("--search", action="store_true",
-                   help="search for lambda (the default when --lambda is absent)")
     p.add_argument("--w", default=None,
                    help="class w; default lambda + w2, which satisfies the congruence")
     p.add_argument("--bound", type=int, default=20)
     p.add_argument("--budget", type=int, default=2_000_000)
 
     p = sub.add_parser("levels", help="enumerate contributing spin-c strata")
+    p.set_defaults(func=cmd_levels)
     p.add_argument("file")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--m", type=int, default=0)
@@ -229,39 +222,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default="0")
 
     p = sub.add_parser("fit", help="solve for universal coefficients")
+    p.set_defaults(func=cmd_fit)
     p.add_argument("file")
 
     p = sub.add_parser("selftest", help="run the bundled invariant suites")
+    p.set_defaults(func=cmd_selftest)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig()
-    if args.degree is not None:
-        config.degree_cap = args.degree
-    config.inclusive = args.inclusive
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "info":
-            return cmd_info(args)
-        if args.command == "witten":
-            return cmd_witten(args, config)
-        if args.command == "hypotheses":
-            return cmd_hypotheses(args, config)
-        if args.command == "levels":
-            return cmd_levels(args, config)
-        if args.command == "fit":
-            return cmd_fit(args, config)
-        if args.command == "selftest":
-            return cmd_selftest(args)
-        parser.error(f"unknown command {args.command}")
-    except LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionMismatch, UnimodularityError, NonCharacteristicError) as exc:
+        return args.func(args)
+    except (LoadError, DimensionMismatch, UnimodularityError,
+            NonCharacteristicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonIntegralError, InadmissibleDeltaError, TruncationError,

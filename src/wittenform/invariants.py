@@ -200,8 +200,9 @@ def km_series(km: KMData, form: IntersectionForm, degree_cap: int) -> FormalSeri
     return gaussian_sum(form, terms, degree_cap)
 
 
-def witten_rhs(m: ManifoldData, w: Sequence[int], degree_cap: int) -> FormalSeries:
-    """2^(2-c) * exp(Q/2) * SW-series, the conjectured Donaldson series.
+def witten_consistent_km(m: ManifoldData, w: Sequence[int]) -> KMData:
+    """Basic-class data the conjectured identity predicts: coefficients
+    2^(2-c) SW(s) on the classes c1(s).
 
     Refuses when c = -(7*chi + 11*sigma)/4 is not an integer; the power of
     two would not be rational.
@@ -210,8 +211,16 @@ def witten_rhs(m: ManifoldData, w: Sequence[int], degree_cap: int) -> FormalSeri
     if c.denominator != 1:
         raise NonIntegralError(
             f"c = {c} is not an integer; 2^(2-c) is not rational")
+    w = m.form._check_vector(w)
     factor = Fraction(2) ** (2 - int(c))
-    return gaussian_sum(m.form, _sw_terms(m, w), degree_cap, scale=factor)
+    return KMData(w=w, terms=tuple((factor * e.sw, e.c1)
+                                   for e in m.spinc if e.sw))
+
+
+def witten_rhs(m: ManifoldData, w: Sequence[int], degree_cap: int) -> FormalSeries:
+    """2^(2-c) * exp(Q/2) * SW-series, the conjectured Donaldson series:
+    the basic-class expansion of `witten_consistent_km`."""
+    return km_series(witten_consistent_km(m, w), m.form, degree_cap)
 
 
 # ---------------------------------------------------------------------------

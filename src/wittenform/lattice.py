@@ -1,10 +1,10 @@
 """Exact arithmetic on integral unimodular intersection lattices.
 
 Vectors are plain tuples of Python ints in the coordinates of the form's
-basis. All arithmetic is exact; signatures are computed by rational
-congruence diagonalization, orthogonal complements by integer row
-reduction, and searches for vectors of prescribed square or hyperbolic
-pairs by bounded exhaustive enumeration.
+basis. All arithmetic is exact; signatures and determinants are computed
+by one rational congruence diagonalization, orthogonal complements by
+integer row reduction, and searches for vectors of prescribed square or
+hyperbolic pairs by bounded exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -56,33 +56,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _det_exact(rows) -> Fraction:
-    # plain rational elimination; sizes here stay tiny
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
-
-
 class IntersectionForm:
     """Integral unimodular symmetric bilinear form given by its Gram matrix.
 
@@ -105,13 +78,13 @@ class IntersectionForm:
                 if rows[i][j] != rows[j][i]:
                     raise UnimodularityError(
                         f"Gram matrix is not symmetric at ({i},{j})")
-        if n > 0 and require_unimodular:
-            det = _det_exact(rows)
+        self._signature = None
+        if require_unimodular:
+            det, self._signature = _diagonalize(rows)
             if det != 1 and det != -1:
                 raise UnimodularityError(f"Gram determinant is {det}, not +-1")
         self.gram = rows
         self.basis_labels = tuple(basis_labels) if basis_labels else None
-        self._signature = None
 
     @property
     def rank(self) -> int:
@@ -134,15 +107,8 @@ class IntersectionForm:
         return v
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        u = self._check_vector(u)
-        v = self._check_vector(v)
-        g = self.gram
-        total = 0
-        for i, ui in enumerate(u):
-            if ui:
-                gi = g[i]
-                total += ui * sum(gi[j] * vj for j, vj in enumerate(v) if vj)
-        return total
+        return _gram_pairing(self.gram, self._check_vector(u),
+                             self._check_vector(v))
 
     def square(self, v: Sequence[int]) -> int:
         return self.pairing(v, v)
@@ -161,14 +127,27 @@ class IntersectionForm:
     def signature_decomposition(self) -> tuple[int, int, int]:
         """(sigma, b_plus, b_minus) by exact rational congruence diagonalization."""
         if self._signature is None:
-            self._signature = _diagonalize_signature(self.gram)
+            self._signature = _diagonalize(self.gram)[1]
         return self._signature
 
 
-def _diagonalize_signature(gram) -> tuple[int, int, int]:
+def _gram_pairing(gram, u, v) -> int:
+    total = 0
+    for i, ui in enumerate(u):
+        if ui:
+            gi = gram[i]
+            total += ui * sum(gi[j] * vj for j, vj in enumerate(v) if vj)
+    return total
+
+
+def _diagonalize(gram) -> tuple[Fraction, tuple[int, int, int]]:
+    """(det, (sigma, b_plus, b_minus)) by one rational congruence
+    diagonalization. Every step is a congruence P^T A P with det P = +-1,
+    so the product of the pivots is the determinant."""
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     pos = neg = 0
+    det = Fraction(1)
     for i in range(n):
         if a[i][i] == 0:
             swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
@@ -179,6 +158,7 @@ def _diagonalize_signature(gram) -> tuple[int, int, int]:
             else:
                 off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
                 if off is None:
+                    det = Fraction(0)
                     continue  # zero block; cannot occur for unimodular forms
                 # congruence: add row/col `off` into i, making a[i][i] = 2*a[i][off]
                 for c in range(n):
@@ -186,6 +166,7 @@ def _diagonalize_signature(gram) -> tuple[int, int, int]:
                 for r in range(n):
                     a[r][i] += a[r][off]
         piv = a[i][i]
+        det *= piv
         if piv > 0:
             pos += 1
         else:
@@ -198,7 +179,7 @@ def _diagonalize_signature(gram) -> tuple[int, int, int]:
                 a[j][c] -= f * a[i][c]
             for r in range(n):
                 a[r][j] -= f * a[r][i]
-    return pos - neg, pos, neg
+    return det, (pos - neg, pos, neg)
 
 
 def congruent_mod2(form: IntersectionForm, w: Sequence[int],
@@ -364,24 +345,6 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
                     yield tuple(vec)
 
 
-def _gram_square(gram, v) -> int:
-    total = 0
-    for i, vi in enumerate(v):
-        if vi:
-            gi = gram[i]
-            total += vi * sum(gi[j] * vj for j, vj in enumerate(v) if vj)
-    return total
-
-
-def _gram_pairing(gram, u, v) -> int:
-    total = 0
-    for i, ui in enumerate(u):
-        if ui:
-            gi = gram[i]
-            total += ui * sum(gi[j] * vj for j, vj in enumerate(v) if vj)
-    return total
-
-
 def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
                             allow_zero: bool = False,
                             budget: Optional[int] = None) -> Optional[Vector]:
@@ -404,7 +367,7 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
             if remaining <= 0:
                 return None
             remaining -= 1
-        if _gram_square(gram, v) == target:
+        if _gram_pairing(gram, v, v) == target:
             return sub.to_parent(v)
     return None
 
@@ -440,7 +403,7 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
     for v in bounded_vectors(sub.rank, bound):
         if not spend():
             return None
-        if _gram_square(gram, v) != 0:
+        if _gram_pairing(gram, v, v) != 0:
             continue
         for u in isotropic:
             if not spend():
@@ -448,8 +411,8 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
             p = _gram_pairing(gram, u, v)
             if p == 1 or p == -1:
                 e, f = u, (v if p == 1 else vec_neg(v))
-                assert _gram_square(gram, e) == 0
-                assert _gram_square(gram, f) == 0
+                assert _gram_pairing(gram, e, e) == 0
+                assert _gram_pairing(gram, f, f) == 0
                 assert _gram_pairing(gram, e, f) == 1
                 return sub.to_parent(e), sub.to_parent(f)
         isotropic.append(v)

@@ -12,8 +12,9 @@ import os
 from fractions import Fraction
 from typing import Optional
 
-from .errors import LoadError
-from .invariants import KMData, ManifoldData, SpincEntry, point_evaluate
+from .errors import LoadError, WittenformError
+from .invariants import (KMData, ManifoldData, SpincEntry, point_evaluate,
+                         witten_consistent_km)
 from .lattice import IntersectionForm
 from .series import HomogeneousPolynomial, _parse_term
 from .universal_fit import FitProblem, Observation
@@ -30,6 +31,14 @@ class _Lines:
 
     def error(self, message, line=None):
         return LoadError(message, path=self.path, line=line)
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise LoadError(str(exc), path=path) from None
 
 
 def _split_sections(lines: _Lines):
@@ -134,7 +143,7 @@ def parse_manifold(text: str, path: Optional[str] = None) -> ManifoldData:
                 raise lines.error("unexpected bare row in [spinc]", rows[0][0])
             no_c1, c1_value = _get(kv, "c1", lines, "spinc", header)
             no_sw, sw_value = _get(kv, "sw", lines, "spinc", header)
-            spinc.append((header, no_c1,
+            spinc.append((no_c1,
                           _parse_int_row(c1_value, lines, no_c1, "c1"),
                           _parse_int(sw_value, lines, no_sw, "sw")))
         else:
@@ -159,31 +168,27 @@ def parse_manifold(text: str, path: Optional[str] = None) -> ManifoldData:
 
     try:
         form = IntersectionForm(form_rows)
-    except Exception as exc:
+    except WittenformError as exc:
         raise lines.error(str(exc), form_header) from None
     w2 = _parse_int_row(w2_row[1], lines, w2_row[0], "w2 row", rank)
     if any(b not in (0, 1) for b in w2):
         raise lines.error("w2 entries must be bits (0 or 1)", w2_row[0])
 
-    entries = []
-    for header, no_c1, c1, sw in spinc:
+    for no_c1, c1, sw in spinc:
         if len(c1) != rank:
             raise lines.error(
                 f"c1 has {len(c1)} entries, expected rank = {rank}", no_c1)
-        entries.append((no_c1, SpincEntry(tuple(c1), sw)))
+    for no_c1, c1, sw in spinc:
+        if not form.is_characteristic(c1):
+            raise lines.error(f"c1 {tuple(c1)} of manifold {name_value!r} "
+                              "is not characteristic", no_c1)
     try:
         return ManifoldData(
             name=name_value, chi=chi, sigma=sigma, b_plus=b_plus, form=form,
-            w2=tuple(w2), spinc=tuple(e for _, e in entries),
+            w2=tuple(w2), spinc=tuple(SpincEntry(c1, sw) for _, c1, sw in spinc),
             sw_simple_type=simple_type)
-    except Exception as exc:
-        line = manifold_header
-        msg = str(exc)
-        for no_c1, entry in entries:
-            if str(tuple(entry.c1)) in msg or "characteristic" in msg:
-                line = no_c1
-                break
-        raise lines.error(msg, line) from None
+    except (ValueError, WittenformError) as exc:
+        raise lines.error(str(exc), manifold_header) from None
 
 
 def manifold_to_text(m: ManifoldData) -> str:
@@ -209,12 +214,7 @@ def manifold_to_text(m: ManifoldData) -> str:
 
 
 def load_manifold(path: str) -> ManifoldData:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise LoadError(str(exc), path=path) from None
-    return parse_manifold(text, path=path)
+    return parse_manifold(_read(path), path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def parse_km(text: str, path: Optional[str] = None) -> KMData:
             raise lines.error("coefficient a must be nonzero", header)
     try:
         return KMData(w=tuple(w), terms=tuple((a, tuple(k)) for _, a, k in terms))
-    except Exception as exc:
+    except (ValueError, WittenformError) as exc:
         raise lines.error(str(exc)) from None
 
 
@@ -266,12 +266,7 @@ def km_to_text(km: KMData) -> str:
 
 
 def load_km(path: str) -> KMData:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise LoadError(str(exc), path=path) from None
-    return parse_km(text, path=path)
+    return parse_km(_read(path), path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +284,6 @@ def _parse_inline_polynomial(value, num_vars, degree, lines, no):
                 f"term of degree {sum(exps)} in a degree-{degree} observation", no)
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return HomogeneousPolynomial(num_vars, degree + 1, terms, degree=degree)
-
-
-def witten_consistent_km(m: ManifoldData, w) -> KMData:
-    """Basic-class data the conjectured identity predicts: coefficients
-    2^(2-c) SW(s) on the classes c1(s)."""
-    from .errors import NonIntegralError
-    c = m.characteristic_number()
-    if c.denominator != 1:
-        raise NonIntegralError(f"c = {c} is not an integer")
-    factor = Fraction(2) ** (2 - int(c))
-    terms = tuple((factor * e.sw, e.c1) for e in m.spinc if e.sw != 0)
-    return KMData(w=tuple(w), terms=terms)
 
 
 def parse_fit_problem(text: str, path: Optional[str] = None,
@@ -354,9 +337,4 @@ def parse_fit_problem(text: str, path: Optional[str] = None,
 
 
 def load_fit_problem(path: str) -> FitProblem:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise LoadError(str(exc), path=path) from None
-    return parse_fit_problem(text, path=path)
+    return parse_fit_problem(_read(path), path=path)

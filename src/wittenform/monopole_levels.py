@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import LevelError, NonIntegralError
 from .invariants import ManifoldData, SpincEntry, _sign
@@ -83,6 +83,25 @@ def level_index(delta: int, c1s: Sequence[int], lambda_: Sequence[int],
     return int(value)
 
 
+def leveled_entries(m: ManifoldData, lambda_: Sequence[int], delta: int,
+                    notes: list) -> Iterator[tuple[SpincEntry, int]]:
+    """(entry, level) for each spin-c entry with nonzero invariant, by c1.
+
+    Entries whose level index is not a non-negative integer are skipped,
+    and a note saying why is appended to `notes` as the walk reaches them.
+    """
+    for entry in sorted(m.spinc, key=lambda e: e.c1):
+        if entry.sw == 0:
+            continue
+        try:
+            ell = level_index(delta, entry.c1, lambda_, m.form, m.chi, m.sigma)
+        except LevelError as err:
+            notes.append(f"c1={','.join(map(str, entry.c1))}: skipped "
+                         f"({err.reason} level {err.value})")
+            continue
+        yield entry, ell
+
+
 def check_delta_window(delta: int, i_lambda_value: Fraction) -> bool:
     """True iff delta < i(Lambda), strictly."""
     return delta < i_lambda_value
@@ -119,17 +138,10 @@ def enumerate_contributions(m: ManifoldData, w: Sequence[int],
     lam = m.form._check_vector(lambda_)
     rows = []
     notes = []
-    for entry in sorted(m.spinc, key=lambda e: e.c1):
-        if entry.sw == 0:
-            continue
-        label = ",".join(map(str, entry.c1))
-        try:
-            ell = level_index(delta, entry.c1, lam, m.form, m.chi, m.sigma)
-        except LevelError as err:
-            notes.append(f"c1={label}: skipped ({err.reason} level {err.value})")
-            continue
+    for entry, ell in leveled_entries(m, lam, delta, notes):
         if ell > ell_max:
-            notes.append(f"c1={label}: level {ell} exceeds ell_max {ell_max}")
+            notes.append(f"c1={','.join(map(str, entry.c1))}: level {ell} "
+                         f"exceeds ell_max {ell_max}")
             continue
         rows.append(Contribution(
             entry=entry, ell=ell, sign=_sign(m.form, w, entry.c1),

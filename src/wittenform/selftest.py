@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import fit_km_coefficients, km_series, witten_rhs
+from .invariants import (KMData, fit_km_coefficients, km_series,
+                         witten_consistent_km, witten_rhs)
 from .lattice import (IntersectionForm, Sublattice, find_vector_with_square,
                       orthogonal_complement)
 from .series import FormalSeries, exp_linear, exp_quadratic
@@ -91,14 +92,11 @@ def suite_roundtrip_fit(rng: random.Random) -> SuiteResult:
         if result.status != "unique":
             return SuiteResult("roundtrip-fit", False,
                                f"fit status {result.status} on {m.name}")
-        c = int(m.characteristic_number())
-        factor = Fraction(2) ** (2 - c)
-        for entry in m.spinc:
-            if result.a_values[entry.c1] != factor * entry.sw:
+        for a, k in witten_consistent_km(m, w).terms:
+            if result.a_values[k] != a:
                 return SuiteResult(
                     "roundtrip-fit", False,
-                    f"coefficient mismatch on {m.name} at c1={entry.c1}")
-        from .invariants import KMData
+                    f"coefficient mismatch on {m.name} at c1={k}")
         fitted = KMData(w=w, terms=tuple(
             (result.a_values[k], k) for k in classes))
         if not km_series(fitted, m.form, cap).congruent_mod_degree(target, cap):

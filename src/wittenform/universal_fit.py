@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, InadmissibleDeltaError, LevelError
+from .errors import DimensionMismatch, InadmissibleDeltaError
 from .invariants import ManifoldData, _sign
 from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
-from .monopole_levels import delta_admissible, level_index
+from .monopole_levels import delta_admissible, leveled_entries
 from .series import HomogeneousPolynomial, linear_series, quadratic_series
 
 Signature = tuple[int, int, int, int, int, int, int, int]
@@ -142,15 +142,7 @@ def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
     q = quadratic_series(m.form, cap)
     bform = linear_series(m.form, lam, cap)
     lam_sq = m.form.square(lam)
-    for entry in sorted(m.spinc, key=lambda e: e.c1):
-        if entry.sw == 0:
-            continue
-        label = ",".join(map(str, entry.c1))
-        try:
-            ell = level_index(delta, entry.c1, lam, m.form, m.chi, m.sigma)
-        except LevelError as err:
-            notes.append(f"c1={label}: skipped ({err.reason} level {err.value})")
-            continue
+    for entry, ell in leveled_entries(m, lam, delta, notes):
         sig: Signature = (m.chi, m.sigma, m.form.square(entry.c1), lam_sq,
                           m.form.pairing(entry.c1, lam), delta, mm, ell)
         template = build_template(delta, mm, ell)

@@ -194,6 +194,13 @@ def test_bad_vector_exit_2(capsys):
     assert "error" in err
 
 
+def test_hypotheses_has_no_search_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hypotheses", K3_PATH, "--variant", "level0", "--search"])
+    assert exc.value.code == 2
+    assert "--search" in capsys.readouterr().err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wittenform.corpus import k3_form, k3_manifold
-from wittenform.errors import NonCharacteristicError, NonIntegralError
+from wittenform.errors import (DimensionMismatch, NonCharacteristicError,
+                               NonIntegralError)
 from wittenform.invariants import (KMData, ManifoldData, SpincEntry, Verdict,
                                    characteristic_number,
                                    check_km_simple_type_relation,
@@ -13,7 +14,7 @@ from wittenform.invariants import (KMData, ManifoldData, SpincEntry, Verdict,
                                    km_series, mmp_vanishing_check,
                                    point_evaluate, sign_exponent,
                                    sw_dimension_warnings, sw_series,
-                                   witten_rhs)
+                                   witten_consistent_km, witten_rhs)
 from wittenform.lattice import (IntersectionForm, diagonal_form,
                                 hyperbolic_plane)
 from wittenform.series import (FormalSeries, exp_linear, exp_quadratic,
@@ -168,6 +169,15 @@ def test_witten_rhs_refuses_non_integral_c():
     assert m.characteristic_number().denominator != 1
     with pytest.raises(NonIntegralError):
         witten_rhs(m, (0, 0), 4)
+
+
+def test_witten_consistent_km_checks_w_rank():
+    with pytest.raises(DimensionMismatch):
+        witten_consistent_km(k3_manifold(), (0,) * 3)
+    # with no basic classes no pairing would notice a w of the wrong length
+    m = simple_manifold(H, 2, -2, [])
+    with pytest.raises(DimensionMismatch):
+        witten_rhs(m, (0,) * 5, 4)
 
 
 # ---------------------------------------------------------------------------

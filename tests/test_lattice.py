@@ -192,6 +192,86 @@ def test_unimodularity_enforced():
     assert IntersectionForm([[2]], require_unimodular=False).rank == 1
 
 
+def permutation_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, p in enumerate(perm):
+            term *= rows[i][p]
+        total += term
+    return total
+
+
+def eigenvalue_sign_counts(rows):
+    # Faddeev-LeVerrier gives det(tI - G) = sum_k c[k] t^k exactly; the roots
+    # of a symmetric matrix's characteristic polynomial are all real, so
+    # Descartes' rule of signs counts the positive and negative ones exactly
+    n = len(rows)
+    c = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(rows[i][t] * m[t][j] for t in range(n))
+              + (c[n - k + 1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        trace = sum(rows[i][t] * m[t][i] for i in range(n) for t in range(n))
+        c[n - k] = -trace / k
+
+    def sign_changes(coeffs):
+        signs = [x > 0 for x in coeffs if x != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    pos = sign_changes(c)
+    neg = sign_changes([x if k % 2 == 0 else -x for k, x in enumerate(c)])
+    return pos - neg, pos, neg
+
+
+def random_symmetric_grams(rng, per_rank=40):
+    for rank in range(1, 6):
+        for trial in range(per_rank):
+            g = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                for j in range(i, rank):
+                    g[i][j] = g[j][i] = rng.randint(-2, 2)
+            if trial % 4 == 0:  # force a singular matrix
+                for i in range(rank):
+                    g[i][-1] = g[i][0]
+                for j in range(rank):
+                    g[-1][j] = g[0][j]
+            yield g
+        for _ in range(per_rank // 4):
+            yield [list(row) for row in random_unimodular_form(rng, rank).gram]
+
+
+def test_unimodularity_matches_permutation_determinant():
+    rng = random.Random(2718)
+    accepted = rejected = singular = 0
+    for gram in random_symmetric_grams(rng):
+        det = permutation_det(gram)
+        if det in (1, -1):
+            assert IntersectionForm(gram).rank == len(gram)
+            accepted += 1
+            continue
+        with pytest.raises(UnimodularityError) as err:
+            IntersectionForm(gram)
+        assert str(err.value) == f"Gram determinant is {det}, not +-1"
+        rejected += 1
+        singular += det == 0
+    assert accepted >= 50 and rejected >= 50 and singular >= 50
+
+
+def test_signature_matches_eigenvalue_signs():
+    rng = random.Random(3141)
+    for gram in random_symmetric_grams(rng):
+        expected = eigenvalue_sign_counts(gram)
+        form = IntersectionForm(gram, require_unimodular=False)
+        assert form.signature_decomposition() == expected, gram
+        if permutation_det(gram) in (1, -1):
+            assert IntersectionForm(gram).signature_decomposition() == expected
+
+
 # ---------------------------------------------------------------------------
 # characteristic vectors
 

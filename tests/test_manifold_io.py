@@ -117,6 +117,15 @@ def test_error_non_characteristic_c1():
     assert "characteristic" in str(err.value)
 
 
+def test_error_non_characteristic_second_c1_has_its_line():
+    text = _tiny_manifold_text() + "\n[spinc]\nc1 = 1 1 1 0\nsw = 2\n"
+    bad_line = text.splitlines().index("c1 = 1 1 1 0") + 1
+    with pytest.raises(LoadError) as err:
+        parse_manifold(text)
+    assert err.value.line == bad_line
+    assert "not characteristic" in str(err.value)
+
+
 def test_error_bad_coupling_rejected():
     text = _tiny_manifold_text(chi=10)   # rank 4 != chi - 2
     with pytest.raises(LoadError):
