@@ -27,7 +27,8 @@ from .lattice import (IntersectionForm, Vector, as_vector, congruent_mod2,
                       find_hyperbolic_pair, find_vector_with_square,
                       mod2_reduce, orthogonal_complement, vec_add)
 from .linsolve import LinearSystem
-from .series import FormalSeries, HomogeneousPolynomial, gaussian_sum
+from .series import (FormalSeries, HomogeneousPolynomial, divided_powers,
+                     gaussian_sum)
 
 
 class Verdict(enum.Enum):
@@ -297,9 +298,16 @@ def fit_km_coefficients(target: FormalSeries,
     """Solve exp(Q/2) * sum_r b_r exp(<K_r, h>) = target for the b_r, then
     unwind the sign convention: a_r = (-1)^((w^2 + w.K_r)/2) b_r.
 
-    Equations are the coefficients of every monomial of degree < degree_cap,
-    processed in (degree, lex) order so an inconsistency witness is
-    deterministic.
+    Equations are the coefficients of every monomial h^e of degree
+    < degree_cap, processed in (degree, lex) order so an inconsistency
+    witness is deterministic. The equation at h^e is multiplied by e!, so
+    its coefficients are the integer divided powers F_r(e) of the classes
+    (`series.divided_powers`) and its right side is e! times the target's
+    coefficient; scaling an equation changes neither the solutions nor
+    which equation is the first inconsistent one.
+
+    Raises TruncationError when degree_cap exceeds the target's cap: the
+    target's coefficients at those degrees were truncated away, not 0.
     """
     candidates = [as_vector(k) for k in candidate_classes]
     if len(set(candidates)) != len(candidates):
@@ -307,16 +315,23 @@ def fit_km_coefficients(target: FormalSeries,
     if not candidates:
         raise ValueError("no candidate classes")
     n = degree_cap
-    basis = [gaussian_sum(form, [(1, k)], n) for k in candidates]
-    target = target.truncate_to(min(target.degree_cap, n))
+    target = target.truncate_to(n).terms
+    basis = [divided_powers(form, k, n) for k in candidates]
 
-    monomials = set(target.terms)
+    monomials = set(target)
     for b in basis:
-        monomials.update(b.terms)
+        monomials.update(b)
+    fact = [factorial(e) for e in range(n)]
     system = LinearSystem(len(candidates))
     for mono in sorted(monomials, key=lambda e: (sum(e), e)):
-        coeffs = [b.terms.get(mono, Fraction(0)) for b in basis]
-        rhs = target.terms.get(mono, Fraction(0))
+        coeffs = [b.get(mono, 0) for b in basis]
+        rhs = target.get(mono, 0)
+        if rhs:
+            ef = 1
+            for e in mono:
+                if e > 1:
+                    ef *= fact[e]
+            rhs *= ef
         system.add_equation(coeffs, rhs, label=mono)
     sol = system.solve()
     if not sol.consistent:

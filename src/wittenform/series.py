@@ -189,7 +189,10 @@ class FormalSeries:
         if n > self.degree_cap:
             raise TruncationError(
                 f"cannot extend cap {self.degree_cap} to {n}")
-        return FormalSeries(self.num_vars, n, self.terms)
+        out = FormalSeries(self.num_vars, n)
+        # the terms are canonical already; only the degree filter applies
+        out.terms = {e: c for e, c in self.terms.items() if sum(e) < n}
+        return out
 
     def homogeneous_part(self, d: int) -> "HomogeneousPolynomial":
         if d >= self.degree_cap:
@@ -368,17 +371,7 @@ def gaussian_sum(form: IntersectionForm,
              for c, k in weighted_classes]
     den = lcm(*(c.denominator for c, _ in pairs))
     scale = _as_fraction(scale) / den
-    # an exponent tuple is packed into one integer, `width` bits per entry
-    # (no exponent of degree < cap overflows them): e + u_i is key + place[i]
-    width = max(cap - 1, 1).bit_length()
-    mask = (1 << width) - 1
-    shifts = [width * i for i in range(n)]
-    place = [1 << sh for sh in shifts]
-    gram = form.gram if quadratic else ((0,) * n,) * n
-    nbrs = [[(g, place[j], shifts[j]) for j, g in enumerate(row) if g]
-            for row in gram]
-    quad_steps = [(place[i] + place[j], i) for i in range(n)
-                  for j in range(i, n) if gram[i][j]]
+    shifts, mask, place, nbrs, quad_steps = _packing(form, cap, quadratic)
     total: dict[int, int] = {}
     for c, d in pairs:
         weight = c.numerator * (den // c.denominator)
@@ -398,6 +391,38 @@ def gaussian_sum(form: IntersectionForm,
             # canonical already: n entries, degree < cap, nonzero
             out.terms[exps] = Fraction(v * num, ef * dnm)
     return out
+
+
+def divided_powers(form: IntersectionForm, k: Sequence[int],
+                   degree_cap: int) -> dict[Exponents, int]:
+    """The integer divided powers F(e) = e! [h^e] exp(Q(h, h)/2 + <k, h>)
+    of one class (the kernel of `gaussian_sum`), for every e of degree
+    < degree_cap with F(e) != 0, keyed by exponent tuple."""
+    shifts, mask, place, nbrs, quad_steps = _packing(form, degree_cap, True)
+    total: dict[int, int] = {}
+    _add_divided_powers(total, 1, form.dual_coefficients(k), nbrs,
+                        quad_steps, place, mask, degree_cap)
+    return {tuple([key >> sh & mask for sh in shifts]): v
+            for key, v in total.items()}
+
+
+def _packing(form: IntersectionForm, cap: int, quadratic: bool):
+    """(shifts, mask, place, nbrs, quad_steps) for `_add_divided_powers`.
+
+    An exponent tuple is packed into one integer, `width` bits per entry
+    (no exponent of degree < cap overflows them): e + u_i is key + place[i].
+    """
+    n = form.rank
+    width = max(cap - 1, 1).bit_length()
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(n)]
+    place = [1 << sh for sh in shifts]
+    gram = form.gram if quadratic else ((0,) * n,) * n
+    nbrs = [[(g, place[j], shifts[j]) for j, g in enumerate(row) if g]
+            for row in gram]
+    quad_steps = [(place[i] + place[j], i) for i in range(n)
+                  for j in range(i, n) if gram[i][j]]
+    return shifts, mask, place, nbrs, quad_steps
 
 
 def _add_divided_powers(total, weight, d, nbrs, quad_steps, place, mask, cap):

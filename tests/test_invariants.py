@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wittenform.corpus import k3_form, k3_manifold
+from wittenform.corpus import k3_form, k3_manifold, load_bundled
 from wittenform.errors import (DimensionMismatch, NonCharacteristicError,
-                               NonIntegralError)
-from wittenform.invariants import (KMData, ManifoldData, SpincEntry, Verdict,
-                                   characteristic_number,
+                               NonIntegralError, TruncationError)
+from wittenform.invariants import (KMData, KMFitResult, ManifoldData,
+                                   SpincEntry, Verdict, characteristic_number,
                                    check_km_simple_type_relation,
                                    check_theorem_hypotheses,
                                    expected_sw_dimension, fit_km_coefficients,
@@ -333,6 +334,88 @@ def test_roundtrip_recovery_on_valid_manifolds():
         c = int(m.characteristic_number())
         for entry in m.spinc:
             assert result.a_values[entry.c1] == Fraction(2) ** (2 - c) * entry.sw
+
+
+def test_fit_refuses_cap_above_target_cap():
+    # the target's degree-6 and degree-7 coefficients were truncated away;
+    # reading them as 0 once reported a false inconsistency at h6^6
+    m = load_bundled("synthetic_02.manifold")
+    w = (0,) * m.rank
+    target = witten_rhs(m, w, 6)
+    with pytest.raises(TruncationError):
+        fit_km_coefficients(target, m.basic_classes(), w, m.form, 8)
+    for cap in (5, 6):
+        result = fit_km_coefficients(target, m.basic_classes(), w, m.form,
+                                     cap)
+        assert result.status == "unique"
+
+
+def reference_fit(target, classes, w, form, cap):
+    """fit_km_coefficients by the product route: a Fraction basis
+    exp_quadratic * exp_linear per class and a Fraction Gauss-Jordan
+    elimination fed one monomial at a time in (degree, lex) order."""
+    n = len(classes)
+    basis = [exp_quadratic(form, cap) * exp_linear(form, k, cap)
+             for k in classes]
+    target = target.truncate_to(cap)
+    monomials = set(target.terms).union(*(b.terms for b in basis))
+    rows, pivots, witness = [], [], None
+    for mono in sorted(monomials, key=lambda e: (sum(e), e)):
+        row = [b.terms.get(mono, Fraction(0)) for b in basis]
+        row.append(target.terms.get(mono, Fraction(0)))
+        for p, r in zip(pivots, rows):
+            f = row[p]
+            row = [x - f * y for x, y in zip(row, r)]
+        lead = next((i for i in range(n) if row[i]), None)
+        if lead is None:
+            if row[n] and witness is None:
+                witness = mono
+            continue
+        row = [x / row[lead] for x in row]
+        rows = [[x - r[lead] * y for x, y in zip(r, row)] for r in rows]
+        rows.append(row)
+        pivots.append(lead)
+    nullity = n - len(pivots)
+    if witness is not None:
+        return KMFitResult("inconsistent", {}, frozenset(), nullity, witness,
+                           ())
+    free = [i for i in range(n) if i not in pivots]
+    b = {i: Fraction(0) for i in free}
+    b.update((p, r[n]) for p, r in zip(pivots, rows))
+    determined = {p for p, r in zip(pivots, rows)
+                  if not any(r[f] for f in free)}
+    a = {k: (-1) ** (sign_exponent(form, w, k) % 2) * b[i]
+         for i, k in enumerate(classes)}
+    return KMFitResult(
+        "unique" if nullity == 0 else "underdetermined", a,
+        frozenset(classes[i] for i in determined), nullity, None,
+        tuple(k for k in classes if a[k] == 0))
+
+
+def test_fit_matches_product_route_reference():
+    rng = random.Random(4402)
+    seen = Counter()
+    for _ in range(20):
+        m = random_manifold(rng, max_rank=4, max_classes=4)
+        w = tuple(rng.randint(-2, 2) for _ in range(m.rank))
+        cap = rng.randint(4, 6)
+        target = witten_rhs(m, w, cap)
+        classes = m.basic_classes()
+        # characteristic classes that are not basic: k + 2v
+        extra = {tuple(x + 2 * rng.randint(-1, 1) for x in k)
+                 for k in classes} - set(classes)
+        mono = tuple(rng.choice(sorted(target.terms)))
+        bumped = target + FormalSeries(m.rank, cap, {mono: Fraction(1, 3)})
+        cases = [(target, classes, cap), (bumped, classes, cap),
+                 (target, classes + sorted(extra), rng.randint(1, 3)),
+                 (bumped, classes, 1), (target, classes[:1], cap)]
+        for tgt, cands, fit_cap in cases:
+            got = fit_km_coefficients(tgt, cands, w, m.form, fit_cap)
+            assert got == reference_fit(tgt, cands, w, m.form, fit_cap)
+            assert all(type(a) is Fraction for a in got.a_values.values())
+            seen[got.status] += 1
+    assert min(seen[s] for s in ("unique", "underdetermined",
+                                 "inconsistent")) >= 10, seen
 
 
 def test_sign_integrality_never_raises_for_characteristic_classes():

@@ -10,8 +10,9 @@ from wittenform.corpus import k3_form
 from wittenform.lattice import (IntersectionForm, diagonal_form, direct_sum,
                                 e8_form, hyperbolic_plane)
 from wittenform.series import (FormalSeries, HomogeneousPolynomial,
-                               exp_linear, exp_quadratic, first_difference,
-                               gaussian_sum, linear_series, quadratic_series)
+                               divided_powers, exp_linear, exp_quadratic,
+                               first_difference, gaussian_sum, linear_series,
+                               quadratic_series)
 from wittenform.synthetic import random_unimodular_form
 
 H = hyperbolic_plane()
@@ -379,6 +380,22 @@ def test_kernel_divided_powers_of_linear_exponent():
             f = got.terms.get(e, Fraction(0)) * prod(factorial(x) for x in e)
             assert f == prod(di ** x for di, x in zip(d, e))
         assert got == exp_linear(form, k, cap)
+
+
+def test_divided_powers_are_the_integer_coefficients():
+    # F(e) = e! [h^e] exp(Q/2 + <K, h>) as ints, keyed by exponent tuple,
+    # on exactly the support of the product-route series
+    rng = random.Random(32)
+    for rank in range(1, 6):
+        form = random_unimodular_form(rng, rank, ops=3 * rank)
+        k = tuple(rng.randint(-2, 2) for _ in range(rank))
+        cap = rng.randint(0, 7)
+        want = product_route(form, [(1, k)], cap)
+        got = divided_powers(form, k, cap)
+        assert set(got) == set(want.terms)
+        for e, f in got.items():
+            assert type(f) is int
+            assert f == want.terms[e] * prod(factorial(x) for x in e)
 
 
 def test_kernel_edge_cases():
