@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, UnimodularityError
@@ -143,7 +144,10 @@ def _gram_pairing(gram, u, v) -> int:
 def _diagonalize(gram) -> tuple[Fraction, tuple[int, int, int]]:
     """(det, (sigma, b_plus, b_minus)) by one rational congruence
     diagonalization. Every step is a congruence P^T A P with det P = +-1,
-    so the product of the pivots is the determinant."""
+    so the product of the pivots is the determinant. The matrix stays
+    symmetric, and pivot i reads only row i and the block after it, so a
+    step updates a[j][c] for c >= j > i where the pivot row is nonzero and
+    mirrors each update into a[c][j]."""
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     pos = neg = 0
@@ -161,24 +165,24 @@ def _diagonalize(gram) -> tuple[Fraction, tuple[int, int, int]]:
                     det = Fraction(0)
                     continue  # zero block; cannot occur for unimodular forms
                 # congruence: add row/col `off` into i, making a[i][i] = 2*a[i][off]
-                for c in range(n):
-                    a[i][c] += a[off][c]
-                for r in range(n):
-                    a[r][i] += a[r][off]
-        piv = a[i][i]
+                ri, ro = a[i], a[off]
+                for c in range(i, n):
+                    ri[c] += ro[c]
+                ri[i] += ri[off]
+        ri = a[i]
+        piv = ri[i]
         det *= piv
         if piv > 0:
             pos += 1
         else:
             neg += 1
-        for j in range(i + 1, n):
-            if a[j][i] == 0:
-                continue
-            f = a[j][i] / piv
-            for c in range(n):
-                a[j][c] -= f * a[i][c]
-            for r in range(n):
-                a[r][j] -= f * a[r][i]
+        support = [c for c in range(i + 1, n) if ri[c] != 0]
+        for k, j in enumerate(support):
+            f = ri[j] / piv
+            rj = a[j]
+            for c in support[k:]:
+                rj[c] -= f * ri[c]
+                a[c][j] = rj[c]
     return det, (pos - neg, pos, neg)
 
 
@@ -325,24 +329,48 @@ def orthogonal_complement(form: IntersectionForm,
 def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
     """All nonzero integer vectors with |coords| <= bound, sparse-first.
 
-    Ordered by (support size, max coordinate magnitude, support position,
-    assignment); every vector in the box appears exactly once. The ordering
-    front-loads the sparse small vectors so structured lattices (hyperbolic
-    summands and the like) are hit long before the box is exhausted.
+    Ordered by support size, then top magnitude m = max |coord|, then
+    support position in `combinations` order, then assignment in `product`
+    order over [1, -1, 2, -2, ..., m, -m]; every vector in the box appears
+    exactly once. The ordering front-loads the sparse small vectors so
+    structured lattices (hyperbolic summands and the like) are hit long
+    before the box is exhausted. Only assignments holding an entry +-m are
+    built, so the cost is proportional to the vectors yielded.
     """
     if rank == 0 or bound < 1:
         return
-    for support_size in range(1, rank + 1):
-        for max_mag in range(1, bound + 1):
-            vals = [s * m for m in range(1, max_mag + 1) for s in (1, -1)]
-            for support in itertools.combinations(range(rank), support_size):
-                for assign in itertools.product(vals, repeat=support_size):
-                    if max(abs(a) for a in assign) != max_mag:
-                        continue
-                    vec = [0] * rank
-                    for pos, val in zip(support, assign):
-                        vec[pos] = val
-                    yield tuple(vec)
+    for size in range(1, rank + 1):
+        low: list[int] = []   # [1, -1, ..., m-1, -(m-1)]
+        vals: list[int] = []  # low + [m, -m]
+        for m in range(1, bound + 1):
+            vals += (m, -m)
+            for support in itertools.combinations(range(rank), size):
+                # an assignment is led by a 0 that every off-support
+                # coordinate reads; itemgetter of one index returns the
+                # item, not a 1-tuple, hence the slice when rank == 1
+                idx = [0] * rank
+                for slot, pos in enumerate(support, 1):
+                    idx[pos] = slot
+                place = (itemgetter(*idx) if rank > 1
+                         else itemgetter(slice(1, None)))
+                yield from map(place, _with_top((0,), size, low, vals, m))
+            low += (m, -m)
+
+
+def _with_top(prefix: tuple, k: int, low: list, vals: list,
+              m: int) -> Iterator[tuple]:
+    """prefix + t for the length-k tuples t over vals = low + [m, -m] that
+    hold an entry +-m, in `product` order."""
+    if k == 1:
+        yield prefix + (m,)
+        yield prefix + (-m,)
+        return
+    for a in low:
+        yield from _with_top(prefix + (a,), k - 1, low, vals, m)
+    for a in (m, -m):
+        head = prefix + (a,)
+        for rest in itertools.product(vals, repeat=k - 1):
+            yield head + rest
 
 
 def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
@@ -387,7 +415,7 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
     gram = sub.induced_gram()
-    isotropic: list[Vector] = []
+    isotropic: list[tuple[Vector, Vector]] = []  # (u, G.u)
     remaining = budget
 
     def spend(n=1):
@@ -405,17 +433,17 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
             return None
         if _gram_pairing(gram, v, v) != 0:
             continue
-        for u in isotropic:
+        for u, du in isotropic:
             if not spend():
                 return None
-            p = _gram_pairing(gram, u, v)
+            p = sum(map(mul, du, v))
             if p == 1 or p == -1:
                 e, f = u, (v if p == 1 else vec_neg(v))
                 assert _gram_pairing(gram, e, e) == 0
                 assert _gram_pairing(gram, f, f) == 0
                 assert _gram_pairing(gram, e, f) == 1
                 return sub.to_parent(e), sub.to_parent(f)
-        isotropic.append(v)
+        isotropic.append((v, tuple(sum(map(mul, row, v)) for row in gram)))
     return None
 
 

@@ -11,7 +11,7 @@ from wittenform.lattice import (IntersectionForm, Sublattice, bounded_vectors,
                                 find_hyperbolic_pair, find_vector_with_square,
                                 hyperbolic_plane, integer_kernel,
                                 orthogonal_complement)
-from wittenform.synthetic import random_unimodular_form
+from wittenform.synthetic import random_unimodular_form, shear_conjugate
 
 H = hyperbolic_plane()
 
@@ -434,6 +434,125 @@ def test_bounded_vectors_cover_box_exactly_once():
     expected = {v for v in box(2, 2) if any(v)}
     assert set(seen) == expected
     assert len(seen) == len(expected)
+
+
+# reference implementations of the searches: the box filtered by top
+# magnitude and the search loops with their budget accounting, written
+# against the brute-force pairing. Each search also returns the budget it
+# spent, so that the budget sweep below can stop just past the witness.
+
+def reference_bounded_vectors(rank, bound):
+    if rank == 0 or bound < 1:
+        return
+    for support_size in range(1, rank + 1):
+        for max_mag in range(1, bound + 1):
+            vals = [s * m for m in range(1, max_mag + 1) for s in (1, -1)]
+            for support in itertools.combinations(range(rank), support_size):
+                for assign in itertools.product(vals, repeat=support_size):
+                    if max(abs(a) for a in assign) != max_mag:
+                        continue
+                    vec = [0] * rank
+                    for pos, val in zip(support, assign):
+                        vec[pos] = val
+                    yield tuple(vec)
+
+
+def reference_vector_with_square(sub, target, bound, budget=None):
+    gram = sub.induced_gram()
+    spent = 0
+    for v in reference_bounded_vectors(sub.rank, bound):
+        if budget is not None and spent == budget:
+            return None, spent
+        spent += 1
+        if brute_square(gram, v) == target:
+            return sub.to_parent(v), spent
+    return None, spent
+
+
+def reference_hyperbolic_pair(sub, bound, budget=None):
+    gram = sub.induced_gram()
+    isotropic = []
+    spent = 0
+    for v in reference_bounded_vectors(sub.rank, bound):
+        if budget is not None and spent == budget:
+            return None, spent
+        spent += 1
+        if brute_square(gram, v) != 0:
+            continue
+        for u in isotropic:
+            if budget is not None and spent == budget:
+                return None, spent
+            spent += 1
+            p = brute_pairing(gram, u, v)
+            if p == 1 or p == -1:
+                f = v if p == 1 else tuple(-x for x in v)
+                return (sub.to_parent(u), sub.to_parent(f)), spent
+        isotropic.append(v)
+    return None, spent
+
+
+def test_bounded_vectors_match_reference():
+    for rank in range(6):
+        for bound in range(6):
+            assert (list(bounded_vectors(rank, bound))
+                    == list(reference_bounded_vectors(rank, bound)))
+    assert (list(itertools.islice(bounded_vectors(6, 30), 50_000))
+            == list(itertools.islice(reference_bounded_vectors(6, 30),
+                                     50_000)))
+
+
+def test_bounded_vectors_cost_is_linear_in_the_bound():
+    # a rank-1 box is 2*bound vectors; a filter over every magnitude's
+    # products would make this quadratic in the bound and take minutes
+    bound = 50_000
+    assert list(bounded_vectors(1, bound)) == [
+        (s * m,) for m in range(1, bound + 1) for s in (1, -1)]
+
+
+def search_sublattices(rng):
+    """Seeded small sublattices: definite, indefinite, and with a hyperbolic
+    summand, as full lattices and as complements."""
+    def vector(n):
+        return tuple(rng.randint(-1, 1) for _ in range(n))
+
+    for sign in (1, -1, 1, -1):
+        k = rng.randint(1, 3)
+        yield Sublattice.full(diagonal_form([sign] * k))
+        yield orthogonal_complement(diagonal_form([sign] * (k + 1)),
+                                    [vector(k + 1)])
+    for _ in range(6):
+        form = random_unimodular_form(rng, rng.randint(2, 4))
+        if 0 in form.signature_decomposition()[1:]:
+            continue
+        yield Sublattice.full(form)
+        yield orthogonal_complement(form, [vector(form.rank)])
+    for extra in ([1], [-1], [1, -1], [-1, -1]):
+        form = direct_sum(H, diagonal_form(extra))
+        yield Sublattice.full(shear_conjugate(form, rng, 4))
+        # the last basis vector is orthogonal to H
+        yield orthogonal_complement(form, [(0,) * (form.rank - 1) + (1,)])
+
+
+def test_searches_match_reference_at_every_budget():
+    rng = random.Random(5150)
+    checked = found = 0
+    for sub in search_sublattices(rng):
+        for bound in (1, 2):
+            runs = [(lambda b, t=t: find_vector_with_square(
+                        sub, t, bound=bound, budget=b),
+                     lambda b, t=t: reference_vector_with_square(
+                        sub, t, bound, b)) for t in (-2, -1, 0, 1, 3)]
+            runs.append((lambda b: find_hyperbolic_pair(sub, bound=bound,
+                                                        budget=b),
+                         lambda b: reference_hyperbolic_pair(sub, bound, b)))
+            for mine, ref in runs:
+                witness, spent = ref(None)
+                assert mine(None) == witness
+                for budget in range(1, spent + 3):
+                    assert mine(budget) == ref(budget)[0], (sub, budget)
+                checked += 1
+                found += witness is not None
+    assert found >= 40 and checked - found >= 40
 
 
 def test_find_hyperbolic_pair_on_h():
