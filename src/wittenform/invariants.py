@@ -98,6 +98,12 @@ class KMData:
         object.__setattr__(self, "terms", tuple(clean))
 
 
+def _check_c1(form: IntersectionForm, c1: Sequence[int], name: str) -> None:
+    if not form.is_characteristic(c1):
+        raise ValueError(
+            f"c1 {tuple(c1)} of manifold {name!r} is not characteristic")
+
+
 @dataclass(frozen=True)
 class ManifoldData:
     """Topological invariants plus the Seiberg-Witten basic-class table.
@@ -129,9 +135,7 @@ class ManifoldData:
             if len(entry.c1) != self.form.rank:
                 raise DimensionMismatch(
                     f"c1 {entry.c1} does not match rank {self.form.rank}")
-            if not self.form.is_characteristic(entry.c1):
-                raise ValueError(
-                    f"c1 {entry.c1} of manifold {self.name!r} is not characteristic")
+            _check_c1(self.form, entry.c1, self.name)
         if check_topology:
             if self.form.rank != self.chi - 2:
                 raise ValueError(
@@ -357,13 +361,10 @@ def point_evaluate(km: KMData, form: IntersectionForm, delta: int, m: int,
         raise ValueError(f"need 0 <= m <= delta/2, got delta={delta}, m={m}")
     d = delta - 2 * m
     cap = d + 1 if degree_cap is None else degree_cap
-    if d >= cap:
-        from .errors import TruncationError
-        raise TruncationError(f"degree {d} >= cap {cap}")
-    series = km_series(km, form, cap)
-    part = series.homogeneous_part(d)
-    scaled = part * Fraction(2 ** m * factorial(d), 2)
-    return HomogeneousPolynomial(form.rank, cap, scaled.terms, degree=d)
+    part = km_series(km, form, cap).homogeneous_part(d)
+    scale = Fraction(2 ** m * factorial(d), 2)
+    return HomogeneousPolynomial._canonical(
+        form.rank, cap, {e: scale * c for e, c in part.terms.items()}, degree=d)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import LoadError, WittenformError
-from .invariants import (KMData, ManifoldData, SpincEntry, point_evaluate,
-                         witten_consistent_km)
+from .invariants import (KMData, ManifoldData, SpincEntry, _check_c1,
+                         point_evaluate, witten_consistent_km)
 from .lattice import IntersectionForm
 from .series import HomogeneousPolynomial, _parse_term
 from .universal_fit import FitProblem, Observation
@@ -179,9 +179,10 @@ def parse_manifold(text: str, path: Optional[str] = None) -> ManifoldData:
             raise lines.error(
                 f"c1 has {len(c1)} entries, expected rank = {rank}", no_c1)
     for no_c1, c1, sw in spinc:
-        if not form.is_characteristic(c1):
-            raise lines.error(f"c1 {tuple(c1)} of manifold {name_value!r} "
-                              "is not characteristic", no_c1)
+        try:
+            _check_c1(form, c1, name_value)
+        except ValueError as exc:
+            raise lines.error(str(exc), no_c1) from None
     try:
         return ManifoldData(
             name=name_value, chi=chi, sigma=sigma, b_plus=b_plus, form=form,
@@ -274,16 +275,13 @@ def load_km(path: str) -> KMData:
 
 def _parse_inline_polynomial(value, num_vars, degree, lines, no):
     terms = {}
-    for chunk in value.split(" + "):
-        try:
+    try:
+        for chunk in value.split(" + "):
             exps, coeff = _parse_term(chunk.strip(), num_vars)
-        except ValueError as exc:
-            raise lines.error(str(exc), no) from None
-        if sum(exps) != degree:
-            raise lines.error(
-                f"term of degree {sum(exps)} in a degree-{degree} observation", no)
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return HomogeneousPolynomial(num_vars, degree + 1, terms, degree=degree)
+            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        return HomogeneousPolynomial(num_vars, degree + 1, terms, degree=degree)
+    except ValueError as exc:
+        raise lines.error(str(exc), no) from None
 
 
 def parse_fit_problem(text: str, path: Optional[str] = None,

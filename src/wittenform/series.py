@@ -34,20 +34,28 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _check_shape(num_vars: int, degree_cap: int) -> None:
+    if num_vars < 0 or degree_cap < 0:
+        raise ValueError("num_vars and degree_cap must be non-negative")
+
+
 class FormalSeries:
     """Sparse canonical truncated polynomial: exponent tuple -> Fraction.
 
     Instances are treated as immutable values; every operation returns a new
     series. Zero coefficients and terms at or above the degree cap are never
     stored.
+
+    The public constructor checks caller-supplied terms once. Results of the
+    operations below are built canonical and not checked again; only a cap
+    that a caller passes in still is.
     """
 
     __slots__ = ("num_vars", "degree_cap", "terms")
 
     def __init__(self, num_vars: int, degree_cap: int,
                  terms: Optional[Mapping[Exponents, Fraction]] = None):
-        if num_vars < 0 or degree_cap < 0:
-            raise ValueError("num_vars and degree_cap must be non-negative")
+        _check_shape(num_vars, degree_cap)
         self.num_vars = num_vars
         self.degree_cap = degree_cap
         clean: dict[Exponents, Fraction] = {}
@@ -66,6 +74,21 @@ class FormalSeries:
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, num_vars: int, degree_cap: int,
+                   terms: dict[Exponents, Fraction], **fields):
+        """Wrap `terms` that are canonical by construction (`num_vars`-tuples
+        of ints >= 0, degree < cap, nonzero Fractions) without a check;
+        `fields` sets a subclass's own slots."""
+        _check_shape(num_vars, degree_cap)
+        out = object.__new__(cls)
+        out.num_vars = num_vars
+        out.degree_cap = degree_cap
+        out.terms = terms
+        for name, value in fields.items():
+            setattr(out, name, value)
+        return out
 
     @classmethod
     def zero(cls, num_vars: int, degree_cap: int) -> "FormalSeries":
@@ -124,13 +147,16 @@ class FormalSeries:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + c
-        return FormalSeries(self.num_vars, cap, out)
+        # drop cancelled terms and the larger cap's terms at or above `cap`
+        return FormalSeries._canonical(
+            self.num_vars, cap,
+            {e: c for e, c in out.items() if c and sum(e) < cap})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalSeries(self.num_vars, self.degree_cap,
-                            {e: -c for e, c in self.terms.items()})
+        return FormalSeries._canonical(self.num_vars, self.degree_cap,
+                                       {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -145,8 +171,9 @@ class FormalSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return FormalSeries(self.num_vars, self.degree_cap,
-                                {e: c * v for e, v in self.terms.items()})
+            return FormalSeries._canonical(
+                self.num_vars, self.degree_cap,
+                {e: c * v for e, v in self.terms.items()} if c else {})
         if not isinstance(other, FormalSeries):
             return NotImplemented
         cap = self._match(other)
@@ -165,7 +192,8 @@ class FormalSeries:
                         key = tuple(x + y for x, y in zip(ea, eb))
                         prev = out.get(key)
                         out[key] = ca * cb if prev is None else prev + ca * cb
-        return FormalSeries(self.num_vars, cap, out)
+        return FormalSeries._canonical(self.num_vars, cap,
+                                       {e: c for e, c in out.items() if c})
 
     def _degree_buckets(self):
         buckets: dict[int, list] = {}
@@ -189,17 +217,16 @@ class FormalSeries:
         if n > self.degree_cap:
             raise TruncationError(
                 f"cannot extend cap {self.degree_cap} to {n}")
-        out = FormalSeries(self.num_vars, n)
-        # the terms are canonical already; only the degree filter applies
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) < n}
-        return out
+        return FormalSeries._canonical(
+            self.num_vars, n, {e: c for e, c in self.terms.items() if sum(e) < n})
 
     def homogeneous_part(self, d: int) -> "HomogeneousPolynomial":
         if d >= self.degree_cap:
             raise TruncationError(
                 f"degree {d} >= cap {self.degree_cap}: truncated away")
         part = {e: c for e, c in self.terms.items() if sum(e) == d}
-        return HomogeneousPolynomial(self.num_vars, self.degree_cap, part, degree=d)
+        return HomogeneousPolynomial._canonical(self.num_vars, self.degree_cap,
+                                                part, degree=d)
 
     def congruent_mod_degree(self, other: "FormalSeries", n: int) -> bool:
         """True iff all coefficients of total degree < n agree."""
@@ -222,7 +249,8 @@ class FormalSeries:
                 continue
             key = exps[:var] + (e - 1,) + exps[var + 1:]
             out[key] = c * e
-        return FormalSeries(self.num_vars, max(self.degree_cap - 1, 0), out)
+        return FormalSeries._canonical(self.num_vars,
+                                       max(self.degree_cap - 1, 0), out)
 
     # -- canonical text form ---------------------------------------------------
 
@@ -285,18 +313,23 @@ def _parse_term(line: str, num_vars: int) -> tuple[Exponents, Fraction]:
 
 
 class HomogeneousPolynomial(FormalSeries):
-    """A FormalSeries whose stored terms all share one total degree."""
+    """A FormalSeries whose stored terms all share one total degree.
+
+    The public constructor also checks that every given term has total
+    degree `degree`; internal results are built canonical, unchecked.
+    """
 
     __slots__ = ("degree",)
 
     def __init__(self, num_vars, degree_cap, terms=None, degree: int = 0):
-        super().__init__(num_vars, degree_cap, terms)
-        if degree >= degree_cap:
-            raise TruncationError(f"degree {degree} >= cap {degree_cap}")
-        for exps in self.terms:
+        # the given terms, before truncation can drop one at or past the cap
+        for exps in terms or ():
             if sum(exps) != degree:
                 raise ValueError(
                     f"term of degree {sum(exps)} in a degree-{degree} polynomial")
+        super().__init__(num_vars, degree_cap, terms)
+        if degree >= degree_cap:
+            raise TruncationError(f"degree {degree} >= cap {degree_cap}")
         self.degree = degree
 
 
@@ -323,10 +356,10 @@ def linear_series(form: IntersectionForm, k: Sequence[int],
     n = form.rank
     terms = {}
     for j, c in enumerate(dual):
-        if c:
+        if c and degree_cap > 1:
             exps = tuple(1 if i == j else 0 for i in range(n))
             terms[exps] = Fraction(c)
-    return FormalSeries(n, degree_cap, terms)
+    return FormalSeries._canonical(n, degree_cap, terms)
 
 
 def quadratic_series(form: IntersectionForm, degree_cap: int) -> FormalSeries:
@@ -336,13 +369,13 @@ def quadratic_series(form: IntersectionForm, degree_cap: int) -> FormalSeries:
     for i in range(n):
         for j in range(i, n):
             g = form.gram[i][j]
-            if not g:
+            if not g or degree_cap <= 2:
                 continue
             exps = [0] * n
             exps[i] += 1
             exps[j] += 1
             terms[tuple(exps)] = Fraction(g if i == j else 2 * g)
-    return FormalSeries(n, degree_cap, terms)
+    return FormalSeries._canonical(n, degree_cap, terms)
 
 
 def gaussian_sum(form: IntersectionForm,
@@ -366,7 +399,6 @@ def gaussian_sum(form: IntersectionForm,
     """
     n = form.rank
     cap = degree_cap
-    out = FormalSeries(n, cap)
     pairs = [(_as_fraction(c), form.dual_coefficients(k))
              for c, k in weighted_classes]
     den = lcm(*(c.denominator for c, _ in pairs))
@@ -381,6 +413,7 @@ def gaussian_sum(form: IntersectionForm,
 
     fact = [factorial(e) for e in range(cap)]
     num, dnm = scale.numerator, scale.denominator
+    terms = {}
     for key, v in total.items():
         if v:
             exps = tuple([key >> sh & mask for sh in shifts])
@@ -388,9 +421,8 @@ def gaussian_sum(form: IntersectionForm,
             for e in exps:
                 if e > 1:
                     ef *= fact[e]
-            # canonical already: n entries, degree < cap, nonzero
-            out.terms[exps] = Fraction(v * num, ef * dnm)
-    return out
+            terms[exps] = Fraction(v * num, ef * dnm)
+    return FormalSeries._canonical(n, cap, terms)
 
 
 def divided_powers(form: IntersectionForm, k: Sequence[int],

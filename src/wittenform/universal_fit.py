@@ -113,8 +113,8 @@ class AssembledRhs:
                 total += coeff * values[unknown]
             if total:
                 terms[mono] = total
-        return HomogeneousPolynomial(self.num_vars, self.degree + 1, terms,
-                                     degree=self.degree)
+        return HomogeneousPolynomial._canonical(self.num_vars, self.degree + 1,
+                                                terms, degree=self.degree)
 
 
 def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
@@ -190,12 +190,7 @@ class Observation:
             if size != rank:
                 raise DimensionMismatch(
                     f"{what} has {size} entries, manifold rank is {rank}")
-        # accept any series that happens to be homogeneous of the right degree
-        bad = next((sum(e) for e in lhs.terms if sum(e) != degree), None)
-        if bad is not None:
-            raise ValueError(
-                f"observed value has a degree-{bad} term, expected pure "
-                f"degree {degree}")
+        # any series homogeneous of this degree; the constructor rejects others
         object.__setattr__(
             self, "observed_lhs",
             HomogeneousPolynomial(lhs.num_vars, max(lhs.degree_cap, degree + 1),

@@ -1,4 +1,7 @@
 import os
+import re
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -160,6 +163,32 @@ def test_fit_consistent(capsys, tmp_path):
     assert "residual observation=0 exact_zero=true" in out
 
 
+@pytest.mark.parametrize("delta,mm", [(2, 0), (6, 0), (6, 1), (6, 2)])
+def test_fit_k3_matches_closed_form(capsys, tmp_path, delta, mm):
+    # with w = lambda = 0 the point value is 2^m (d!/2) (Q/2)^(d/2) / (d/2)!,
+    # so only the Q^(d/2) slot is present
+    (tmp_path / "k3.manifold").write_text(manifold_to_text(k3_manifold()))
+    zeros = " ".join(["0"] * 22)
+    obs = tmp_path / "obs.fit"
+    obs.write_text(
+        f"[fit]\ndelta = {delta}\nm = {mm}\n\n[observation]\n"
+        f"manifold = k3.manifold\nw = {zeros}\nlambda = {zeros}\n"
+        "lhs = witten\n")
+    code, out, _ = run_cli(capsys, "fit", str(obs))
+    d = delta - 2 * mm
+    want = Fraction(2 ** mm * factorial(d),
+                    2 ** (d // 2 + 1) * factorial(d // 2))
+    assert code == 0
+    assert "status=unique" in out
+    slots = [ln.strip() for ln in out.splitlines() if ln.startswith("  p[")]
+    present = [ln for ln in slots if not ln.endswith("= absent (degenerate form)")]
+    assert len(present) == 1 and len(slots) > 1
+    label, value = present[0].split(" = ")
+    assert re.fullmatch(rf"p\[{delta},\d+,{mm},{d // 2}\]\[0\]", label)
+    assert Fraction(value) == want
+    assert "residual observation=0 exact_zero=true" in out
+
+
 def test_fit_inconsistent_exits_4(capsys, tmp_path):
     (tmp_path / "k3.manifold").write_text(manifold_to_text(k3_manifold()))
     zeros = " ".join(["0"] * 22)
@@ -186,6 +215,13 @@ def test_load_error_exit_2_with_line(capsys, tmp_path):
 def test_missing_file_exit_2(capsys):
     code, out, err = run_cli(capsys, "info", "no-such-file.manifold")
     assert code == 2
+
+
+def test_negative_degree_exit_2(capsys):
+    code, out, err = run_cli(capsys, "--degree", "-1", "witten", K3_PATH)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_bad_vector_exit_2(capsys):

@@ -6,6 +6,7 @@ from math import factorial, prod
 import pytest
 
 from wittenform.errors import DimensionMismatch, TruncationError
+from wittenform.invariants import KMData, km_series
 from wittenform.corpus import k3_form
 from wittenform.lattice import (IntersectionForm, diagonal_form, direct_sum,
                                 e8_form, hyperbolic_plane)
@@ -166,6 +167,64 @@ def test_homogeneous_polynomial_rejects_mixed_degrees():
     with pytest.raises(ValueError):
         HomogeneousPolynomial(1, 5, {(1,): Fraction(1), (2,): Fraction(1)},
                               degree=1)
+    # a wrong-degree term at or above the cap is rejected, not truncated away
+    with pytest.raises(ValueError):
+        HomogeneousPolynomial(1, 3, {(3,): Fraction(1)}, degree=2)
+
+
+def assert_canonical(r):
+    assert FormalSeries(r.num_vars, r.degree_cap, r.terms).terms == r.terms
+    for exps, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert all(type(e) is int for e in exps)
+        assert sum(exps) < r.degree_cap
+
+
+def test_results_are_canonical():
+    rng = random.Random(24)
+    x, y = S(2, 4, {(1, 0): 1}), S(2, 4, {(0, 1): 1})
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        a = random_series(rng, n, rng.randint(0, 6))
+        b = random_series(rng, n, rng.randint(0, 6))
+        d = rng.randint(0, 5)
+        results = [a + b, a - b, a + (-a), a - a, -a, a * b, a * 0, 0 * a,
+                   a * Fraction(-2, 3), a + 1, 1 - a, a ** 2,
+                   a.truncate_to(rng.randint(0, a.degree_cap)),
+                   b.derivative(rng.randrange(n))]
+        if d < a.degree_cap:
+            part = a.homogeneous_part(d)
+            assert type(part) is HomogeneousPolynomial and part.degree == d
+            results.append(part)
+        for r in results:
+            assert_canonical(r)
+    # products and sums that cancel, derivatives at caps 0 and 1
+    assert (x + y) * (x - y) == S(2, 4, {(2, 0): 1, (0, 2): -1})
+    for r in [(x + y) * (x - y), (x - y) + (y - x), x * y - y * x,
+              FormalSeries.zero(2, 0).derivative(0),
+              S(2, 1, {(0, 0): 5}).derivative(1)]:
+        assert_canonical(r)
+    form = random_unimodular_form(rng, 3)
+    for cap in range(4):
+        for r in [linear_series(form, (1, -1, 2), cap),
+                  quadratic_series(form, cap), exp_quadratic(form, cap),
+                  exp_linear(form, (1, 0, 1), cap)]:
+            assert_canonical(r)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FormalSeries.one(2, 4).truncate_to(-1),
+    lambda: exp_linear(H, (1, 0), -1),
+    lambda: exp_quadratic(H, -1),
+    lambda: gaussian_sum(H, [(1, (1, 0))], -1),
+    lambda: linear_series(H, (1, 0), -1),
+    lambda: quadratic_series(H, -1),
+    lambda: km_series(KMData(w=(0, 0), terms=((1, (0, 0)),)), H, -1),
+], ids=["truncate_to", "exp_linear", "exp_quadratic", "gaussian_sum",
+        "linear_series", "quadratic_series", "km_series"])
+def test_negative_cap_from_caller_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------
