@@ -16,7 +16,7 @@ from .errors import LoadError, WittenformError
 from .invariants import (KMData, ManifoldData, SpincEntry, _check_c1,
                          point_evaluate, witten_consistent_km)
 from .lattice import IntersectionForm
-from .series import HomogeneousPolynomial, _parse_term
+from .series import HomogeneousPolynomial, _parse_term, _parse_rational
 from .universal_fit import FitProblem, Observation
 
 
@@ -235,7 +235,7 @@ def parse_km(text: str, path: Optional[str] = None) -> KMData:
             kv, rows = _parse_kv(body, lines, "term")
             no_a, a_v = _get(kv, "a", lines, "term", header)
             try:
-                a = Fraction(a_v)
+                a = _parse_rational(a_v)
             except ValueError:
                 raise lines.error(f"bad rational for a: {a_v!r}", no_a) from None
             no_k, k_v = _get(kv, "k", lines, "term", header)
@@ -299,6 +299,9 @@ def parse_fit_problem(text: str, path: Optional[str] = None,
             delta = _parse_int(value, lines, no, "delta")
             no, value = _get(kv, "m", lines, "fit", header)
             mm = _parse_int(value, lines, no, "m")
+            if not 0 <= 2 * mm <= delta:
+                raise lines.error(f"need 0 <= m <= delta/2, got delta={delta}, "
+                                  f"m={mm}", no)
         elif name == "observation":
             if delta is None:
                 raise lines.error("[fit] section must precede observations", header)

@@ -13,6 +13,7 @@ The identification is exact because the form is unimodular.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -221,6 +222,8 @@ class FormalSeries:
             self.num_vars, n, {e: c for e, c in self.terms.items() if sum(e) < n})
 
     def homogeneous_part(self, d: int) -> "HomogeneousPolynomial":
+        if d < 0:
+            raise ValueError(f"degree {d} is negative")
         if d >= self.degree_cap:
             raise TruncationError(
                 f"degree {d} >= cap {self.degree_cap}: truncated away")
@@ -309,7 +312,15 @@ def _parse_term(line: str, num_vars: int) -> tuple[Exponents, Fraction]:
     else:
         coeff_str = line
         exps = [0] * num_vars
-    return tuple(exps), Fraction(coeff_str)
+    return tuple(exps), _parse_rational(coeff_str)
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class HomogeneousPolynomial(FormalSeries):
@@ -391,6 +402,7 @@ def gaussian_sum(form: IntersectionForm,
     which is d^e for a pure linear exponent and a sum over matchings of the
     Gram graph for exp(Q/2). The weighted F are summed as integers, and each
     monomial's coefficient is divided by e! and scaled only at the end.
+    A single class is read straight from its F, with no sum.
 
     A degree-(n+1) value can be nonzero only at e + u_i with F(e) != 0 at
     degree n and d_i != 0, or at f + u_i + u_j with F(f) != 0 at degree
@@ -403,25 +415,32 @@ def gaussian_sum(form: IntersectionForm,
              for c, k in weighted_classes]
     den = lcm(*(c.denominator for c, _ in pairs))
     scale = _as_fraction(scale) / den
-    shifts, mask, place, nbrs, quad_steps = _packing(form, cap, quadratic)
-    total: dict[int, int] = {}
-    for c, d in pairs:
-        weight = c.numerator * (den // c.denominator)
-        if weight and scale:
-            _add_divided_powers(total, weight, d, nbrs, quad_steps, place,
-                                mask, cap)
+    weights = [(c.numerator * (den // c.denominator), d)
+               for c, d in pairs if c and scale]
+    if len(weights) == 1:
+        weight, d = weights[0]
+        parts = _MEMO.get(form, d, cap, quadratic)
+    else:
+        total: dict[int, int] = {}
+        for w, d in weights:
+            for part in _MEMO.get(form, d, cap, quadratic):
+                for key, v in part.items():
+                    total[key] = total.get(key, 0) + w * v
+        weight, parts = 1, [total]
 
+    shifts, mask = _layout(n, cap)
     fact = [factorial(e) for e in range(cap)]
-    num, dnm = scale.numerator, scale.denominator
+    num, dnm = weight * scale.numerator, scale.denominator
     terms = {}
-    for key, v in total.items():
-        if v:
-            exps = tuple([key >> sh & mask for sh in shifts])
-            ef = 1
-            for e in exps:
-                if e > 1:
-                    ef *= fact[e]
-            terms[exps] = Fraction(v * num, ef * dnm)
+    for part in parts:
+        for key, v in part.items():
+            if v:
+                exps = tuple([key >> sh & mask for sh in shifts])
+                ef = 1
+                for e in exps:
+                    if e > 1:
+                        ef *= fact[e]
+                terms[exps] = Fraction(v * num, ef * dnm)
     return FormalSeries._canonical(n, cap, terms)
 
 
@@ -429,44 +448,79 @@ def divided_powers(form: IntersectionForm, k: Sequence[int],
                    degree_cap: int) -> dict[Exponents, int]:
     """The integer divided powers F(e) = e! [h^e] exp(Q(h, h)/2 + <k, h>)
     of one class (the kernel of `gaussian_sum`), for every e of degree
-    < degree_cap with F(e) != 0, keyed by exponent tuple."""
-    shifts, mask, place, nbrs, quad_steps = _packing(form, degree_cap, True)
-    total: dict[int, int] = {}
-    _add_divided_powers(total, 1, form.dual_coefficients(k), nbrs,
-                        quad_steps, place, mask, degree_cap)
+    < degree_cap with F(e) != 0, keyed by exponent tuple, in a new dict."""
+    shifts, mask = _layout(form.rank, degree_cap)
     return {tuple([key >> sh & mask for sh in shifts]): v
-            for key, v in total.items()}
+            for part in _MEMO.get(form, form.dual_coefficients(k),
+                                  degree_cap, True)
+            for key, v in part.items()}
 
 
-def _packing(form: IntersectionForm, cap: int, quadratic: bool):
-    """(shifts, mask, place, nbrs, quad_steps) for `_add_divided_powers`.
-
-    An exponent tuple is packed into one integer, `width` bits per entry
-    (no exponent of degree < cap overflows them): e + u_i is key + place[i].
-    """
-    n = form.rank
+def _layout(n: int, cap: int) -> tuple[list[int], int]:
+    """(shifts, mask) of the packed keys: an exponent tuple is one integer,
+    `width` bits per entry (no exponent of degree < cap overflows them), so
+    e + u_i is key + (1 << shifts[i])."""
     width = max(cap - 1, 1).bit_length()
-    mask = (1 << width) - 1
-    shifts = [width * i for i in range(n)]
+    return [width * i for i in range(n)], (1 << width) - 1
+
+
+class _SliceMemo:
+    """The kernel's slices by (form, G K, cap, quadratic), least recently
+    used first, holding at most `bound` F values in all; a class with more
+    than `bound` is returned but not stored. Callers must not mutate the
+    slices they get.
+
+    The form is matched by identity, not by its Gram matrix: a round trip
+    passes one form object to every step, while forms loaded or built
+    separately never share entries. An entry holds its form, so the id
+    stays that form's own while the entry lives.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.entries = 0
+        self.slices: OrderedDict = OrderedDict()  # key -> (form, slices, size)
+
+    def get(self, form, d, cap, quadratic):
+        key = (id(form), d, cap, quadratic)
+        hit = self.slices.get(key)
+        if hit is not None:
+            self.slices.move_to_end(key)
+            return hit[1]
+        slices = _divided_power_slices(form, d, cap, quadratic)
+        size = sum(map(len, slices))
+        if 0 < size <= self.bound:
+            self.slices[key] = form, slices, size
+            self.entries += size
+            while self.entries > self.bound:
+                self.entries -= self.slices.popitem(last=False)[1][2]
+        return slices
+
+
+# a round trip (witten_rhs, the fit's divided_powers, km_series) asks for
+# the same classes at the same form and cap three times
+_MEMO_ENTRIES = 8192
+_MEMO = _SliceMemo(_MEMO_ENTRIES)
+
+
+def _divided_power_slices(form, d, cap, quadratic):
+    """[F at degree 0, ..., F at degree cap - 1] of the class with G K = d
+    (see gaussian_sum), each a dict packed key -> int F != 0."""
+    if cap <= 0:
+        return []
+    n = form.rank
+    shifts, mask = _layout(n, cap)
     place = [1 << sh for sh in shifts]
     gram = form.gram if quadratic else ((0,) * n,) * n
     nbrs = [[(g, place[j], shifts[j]) for j, g in enumerate(row) if g]
             for row in gram]
     quad_steps = [(place[i] + place[j], i) for i in range(n)
                   for j in range(i, n) if gram[i][j]]
-    return shifts, mask, place, nbrs, quad_steps
-
-
-def _add_divided_powers(total, weight, d, nbrs, quad_steps, place, mask, cap):
-    """total[e] += weight * F(e) for every degree < cap (see gaussian_sum)."""
     lin_steps = [(place[i], i) for i, di in enumerate(d) if di]
     prev: dict[int, int] = {}
     cur: dict[int, int] = {0: 1}
-    for degree in range(cap):
-        for key, v in cur.items():
-            total[key] = total.get(key, 0) + weight * v
-        if degree + 1 == cap:
-            break
+    slices = [cur]
+    for _ in range(1, cap):
         # candidate -> a direction i with e_i > 0 to run the recurrence on
         cand = {key + p: i for key in cur for p, i in lin_steps}
         cand.update({key + p: i for key in prev for p, i in quad_steps})
@@ -482,7 +536,9 @@ def _add_divided_powers(total, weight, d, nbrs, quad_steps, place, mask, cap):
                     v += g * (e >> sh & mask) * f
             if v:
                 nxt[key] = v
+        slices.append(nxt)
         prev, cur = cur, nxt
+    return slices
 
 
 def exp_linear(form: IntersectionForm, k: Sequence[int],

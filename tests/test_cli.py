@@ -88,6 +88,17 @@ def test_witten_compare_mismatch_exits_4(capsys, tmp_path):
     assert "first differing monomial: 1 " in out
 
 
+def test_witten_compare_zero_denominator_exits_2(capsys, tmp_path):
+    km_path = tmp_path / "bad.km"
+    km_path.write_text("[km]\nw = " + " ".join(["0"] * 22)
+                       + "\n\n[term]\na = 1/0\nk = " + " ".join(["0"] * 22)
+                       + "\n")
+    code, out, err = run_cli(capsys, "--degree", "4", "witten", K3_PATH,
+                             "--compare", str(km_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {km_path}:5: bad rational for a: '1/0'\n"
+
+
 def test_witten_compare_inclusive_flag(capsys, tmp_path):
     km = witten_consistent_km(k3_manifold(), (0,) * 22)
     km_path = tmp_path / "k3.km"
@@ -261,3 +272,18 @@ def test_outputs_are_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "--degree", "4", "witten", K3_PATH)
     code2, out2, _ = run_cli(capsys, "--degree", "4", "witten", K3_PATH)
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize("mm, lhs", [(0, "1/0 * h1^2"), (2, "witten"),
+                                     (2, "1 * h1^2")])
+def test_fit_bad_file_exits_2_with_line(capsys, tmp_path, mm, lhs):
+    (tmp_path / "k3.manifold").write_text(manifold_to_text(k3_manifold()))
+    zeros = " ".join(["0"] * 22)
+    obs = tmp_path / "obs.fit"
+    obs.write_text(
+        f"[fit]\ndelta = 2\nm = {mm}\n\n[observation]\nmanifold = k3.manifold\n"
+        f"w = {zeros}\nlambda = {zeros}\nlhs = {lhs}\n")
+    code, out, err = run_cli(capsys, "fit", str(obs))
+    assert (code, out) == (2, "")
+    line = 3 if mm else 9
+    assert err.startswith(f"error: {obs}:{line}: ")

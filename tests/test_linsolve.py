@@ -177,3 +177,54 @@ def test_zero_unknowns():
     assert system.add_equation([], Fraction(1, 2), label="nz") == "inconsistent"
     sol = system.solve()
     assert (sol.status, sol.witness) == ("inconsistent", "nz")
+
+
+def full_rank_system(rng):
+    """n independent equations with a known solution, then equations that
+    are consistent with it or not, with int or Fraction coefficients and
+    right sides."""
+    n = rng.randint(1, 5)
+    x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+    while True:
+        square = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if len(gauss_jordan([[Fraction(c) for c in row]
+                             for row in square])[1]) == n:
+            break
+    equations = []
+    for j, a in enumerate(square + [None] * rng.randint(5, 12)):
+        if a is None:
+            if rng.random() < 0.5:
+                a = [rng.randint(-4, 4) for _ in range(n)]
+            else:
+                a = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(n)]
+        b = sum(Fraction(c) * v for c, v in zip(a, x))
+        if j >= n and rng.random() < 0.3:
+            b += rng.choice((1, -2, Fraction(1, 3)))
+        if b.denominator == 1 and rng.random() < 0.5:
+            b = int(b)
+        equations.append((a, b, ("eq", j)))
+    return n, equations
+
+
+def test_full_rank_check_matches_oracle():
+    rng = random.Random(4402)
+    seen = Counter()
+    for _ in range(400):
+        n, equations = full_rank_system(rng)
+        system = LinearSystem(n)
+        statuses = [system.add_equation(a, b, label=label)
+                    for a, b, label in equations]
+        assert statuses[:n] == ["added"] * n
+        sol = system.solve()
+        got = (statuses, sol.status, sol.values, sol.determined,
+               sol.nullspace_dim, sol.witness)
+        assert got == oracle(n, equations), (n, equations)
+        after = statuses[n:]
+        seen.update(after)
+        seen.update(type(b).__name__ for _, b, _ in equations[n:])
+        seen.update("first" if s == "inconsistent" and sol.witness == lab
+                    else "later" for s, (_, _, lab) in
+                    zip(after, equations[n:]) if s == "inconsistent")
+    assert min(seen[k] for k in ("redundant", "inconsistent", "int",
+                                 "Fraction", "first", "later")) >= 50

@@ -169,6 +169,14 @@ def test_km_rejects_zero_coefficient():
         parse_km(text)
 
 
+def test_km_zero_denominator_is_a_load_error_at_its_line():
+    text = "[km]\nw = 0 0\n\n[term]\na = 1/0\nk = 0 0\n"
+    with pytest.raises(LoadError) as err:
+        parse_km(text, path="bad.km")
+    assert err.value.line == 5
+    assert str(err.value) == "bad.km:5: bad rational for a: '1/0'"
+
+
 def test_km_rejects_length_mismatch():
     text = "[km]\nw = 0 0\n\n[term]\na = 1\nk = 0 0 0\n"
     with pytest.raises(LoadError):
@@ -231,3 +239,29 @@ def test_fit_problem_requires_fit_header(tmp_path):
     obs_text = "[observation]\nmanifold = k3.manifold\n"
     with pytest.raises(LoadError):
         parse_fit_problem(obs_text, base_dir=str(tmp_path))
+
+
+def fit_text(delta, mm, lhs):
+    zeros = " ".join(["0"] * 22)
+    return (f"[fit]\ndelta = {delta}\nm = {mm}\n\n"
+            "[observation]\nmanifold = k3.manifold\n"
+            f"w = {zeros}\nlambda = {zeros}\nlhs = {lhs}\n")
+
+
+def test_fit_problem_inline_zero_denominator_has_line(tmp_path):
+    (tmp_path / "k3.manifold").write_text(K3_TEXT)
+    with pytest.raises(LoadError) as err:
+        parse_fit_problem(fit_text(2, 0, "1/0 * h1^2"), path="p.fit",
+                          base_dir=str(tmp_path))
+    assert str(err.value) == "p.fit:9: zero denominator in '1/0'"
+
+
+@pytest.mark.parametrize("lhs", ["witten", "1 * h1^2"])
+@pytest.mark.parametrize("delta, mm", [(2, 2), (2, -1), (5, 3), (-2, 0)])
+def test_fit_problem_checks_m_at_its_line(tmp_path, lhs, delta, mm):
+    (tmp_path / "k3.manifold").write_text(K3_TEXT)
+    with pytest.raises(LoadError) as err:
+        parse_fit_problem(fit_text(delta, mm, lhs), path="p.fit",
+                          base_dir=str(tmp_path))
+    assert str(err.value) == (f"p.fit:3: need 0 <= m <= delta/2, got "
+                              f"delta={delta}, m={mm}")

@@ -14,6 +14,7 @@ from wittenform.series import (FormalSeries, HomogeneousPolynomial,
                                divided_powers, exp_linear, exp_quadratic,
                                first_difference, gaussian_sum, linear_series,
                                quadratic_series)
+from wittenform import series
 from wittenform.synthetic import random_unimodular_form
 
 H = hyperbolic_plane()
@@ -153,6 +154,8 @@ def test_truncate_and_homogeneous_part():
     assert part2 == S(1, 6, {(2,): 1})
     with pytest.raises(TruncationError):
         eq.homogeneous_part(6)
+    with pytest.raises(ValueError, match="negative"):
+        FormalSeries.one(2, 4).homogeneous_part(-1)
 
 
 def test_truncate_idempotent():
@@ -348,6 +351,8 @@ def test_parse_rejects_garbage():
         FormalSeries.parse("not a series")
     with pytest.raises(ValueError):
         FormalSeries.parse("series vars=1 cap=3\n1 * x^2")
+    with pytest.raises(ValueError, match="zero denominator"):
+        FormalSeries.parse("series vars=1 cap=2\n1/0")
 
 
 def test_first_difference_reports_smallest_monomial():
@@ -465,3 +470,131 @@ def test_kernel_edge_cases():
     assert gaussian_sum(form, [(1, k)], 0) == FormalSeries.zero(3, 0)
     assert gaussian_sum(form, [(2, k), (-2, k)], 5) == FormalSeries.zero(3, 5)
     assert gaussian_sum(form, [(3, k)], 1) == FormalSeries.constant(3, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the memo of the kernel's slices
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh, empty memo of the default bound, and a count of the kernel
+    runs made while the test runs."""
+    fresh = series._SliceMemo(series._MEMO_ENTRIES)
+    monkeypatch.setattr(series, "_MEMO", fresh)
+    kernel = series._divided_power_slices
+    fresh.runs = 0
+
+    def counted(*args):
+        fresh.runs += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "_divided_power_slices", counted)
+    return fresh
+
+
+def stored_sizes(memo):
+    return {key: sum(map(len, slices))
+            for key, (_, slices, _) in memo.slices.items()}
+
+
+def test_memo_cold_and_warm_calls_agree(memo):
+    rng = random.Random(40)
+    for rank in range(1, 5):
+        form = random_unimodular_form(rng, rank, ops=3 * rank)
+        classes = [(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)),
+                    tuple(rng.randint(-2, 2) for _ in range(rank)))
+                   for _ in range(3)]
+        cap = rng.randint(1, 8)
+        runs = memo.runs        # a new form object: nothing stored for it
+        cold = gaussian_sum(form, classes, cap, scale=Fraction(1, 3))
+        cold_dp = [divided_powers(form, k, cap) for _, k in classes]
+        assert memo.runs - runs == len(set(k for _, k in classes))
+        warm = gaussian_sum(form, classes, cap, scale=Fraction(1, 3))
+        warm_dp = [divided_powers(form, k, cap) for _, k in classes]
+        assert memo.runs - runs == len(set(k for _, k in classes))
+        assert warm == cold == product_route(form, classes, cap,
+                                             Fraction(1, 3))
+        assert warm_dp == cold_dp
+        # a single class is read straight from its slices
+        for c, k in classes:
+            assert (gaussian_sum(form, [(c, k)], cap)
+                    == product_route(form, [(c, k)], cap))
+
+
+def test_memo_key_separates_quadratic_cap_form_and_class(memo):
+    rng = random.Random(41)
+    form = random_unimodular_form(rng, 3, ops=9)
+    twin = IntersectionForm(form.gram)      # equal Gram, another object
+    other = random_unimodular_form(rng, 3, ops=9)
+    assert twin == form and other != form
+    k, k2 = (1, 0, -1), (0, 2, 1)
+    first = gaussian_sum(form, [(1, k)], 6)
+    assert memo.runs == 1
+    calls = [
+        (lambda: gaussian_sum(form, [(1, k)], 6, quadratic=False),
+         lambda: exp_by_products(linear_series(form, k, 6))),
+        (lambda: gaussian_sum(form, [(1, k)], 5),
+         lambda: product_route(form, [(1, k)], 5)),
+        (lambda: gaussian_sum(other, [(1, k)], 6),
+         lambda: product_route(other, [(1, k)], 6)),
+        (lambda: gaussian_sum(twin, [(1, k)], 6),
+         lambda: product_route(twin, [(1, k)], 6)),
+        (lambda: gaussian_sum(form, [(1, k2)], 6),
+         lambda: product_route(form, [(1, k2)], 6)),
+    ]
+    for runs, (call, want) in enumerate(calls, start=2):
+        assert call() == want()
+        assert memo.runs == runs
+    assert len(memo.slices) == 1 + len(calls)
+    # and each of them is found again
+    assert gaussian_sum(form, [(1, k)], 6) == first
+    for call, _ in calls:
+        call()
+    assert memo.runs == 1 + len(calls)
+
+
+def test_memo_results_are_not_shared_with_callers(memo):
+    form = random_unimodular_form(random.Random(42), 3, ops=9)
+    k = (1, 1, 0)
+    want = divided_powers(form, k, 6)
+    series_want = gaussian_sum(form, [(2, k)], 6)
+    got = divided_powers(form, k, 6)
+    got.clear()
+    got[(0, 0, 0)] = 99
+    again = divided_powers(form, k, 6)
+    assert again == want and again is not got
+    assert gaussian_sum(form, [(2, k)], 6) == series_want
+    assert memo.runs == 1
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    bound = 30
+    memo = series._SliceMemo(bound)
+    monkeypatch.setattr(series, "_MEMO", memo)
+    rng = random.Random(43)
+    forms = [random_unimodular_form(rng, rank, ops=3 * rank)
+             for rank in (2, 3, 4)]
+    large = 0
+    recent = {}     # storable keys, least recently used first -> size
+    for _ in range(80):
+        # few keys, so that stored classes are asked for again
+        form = rng.choice(forms)
+        k = rng.choice([(0,) * form.rank, (1,) * form.rank])
+        cap = rng.choice((2, 4, 6))
+        size = len(divided_powers(form, k, cap))
+        key = (id(form), form.dual_coefficients(k), cap, True)
+        if size > bound:
+            large += 1
+        else:
+            recent.pop(key, None)
+            recent[key] = size
+        # stored: the most recently used classes that fit, and no other
+        keep, total = [], 0
+        for used, n in reversed(recent.items()):
+            if total + n > bound:
+                break
+            keep.append(used)
+            total += n
+        assert list(memo.slices) == keep[::-1]
+        assert memo.entries == total == sum(stored_sizes(memo).values())
+    assert large >= 10
