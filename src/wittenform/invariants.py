@@ -418,8 +418,9 @@ def check_theorem_hypotheses(m: ManifoldData, w: Optional[Sequence[int]],
     """Report, hypothesis by hypothesis, whether the level-0 or level-1
     identity applies to this manifold with the given (or searched) classes.
 
-    Bounded searches can only ever report "found" or "not found within the
-    bound"; absence is surfaced as status unknown-bounded, never as fail.
+    A search that finds nothing, within the bound or because the
+    complement's form rules a witness out, is surfaced as status
+    unknown-bounded, never as fail.
     When `lambda_` is None, a class of the target square is searched in the
     orthogonal complement of the basic classes; when `w` is None, the
     canonical representative lambda + w2 is used, which satisfies the mod-2

@@ -5,12 +5,24 @@ basis. All arithmetic is exact; signatures and determinants are computed
 by one rational congruence diagonalization, orthogonal complements by
 integer row reduction, and searches for vectors of prescribed square or
 hyperbolic pairs by bounded exhaustive enumeration.
+
+A search returns None at once, before drawing a candidate, when the
+sublattice's form rules a witness out: a definite form has no nonzero
+vector of square 0 or of the other sign, hence no hyperbolic pair, and a
+hyperbolic pair spans a unimodular H, so a sublattice of rank at most 2
+holds one only if its form is even with determinant -1. Every other None
+still means "not found within the bound/budget". `check_theorem_hypotheses`
+reports both kinds of None as unknown-bounded: the benchmark oracle
+(perfbench/oracles.check_hypotheses) requires that status whenever no
+witness is printed, so reporting fail for a proved absence waits for a
+change to that oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence
@@ -133,11 +145,10 @@ class IntersectionForm:
 
 
 def _gram_pairing(gram, u, v) -> int:
+    """u.G.v, walking only the rows where u is nonzero."""
     total = 0
-    for i, ui in enumerate(u):
-        if ui:
-            gi = gram[i]
-            total += ui * sum(gi[j] * vj for j, vj in enumerate(v) if vj)
+    for i in itertools.compress(range(len(u)), u):
+        total += u[i] * sum(map(mul, gram[i], v))
     return total
 
 
@@ -299,9 +310,31 @@ class Sublattice:
         return len(self.basis)
 
     def induced_gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self.parent.pairing(bi, bj) for bj in self.basis)
-            for bi in self.basis)
+        """The Gram matrix of the basis, computed once per sublattice."""
+        return self._gram
+
+    @cached_property
+    def _gram(self) -> tuple[tuple[int, ...], ...]:
+        duals = [tuple(sum(map(mul, row, b)) for row in self.parent.gram)
+                 for b in self.basis]
+        return tuple(tuple(sum(map(mul, d, b)) for b in self.basis)
+                     for d in duals)
+
+    @cached_property
+    def _definite_sign(self) -> int:
+        """1 or -1 if the induced form is positive or negative definite,
+        else 0. A definite form has diagonal entries of one strict sign,
+        which settles most indefinite forms without diagonalizing; a
+        degenerate form is never definite."""
+        gram = self._gram
+        if all(row[i] > 0 for i, row in enumerate(gram)):
+            sign = 1
+        elif all(row[i] < 0 for i, row in enumerate(gram)):
+            sign = -1
+        else:
+            return 0
+        _, (_, pos, neg) = _diagonalize(gram)
+        return sign if (pos if sign > 0 else neg) == self.rank else 0
 
     def to_parent(self, coords: Sequence[int]) -> Vector:
         if len(coords) != self.rank:
@@ -379,8 +412,10 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
     """First vector in `sub` (parent coordinates) of prescribed self-pairing.
 
     Exhaustive over sublattice coordinates in [-bound, bound] when budget is
-    None. Returning None means "not found within the bound/budget", never a
-    proof of non-existence.
+    None. On a definite sublattice a target of 0 or of the other sign
+    returns None at once, with no candidate drawn: there is no such
+    vector. Otherwise None means "not found within the bound/budget", not
+    a proof of non-existence.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -388,6 +423,9 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
         raise ValueError("budget must be >= 1")
     if target == 0 and allow_zero:
         return zero_vector(sub.parent.rank)
+    sign = sub._definite_sign
+    if sign and sign * target <= 0:
+        return None
     gram = sub.induced_gram()
     remaining = budget
     for v in bounded_vectors(sub.rank, bound):
@@ -407,14 +445,21 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
 
     Isotropic vectors are collected in enumeration order and every new one
     is paired against the earlier ones, so small witnesses are found without
-    sweeping the whole box. Soundness of any returned pair is asserted;
-    None means exhausted bound or budget, not non-existence.
+    sweeping the whole box. Soundness of any returned pair is asserted.
+    Without drawing a candidate, None comes at once on a definite
+    sublattice, which has no isotropic vector, and on one of rank at most
+    2 unless its form is even with determinant -1: a pair spans a
+    unimodular H, and in rank 2 that is the whole lattice. Otherwise None
+    means exhausted bound or budget, not non-existence.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
     gram = sub.induced_gram()
+    if sub._definite_sign or (sub.rank <= 2
+                              and not _is_hyperbolic_plane(gram)):
+        return None
     isotropic: list[tuple[Vector, Vector]] = []  # (u, G.u)
     remaining = budget
 
@@ -445,6 +490,15 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
                 return sub.to_parent(e), sub.to_parent(f)
         isotropic.append((v, tuple(sum(map(mul, row, v)) for row in gram)))
     return None
+
+
+def _is_hyperbolic_plane(gram) -> bool:
+    """True iff the Gram matrix is even of rank 2 with determinant -1, the
+    forms isomorphic to H."""
+    if len(gram) != 2:
+        return False
+    (a, b), (_, d) = gram
+    return a % 2 == 0 and d % 2 == 0 and a * d - b * b == -1
 
 
 def characteristic_base(form: IntersectionForm) -> Vector:

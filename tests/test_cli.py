@@ -1,3 +1,4 @@
+import json
 import os
 import re
 from fractions import Fraction
@@ -142,6 +143,20 @@ def test_hypotheses_negative_budget_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "budget must be >= 1" in err
+
+
+def test_hypotheses_golden_on_the_bundled_corpus(capsys):
+    # hypotheses stdout on the 11 bundled files, both variants, at bound 20
+    # with the default budget and at bound 80 with budget 20000
+    golden = os.path.join(os.path.dirname(__file__), "hypotheses_golden.json")
+    with open(golden, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert len(cases) == 44
+    for case in cases:
+        code, out, err = run_cli(capsys, "hypotheses",
+                                 bundled_path(case["file"]), *case["args"])
+        assert (code, out, err) == (0, case["stdout"], ""), (case["file"],
+                                                             case["args"])
 
 
 def test_levels_k3(capsys):

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from wittenform import lattice
+from wittenform.cli import main
+from wittenform.corpus import bundled_path
 from wittenform.errors import DimensionMismatch, UnimodularityError
 from wittenform.lattice import (IntersectionForm, Sublattice, bounded_vectors,
                                 characteristic_base, congruent_mod2,
@@ -531,6 +534,25 @@ def search_sublattices(rng):
         yield Sublattice.full(shear_conjugate(form, rng, 4))
         # the last basis vector is orthogonal to H
         yield orthogonal_complement(form, [(0,) * (form.rank - 1) + (1,)])
+    # inputs of the exact early returns: definite of rank >= 3 (one with a
+    # non-unimodular Gram), rank 2 forms that are not H, a sheared H, and
+    # degenerate complements whose radical is an isotropic class
+    for sign in (1, -1):
+        yield Sublattice.full(shear_conjugate(diagonal_form([sign] * 3),
+                                              rng, 4))
+        yield orthogonal_complement(diagonal_form([sign] * 4), [(1, 1, 1, 1)])
+    yield Sublattice.full(diagonal_form([1, -1]))
+    yield Sublattice.full(shear_conjugate(diagonal_form([1, -1]), rng, 4))
+    for gram in ([[0, 2], [2, 0]], [[2, 1], [1, -2]], [[2, 3], [3, 2]]):
+        yield Sublattice.full(IntersectionForm(gram, require_unimodular=False))
+    yield Sublattice.full(shear_conjugate(H, rng, 4))
+    e = (1, 0, 0, 0)
+    yield orthogonal_complement(direct_sum(H, diagonal_form([1, 1])), [e])
+    yield orthogonal_complement(direct_sum(H, H), [e])
+    yield orthogonal_complement(direct_sum(H, diagonal_form([1])), [e[:3]])
+    # rank 2, degenerate, with a positive diagonal: [[1, 1], [1, 1]]
+    yield Sublattice(direct_sum(H, diagonal_form([1])),
+                     ((1, 0, 1), (0, 0, 1)))
 
 
 def test_searches_match_reference_at_every_budget():
@@ -553,6 +575,66 @@ def test_searches_match_reference_at_every_budget():
                 checked += 1
                 found += witness is not None
     assert found >= 40 and checked - found >= 40
+
+
+def test_searches_ruled_out_by_the_form_draw_no_candidate(monkeypatch,
+                                                          capsys):
+    drawn = []
+    original = lattice.bounded_vectors
+
+    def counted_vectors(rank, bound):
+        n = 0
+        try:
+            for v in original(rank, bound):
+                n += 1
+                yield v
+        finally:
+            drawn.append(n)
+
+    monkeypatch.setattr(lattice, "bounded_vectors", counted_vectors)
+
+    def candidates(search, *args, **kwargs):
+        drawn.clear()
+        assert search(*args, **kwargs) is None
+        return sum(drawn)
+
+    positive = Sublattice.full(shear_conjugate(diagonal_form([1] * 4),
+                                               random.Random(3), 6))
+    negative = orthogonal_complement(diagonal_form([-1] * 4), [(1, 1, 1, 1)])
+    for sub, sign in ((positive, 1), (negative, -1)):
+        assert candidates(find_hyperbolic_pair, sub, bound=5) == 0
+        for target in (0, -sign, -5 * sign):
+            assert candidates(find_vector_with_square, sub, target,
+                              bound=5) == 0
+        assert find_vector_with_square(sub, 2 * sign, bound=2) is not None
+    for gram in ([[1, 0], [0, -1]], [[0, 2], [2, 0]], [[2, 1], [1, -2]]):
+        sub = Sublattice.full(IntersectionForm(gram, require_unimodular=False))
+        assert candidates(find_hyperbolic_pair, sub, bound=5) == 0
+    degenerate = Sublattice(direct_sum(H, diagonal_form([1])),
+                            ((1, 0, 1), (0, 0, 1)))
+    assert candidates(find_hyperbolic_pair, degenerate, bound=5) == 0
+    # searches the form does not settle still enumerate: the whole box of
+    # the even H for an odd square, and budget + 1 draws on the degenerate
+    # form (the last draw finds the budget spent)
+    assert candidates(find_vector_with_square, Sublattice.full(H), 1,
+                      bound=5) == 11 ** 2 - 1
+    assert candidates(find_vector_with_square, degenerate, -1, bound=3,
+                      budget=7) == 8
+
+    form = direct_sum(H, diagonal_form([1, -1]), e8_form(negative=True))
+    sub = orthogonal_complement(form, [(1, 0, 1, 1) + (0,) * 8])
+    gram = sub.induced_gram()
+    assert sub.induced_gram() is gram
+    assert gram == tuple(tuple(brute_pairing(form.gram, u, v)
+                               for v in sub.basis) for u in sub.basis)
+
+    # argument checks still come first on a definite complement
+    path = bundled_path("synthetic_01.manifold")
+    for flag, message in (("--bound", "bound must be >= 1"),
+                          ("--budget", "budget must be >= 1")):
+        code = main(["hypotheses", path, "--variant", "level0", flag, "0"])
+        err = capsys.readouterr().err
+        assert code == 2 and message in err
 
 
 def test_find_hyperbolic_pair_on_h():
