@@ -70,6 +70,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_witten(args) -> int:
+    if args.mod_degree is not None and args.mod_degree < 0:
+        raise ValueError(f"--mod-degree {args.mod_degree} is negative")
     m = load_manifold(args.file)
     w = parse_cli_vector(args.w, m.rank)
     n = args.degree

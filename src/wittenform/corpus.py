@@ -3,12 +3,15 @@
 The K3 surface is built in code from standard topology: intersection form
 3H + 2(-E8), chi = 24, sigma = -16, b_plus = 3, trivial w2, and a single
 spin-c entry (c1 = 0, invariant 1). The remaining fixtures are synthetic
-manifolds produced by the round-trip constructor in `synthetic`.
+manifolds produced by the round-trip constructor in `synthetic`. The
+elliptic surfaces E(n), n even, are built in code too; their Donaldson
+series has a closed form, e^(Q/2) sinh^(n-2)(<F, h>) (Fintushel-Stern).
 """
 
 from __future__ import annotations
 
 from importlib import resources
+from math import comb
 
 from .invariants import ManifoldData, SpincEntry
 from .lattice import direct_sum, e8_form, hyperbolic_plane
@@ -26,6 +29,25 @@ def k3_manifold() -> ManifoldData:
     return ManifoldData(
         name="K3", chi=24, sigma=-16, b_plus=3, form=form, w2=zero,
         spinc=(SpincEntry(c1=zero, sw=1),), sw_simple_type=True)
+
+
+def elliptic_manifold(n: int) -> ManifoldData:
+    """The elliptic surface E(n) for even n >= 2: form (2n-1)H + n(-E8),
+    chi = 12n, sigma = -8n, c = n, trivial w2, and basic classes (n-2-2j)F
+    with SW = (-1)^j C(n-2, j), where the fiber F is the first basis vector
+    (isotropic, in the first H). E(2) is the K3 surface. Odd n needs an odd
+    form and is refused."""
+    if n < 2 or n % 2:
+        raise ValueError(f"E({n}): only even n >= 2 are built")
+    h = hyperbolic_plane()
+    form = direct_sum(*([h] * (2 * n - 1) + [e8_form(negative=True)] * n))
+    fiber = (1,) + (0,) * (form.rank - 1)
+    spinc = tuple(SpincEntry(c1=tuple((n - 2 - 2 * j) * x for x in fiber),
+                             sw=(-1) ** j * comb(n - 2, j))
+                  for j in range(n - 1))
+    return ManifoldData(
+        name=f"E({n})", chi=12 * n, sigma=-8 * n, b_plus=2 * n - 1,
+        form=form, w2=(0,) * form.rank, spinc=spinc, sw_simple_type=True)
 
 
 def list_bundled() -> list[str]:

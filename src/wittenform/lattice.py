@@ -127,10 +127,14 @@ class IntersectionForm:
         return self.pairing(v, v)
 
     def dual_coefficients(self, k: Sequence[int]) -> Vector:
-        """The row G.k, i.e. the values pairing(k, e_j) on the basis."""
+        """The row G.k, i.e. the values pairing(k, e_j) on the basis: the
+        sum of G's rows at k's nonzero coordinates (G is symmetric)."""
         k = self._check_vector(k)
-        g = self.gram
-        return tuple(sum(g[j][i] * ki for i, ki in enumerate(k)) for j in range(self.rank))
+        out = [0] * self.rank
+        for i in itertools.compress(range(len(k)), k):
+            ki = k[i]
+            out = [o + ki * g for o, g in zip(out, self.gram[i])]
+        return tuple(out)
 
     def is_characteristic(self, k: Sequence[int]) -> bool:
         """True iff pairing(k, x) == pairing(x, x) mod 2 for all basis x."""

@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import islice
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, TruncationError
@@ -112,6 +113,8 @@ class FormalSeries:
         exps = tuple(int(e) for e in exponents)
         if len(exps) != self.num_vars:
             raise DimensionMismatch("exponent tuple has wrong length")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"exponent tuple {exps} has a negative entry")
         if sum(exps) >= self.degree_cap:
             raise TruncationError(
                 f"degree {sum(exps)} >= cap {self.degree_cap}: truncated away")
@@ -235,6 +238,8 @@ class FormalSeries:
         """True iff all coefficients of total degree < n agree."""
         if self.num_vars != other.num_vars:
             raise DimensionMismatch("variable counts differ")
+        if n < 0:
+            raise ValueError(f"degree {n} is negative")
         if n > self.degree_cap or n > other.degree_cap:
             raise TruncationError(
                 f"cannot certify congruence mod degree {n} with caps "
@@ -404,6 +409,18 @@ def gaussian_sum(form: IntersectionForm,
     monomial's coefficient is divided by e! and scaled only at the end.
     A single class is read straight from its F, with no sum.
 
+    Several classes with Q share the factor E = exp(Q/2): their sum is
+    T = E S with S = sum_r w_r exp(<K_r, h>), whose divided powers
+    S(b) = sum_r w_r d_r^b come from the same kernel without Q. S is built
+    degree by degree and given up as soon as it has more terms than there
+    are classes. Otherwise (as for E(n), where S = (2 sinh <F, h>)^(n-2)
+    starts at degree n - 2) the kernel runs once, for E, up to degree
+    cap - s with s the lowest degree of S, and
+        T(e) = sum_{a + b = e} prod_i C(e_i, b_i) E(a) S(b)
+    forms only pairs of degree < cap: at most |S| |E| of them, against the
+    k kernel runs, each over at least about E's support, that summing the
+    k classes would take. A sum whose S has more terms keeps those runs.
+
     A degree-(n+1) value can be nonzero only at e + u_i with F(e) != 0 at
     degree n and d_i != 0, or at f + u_i + u_j with F(f) != 0 at degree
     n - 1 and G_ij != 0; only those candidates are visited, so sparse forms
@@ -421,11 +438,13 @@ def gaussian_sum(form: IntersectionForm,
         weight, d = weights[0]
         parts = _MEMO.get(form, d, cap, quadratic)
     else:
-        total: dict[int, int] = {}
-        for w, d in weights:
-            for part in _MEMO.get(form, d, cap, quadratic):
-                for key, v in part.items():
-                    total[key] = total.get(key, 0) + w * v
+        total = _factored_sum(form, weights, cap) if quadratic else None
+        if total is None:
+            total = {}
+            for w, d in weights:
+                for part in _MEMO.get(form, d, cap, quadratic):
+                    for key, v in part.items():
+                        total[key] = total.get(key, 0) + w * v
         weight, parts = 1, [total]
 
     shifts, mask = _layout(n, cap)
@@ -442,6 +461,42 @@ def gaussian_sum(form: IntersectionForm,
                         ef *= fact[e]
                 terms[exps] = Fraction(v * num, ef * dnm)
     return FormalSeries._canonical(n, cap, terms)
+
+
+def _factored_sum(form, weights, cap):
+    """T = E S, the weighted sum of the classes' divided powers (see
+    gaussian_sum), or None when S has more terms than there are classes."""
+    streams = [_slice_stream(form, d, cap, False) for _, d in weights]
+    s_slices = []       # (degree, [(packed b, S(b) != 0)])
+    size = 0
+    for degree in range(cap):
+        acc: dict[int, int] = {}
+        for (w, _), stream in zip(weights, streams):
+            for key, v in next(stream).items():
+                acc[key] = acc.get(key, 0) + w * v
+        items = [(key, v) for key, v in acc.items() if v]
+        size += len(items)
+        if size > len(weights):
+            return None
+        if items:
+            s_slices.append((degree, items))
+    if not s_slices:
+        return {}
+    n = form.rank
+    e_slices = _MEMO.get(form, (0,) * n, cap, True, cap - s_slices[0][0])
+    shifts, mask = _layout(n, cap)
+    total: dict[int, int] = {}
+    for degree, items in s_slices:
+        for kb, sb in items:
+            support = [(sh, kb >> sh & mask) for sh in shifts if kb >> sh & mask]
+            for part in e_slices[:cap - degree]:
+                for ka, ea in part.items():
+                    v = sb * ea
+                    for sh, bi in support:
+                        v *= comb((ka >> sh & mask) + bi, bi)
+                    key = ka + kb
+                    total[key] = total.get(key, 0) + v
+    return total
 
 
 def divided_powers(form: IntersectionForm, k: Sequence[int],
@@ -473,7 +528,9 @@ class _SliceMemo:
     The form is matched by identity, not by its Gram matrix: a round trip
     passes one form object to every step, while forms loaded or built
     separately never share entries. An entry holds its form, so the id
-    stays that form's own while the entry lives.
+    stays that form's own while the entry lives. An entry may hold only a
+    class's first slices (the factored route's E needs no more); a call
+    that needs more runs the class again and replaces it.
     """
 
     def __init__(self, bound: int):
@@ -481,13 +538,19 @@ class _SliceMemo:
         self.entries = 0
         self.slices: OrderedDict = OrderedDict()  # key -> (form, slices, size)
 
-    def get(self, form, d, cap, quadratic):
+    def get(self, form, d, cap, quadratic, degrees=None):
+        """The first `degrees` (by default all `cap`) slices or more."""
+        degrees = cap if degrees is None else degrees
         key = (id(form), d, cap, quadratic)
         hit = self.slices.get(key)
         if hit is not None:
-            self.slices.move_to_end(key)
-            return hit[1]
-        slices = _divided_power_slices(form, d, cap, quadratic)
+            if len(hit[1]) >= degrees:
+                self.slices.move_to_end(key)
+                return hit[1]
+            # a shorter run of the same class gives way to this one
+            del self.slices[key]
+            self.entries -= hit[2]
+        slices = _divided_power_slices(form, d, cap, quadratic, degrees)
         size = sum(map(len, slices))
         if 0 < size <= self.bound:
             self.slices[key] = form, slices, size
@@ -503,23 +566,35 @@ _MEMO_ENTRIES = 8192
 _MEMO = _SliceMemo(_MEMO_ENTRIES)
 
 
-def _divided_power_slices(form, d, cap, quadratic):
-    """[F at degree 0, ..., F at degree cap - 1] of the class with G K = d
-    (see gaussian_sum), each a dict packed key -> int F != 0."""
+def _divided_power_slices(form, d, cap, quadratic, degrees):
+    """[F at degree 0, ..., F at degree degrees - 1] of the class with
+    G K = d: one kernel run, as the memo stores it. (The factored route
+    reads S's classes from `_slice_stream` directly, as far as it needs,
+    and stores nothing.)"""
+    return list(islice(_slice_stream(form, d, cap, quadratic), degrees))
+
+
+def _slice_stream(form, d, cap, quadratic):
+    """F at degree 0, ..., F at degree cap - 1 of the class with G K = d
+    (see gaussian_sum), one at a time, each a dict packed key -> int F != 0
+    in the layout of `cap`."""
     if cap <= 0:
-        return []
+        return
     n = form.rank
     shifts, mask = _layout(n, cap)
     place = [1 << sh for sh in shifts]
-    gram = form.gram if quadratic else ((0,) * n,) * n
-    nbrs = [[(g, place[j], shifts[j]) for j, g in enumerate(row) if g]
-            for row in gram]
-    quad_steps = [(place[i] + place[j], i) for i in range(n)
-                  for j in range(i, n) if gram[i][j]]
+    if quadratic:
+        gram = form.gram
+        nbrs = [[(g, place[j], shifts[j]) for j, g in enumerate(row) if g]
+                for row in gram]
+        quad_steps = [(place[i] + place[j], i) for i in range(n)
+                      for j in range(i, n) if gram[i][j]]
+    else:
+        nbrs, quad_steps = [()] * n, ()
     lin_steps = [(place[i], i) for i, di in enumerate(d) if di]
     prev: dict[int, int] = {}
     cur: dict[int, int] = {0: 1}
-    slices = [cur]
+    yield cur
     for _ in range(1, cap):
         # candidate -> a direction i with e_i > 0 to run the recurrence on
         cand = {key + p: i for key in cur for p, i in lin_steps}
@@ -536,9 +611,8 @@ def _divided_power_slices(form, d, cap, quadratic):
                     v += g * (e >> sh & mask) * f
             if v:
                 nxt[key] = v
-        slices.append(nxt)
+        yield nxt
         prev, cur = cur, nxt
-    return slices
 
 
 def exp_linear(form: IntersectionForm, k: Sequence[int],

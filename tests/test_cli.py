@@ -7,7 +7,8 @@ from math import factorial
 import pytest
 
 from wittenform.cli import main, parse_cli_vector
-from wittenform.corpus import bundled_path, k3_form, k3_manifold
+from wittenform.corpus import (bundled_path, elliptic_manifold, k3_form,
+                               k3_manifold)
 from wittenform.errors import DimensionMismatch, LoadError
 from wittenform.invariants import KMData, witten_rhs
 from wittenform.manifold_io import km_to_text, manifold_to_text, witten_consistent_km
@@ -119,6 +120,36 @@ def test_witten_compare_beyond_cap_refused(capsys, tmp_path):
                              "--compare", str(km_path), "--mod-degree", "9")
     assert code == 3
     assert "refused" in err
+
+
+def test_witten_compare_elliptic_surface_at_its_window(capsys, tmp_path):
+    # E(4): c = 4, so the paper's congruence is mod degree c + 2 = 6
+    m = elliptic_manifold(4)
+    path = tmp_path / "e4.manifold"
+    path.write_text(manifold_to_text(m))
+    km = witten_consistent_km(m, (0,) * m.rank)
+    km_path = tmp_path / "e4.km"
+    km_path.write_text(km_to_text(km))
+    code, out, _ = run_cli(capsys, "--degree", "6", "witten", str(path),
+                           "--compare", str(km_path))
+    assert (code, out) == (0, "congruent mod 6\n")
+    bumped = KMData(w=km.w, terms=tuple(
+        (a + 1 if not any(k) else a, k) for a, k in km.terms))
+    km_path.write_text(km_to_text(bumped))
+    code, out, _ = run_cli(capsys, "--degree", "6", "witten", str(path),
+                           "--compare", str(km_path))
+    assert (code, out) == (
+        4, "first differing monomial: 1 (km=1, witten=0)\n")
+
+
+def test_witten_compare_negative_mod_degree_exits_2(capsys, tmp_path):
+    km = witten_consistent_km(k3_manifold(), (0,) * 22)
+    km_path = tmp_path / "k3.km"
+    km_path.write_text(km_to_text(km))
+    code, out, err = run_cli(capsys, "--degree", "4", "witten", K3_PATH,
+                             "--compare", str(km_path), "--mod-degree", "-2")
+    assert (code, out) == (2, "")
+    assert err == "error: --mod-degree -2 is negative\n"
 
 
 def test_hypotheses_k3_pass(capsys):

@@ -6,8 +6,9 @@ from math import factorial, prod
 import pytest
 
 from wittenform.errors import DimensionMismatch, TruncationError
-from wittenform.invariants import KMData, km_series
-from wittenform.corpus import k3_form
+from wittenform.invariants import (KMData, Verdict, km_series,
+                                   mmp_vanishing_check, witten_rhs)
+from wittenform.corpus import elliptic_manifold, k3_form, k3_manifold
 from wittenform.lattice import (IntersectionForm, diagonal_form, direct_sum,
                                 e8_form, hyperbolic_plane)
 from wittenform.series import (FormalSeries, HomogeneousPolynomial,
@@ -133,6 +134,12 @@ def test_congruence_beyond_cap_refused():
         a.congruent_mod_degree(FormalSeries.one(1, 6), 5)
 
 
+def test_congruence_at_negative_degree_refused():
+    a = FormalSeries.one(1, 4)
+    with pytest.raises(ValueError, match="negative"):
+        a.congruent_mod_degree(FormalSeries.zero(1, 4), -2)
+
+
 def test_coefficient_access():
     eq = exp_quadratic(TWO, 4)
     assert eq.coefficient((0,)) == 1
@@ -140,6 +147,9 @@ def test_coefficient_access():
     assert FormalSeries.zero(1, 4).coefficient((1,)) == 0
     with pytest.raises(TruncationError):
         eq.coefficient((4,))
+    # a negative entry is refused as the constructor refuses it, not read as 0
+    with pytest.raises(ValueError, match="negative entry"):
+        FormalSeries.one(2, 4).coefficient((3, -3))
 
 
 def test_truncate_and_homogeneous_part():
@@ -499,19 +509,30 @@ def stored_sizes(memo):
 
 def test_memo_cold_and_warm_calls_agree(memo):
     rng = random.Random(40)
+    routes = set()
     for rank in range(1, 5):
         form = random_unimodular_form(rng, rank, ops=3 * rank)
         classes = [(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)),
                     tuple(rng.randint(-2, 2) for _ in range(rank)))
                    for _ in range(3)]
         cap = rng.randint(1, 8)
+        # one run per distinct class, and one more for E = exp(Q/2) when
+        # the sum takes the factored route: its SW part has at most one
+        # term per class (no factored sum here has the class 0, whose run
+        # could have served as E's)
+        sw_part = sum((exp_by_products(linear_series(form, k, cap)) * c
+                       for c, k in classes), FormalSeries.zero(rank, cap))
+        factored = len(sw_part.terms) <= len(classes)
+        assert not factored or all(any(k) for _, k in classes)
+        routes.add(factored)
+        expected = len(set(k for _, k in classes)) + factored
         runs = memo.runs        # a new form object: nothing stored for it
         cold = gaussian_sum(form, classes, cap, scale=Fraction(1, 3))
         cold_dp = [divided_powers(form, k, cap) for _, k in classes]
-        assert memo.runs - runs == len(set(k for _, k in classes))
+        assert memo.runs - runs == expected
         warm = gaussian_sum(form, classes, cap, scale=Fraction(1, 3))
         warm_dp = [divided_powers(form, k, cap) for _, k in classes]
-        assert memo.runs - runs == len(set(k for _, k in classes))
+        assert memo.runs - runs == expected
         assert warm == cold == product_route(form, classes, cap,
                                              Fraction(1, 3))
         assert warm_dp == cold_dp
@@ -519,6 +540,7 @@ def test_memo_cold_and_warm_calls_agree(memo):
         for c, k in classes:
             assert (gaussian_sum(form, [(c, k)], cap)
                     == product_route(form, [(c, k)], cap))
+    assert routes == {False, True}
 
 
 def test_memo_key_separates_quadratic_cap_form_and_class(memo):
@@ -598,3 +620,103 @@ def test_memo_stays_within_its_bound(monkeypatch):
         assert list(memo.slices) == keep[::-1]
         assert memo.entries == total == sum(stored_sizes(memo).values())
     assert large >= 10
+
+
+# ---------------------------------------------------------------------------
+# sums whose Seiberg-Witten part cancels: the factored route
+
+def elliptic(n):
+    m = elliptic_manifold(n)
+    return m, (1,) + (0,) * (m.rank - 1)
+
+
+def test_elliptic_surfaces():
+    k3, e2 = k3_manifold(), elliptic_manifold(2)
+    assert (e2.form, e2.spinc, e2.characteristic_number()) == (
+        k3.form, k3.spinc, 2)
+    m, fiber = elliptic(6)
+    assert m.rank == 70 and m.characteristic_number() == 6
+    assert m.form.square(fiber) == 0
+    assert [(e.c1[0], e.sw) for e in m.spinc] == [
+        (4, 1), (2, -4), (0, 6), (-2, -4), (-4, 1)]
+    for n in (0, 3):
+        with pytest.raises(ValueError):
+            elliptic_manifold(n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_witten_rhs_of_elliptic_surfaces_is_the_closed_form(n):
+    # Fintushel-Stern: the Donaldson series of E(n) is
+    # e^{Q/2} sinh^{n-2}(<F, h>); with c = n the window is c + 2
+    m, fiber = elliptic(n)
+    cap = n + 2
+    x = linear_series(m.form, fiber, cap)
+    sinh = FormalSeries.zero(m.rank, cap)
+    for j in range(0, cap, 2):
+        sinh = sinh + (x ** (j + 1)) * Fraction(1, factorial(j + 1))
+    sw_part = sinh ** (n - 2)
+    assert min(sw_part.support_degrees()) == n - 2
+    # sinh^{n-2} starts at degree n - 2, so e^{Q/2} is needed below 4 only
+    half_q = exp_by_products(quadratic_series(m.form, 4) * Fraction(1, 2))
+    assert witten_rhs(m, (0,) * m.rank, cap) == (
+        FormalSeries(m.rank, cap, half_q.terms) * sw_part)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_mmp_vanishing_on_elliptic_surfaces_is_sharp(n):
+    # SW(E(n)) = (2 sinh <F, h>)^{n-2} vanishes below degree c - 2 = n - 2
+    # and not below c - 1
+    m, _ = elliptic(n)
+    zero = (0,) * m.rank
+    want = Verdict.VACUOUS if n == 2 else Verdict.PASS
+    assert mmp_vanishing_check(m, zero) is want
+    assert mmp_vanishing_check(m, zero, n_override=n - 1) is Verdict.FAIL
+
+
+def test_elliptic_sum_runs_the_kernel_for_exp_q_only(memo):
+    # E(4): S = (2 sinh <F, h>)^2 has 2 terms below degree 6, so the three
+    # classes take one run, for E up to degree 6 - 2, and no class's own
+    m, _ = elliptic(4)
+    zero = (0,) * m.rank
+    rhs = witten_rhs(m, zero, 6)
+    assert memo.runs == 1
+    key = (id(m.form), zero, 6, True)
+    assert list(memo.slices) == [key] and len(memo.slices[key][1]) == 4
+    assert len(rhs.terms) == 69
+    assert witten_rhs(m, zero, 6) == rhs and memo.runs == 1
+    # the class 0 itself needs all 6 degrees: it runs again, in E's place
+    full = divided_powers(m.form, zero, 6)
+    assert memo.runs == 2 and len(memo.slices[key][1]) == 6
+    assert max(map(sum, full)) == 4 and divided_powers(m.form, zero, 6) == full
+    assert memo.runs == 2 and memo.entries == len(full)
+
+
+def test_factored_route_at_and_past_its_rule(memo):
+    # a sum whose S has |S| = k terms takes the factored route (one run, for
+    # E), one with |S| = k + 1 the summed route (one run per class)
+    rng = random.Random(44)
+    form = random_unimodular_form(rng, 2, ops=6)
+    (g11, g12), (_, g22) = form.gram
+    det = g11 * g22 - g12 * g12
+    u = (2 * det * g22, -2 * det * g12)         # G u = (2, 0)
+    assert form.dual_coefficients(u) == (2, 0)
+    minus_u = tuple(-x for x in u)
+    v = (1, 1) if all(form.dual_coefficients((1, 1))) else (1, -1)
+    assert all(form.dual_coefficients(v))
+    minus_v = tuple(-x for x in v)
+    sinh_2x = [(1, u), (-1, minus_u)]           # odd degrees
+    sinh_sq = [(1, u), (-2, (0, 0)), (1, minus_u)]   # even degrees >= 2
+    linear = [(1, v), (-1, minus_v)]            # 2 <v, h> in both variables
+    for classes, cap, size in [(sinh_2x, 5, 2), (sinh_2x, 6, 3),
+                               (sinh_sq, 7, 3), (sinh_sq, 9, 4),
+                               (linear, 3, 2), (linear, 4, 6)]:
+        sw_part = sum((exp_by_products(linear_series(form, k, cap)) * c
+                       for c, k in classes), FormalSeries.zero(2, cap))
+        assert len(sw_part.terms) == size
+        runs = memo.runs
+        assert_kernel_matches(form, classes, cap, scale=Fraction(-1, 4))
+        factored = size <= len(classes)
+        assert memo.runs - runs == (1 if factored else len(classes))
+    runs = memo.runs
+    assert gaussian_sum(form, [(1, u), (-1, u)], 6).is_zero()
+    assert memo.runs == runs        # S = 0: no run at all
