@@ -12,6 +12,7 @@ Vectors on the command line are comma-separated integers; the single token
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -23,7 +24,7 @@ from .invariants import (check_theorem_hypotheses, expected_sw_dimension,
 from .manifold_io import load_fit_problem, load_km, load_manifold
 from .monopole_levels import (check_delta_window, delta_admissible,
                               enumerate_contributions, i_lambda)
-from .series import first_difference
+from .series import first_difference, monomial_label
 from .universal_fit import solve_coefficients, validate_solution
 
 
@@ -107,7 +108,7 @@ def cmd_witten(args) -> int:
         print(f"congruent mod {mod}")
         return 0
     exps, ca, cb = diff
-    label = " ".join(f"h{i + 1}^{e}" for i, e in enumerate(exps) if e) or "1"
+    label = monomial_label(exps) or "1"
     print(f"first differing monomial: {label} (km={ca}, witten={cb})")
     return 4
 
@@ -177,7 +178,10 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args fills a new
+    namespace on every call, so no state carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="wittenform",
         description="Exact arithmetic for Donaldson / Seiberg-Witten "

@@ -353,12 +353,18 @@ def fit_km_coefficients(target: FormalSeries,
                        None, tuple(zero))
 
 
+def check_delta_m(delta: int, m: int) -> None:
+    """Refuse (delta, m) unless 0 <= m <= delta/2: the point value
+    D(h^(delta-2m) x^m) needs a degree delta - 2m >= 0."""
+    if not 0 <= 2 * m <= delta:
+        raise ValueError(f"need 0 <= m <= delta/2, got delta={delta}, m={m}")
+
+
 def point_evaluate(km: KMData, form: IntersectionForm, delta: int, m: int,
                    degree_cap: Optional[int] = None) -> HomogeneousPolynomial:
     """Point value D(h^(delta-2m) x^m) as a polynomial in h, under the
     x -> 2 convention: 2^m * (d!/2) * (degree-d part of the series)."""
-    if m < 0 or delta < 0 or 2 * m > delta:
-        raise ValueError(f"need 0 <= m <= delta/2, got delta={delta}, m={m}")
+    check_delta_m(delta, m)
     d = delta - 2 * m
     cap = d + 1 if degree_cap is None else degree_cap
     part = km_series(km, form, cap).homogeneous_part(d)

@@ -79,7 +79,7 @@ class IntersectionForm:
     never does.
     """
 
-    def __init__(self, gram: Sequence[Sequence[int]], basis_labels=None,
+    def __init__(self, gram: Sequence[Sequence[int]], *,
                  require_unimodular: bool = True):
         rows = tuple(tuple(int(x) for x in row) for row in gram)
         n = len(rows)
@@ -97,7 +97,6 @@ class IntersectionForm:
             if det != 1 and det != -1:
                 raise UnimodularityError(f"Gram determinant is {det}, not +-1")
         self.gram = rows
-        self.basis_labels = tuple(basis_labels) if basis_labels else None
 
     @property
     def rank(self) -> int:

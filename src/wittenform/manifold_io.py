@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import LoadError, WittenformError
 from .invariants import (KMData, ManifoldData, SpincEntry, _check_c1,
-                         point_evaluate, witten_consistent_km)
+                         check_delta_m, point_evaluate, witten_consistent_km)
 from .lattice import IntersectionForm
 from .series import HomogeneousPolynomial, _parse_term, _parse_rational
 from .universal_fit import FitProblem, Observation
@@ -299,9 +299,10 @@ def parse_fit_problem(text: str, path: Optional[str] = None,
             delta = _parse_int(value, lines, no, "delta")
             no, value = _get(kv, "m", lines, "fit", header)
             mm = _parse_int(value, lines, no, "m")
-            if not 0 <= 2 * mm <= delta:
-                raise lines.error(f"need 0 <= m <= delta/2, got delta={delta}, "
-                                  f"m={mm}", no)
+            try:
+                check_delta_m(delta, mm)
+            except ValueError as exc:
+                raise lines.error(str(exc), no) from None
         elif name == "observation":
             if delta is None:
                 raise lines.error("[fit] section must precede observations", header)

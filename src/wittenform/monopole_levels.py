@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import LevelError, NonIntegralError
-from .invariants import ManifoldData, SpincEntry, _sign
+from .invariants import ManifoldData, SpincEntry, _sign, check_delta_m
 from .lattice import IntersectionForm, Vector, as_vector, vec_sub
 
 
@@ -132,8 +132,7 @@ def enumerate_contributions(m: ManifoldData, w: Sequence[int],
     ell_max are filtered. Rows are sorted by (level, c1) and carry the sign
     (-1)^((w^2 + w.c1)/2) and i_range_max = min(l, floor(delta/2) - m).
     """
-    if mm < 0 or 2 * mm > delta:
-        raise ValueError(f"need 0 <= m <= delta/2, got delta={delta}, m={mm}")
+    check_delta_m(delta, mm)
     w = m.form._check_vector(w)
     lam = m.form._check_vector(lambda_)
     rows = []

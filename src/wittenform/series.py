@@ -270,8 +270,7 @@ class FormalSeries:
         if not self.terms:
             lines.append("0")
         for exps, coeff in self.sorted_terms():
-            factors = " ".join(
-                f"h{i + 1}^{e}" for i, e in enumerate(exps) if e)
+            factors = monomial_label(exps)
             lines.append(f"{coeff} * {factors}" if factors else f"{coeff}")
         return "\n".join(lines)
 
@@ -300,6 +299,11 @@ class FormalSeries:
             f"{c}*{e}" for e, c in self.sorted_terms()[:4])
         extra = "" if len(self.terms) <= 4 else f" (+{len(self.terms) - 4} terms)"
         return f"FormalSeries<{body or '0'}{extra}>"
+
+
+def monomial_label(exps: Sequence[int]) -> str:
+    """The canonical text of the monomial h^exps, "h1^2 h3^1"; "" for 1."""
+    return " ".join(f"h{i + 1}^{e}" for i, e in enumerate(exps) if e)
 
 
 def _parse_term(line: str, num_vars: int) -> tuple[Exponents, Fraction]:

@@ -20,11 +20,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, InadmissibleDeltaError
-from .invariants import ManifoldData, _sign
+from .invariants import ManifoldData, _sign, check_delta_m
 from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
 from .monopole_levels import delta_admissible, leveled_entries
-from .series import HomogeneousPolynomial, linear_series, quadratic_series
+from .series import (HomogeneousPolynomial, linear_series, monomial_label,
+                     quadratic_series)
 
 Signature = tuple[int, int, int, int, int, int, int, int]
 
@@ -75,8 +76,7 @@ class CoefficientTemplate:
 def build_template(delta: int, m: int, ell: int) -> CoefficientTemplate:
     """Unknown layout for one (delta, m, ell): one homogeneous polynomial of
     degree delta - 2m - 2i per i in [0, min(ell, floor(delta/2) - m)]."""
-    if delta < 0 or m < 0 or 2 * m > delta:
-        raise ValueError(f"need 0 <= m <= delta/2, got delta={delta}, m={m}")
+    check_delta_m(delta, m)
     if ell < 0:
         raise ValueError(f"need ell >= 0, got {ell}")
     i_max = min(ell, delta // 2 - m)
@@ -128,8 +128,7 @@ def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
     """
     w = m.form._check_vector(w)
     lam = m.form._check_vector(lambda_)
-    if mm < 0 or 2 * mm > delta:
-        raise ValueError(f"need 0 <= m <= delta/2, got delta={delta}, m={mm}")
+    check_delta_m(delta, mm)
     if not delta_admissible(delta, m.form.square(w), m.chi, m.sigma):
         raise InadmissibleDeltaError(
             f"delta={delta} violates the mod-4 congruence for w^2="
@@ -237,7 +236,7 @@ class UniversalFitReport:
         lines = [f"status={self.status} nullspace_dim={self.nullspace_dim}"]
         if self.witness is not None:
             obs_idx, mono = self.witness
-            label = " ".join(f"h{i + 1}^{e}" for i, e in enumerate(mono) if e) or "1"
+            label = monomial_label(mono) or "1"
             lines.append(f"witness observation={obs_idx} monomial={label}")
         for note in self.notes:
             lines.append(f"note {note}")

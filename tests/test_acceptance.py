@@ -5,25 +5,20 @@ tolerance. A summary line per criterion is printed at the end of the run
 import itertools
 import random
 import time
-from fractions import Fraction
-
-import pytest
 
 from wittenform.cli import main
 from wittenform.corpus import bundled_path, k3_form, k3_manifold
 from wittenform.errors import LevelError
-from wittenform.invariants import (KMData, ManifoldData, SpincEntry,
-                                   check_theorem_hypotheses,
-                                   fit_km_coefficients, km_series,
-                                   point_evaluate, witten_rhs)
-from wittenform.lattice import (IntersectionForm, Sublattice, congruent_mod2,
-                                diagonal_form, direct_sum,
-                                find_hyperbolic_pair, find_vector_with_square,
-                                hyperbolic_plane, orthogonal_complement)
+from wittenform.invariants import (ManifoldData, SpincEntry,
+                                   check_theorem_hypotheses, point_evaluate)
+from wittenform.lattice import (congruent_mod2, diagonal_form, direct_sum,
+                                hyperbolic_plane)
 from wittenform.manifold_io import witten_consistent_km
 from wittenform.monopole_levels import (SpinuData, delta_admissible,
                                         level_index, uhlenbeck_level)
-from wittenform.series import FormalSeries, exp_linear, exp_quadratic
+from wittenform.selftest import (check_lattice_oracles, check_parity_lemma,
+                                 check_roundtrip_fit, check_series_identities)
+from wittenform.series import exp_quadratic
 from wittenform.synthetic import random_manifold, random_unimodular_form
 from wittenform.universal_fit import (FitProblem, Observation, build_template,
                                       solve_coefficients, validate_solution)
@@ -59,7 +54,6 @@ def test_criterion_1_k3_pipeline(capsys):
 
 def test_criterion_2_roundtrip_km_recovery():
     rng = random.Random(1202)
-    cap = 10
     manifolds = []
     while len(manifolds) < 20:
         c = 2 + (len(manifolds) % 7)          # integral c in [2, 8]
@@ -71,18 +65,9 @@ def test_criterion_2_roundtrip_km_recovery():
         assert m.rank <= 6 and len(m.spinc) <= 5
         c = m.characteristic_number()
         assert c.denominator == 1 and 2 <= c <= 8
-        w = tuple(rng.randint(-2, 2) for _ in range(m.rank))
-        target = witten_rhs(m, w, cap)
-        classes = m.basic_classes()
-        result = fit_km_coefficients(target, classes, w, m.form, cap)
-        assert result.status == "unique", m.name
-        factor = Fraction(2) ** (2 - int(c))
-        for entry in m.spinc:
-            assert result.a_values[entry.c1] == factor * entry.sw, m.name
-        fitted = KMData(w=w, terms=tuple(
-            (result.a_values[k], k) for k in classes))
-        refit = km_series(fitted, m.form, cap)
-        assert refit.congruent_mod_degree(target, 10), m.name
+    result = check_roundtrip_fit(rng, manifolds, cap=10, w_max=2)
+    assert result.ok, result.detail
+    assert result.counts["manifolds"] == 20
 
 
 # ---------------------------------------------------------------------------
@@ -90,69 +75,23 @@ def test_criterion_2_roundtrip_km_recovery():
 
 def test_criterion_3_parity_lemma_sweep():
     rng = random.Random(1203)
-    box_bound = 3
-    forms_checked = 0
-    pairs_checked = 0
-    for rank, count in ((1, 25), (2, 30), (3, 30), (4, 20)):
-        for _ in range(count):
-            form = random_unimodular_form(rng, rank)
-            g = form.gram
-            vecs = list(itertools.product(
-                range(-box_bound, box_bound + 1), repeat=rank))
-            duals = {
-                v: tuple(sum(g[i][j] * v[j] for j in range(rank))
-                         for i in range(rank))
-                for v in vecs}
-            diag = [g[i][i] for i in range(rank)]
-            chars = [v for v in vecs
-                     if all((duals[v][i] - diag[i]) % 2 == 0
-                            for i in range(rank))]
-            assert chars, "every unimodular form has characteristic vectors"
-            for w in vecs:
-                dw = duals[w]
-                wsq = sum(a * b for a, b in zip(dw, w))
-                for k in chars:
-                    assert (wsq + sum(a * b for a, b in zip(dw, k))) % 2 == 0
-                    pairs_checked += 1
-            forms_checked += 1
-    assert forms_checked >= 100
-    assert pairs_checked > 1_000_000
+    forms = [random_unimodular_form(rng, rank)
+             for rank, count in ((1, 25), (2, 30), (3, 30), (4, 20))
+             for _ in range(count)]
+    result = check_parity_lemma(forms, box=3)
+    assert result.ok, result.detail
+    assert result.counts["forms"] >= 100
+    assert result.counts["pairs"] > 1_000_000
 
 
 # ---------------------------------------------------------------------------
 # 4. series algebra: exponential identities at degree 12, derivatives at 11
 
 def test_criterion_4_series_algebra_suite():
-    rng = random.Random(1204)
-    cap = 12
-    for _ in range(50):
-        rank = rng.randint(1, 3)
-        form = random_unimodular_form(rng, rank)
-        neg = IntersectionForm([[-x for x in row] for row in form.gram])
-        assert (exp_quadratic(form, cap) * exp_quadratic(neg, cap)
-                == FormalSeries.one(rank, cap))
-    for _ in range(50):
-        rank = rng.randint(1, 3)
-        form = random_unimodular_form(rng, rank)
-        k1 = tuple(rng.randint(-3, 3) for _ in range(rank))
-        k2 = tuple(rng.randint(-3, 3) for _ in range(rank))
-        ksum = tuple(a + b for a, b in zip(k1, k2))
-        assert (exp_linear(form, k1, cap) * exp_linear(form, k2, cap)
-                == exp_linear(form, ksum, cap))
-    from wittenform.series import linear_series
-    for _ in range(10):
-        rank = rng.randint(1, 3)
-        form = random_unimodular_form(rng, rank)
-        eq = exp_quadratic(form, cap)
-        for j in range(rank):
-            basis_j = tuple(1 if i == j else 0 for i in range(rank))
-            grad = linear_series(form, basis_j, cap)
-            assert eq.derivative(j) == (grad * eq).truncate_to(cap - 1)
-        k = tuple(rng.randint(-2, 2) for _ in range(rank))
-        el = exp_linear(form, k, cap)
-        dual = form.dual_coefficients(k)
-        for j in range(rank):
-            assert el.derivative(j) == (el * Fraction(dual[j])).truncate_to(cap - 1)
+    result = check_series_identities(random.Random(1204), cap=12, inverse=50,
+                                     additive=50, derivative=10, k_max=3)
+    assert result.ok, result.detail
+    assert result.counts["forms"] == 110
 
 
 # ---------------------------------------------------------------------------
@@ -298,78 +237,11 @@ ORACLE_FORMS = [
 ]
 
 
-def _brute_pairing(gram, u, v):
-    return sum(u[i] * gram[i][j] * v[j]
-               for i in range(len(u)) for j in range(len(v)))
-
-
 def test_criterion_8_search_oracles():
-    bound = 5
     rng = random.Random(1208)
     forms = list(ORACLE_FORMS)
     forms.append(random_unimodular_form(rng, 2))
     forms.append(random_unimodular_form(rng, 3))
-    for form in forms:
-        rank = form.rank
-        sub = Sublattice.full(form)
-        box = list(itertools.product(range(-bound, bound + 1), repeat=rank))
-        squares = {v: _brute_pairing(form.gram, v, v) for v in box}
-
-        for target in range(-9, 10):
-            mine = find_vector_with_square(sub, target, bound=bound)
-            oracle = next((v for v in box if any(v) and squares[v] == target),
-                          None)
-            assert (mine is None) == (oracle is None), (form.gram, target)
-            if mine is not None:
-                assert form.square(mine) == target
-
-        isotropic = [v for v in box if any(v) and squares[v] == 0]
-        oracle_pair = None
-        for e in isotropic:
-            f = next((f for f in isotropic
-                      if _brute_pairing(form.gram, e, f) == 1), None)
-            if f is not None:
-                oracle_pair = (e, f)
-                break
-        mine = find_hyperbolic_pair(sub, bound=bound)
-        assert (mine is None) == (oracle_pair is None), form.gram
-        if mine is not None:
-            e, f = mine
-            assert form.square(e) == 0
-            assert form.square(f) == 0
-            assert form.pairing(e, f) == 1
-
-        # complement membership: box vector is orthogonal to the spanning
-        # set iff it lies in the integer span of the returned basis
-        spanning = [tuple(rng.randint(-2, 2) for _ in range(rank))]
-        comp = orthogonal_complement(form, spanning)
-        for v in box:
-            orth = all(_brute_pairing(form.gram, v, s) == 0 for s in spanning)
-            assert _in_span(comp.basis, v) == orth
-
-
-def _in_span(basis, v):
-    if not basis:
-        return not any(v)
-    n = len(v)
-    cols = len(basis)
-    m = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(v[i])]
-         for i in range(n)]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(n):
-            if i != r and m[i][c]:
-                fac = m[i][c] / m[r][c]
-                for k in range(cols + 1):
-                    m[i][k] -= fac * m[r][k]
-        pivots.append(c)
-        r += 1
-    if any(m[i][cols] for i in range(r, n)):
-        return False
-    return all((m[i][cols] / m[i][c]).denominator == 1
-               for i, c in enumerate(pivots))
+    result = check_lattice_oracles(rng, forms, bound=5, targets=range(-9, 10))
+    assert result.ok, result.detail
+    assert result.counts["forms"] == 14

@@ -206,6 +206,19 @@ def test_levels_inadmissible_flag(capsys):
     assert "delta_admissible=false" in out
 
 
+def test_repeated_calls_start_from_the_defaults(capsys):
+    # one parser serves every call in a process; flags that one call sets
+    # must not carry over into the next
+    from wittenform.cli import build_parser
+    assert build_parser() is build_parser()
+    _, out, _ = run_cli(capsys, "levels", K3_PATH, "--delta", "2", "--m", "1",
+                        "--ell-max", "2")
+    assert out.startswith("delta=2 m=1 ell_max=2 ")
+    code, out, _ = run_cli(capsys, "levels", K3_PATH, "--delta", "2")
+    assert code == 0
+    assert out.startswith("delta=2 m=0 ell_max=4 ")
+
+
 def test_fit_consistent(capsys, tmp_path):
     (tmp_path / "k3.manifold").write_text(manifold_to_text(k3_manifold()))
     zeros = " ".join(["0"] * 22)

@@ -18,6 +18,7 @@ from wittenform.invariants import (KMData, KMFitResult, ManifoldData,
                                    witten_consistent_km, witten_rhs)
 from wittenform.lattice import (IntersectionForm, diagonal_form,
                                 hyperbolic_plane)
+from wittenform.selftest import check_roundtrip_fit
 from wittenform.series import (FormalSeries, exp_linear, exp_quadratic,
                                quadratic_series)
 from wittenform.synthetic import random_manifold, random_valid_manifold
@@ -304,36 +305,18 @@ def test_fit_inconsistent_reports_witness():
 
 def test_roundtrip_recovery_randomized():
     rng = random.Random(33)
-    for _ in range(12):
-        m = random_manifold(rng, max_rank=4, max_classes=4)
-        w = tuple(rng.randint(-2, 2) for _ in range(m.rank))
-        target = witten_rhs(m, w, 8)
-        classes = m.basic_classes()
-        result = fit_km_coefficients(target, classes, w, m.form, 8)
-        assert result.status == "unique"
-        c = int(m.characteristic_number())
-        factor = Fraction(2) ** (2 - c)
-        for entry in m.spinc:
-            assert result.a_values[entry.c1] == factor * entry.sw
-        fitted = KMData(w=w, terms=tuple(
-            (result.a_values[k], k) for k in classes))
-        refit = km_series(fitted, m.form, 8)
-        for n in range(9):
-            assert refit.congruent_mod_degree(target, n)
+    manifolds = (random_manifold(rng, max_rank=4, max_classes=4)
+                 for _ in range(12))
+    result = check_roundtrip_fit(rng, manifolds, cap=8, w_max=2)
+    assert result.ok, result.detail
 
 
 def test_roundtrip_recovery_on_valid_manifolds():
     # same identity on fully valid (coupled) manifolds, negative c included
     rng = random.Random(34)
-    for _ in range(5):
-        m = random_valid_manifold(rng)
-        w = tuple(rng.randint(-1, 1) for _ in range(m.rank))
-        target = witten_rhs(m, w, 6)
-        result = fit_km_coefficients(target, m.basic_classes(), w, m.form, 6)
-        assert result.status == "unique"
-        c = int(m.characteristic_number())
-        for entry in m.spinc:
-            assert result.a_values[entry.c1] == Fraction(2) ** (2 - c) * entry.sw
+    manifolds = (random_valid_manifold(rng) for _ in range(5))
+    result = check_roundtrip_fit(rng, manifolds, cap=6, w_max=1)
+    assert result.ok, result.detail
 
 
 def test_fit_refuses_cap_above_target_cap():

@@ -14,6 +14,9 @@ from wittenform.lattice import (IntersectionForm, Sublattice, bounded_vectors,
                                 find_hyperbolic_pair, find_vector_with_square,
                                 hyperbolic_plane, integer_kernel,
                                 orthogonal_complement)
+from wittenform.selftest import (box_vectors, brute_pairing,
+                                 check_lattice_oracles, check_parity_lemma,
+                                 random_forms)
 from wittenform.synthetic import random_unimodular_form, shear_conjugate
 
 H = hyperbolic_plane()
@@ -21,37 +24,6 @@ H = hyperbolic_plane()
 
 # ---------------------------------------------------------------------------
 # independent oracles, written directly against the definitions
-
-def brute_square(gram, v):
-    return sum(v[i] * gram[i][j] * v[j]
-               for i in range(len(v)) for j in range(len(v)))
-
-
-def brute_pairing(gram, u, v):
-    return sum(u[i] * gram[i][j] * v[j]
-               for i in range(len(u)) for j in range(len(v)))
-
-
-def box(rank, bound):
-    return itertools.product(range(-bound, bound + 1), repeat=rank)
-
-
-def oracle_vector_with_square(gram, target, bound):
-    for v in box(len(gram), bound):
-        if any(v) and brute_square(gram, v) == target:
-            return v
-    return None
-
-
-def oracle_hyperbolic_pair(gram, bound):
-    isotropic = [v for v in box(len(gram), bound)
-                 if any(v) and brute_square(gram, v) == 0]
-    for e in isotropic:
-        for f in isotropic:
-            if brute_pairing(gram, e, f) == 1:
-                return e, f
-    return None
-
 
 def minor_signature(gram):
     # Jacobi: if every leading principal minor is nonzero, b_minus equals the
@@ -297,7 +269,7 @@ def test_characteristic_vectors_form_one_mod2_class():
     for _ in range(10):
         form = random_unimodular_form(rng, rng.randint(1, 3))
         base = characteristic_base(form)
-        for v in box(form.rank, 2):
+        for v in box_vectors(form.rank, 2):
             expected = all((a - b) % 2 == 0 for a, b in zip(v, base))
             assert form.is_characteristic(v) == expected
 
@@ -305,24 +277,12 @@ def test_characteristic_vectors_form_one_mod2_class():
 def test_parity_lemma_small_ranks():
     # for characteristic K: w.w + w.K is even, which keeps the sign
     # exponents of the series formulas integral
-    forms = [diagonal_form([1]), diagonal_form([-1]), H,
+    small = [diagonal_form([1]), diagonal_form([-1]), H,
              diagonal_form([1, -1]), direct_sum(H, diagonal_form([1])),
              diagonal_form([1, 1, -1])]
-    for form in forms:
-        vectors = list(box(form.rank, 3))
-        chars = [k for k in vectors if form.is_characteristic(k)]
-        assert chars
-        for w in vectors:
-            wsq = brute_square(form.gram, w)
-            for k in chars:
-                assert (wsq + brute_pairing(form.gram, w, k)) % 2 == 0
-    form = diagonal_form([1, 1, 1, -1])
-    vectors = list(box(4, 2))
-    chars = [k for k in vectors if form.is_characteristic(k)]
-    for w in vectors:
-        wsq = brute_square(form.gram, w)
-        for k in chars:
-            assert (wsq + brute_pairing(form.gram, w, k)) % 2 == 0
+    for forms, bound in ((small, 3), ([diagonal_form([1, 1, 1, -1])], 2)):
+        result = check_parity_lemma(forms, bound)
+        assert result.ok, result.detail
 
 
 # ---------------------------------------------------------------------------
@@ -383,44 +343,9 @@ def test_complement_membership_matches_brute_force():
     # box vector is orthogonal to the spanning set iff it is an integer
     # combination of the returned basis (saturation)
     rng = random.Random(10)
-    for _ in range(12):
-        form = random_unimodular_form(rng, rng.randint(1, 3))
-        n = form.rank
-        spanning = [tuple(rng.randint(-2, 2) for _ in range(n))]
-        comp = orthogonal_complement(form, spanning)
-        for v in box(n, 3):
-            orth = all(brute_pairing(form.gram, v, s) == 0 for s in spanning)
-            assert _in_integer_span(comp.basis, v) == orth
-
-
-def _in_integer_span(basis, v):
-    if not basis:
-        return not any(v)
-    n = len(v)
-    cols = len(basis)
-    m = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(v[i])]
-         for i in range(n)]
-    r = 0
-    pivots = []
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(n):
-            if i != r and m[i][c]:
-                f = m[i][c] / m[r][c]
-                for k in range(cols + 1):
-                    m[i][k] -= f * m[r][k]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if m[i][cols]:
-            return False
-    for i, c in enumerate(pivots):
-        if (m[i][cols] / m[i][c]).denominator != 1:
-            return False
-    return True
+    result = check_lattice_oracles(rng, random_forms(rng, 12), bound=3,
+                                   targets=())
+    assert result.ok, result.detail
 
 
 def test_integer_kernel_trivial_cases():
@@ -434,7 +359,7 @@ def test_integer_kernel_trivial_cases():
 
 def test_bounded_vectors_cover_box_exactly_once():
     seen = list(bounded_vectors(2, 2))
-    expected = {v for v in box(2, 2) if any(v)}
+    expected = {v for v in box_vectors(2, 2) if any(v)}
     assert set(seen) == expected
     assert len(seen) == len(expected)
 
@@ -467,7 +392,7 @@ def reference_vector_with_square(sub, target, bound, budget=None):
         if budget is not None and spent == budget:
             return None, spent
         spent += 1
-        if brute_square(gram, v) == target:
+        if brute_pairing(gram, v, v) == target:
             return sub.to_parent(v), spent
     return None, spent
 
@@ -480,7 +405,7 @@ def reference_hyperbolic_pair(sub, bound, budget=None):
         if budget is not None and spent == budget:
             return None, spent
         spent += 1
-        if brute_square(gram, v) != 0:
+        if brute_pairing(gram, v, v) != 0:
             continue
         for u in isotropic:
             if budget is not None and spent == budget:
@@ -646,8 +571,8 @@ def test_find_hyperbolic_pair_odd_lattice():
     # diag(1,-1) has no hyperbolic pair: e.f is always even for isotropic
     # e, f; the exhaustive oracle agrees
     form = diagonal_form([1, -1])
-    assert oracle_hyperbolic_pair(form.gram, 2) is None
     assert find_hyperbolic_pair(Sublattice.full(form), bound=2) is None
+    assert check_lattice_oracles(random.Random(0), [form], 2, ()).ok
 
 
 def test_find_hyperbolic_pair_rank_zero():
@@ -685,23 +610,10 @@ def test_search_rejects_budget_below_one():
 
 def test_searches_agree_with_oracles():
     # smaller edition of the acceptance sweep
-    rng = random.Random(12)
-    for form in SMALL_FORMS[:8]:
-        sub = Sublattice.full(form)
-        for target in range(-5, 6):
-            mine = find_vector_with_square(sub, target, bound=3)
-            oracle = oracle_vector_with_square(form.gram, target, 3)
-            assert (mine is None) == (oracle is None)
-            if mine is not None:
-                assert form.square(mine) == target
-        mine = find_hyperbolic_pair(sub, bound=2)
-        oracle = oracle_hyperbolic_pair(form.gram, 2)
-        assert (mine is None) == (oracle is None)
-        if mine is not None:
-            e, f = mine
-            assert form.square(e) == 0
-            assert form.square(f) == 0
-            assert form.pairing(e, f) == 1
+    for bound in (2, 3):
+        result = check_lattice_oracles(random.Random(12), SMALL_FORMS[:8],
+                                       bound, range(-5, 6))
+        assert result.ok, result.detail
 
 
 def test_search_in_proper_sublattice_returns_parent_coords():

@@ -16,6 +16,7 @@ from wittenform.series import (FormalSeries, HomogeneousPolynomial,
                                first_difference, gaussian_sum, linear_series,
                                quadratic_series)
 from wittenform import series
+from wittenform.selftest import check_series_identities
 from wittenform.synthetic import random_unimodular_form
 
 H = hyperbolic_plane()
@@ -268,27 +269,16 @@ def test_exp_quadratic_of_zero_form():
 
 
 def test_exp_quadratic_inverse_identity():
-    rng = random.Random(24)
-    for _ in range(10):
-        n = rng.randint(1, 3)
-        form = random_unimodular_form(rng, n)
-        neg = IntersectionForm([[-x for x in row] for row in form.gram])
-        for cap in (4, 8, 12):
-            assert (exp_quadratic(form, cap) * exp_quadratic(neg, cap)
-                    == FormalSeries.one(n, cap))
+    for cap in (4, 8, 12):
+        result = check_series_identities(random.Random(24), cap, inverse=10)
+        assert result.ok, result.detail
 
 
 def test_exp_linear_additivity():
-    rng = random.Random(25)
-    for _ in range(15):
-        n = rng.randint(1, 3)
-        form = random_unimodular_form(rng, n)
-        k1 = tuple(rng.randint(-3, 3) for _ in range(n))
-        k2 = tuple(rng.randint(-3, 3) for _ in range(n))
-        ksum = tuple(a + b for a, b in zip(k1, k2))
-        cap = rng.choice((4, 8, 12))
-        assert (exp_linear(form, k1, cap) * exp_linear(form, k2, cap)
-                == exp_linear(form, ksum, cap))
+    for cap in (4, 8, 12):
+        result = check_series_identities(random.Random(25), cap, additive=15,
+                                         k_max=3)
+        assert result.ok, result.detail
 
 
 def test_exp_linear_inverse_at_rank_two():
@@ -298,28 +288,16 @@ def test_exp_linear_inverse_at_rank_two():
 
 
 def test_exp_linear_derivative_identity():
-    # d/dh_j exp<K,h> = kappa_j exp<K,h> mod degree N-1
-    form = H
-    k = (1, -2)
-    dual = form.dual_coefficients(k)
-    e = exp_linear(form, k, 7)
-    for j in range(2):
-        lhs = e.derivative(j)
-        rhs = (e * Fraction(dual[j])).truncate_to(6)
-        assert lhs == rhs
+    # d/dh_j exp<K,h> = <K, e_j> exp<K,h> mod degree N-1; on H the class
+    # K = (1, -2) pairs with e_1 and e_2 as -2 and 1
+    e = exp_linear(H, (1, -2), 7)
+    assert e.derivative(0) == (e * -2).truncate_to(6)
+    assert e.derivative(1) == e.truncate_to(6)
 
 
 def test_exp_quadratic_gradient_identity():
-    rng = random.Random(26)
-    for _ in range(8):
-        n = rng.randint(1, 3)
-        form = random_unimodular_form(rng, n)
-        cap = 8
-        eq = exp_quadratic(form, cap)
-        for j in range(n):
-            basis_j = tuple(1 if i == j else 0 for i in range(n))
-            grad = linear_series(form, basis_j, cap)
-            assert eq.derivative(j) == (grad * eq).truncate_to(cap - 1)
+    result = check_series_identities(random.Random(26), 8, derivative=8)
+    assert result.ok, result.detail
 
 
 def test_quadratic_series_is_plain_q():
