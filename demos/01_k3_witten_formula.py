@@ -6,8 +6,6 @@ runs the round trip: fit basic-class coefficients back out of the series
 and confirm the congruence to every degree.
 """
 
-from fractions import Fraction
-
 from wittenform import (KMData, exp_quadratic, fit_km_coefficients,
                         km_series, sw_series, witten_rhs)
 from wittenform.corpus import load_bundled

@@ -64,6 +64,8 @@ class LinearSystem:
         # nonzero entry of the row in any pivot column
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.inconsistent = False
+        # the label of the first inconsistent equation, which may be None
         self.witness: Optional[Hashable] = None
         # at full column rank: the solution as integers X over a common
         # denominator L, x_i = X_i / L
@@ -119,8 +121,8 @@ class LinearSystem:
         return "added"
 
     def _inconsistent(self, label) -> str:
-        if self.witness is None:
-            self.witness = label
+        if not self.inconsistent:
+            self.inconsistent, self.witness = True, label
         return "inconsistent"
 
     def _scale(self) -> tuple[list[int], int]:
@@ -132,7 +134,7 @@ class LinearSystem:
         return self._scaled
 
     def solve(self) -> Solution:
-        if self.witness is not None:
+        if self.inconsistent:
             return Solution(status="inconsistent", witness=self.witness,
                             nullspace_dim=self.n - len(self.pivots))
         rank = len(self.pivots)

@@ -13,7 +13,6 @@ The identification is exact because the form is unimodular.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm
@@ -524,43 +523,38 @@ def _layout(n: int, cap: int) -> tuple[list[int], int]:
 
 
 class _SliceMemo:
-    """The kernel's slices by (form, G K, cap, quadratic), least recently
-    used first, holding at most `bound` F values in all; a class with more
-    than `bound` is returned but not stored. Callers must not mutate the
-    slices they get.
+    """The kernel's slices of the latest form object and cap, by (G K,
+    quadratic), holding at most `bound` F values in all. A call with another
+    form object or cap empties it; a class that does not fit beside the
+    stored ones is returned but not stored, and nothing is evicted. Callers
+    must not mutate the slices they get.
 
-    The form is matched by identity, not by its Gram matrix: a round trip
-    passes one form object to every step, while forms loaded or built
-    separately never share entries. An entry holds its form, so the id
-    stays that form's own while the entry lives. An entry may hold only a
-    class's first slices (the factored route's E needs no more); a call
-    that needs more runs the class again and replaces it.
+    An entry may hold only a class's first slices (the factored route's E
+    needs no more); a call that needs more runs the class again and
+    replaces it.
     """
 
     def __init__(self, bound: int):
         self.bound = bound
+        self.form = self.cap = None
+        self.slices: dict = {}      # (G K, quadratic) -> slices
         self.entries = 0
-        self.slices: OrderedDict = OrderedDict()  # key -> (form, slices, size)
 
     def get(self, form, d, cap, quadratic, degrees=None):
         """The first `degrees` (by default all `cap`) slices or more."""
         degrees = cap if degrees is None else degrees
-        key = (id(form), d, cap, quadratic)
-        hit = self.slices.get(key)
-        if hit is not None:
-            if len(hit[1]) >= degrees:
-                self.slices.move_to_end(key)
-                return hit[1]
-            # a shorter run of the same class gives way to this one
-            del self.slices[key]
-            self.entries -= hit[2]
+        if form is not self.form or cap != self.cap:
+            self.form, self.cap, self.slices, self.entries = form, cap, {}, 0
+        key = d, quadratic
+        hit = self.slices.get(key, ())
+        if len(hit) >= degrees:
+            return hit
         slices = _divided_power_slices(form, d, cap, quadratic, degrees)
-        size = sum(map(len, slices))
-        if 0 < size <= self.bound:
-            self.slices[key] = form, slices, size
+        # a shorter run of the same class gives way to this one
+        size = sum(map(len, slices)) - sum(map(len, hit))
+        if self.entries + size <= self.bound:
+            self.slices[key] = slices
             self.entries += size
-            while self.entries > self.bound:
-                self.entries -= self.slices.popitem(last=False)[1][2]
         return slices
 
 

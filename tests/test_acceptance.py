@@ -11,8 +11,7 @@ from wittenform.corpus import bundled_path, k3_form, k3_manifold
 from wittenform.errors import LevelError
 from wittenform.invariants import (ManifoldData, SpincEntry,
                                    check_theorem_hypotheses, point_evaluate)
-from wittenform.lattice import (congruent_mod2, diagonal_form, direct_sum,
-                                hyperbolic_plane)
+from wittenform.lattice import congruent_mod2, hyperbolic_plane
 from wittenform.manifold_io import witten_consistent_km
 from wittenform.monopole_levels import (SpinuData, delta_admissible,
                                         level_index, uhlenbeck_level)
@@ -22,6 +21,8 @@ from wittenform.series import exp_quadratic
 from wittenform.synthetic import random_manifold, random_unimodular_form
 from wittenform.universal_fit import (FitProblem, Observation, build_template,
                                       solve_coefficients, validate_solution)
+
+from test_lattice import SMALL_FORMS
 
 H = hyperbolic_plane()
 
@@ -221,25 +222,9 @@ def test_criterion_7_universal_fit():
 # 8. bounded-search and complement oracles vs exhaustive brute force,
 #    rank <= 3, bound <= 5
 
-ORACLE_FORMS = [
-    diagonal_form([1]),
-    diagonal_form([-1]),
-    H,
-    diagonal_form([1, 1]),
-    diagonal_form([1, -1]),
-    diagonal_form([-1, -1]),
-    direct_sum(H, diagonal_form([1])),
-    direct_sum(H, diagonal_form([-1])),
-    diagonal_form([1, 1, 1]),
-    diagonal_form([1, 1, -1]),
-    diagonal_form([1, -1, -1]),
-    diagonal_form([-1, -1, -1]),
-]
-
-
 def test_criterion_8_search_oracles():
     rng = random.Random(1208)
-    forms = list(ORACLE_FORMS)
+    forms = list(SMALL_FORMS)
     forms.append(random_unimodular_form(rng, 2))
     forms.append(random_unimodular_form(rng, 3))
     result = check_lattice_oracles(rng, forms, bound=5, targets=range(-9, 10))

@@ -10,7 +10,7 @@ from wittenform.cli import main, parse_cli_vector
 from wittenform.corpus import (bundled_path, elliptic_manifold, k3_form,
                                k3_manifold)
 from wittenform.errors import DimensionMismatch, LoadError
-from wittenform.invariants import KMData, witten_rhs
+from wittenform.invariants import KMData
 from wittenform.manifold_io import km_to_text, manifold_to_text, witten_consistent_km
 from wittenform.series import exp_quadratic
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittenform.corpus import k3_form, k3_manifold, load_bundled
+from wittenform.corpus import k3_manifold, load_bundled
 from wittenform.errors import (DimensionMismatch, NonCharacteristicError,
                                NonIntegralError, TruncationError)
 from wittenform.invariants import (KMData, KMFitResult, ManifoldData,

@@ -52,7 +52,7 @@ def oracle(n, equations):
     basis, pivots = gauss_jordan([augmented[j] for j in added])
     assert all(p < n for p in pivots)   # added rows are consistent
     statuses = []
-    witness = None
+    first = None        # the first inconsistent equation
     for j, row in enumerate(augmented):
         if j in added:
             statuses.append("added")
@@ -64,13 +64,13 @@ def oracle(n, equations):
         assert not any(residual[:n])
         if residual[n]:
             statuses.append("inconsistent")
-            if witness is None:
-                witness = equations[j][2]
+            if first is None:
+                first = j
         else:
             statuses.append("redundant")
     nullity = n - len(pivots)
-    if witness is not None:
-        return statuses, "inconsistent", {}, set(), nullity, witness
+    if first is not None:
+        return statuses, "inconsistent", {}, set(), nullity, equations[first][2]
     free = [i for i in range(n) if i not in pivots]
     values = {i: Fraction(0) for i in free}
     determined = set()
@@ -124,18 +124,22 @@ def random_system(rng):
 
 def run(n, equations):
     system = LinearSystem(n)
-    statuses = [system.add_equation(a, b, label=label)
+    # a label of None is passed as no label at all
+    statuses = [system.add_equation(a, b) if label is None
+                else system.add_equation(a, b, label=label)
                 for a, b, label in equations]
     sol = system.solve()
     return (statuses, sol.status, sol.values, sol.determined,
             sol.nullspace_dim, sol.witness)
 
 
-def test_matches_oracle_on_seeded_systems():
+def check_seeded_systems(labelled):
     rng = random.Random(4401)
     seen = Counter()
     for _ in range(1200):
         n, equations = random_system(rng)
+        if not labelled:
+            equations = [(a, b, None) for a, b, _ in equations]
         got = run(n, equations)
         assert got == oracle(n, equations), (n, equations)
         assert all(type(v) is Fraction for v in got[2].values())
@@ -143,6 +147,20 @@ def test_matches_oracle_on_seeded_systems():
         seen.update(got[0])
     assert min(seen[s] for s in ("added", "redundant", "inconsistent",
                                  "unique", "underdetermined")) >= 100
+
+
+def test_matches_oracle_on_seeded_systems():
+    check_seeded_systems(labelled=True)
+
+
+def test_matches_oracle_without_labels():
+    # an inconsistency is kept even when no equation names it
+    check_seeded_systems(labelled=False)
+    system = LinearSystem(1)
+    assert system.add_equation([1], 1) == "added"
+    assert system.add_equation([1], 2) == "inconsistent"
+    sol = system.solve()
+    assert (sol.status, sol.witness) == ("inconsistent", None)
 
 
 def test_first_inconsistent_label_is_the_witness():

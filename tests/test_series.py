@@ -6,18 +6,18 @@ from math import factorial, prod
 import pytest
 
 from wittenform.errors import DimensionMismatch, TruncationError
-from wittenform.invariants import (KMData, Verdict, km_series,
-                                   mmp_vanishing_check, witten_rhs)
+from wittenform.invariants import (KMData, Verdict, fit_km_coefficients,
+                                   km_series, mmp_vanishing_check, witten_rhs)
 from wittenform.corpus import elliptic_manifold, k3_form, k3_manifold
-from wittenform.lattice import (IntersectionForm, diagonal_form, direct_sum,
-                                e8_form, hyperbolic_plane)
+from wittenform.lattice import (IntersectionForm, direct_sum, e8_form,
+                                hyperbolic_plane)
 from wittenform.series import (FormalSeries, HomogeneousPolynomial,
                                divided_powers, exp_linear, exp_quadratic,
                                first_difference, gaussian_sum, linear_series,
                                quadratic_series)
 from wittenform import series
 from wittenform.selftest import check_series_identities
-from wittenform.synthetic import random_unimodular_form
+from wittenform.synthetic import random_manifold, random_unimodular_form
 
 H = hyperbolic_plane()
 TWO = IntersectionForm([[2]], require_unimodular=False)
@@ -481,8 +481,7 @@ def memo(monkeypatch):
 
 
 def stored_sizes(memo):
-    return {key: sum(map(len, slices))
-            for key, (_, slices, _) in memo.slices.items()}
+    return {key: sum(map(len, slices)) for key, slices in memo.slices.items()}
 
 
 def test_memo_cold_and_warm_calls_agree(memo):
@@ -528,29 +527,33 @@ def test_memo_key_separates_quadratic_cap_form_and_class(memo):
     other = random_unimodular_form(rng, 3, ops=9)
     assert twin == form and other != form
     k, k2 = (1, 0, -1), (0, 2, 1)
+    d, d2 = form.dual_coefficients(k), form.dual_coefficients(k2)
+    # at one form object and cap: entries by class and by Q or no Q
     first = gaussian_sum(form, [(1, k)], 6)
-    assert memo.runs == 1
-    calls = [
-        (lambda: gaussian_sum(form, [(1, k)], 6, quadratic=False),
-         lambda: exp_by_products(linear_series(form, k, 6))),
-        (lambda: gaussian_sum(form, [(1, k)], 5),
-         lambda: product_route(form, [(1, k)], 5)),
-        (lambda: gaussian_sum(other, [(1, k)], 6),
-         lambda: product_route(other, [(1, k)], 6)),
-        (lambda: gaussian_sum(twin, [(1, k)], 6),
-         lambda: product_route(twin, [(1, k)], 6)),
-        (lambda: gaussian_sum(form, [(1, k2)], 6),
-         lambda: product_route(form, [(1, k2)], 6)),
-    ]
-    for runs, (call, want) in enumerate(calls, start=2):
-        assert call() == want()
-        assert memo.runs == runs
-    assert len(memo.slices) == 1 + len(calls)
-    # and each of them is found again
+    assert first == product_route(form, [(1, k)], 6) and memo.runs == 1
+    no_q = gaussian_sum(form, [(1, k)], 6, quadratic=False)
+    assert no_q == exp_by_products(linear_series(form, k, 6))
+    assert memo.runs == 2
+    second = gaussian_sum(form, [(1, k2)], 6)
+    assert second == product_route(form, [(1, k2)], 6) and memo.runs == 3
+    assert set(memo.slices) == {(d, True), (d, False), (d2, True)}
+    assert memo.form is form and memo.cap == 6
+    # each of them is found again
     assert gaussian_sum(form, [(1, k)], 6) == first
-    for call, _ in calls:
-        call()
-    assert memo.runs == 1 + len(calls)
+    assert gaussian_sum(form, [(1, k)], 6, quadratic=False) == no_q
+    assert gaussian_sum(form, [(1, k2)], 6) == second
+    assert memo.runs == 3
+    # another cap, another form or an equal form held separately runs the
+    # kernel, and takes the slot for itself
+    calls = [(form, 5, lambda: product_route(form, [(1, k)], 5)),
+             (other, 6, lambda: product_route(other, [(1, k)], 6)),
+             (twin, 6, lambda: product_route(twin, [(1, k)], 6)),
+             (form, 6, lambda: first)]
+    for runs, (f, cap, want) in enumerate(calls, start=4):
+        assert gaussian_sum(f, [(1, k)], cap) == want()
+        assert memo.runs == runs
+        assert memo.form is f and memo.cap == cap
+        assert list(memo.slices) == [(f.dual_coefficients(k), True)]
 
 
 def test_memo_results_are_not_shared_with_callers(memo):
@@ -567,37 +570,63 @@ def test_memo_results_are_not_shared_with_callers(memo):
     assert memo.runs == 1
 
 
-def test_memo_stays_within_its_bound(monkeypatch):
-    bound = 30
-    memo = series._SliceMemo(bound)
-    monkeypatch.setattr(series, "_MEMO", memo)
+def test_memo_fills_until_full(memo):
+    bound = 60
+    memo.bound = bound
     rng = random.Random(43)
     forms = [random_unimodular_form(rng, rank, ops=3 * rank)
              for rank in (2, 3, 4)]
-    large = 0
-    recent = {}     # storable keys, least recently used first -> size
-    for _ in range(80):
-        # few keys, so that stored classes are asked for again
+    refused = large = 0
+    slot, stored = None, {}     # the first classes that fit -> size
+    for _ in range(20):
+        # a run of requests at one form and cap, classes asked for again
         form = rng.choice(forms)
-        k = rng.choice([(0,) * form.rank, (1,) * form.rank])
-        cap = rng.choice((2, 4, 6))
-        size = len(divided_powers(form, k, cap))
-        key = (id(form), form.dual_coefficients(k), cap, True)
-        if size > bound:
-            large += 1
-        else:
-            recent.pop(key, None)
-            recent[key] = size
-        # stored: the most recently used classes that fit, and no other
-        keep, total = [], 0
-        for used, n in reversed(recent.items()):
-            if total + n > bound:
-                break
-            keep.append(used)
-            total += n
-        assert list(memo.slices) == keep[::-1]
-        assert memo.entries == total == sum(stored_sizes(memo).values())
-    assert large >= 10
+        cap = rng.choice((3, 4, 5))
+        if (form, cap) != slot:
+            slot, stored = (form, cap), {}
+        classes = [tuple(rng.randint(-1, 1) for _ in range(form.rank))
+                   for _ in range(4)]
+        for _ in range(8):
+            k = rng.choice(classes)
+            d = form.dual_coefficients(k)
+            runs = memo.runs
+            size = len(divided_powers(form, k, cap))
+            assert memo.runs - runs == ((d, True) not in stored)
+            if (d, True) not in stored:
+                if sum(stored.values()) + size <= bound:
+                    stored[d, True] = size
+                elif size <= bound:
+                    refused += 1
+                else:
+                    large += 1
+            assert stored_sizes(memo) == stored
+            assert memo.entries == sum(stored.values()) <= bound
+    # classes that would fit alone are refused once the slot is full
+    assert refused >= 10 and large >= 5
+
+
+def test_round_trip_memo_keeps_the_classes_that_fit(memo, monkeypatch):
+    # a round trip asks for its classes in the same order three times; the
+    # memo keeps the first ones that fit and runs only the rest again
+    m = random_manifold(random.Random(9), max_rank=4, max_classes=3)
+    classes = m.basic_classes()
+    cap = 8
+    assert m.rank == 4 and len(classes) == 3
+    sizes = sorted(len(divided_powers(m.form, k, cap)) for k in classes)
+    bound = sizes[0] + sizes[-1]
+    assert sizes[-1] <= bound < sum(sizes)      # each fits, not all three
+    # an empty memo of that bound; `memo` still counts the kernel's runs
+    monkeypatch.setattr(series, "_MEMO", series._SliceMemo(bound))
+    runs = memo.runs
+    w = (0,) * m.rank
+    target = witten_rhs(m, w, cap)
+    fit = fit_km_coefficients(target, classes, w, m.form, cap)
+    assert fit.status == "unique"
+    km = KMData(w=w, terms=tuple((fit.a_values[k], k) for k in classes))
+    assert km_series(km, m.form, cap) == target
+    # three runs for witten_rhs, then one for each later step: the class
+    # that did not fit beside the first two
+    assert memo.runs - runs == 5
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +687,13 @@ def test_elliptic_sum_runs_the_kernel_for_exp_q_only(memo):
     zero = (0,) * m.rank
     rhs = witten_rhs(m, zero, 6)
     assert memo.runs == 1
-    key = (id(m.form), zero, 6, True)
-    assert list(memo.slices) == [key] and len(memo.slices[key][1]) == 4
+    key = (zero, True)
+    assert list(memo.slices) == [key] and len(memo.slices[key]) == 4
     assert len(rhs.terms) == 69
     assert witten_rhs(m, zero, 6) == rhs and memo.runs == 1
     # the class 0 itself needs all 6 degrees: it runs again, in E's place
     full = divided_powers(m.form, zero, 6)
-    assert memo.runs == 2 and len(memo.slices[key][1]) == 6
+    assert memo.runs == 2 and len(memo.slices[key]) == 6
     assert max(map(sum, full)) == 4 and divided_powers(m.form, zero, 6) == full
     assert memo.runs == 2 and memo.entries == len(full)
 

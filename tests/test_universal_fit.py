@@ -5,11 +5,11 @@ import pytest
 
 from wittenform.corpus import k3_manifold
 from wittenform.errors import DimensionMismatch, InadmissibleDeltaError
-from wittenform.invariants import KMData, ManifoldData, SpincEntry, point_evaluate
+from wittenform.invariants import ManifoldData, SpincEntry, point_evaluate
 from wittenform.lattice import hyperbolic_plane
 from wittenform.manifold_io import witten_consistent_km
 from wittenform.series import HomogeneousPolynomial
-from wittenform.universal_fit import (FitProblem, Observation, Unknown,
+from wittenform.universal_fit import (FitProblem, Observation,
                                       assemble_rough_rhs, build_template,
                                       solve_coefficients, validate_solution)
 
