@@ -1,15 +1,17 @@
 """Bundled example manifolds.
 
-The K3 surface is built in code from standard topology: intersection form
-3H + 2(-E8), chi = 24, sigma = -16, b_plus = 3, trivial w2, and a single
-spin-c entry (c1 = 0, invariant 1). The remaining fixtures are synthetic
-manifolds produced by the round-trip constructor in `synthetic`. The
-elliptic surfaces E(n), n even, are built in code too; their Donaldson
-series has a closed form, e^(Q/2) sinh^(n-2)(<F, h>) (Fintushel-Stern).
+The elliptic surfaces E(n), n even, are built in code from standard
+topology; their Donaldson series has a closed form,
+e^(Q/2) sinh^(n-2)(<F, h>) (Fintushel-Stern). The K3 surface is E(2):
+intersection form 3H + 2(-E8), chi = 24, sigma = -16, b_plus = 3, trivial
+w2, and a single spin-c entry (c1 = 0, invariant 1). The remaining fixtures
+are synthetic manifolds produced by the round-trip constructor in
+`synthetic`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from importlib import resources
 from math import comb
 
@@ -19,16 +21,12 @@ from .manifold_io import parse_manifold
 
 
 def k3_form():
-    h = hyperbolic_plane()
-    return direct_sum(h, h, h, e8_form(negative=True), e8_form(negative=True))
+    return k3_manifold().form
 
 
 def k3_manifold() -> ManifoldData:
-    form = k3_form()
-    zero = (0,) * form.rank
-    return ManifoldData(
-        name="K3", chi=24, sigma=-16, b_plus=3, form=form, w2=zero,
-        spinc=(SpincEntry(c1=zero, sw=1),), sw_simple_type=True)
+    """The K3 surface: E(2) under the name K3."""
+    return replace(elliptic_manifold(2), name="K3")
 
 
 def elliptic_manifold(n: int) -> ManifoldData:

@@ -360,17 +360,16 @@ def check_delta_m(delta: int, m: int) -> None:
         raise ValueError(f"need 0 <= m <= delta/2, got delta={delta}, m={m}")
 
 
-def point_evaluate(km: KMData, form: IntersectionForm, delta: int, m: int,
-                   degree_cap: Optional[int] = None) -> HomogeneousPolynomial:
+def point_evaluate(km: KMData, form: IntersectionForm, delta: int,
+                   m: int) -> HomogeneousPolynomial:
     """Point value D(h^(delta-2m) x^m) as a polynomial in h, under the
-    x -> 2 convention: 2^m * (d!/2) * (degree-d part of the series)."""
+    x -> 2 convention: 2^m * (d!/2) * (degree-d part of the series), with
+    the factor folded into the basic-class coefficients."""
     check_delta_m(delta, m)
     d = delta - 2 * m
-    cap = d + 1 if degree_cap is None else degree_cap
-    part = km_series(km, form, cap).homogeneous_part(d)
     scale = Fraction(2 ** m * factorial(d), 2)
-    return HomogeneousPolynomial._canonical(
-        form.rank, cap, {e: scale * c for e, c in part.terms.items()}, degree=d)
+    scaled = KMData(km.w, tuple((scale * a, k) for a, k in km.terms))
+    return km_series(scaled, form, d + 1).homogeneous_part(d)
 
 
 # ---------------------------------------------------------------------------

@@ -126,14 +126,8 @@ class IntersectionForm:
         return self.pairing(v, v)
 
     def dual_coefficients(self, k: Sequence[int]) -> Vector:
-        """The row G.k, i.e. the values pairing(k, e_j) on the basis: the
-        sum of G's rows at k's nonzero coordinates (G is symmetric)."""
-        k = self._check_vector(k)
-        out = [0] * self.rank
-        for i in itertools.compress(range(len(k)), k):
-            ki = k[i]
-            out = [o + ki * g for o, g in zip(out, self.gram[i])]
-        return tuple(out)
+        """The row G.k, i.e. the values pairing(k, e_j) on the basis."""
+        return _gram_times(self.gram, self._check_vector(k))
 
     def is_characteristic(self, k: Sequence[int]) -> bool:
         """True iff pairing(k, x) == pairing(x, x) mod 2 for all basis x."""
@@ -147,6 +141,15 @@ class IntersectionForm:
         return self._signature
 
 
+def _gram_times(gram, v) -> Vector:
+    """G.v for a symmetric G: the sum of G's rows where v is nonzero."""
+    out = [0] * len(gram)
+    for i in itertools.compress(range(len(v)), v):
+        vi = v[i]
+        out = [o + vi * g for o, g in zip(out, gram[i])]
+    return tuple(out)
+
+
 def _gram_pairing(gram, u, v) -> int:
     """u.G.v, walking only the rows where u is nonzero."""
     total = 0
@@ -157,13 +160,13 @@ def _gram_pairing(gram, u, v) -> int:
 
 def _diagonalize(gram) -> tuple[Fraction, tuple[int, int, int]]:
     """(det, (sigma, b_plus, b_minus)) by one rational congruence
-    diagonalization. Every step is a congruence P^T A P with det P = +-1,
-    so the product of the pivots is the determinant. The matrix stays
-    symmetric, and pivot i reads only row i and the block after it, so a
-    step updates a[j][c] for c >= j > i where the pivot row is nonzero and
-    mirrors each update into a[c][j]."""
+    diagonalization of the Gram's ints. Every step is a congruence P^T A P
+    with det P = +-1, so the product of the pivots is the determinant. Pivot
+    i reads only row i and the block after it, so a step updates a[j][c]
+    for c >= j > i where the pivot row is nonzero, mirrors each update into
+    a[c][j], and makes a Fraction only for the quotient and those entries."""
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
     pos = neg = 0
     det = Fraction(1)
     for i in range(n):
@@ -192,7 +195,7 @@ def _diagonalize(gram) -> tuple[Fraction, tuple[int, int, int]]:
             neg += 1
         support = [c for c in range(i + 1, n) if ri[c] != 0]
         for k, j in enumerate(support):
-            f = ri[j] / piv
+            f = Fraction(ri[j], piv)
             rj = a[j]
             for c in support[k:]:
                 rj[c] -= f * ri[c]
@@ -318,8 +321,7 @@ class Sublattice:
 
     @cached_property
     def _gram(self) -> tuple[tuple[int, ...], ...]:
-        duals = [tuple(sum(map(mul, row, b)) for row in self.parent.gram)
-                 for b in self.basis]
+        duals = [_gram_times(self.parent.gram, b) for b in self.basis]
         return tuple(tuple(sum(map(mul, d, b)) for b in self.basis)
                      for d in duals)
 
@@ -409,6 +411,13 @@ def _with_top(prefix: tuple, k: int, low: list, vals: list,
             yield head + rest
 
 
+def _check_search(bound: int, budget: Optional[int]) -> None:
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
+
+
 def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
                             allow_zero: bool = False,
                             budget: Optional[int] = None) -> Optional[Vector]:
@@ -420,10 +429,7 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
     vector. Otherwise None means "not found within the bound/budget", not
     a proof of non-existence.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_search(bound, budget)
     if target == 0 and allow_zero:
         return zero_vector(sub.parent.rank)
     sign = sub._definite_sign
@@ -455,10 +461,7 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
     unimodular H, and in rank 2 that is the whole lattice. Otherwise None
     means exhausted bound or budget, not non-existence.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_search(bound, budget)
     gram = sub.induced_gram()
     if sub._definite_sign or (sub.rank <= 2
                               and not _is_hyperbolic_plane(gram)):
@@ -491,7 +494,7 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
                 assert _gram_pairing(gram, f, f) == 0
                 assert _gram_pairing(gram, e, f) == 1
                 return sub.to_parent(e), sub.to_parent(f)
-        isotropic.append((v, tuple(sum(map(mul, row, v)) for row in gram)))
+        isotropic.append((v, _gram_times(gram, v)))
     return None
 
 

@@ -235,14 +235,6 @@ class FormalSeries:
 
     def congruent_mod_degree(self, other: "FormalSeries", n: int) -> bool:
         """True iff all coefficients of total degree < n agree."""
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatch("variable counts differ")
-        if n < 0:
-            raise ValueError(f"degree {n} is negative")
-        if n > self.degree_cap or n > other.degree_cap:
-            raise TruncationError(
-                f"cannot certify congruence mod degree {n} with caps "
-                f"{self.degree_cap} and {other.degree_cap}")
         return first_difference(self, other, n) is None
 
     def derivative(self, var: int) -> "FormalSeries":
@@ -342,20 +334,33 @@ class HomogeneousPolynomial(FormalSeries):
 
     def __init__(self, num_vars, degree_cap, terms=None, degree: int = 0):
         # the given terms, before truncation can drop one at or past the cap
-        for exps in terms or ():
-            if sum(exps) != degree:
-                raise ValueError(
-                    f"term of degree {sum(exps)} in a degree-{degree} polynomial")
+        _check_degree(terms or (), degree)
         super().__init__(num_vars, degree_cap, terms)
         if degree >= degree_cap:
             raise TruncationError(f"degree {degree} >= cap {degree_cap}")
         self.degree = degree
 
 
+def _check_degree(monomials: Iterable[Exponents], degree: int) -> None:
+    for exps in monomials:
+        if sum(exps) != degree:
+            raise ValueError(
+                f"term of degree {sum(exps)} in a degree-{degree} polynomial")
+
+
 def first_difference(a: FormalSeries, b: FormalSeries, n: int
                      ) -> Optional[tuple[Exponents, Fraction, Fraction]]:
     """First monomial of total degree < n (degree, then lex order) whose
-    coefficients differ, or None if congruent."""
+    coefficients differ, or None if congruent. Refuses an n past either
+    cap: the coefficients there were truncated away, not 0."""
+    if a.num_vars != b.num_vars:
+        raise DimensionMismatch("variable counts differ")
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
+    if n > a.degree_cap or n > b.degree_cap:
+        raise TruncationError(
+            f"cannot certify congruence mod degree {n} with caps "
+            f"{a.degree_cap} and {b.degree_cap}")
     keys = {e for e in a.terms if sum(e) < n} | {e for e in b.terms if sum(e) < n}
     for exps in sorted(keys, key=lambda e: (sum(e), e)):
         ca = a.terms.get(exps, Fraction(0))
@@ -399,9 +404,8 @@ def quadratic_series(form: IntersectionForm, degree_cap: int) -> FormalSeries:
 
 def gaussian_sum(form: IntersectionForm,
                  weighted_classes: Iterable[tuple[Fraction, Sequence[int]]],
-                 degree_cap: int, scale=1, quadratic: bool = True
-                 ) -> FormalSeries:
-    """scale * sum_r c_r exp(Q(h, h)/2 + <K_r, h>) truncated at degree_cap,
+                 degree_cap: int, quadratic: bool = True) -> FormalSeries:
+    """sum_r c_r exp(Q(h, h)/2 + <K_r, h>) truncated at degree_cap,
     for (c_r, K_r) in `weighted_classes`; Q is dropped when not `quadratic`.
 
     Each exponential is held as its integer divided powers
@@ -409,7 +413,7 @@ def gaussian_sum(form: IntersectionForm,
         F(e + u_i) = d_i F(e) + sum_j G_ij e_j F(e - u_j),   d = G K,
     which is d^e for a pure linear exponent and a sum over matchings of the
     Gram graph for exp(Q/2). The weighted F are summed as integers, and each
-    monomial's coefficient is divided by e! and scaled only at the end.
+    monomial's coefficient is divided by e! and the weights' lcm at the end.
     A single class is read straight from its F, with no sum.
 
     Several classes with Q share the factor E = exp(Q/2): their sum is
@@ -434,9 +438,8 @@ def gaussian_sum(form: IntersectionForm,
     pairs = [(_as_fraction(c), form.dual_coefficients(k))
              for c, k in weighted_classes]
     den = lcm(*(c.denominator for c, _ in pairs))
-    scale = _as_fraction(scale) / den
     weights = [(c.numerator * (den // c.denominator), d)
-               for c, d in pairs if c and scale]
+               for c, d in pairs if c]
     if len(weights) == 1:
         weight, d = weights[0]
         parts = _MEMO.get(form, d, cap, quadratic)
@@ -452,7 +455,6 @@ def gaussian_sum(form: IntersectionForm,
 
     shifts, mask = _layout(n, cap)
     fact = [factorial(e) for e in range(cap)]
-    num, dnm = weight * scale.numerator, scale.denominator
     terms = {}
     for part in parts:
         for key, v in part.items():
@@ -462,7 +464,7 @@ def gaussian_sum(form: IntersectionForm,
                 for e in exps:
                     if e > 1:
                         ef *= fact[e]
-                terms[exps] = Fraction(v * num, ef * dnm)
+                terms[exps] = Fraction(v * weight, ef * den)
     return FormalSeries._canonical(n, cap, terms)
 
 

@@ -24,8 +24,8 @@ from .invariants import ManifoldData, _sign, check_delta_m
 from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
 from .monopole_levels import delta_admissible, leveled_entries
-from .series import (HomogeneousPolynomial, linear_series, monomial_label,
-                     quadratic_series)
+from .series import (HomogeneousPolynomial, _check_degree, linear_series,
+                     monomial_label, quadratic_series)
 
 Signature = tuple[int, int, int, int, int, int, int, int]
 
@@ -59,6 +59,10 @@ class TemplateEntry:
     @property
     def unknown_count(self) -> int:
         return self.degree + 1
+
+    def unknowns(self, sig: Signature) -> list[Unknown]:
+        """The slots u[sig, i, j], j = 0..degree, of this p_i."""
+        return [Unknown(sig, self.i, j) for j in range(self.unknown_count)]
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,9 @@ def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
         factor = Fraction(_sign(m.form, w, entry.c1) * entry.sw)
         aform = linear_series(m.form, vec_sub(entry.c1, lam), cap)
         for tentry in template.entries:
-            i, d = tentry.i, tentry.degree
-            qi = q ** i
-            for j in range(d + 1):
-                poly = (aform ** j) * (bform ** (d - j)) * qi
-                unknown = Unknown(sig, i, j)
+            qi = q ** tentry.i
+            for j, unknown in enumerate(tentry.unknowns(sig)):
+                poly = (aform ** j) * (bform ** (tentry.degree - j)) * qi
                 for mono, c in poly.terms.items():
                     assert sum(mono) == degree
                     slot = coeffs.setdefault(mono, {})
@@ -189,11 +191,9 @@ class Observation:
             if size != rank:
                 raise DimensionMismatch(
                     f"{what} has {size} entries, manifold rank is {rank}")
-        # any series homogeneous of this degree; the constructor rejects others
-        object.__setattr__(
-            self, "observed_lhs",
-            HomogeneousPolynomial(lhs.num_vars, max(lhs.degree_cap, degree + 1),
-                                  lhs.terms, degree=degree))
+        # any series homogeneous of this degree whose cap keeps that degree
+        _check_degree(lhs.terms, degree)
+        object.__setattr__(self, "observed_lhs", lhs.homogeneous_part(degree))
 
 
 @dataclass(frozen=True)
@@ -241,11 +241,8 @@ class UniversalFitReport:
         for note in self.notes:
             lines.append(f"note {note}")
         appearing = set(self.unknowns)
-        by_sig: dict[Signature, list[Unknown]] = {}
-        for sig, template in self.templates.items():
-            slots = [Unknown(sig, e.i, j)
-                     for e in template.entries for j in range(e.degree + 1)]
-            by_sig[sig] = slots
+        by_sig = {sig: [u for e in template.entries for u in e.unknowns(sig)]
+                  for sig, template in self.templates.items()}
         for sig in sorted(by_sig):
             lines.append("group " + describe_signature(sig))
             for u in by_sig[sig]:

@@ -190,6 +190,44 @@ def test_hypotheses_golden_on_the_bundled_corpus(capsys):
                                                              case["args"])
 
 
+def fit_golden_files():
+    """The fit files pinned in fit_golden.json: name -> (manifold file, fit
+    text), with w = 0. The manifolds are K3 and E(4), written by
+    manifold_to_text; lambda = e3 is the third basis vector."""
+    def fit(man, rank, delta, lam=(), lhs="witten"):
+        def vec(idx):
+            return " ".join("1" if i in idx else "0" for i in range(rank))
+        return man, (f"[fit]\ndelta = {delta}\nm = 0\n\n[observation]\n"
+                     f"manifold = {man}\nw = {vec(())}\nlambda = {vec(lam)}\n"
+                     f"lhs = {lhs}\n")
+    return {
+        "k3_delta2": fit("k3.manifold", 22, 2),
+        "k3_delta6": fit("k3.manifold", 22, 6),
+        "e4_delta4_e3": fit("e4.manifold", 46, 4, (2,)),
+        "e4_delta4_e2_e3": fit("e4.manifold", 46, 4, (1, 2)),
+        "k3_delta2_inline_inconsistent": fit("k3.manifold", 22, 2,
+                                             lhs="1 * h1^2 + 1/3 * h2^1 h5^1"),
+    }
+
+
+def test_fit_golden_on_k3_and_e4(capsys, tmp_path):
+    # fit stdout and exit code on generated K3 and E(4) files
+    golden = os.path.join(os.path.dirname(__file__), "fit_golden.json")
+    with open(golden, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    files = fit_golden_files()
+    assert sorted(cases) == sorted(files)
+    for name, m in (("k3.manifold", k3_manifold()),
+                    ("e4.manifold", elliptic_manifold(4))):
+        (tmp_path / name).write_text(manifold_to_text(m))
+    for name, (_, text) in files.items():
+        path = tmp_path / f"{name}.fit"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fit", str(path))
+        assert (code, out, err) == (cases[name]["code"], cases[name]["stdout"],
+                                    ""), name
+
+
 def test_levels_k3(capsys):
     code, out, _ = run_cli(capsys, "levels", K3_PATH, "--delta", "2",
                            "--ell-max", "4")

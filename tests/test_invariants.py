@@ -1,10 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from wittenform.corpus import k3_manifold, load_bundled
+from wittenform.corpus import elliptic_manifold, k3_manifold, load_bundled
 from wittenform.errors import (DimensionMismatch, NonCharacteristicError,
                                NonIntegralError, TruncationError)
 from wittenform.invariants import (KMData, KMFitResult, ManifoldData,
@@ -19,8 +20,8 @@ from wittenform.invariants import (KMData, KMFitResult, ManifoldData,
 from wittenform.lattice import (IntersectionForm, diagonal_form,
                                 hyperbolic_plane)
 from wittenform.selftest import check_roundtrip_fit
-from wittenform.series import (FormalSeries, exp_linear, exp_quadratic,
-                               quadratic_series)
+from wittenform.series import (FormalSeries, HomogeneousPolynomial,
+                               exp_linear, exp_quadratic, quadratic_series)
 from wittenform.synthetic import random_manifold, random_valid_manifold
 
 H = hyperbolic_plane()
@@ -437,6 +438,31 @@ def test_point_evaluate_simple_type_chain():
         low = point_evaluate(km, H, delta, 0)
         high = point_evaluate(km, H, delta + 4, 2)
         assert high == low * 4
+
+
+def test_point_evaluate_matches_the_scaled_series_part():
+    # the old two passes: the degree-d part of km_series at cap d + 1, then
+    # each coefficient times 2^m d!/2; the scale now rides on the weights
+    rng = random.Random(52)
+    manifolds = [k3_manifold(), elliptic_manifold(4),
+                 load_bundled("synthetic_03.manifold"),
+                 load_bundled("synthetic_05.manifold")]
+    for m in manifolds:
+        w = tuple(rng.randint(-1, 1) for _ in range(m.rank))
+        km = KMData(w, tuple((a * Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                           rng.randint(1, 7)), k)
+                             for a, k in witten_consistent_km(m, w).terms))
+        for delta in range(7):
+            for mm in range(delta // 2 + 1):
+                d = delta - 2 * mm
+                part = km_series(km, m.form, d + 1).homogeneous_part(d)
+                scale = Fraction(2 ** mm * factorial(d), 2)
+                got = point_evaluate(km, m.form, delta, mm)
+                assert isinstance(got, HomogeneousPolynomial)
+                assert (got.num_vars, got.degree_cap, got.degree) == (
+                    m.rank, d + 1, d)
+                assert got.terms == {e: scale * c
+                                     for e, c in part.terms.items()}
 
 
 def test_point_evaluate_requires_m_in_range():

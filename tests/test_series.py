@@ -356,6 +356,22 @@ def test_first_difference_reports_smallest_monomial():
     assert exps == (0, 0) and ca == 1 and cb == 0
 
 
+def test_first_difference_refuses_past_either_cap():
+    # a's coefficients from degree 2 on were truncated away: they are
+    # unknown, not 0, so neither a difference at h1^3 nor congruence mod 3
+    a = FormalSeries.one(1, 2)
+    b = S(1, 6, {(0,): 1, (3,): 5})
+    for n in (3, 5):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TruncationError, match="caps"):
+                first_difference(x, y, n)
+    assert first_difference(a, b, 2) is None
+    with pytest.raises(ValueError, match="negative"):
+        first_difference(a, b, -1)
+    with pytest.raises(DimensionMismatch):
+        first_difference(a, FormalSeries.one(2, 6), 1)
+
+
 # ---------------------------------------------------------------------------
 # the divided-power kernel against the product route
 
@@ -371,17 +387,17 @@ def exp_by_products(p):
         n += 1
 
 
-def product_route(form, weighted_classes, cap, scale=1):
+def product_route(form, weighted_classes, cap):
     acc = FormalSeries.zero(form.rank, cap)
     for c, k in weighted_classes:
         acc = acc + exp_by_products(linear_series(form, k, cap)) * c
     half_q = quadratic_series(form, cap) * Fraction(1, 2)
-    return exp_by_products(half_q) * acc * scale
+    return exp_by_products(half_q) * acc
 
 
-def assert_kernel_matches(form, weighted_classes, cap, scale=1):
-    got = gaussian_sum(form, weighted_classes, cap, scale=scale)
-    want = product_route(form, weighted_classes, cap, scale)
+def assert_kernel_matches(form, weighted_classes, cap):
+    got = gaussian_sum(form, weighted_classes, cap)
+    want = product_route(form, weighted_classes, cap)
     # equal term counts: the support walk reaches every nonzero monomial
     assert len(got.terms) == len(want.terms)
     assert got.to_text() == want.to_text()
@@ -397,13 +413,14 @@ def test_kernel_matches_product_route_on_dense_forms():
                         tuple(rng.randint(-2, 2) for _ in range(rank)))
                        for _ in range(rng.randint(1, 3))]
             scale = Fraction(rng.choice((-1, 1)), 2 ** rng.randint(0, 5))
-            assert_kernel_matches(form, classes, cap, scale)
+            assert_kernel_matches(form, [(scale * c, k) for c, k in classes],
+                                  cap)
 
 
 def test_kernel_matches_product_route_on_k3():
     form = k3_form()
     zero = (0,) * 22
-    assert_kernel_matches(form, [(1, zero)], 8, scale=Fraction(1, 2))
+    assert_kernel_matches(form, [(Fraction(1, 2), zero)], 8)
 
 
 def test_kernel_matches_product_route_on_sparse_e4():
@@ -412,8 +429,9 @@ def test_kernel_matches_product_route_on_sparse_e4():
     form = direct_sum(*([h] * 7 + [e8_form(negative=True)] * 4))
     f = (1,) + (0,) * 45
     two_f = tuple(2 * x for x in f)
-    classes = [(1, two_f), (-2, (0,) * 46), (1, tuple(-x for x in two_f))]
-    assert_kernel_matches(form, classes, 6, scale=Fraction(1, 4))
+    classes = [(Fraction(1, 4), two_f), (Fraction(-1, 2), (0,) * 46),
+               (Fraction(1, 4), tuple(-x for x in two_f))]
+    assert_kernel_matches(form, classes, 6)
 
 
 def test_kernel_divided_powers_of_linear_exponent():
@@ -454,7 +472,7 @@ def test_kernel_edge_cases():
     form = random_unimodular_form(random.Random(31), 3)
     k = (1, 0, -1)
     assert gaussian_sum(form, [], 5) == FormalSeries.zero(3, 5)
-    assert gaussian_sum(form, [(1, k)], 5, scale=0) == FormalSeries.zero(3, 5)
+    assert gaussian_sum(form, [(0, k)], 5) == FormalSeries.zero(3, 5)
     assert gaussian_sum(form, [(1, k)], 0) == FormalSeries.zero(3, 0)
     assert gaussian_sum(form, [(2, k), (-2, k)], 5) == FormalSeries.zero(3, 5)
     assert gaussian_sum(form, [(3, k)], 1) == FormalSeries.constant(3, 3, 1)
@@ -489,7 +507,7 @@ def test_memo_cold_and_warm_calls_agree(memo):
     routes = set()
     for rank in range(1, 5):
         form = random_unimodular_form(rng, rank, ops=3 * rank)
-        classes = [(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)),
+        classes = [(Fraction(rng.randint(-5, 5) or 1, 3 * rng.randint(1, 3)),
                     tuple(rng.randint(-2, 2) for _ in range(rank)))
                    for _ in range(3)]
         cap = rng.randint(1, 8)
@@ -504,14 +522,13 @@ def test_memo_cold_and_warm_calls_agree(memo):
         routes.add(factored)
         expected = len(set(k for _, k in classes)) + factored
         runs = memo.runs        # a new form object: nothing stored for it
-        cold = gaussian_sum(form, classes, cap, scale=Fraction(1, 3))
+        cold = gaussian_sum(form, classes, cap)
         cold_dp = [divided_powers(form, k, cap) for _, k in classes]
         assert memo.runs - runs == expected
-        warm = gaussian_sum(form, classes, cap, scale=Fraction(1, 3))
+        warm = gaussian_sum(form, classes, cap)
         warm_dp = [divided_powers(form, k, cap) for _, k in classes]
         assert memo.runs - runs == expected
-        assert warm == cold == product_route(form, classes, cap,
-                                             Fraction(1, 3))
+        assert warm == cold == product_route(form, classes, cap)
         assert warm_dp == cold_dp
         # a single class is read straight from its slices
         for c, k in classes:
@@ -711,9 +728,10 @@ def test_factored_route_at_and_past_its_rule(memo):
     v = (1, 1) if all(form.dual_coefficients((1, 1))) else (1, -1)
     assert all(form.dual_coefficients(v))
     minus_v = tuple(-x for x in v)
-    sinh_2x = [(1, u), (-1, minus_u)]           # odd degrees
-    sinh_sq = [(1, u), (-2, (0, 0)), (1, minus_u)]   # even degrees >= 2
-    linear = [(1, v), (-1, minus_v)]            # 2 <v, h> in both variables
+    q = Fraction(1, 4)
+    sinh_2x = [(-q, u), (q, minus_u)]           # odd degrees
+    sinh_sq = [(-q, u), (2 * q, (0, 0)), (-q, minus_u)]  # even degrees >= 2
+    linear = [(-q, v), (q, minus_v)]            # 2 <v, h> in both variables
     for classes, cap, size in [(sinh_2x, 5, 2), (sinh_2x, 6, 3),
                                (sinh_sq, 7, 3), (sinh_sq, 9, 4),
                                (linear, 3, 2), (linear, 4, 6)]:
@@ -721,7 +739,7 @@ def test_factored_route_at_and_past_its_rule(memo):
                        for c, k in classes), FormalSeries.zero(2, cap))
         assert len(sw_part.terms) == size
         runs = memo.runs
-        assert_kernel_matches(form, classes, cap, scale=Fraction(-1, 4))
+        assert_kernel_matches(form, classes, cap)
         factored = size <= len(classes)
         assert memo.runs - runs == (1 if factored else len(classes))
     runs = memo.runs

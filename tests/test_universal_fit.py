@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from wittenform.corpus import k3_manifold
-from wittenform.errors import DimensionMismatch, InadmissibleDeltaError
+from wittenform.errors import (DimensionMismatch, InadmissibleDeltaError,
+                               TruncationError)
 from wittenform.invariants import ManifoldData, SpincEntry, point_evaluate
 from wittenform.lattice import hyperbolic_plane
 from wittenform.manifold_io import witten_consistent_km
-from wittenform.series import HomogeneousPolynomial
+from wittenform.series import FormalSeries, HomogeneousPolynomial
 from wittenform.universal_fit import (FitProblem, Observation,
                                       assemble_rough_rhs, build_template,
                                       solve_coefficients, validate_solution)
@@ -235,6 +236,17 @@ def test_observation_degree_checked():
     good = witten_observation(m, w, lam, 2, 0)
     with pytest.raises(ValueError):
         Observation(m, w, lam, 4, 0, good.observed_lhs)
+
+
+def test_truncated_observation_refused():
+    # a value at cap 2 holds nothing of degree 2: it is unknown there, not
+    # the zero value, which would make the fit unique
+    k3 = k3_manifold()
+    zero = (0,) * 22
+    with pytest.raises(TruncationError):
+        Observation(k3, zero, zero, 2, 0, FormalSeries.zero(22, 2))
+    obs = Observation(k3, zero, zero, 2, 0, FormalSeries.zero(22, 3))
+    assert obs.observed_lhs.degree == 2 and obs.observed_lhs.is_zero()
 
 
 def test_observation_rank_checked():
