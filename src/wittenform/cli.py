@@ -80,8 +80,11 @@ def cmd_witten(args) -> int:
     if args.compare is None:
         text = rhs.to_text()
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise LoadError(str(exc), path=args.output) from None
         else:
             print(text)
         return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, TruncationError
@@ -49,10 +49,12 @@ class FormalSeries:
 
     The public constructor checks caller-supplied terms once. Results of the
     operations below are built canonical and not checked again; only a cap
-    that a caller passes in still is.
+    that a caller passes in still is. A result of `gaussian_sum` holds the
+    kernel's integers (`_Packed`) instead, and builds `terms` from them when
+    it is first read (see `__getattr__`).
     """
 
-    __slots__ = ("num_vars", "degree_cap", "terms")
+    __slots__ = ("num_vars", "degree_cap", "terms", "_packed")
 
     def __init__(self, num_vars: int, degree_cap: int,
                  terms: Optional[Mapping[Exponents, Fraction]] = None):
@@ -73,23 +75,38 @@ class FormalSeries:
                 if c != 0:
                     clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
+        self._packed = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def _canonical(cls, num_vars: int, degree_cap: int,
-                   terms: dict[Exponents, Fraction], **fields):
+                   terms: Optional[dict[Exponents, Fraction]],
+                   packed: Optional["_Packed"] = None, **fields):
         """Wrap `terms` that are canonical by construction (`num_vars`-tuples
-        of ints >= 0, degree < cap, nonzero Fractions) without a check;
-        `fields` sets a subclass's own slots."""
+        of ints >= 0, degree < cap, nonzero Fractions) without a check, or,
+        with `terms` None, a kernel result `packed` in the layout of
+        `degree_cap`; `fields` sets a subclass's own slots."""
         _check_shape(num_vars, degree_cap)
         out = object.__new__(cls)
         out.num_vars = num_vars
         out.degree_cap = degree_cap
-        out.terms = terms
+        if terms is not None:
+            out.terms = terms
+        out._packed = packed
         for name, value in fields.items():
             setattr(out, name, value)
         return out
+
+    def __getattr__(self, name):
+        """Reached only for an unset slot: the `terms` of a kernel result,
+        built on first read; its packed integers are then dropped, so the
+        two forms are never both kept, and later reads are plain."""
+        if name != "terms" or self._packed is None:
+            raise AttributeError(name)
+        self.terms = self._packed.fractions(range(self.degree_cap))
+        self._packed = None
+        return self.terms
 
     @classmethod
     def zero(cls, num_vars: int, degree_cap: int) -> "FormalSeries":
@@ -229,7 +246,10 @@ class FormalSeries:
         if d >= self.degree_cap:
             raise TruncationError(
                 f"degree {d} >= cap {self.degree_cap}: truncated away")
-        part = {e: c for e, c in self.terms.items() if sum(e) == d}
+        if self._packed is not None:
+            part = self._packed.fractions((d,))
+        else:
+            part = {e: c for e, c in self.terms.items() if sum(e) == d}
         return HomogeneousPolynomial._canonical(self.num_vars, self.degree_cap,
                                                 part, degree=d)
 
@@ -258,11 +278,14 @@ class FormalSeries:
 
     def to_text(self) -> str:
         lines = [f"series vars={self.num_vars} cap={self.degree_cap}"]
-        if not self.terms:
+        if self._packed is not None:
+            lines += self._packed.lines()
+        else:
+            for exps, coeff in self.sorted_terms():
+                factors = monomial_label(exps)
+                lines.append(f"{coeff} * {factors}" if factors else f"{coeff}")
+        if len(lines) == 1:
             lines.append("0")
-        for exps, coeff in self.sorted_terms():
-            factors = monomial_label(exps)
-            lines.append(f"{coeff} * {factors}" if factors else f"{coeff}")
         return "\n".join(lines)
 
     @classmethod
@@ -412,9 +435,10 @@ def gaussian_sum(form: IntersectionForm,
     F(e) = e! [h^e] exp(Q/2 + <K, h>), filled degree by degree with
         F(e + u_i) = d_i F(e) + sum_j G_ij e_j F(e - u_j),   d = G K,
     which is d^e for a pure linear exponent and a sum over matchings of the
-    Gram graph for exp(Q/2). The weighted F are summed as integers, and each
-    monomial's coefficient is divided by e! and the weights' lcm at the end.
-    A single class is read straight from its F, with no sum.
+    Gram graph for exp(Q/2). The weighted F are summed as integers, degree
+    by degree, and the result keeps them so (`_Packed`): a monomial's
+    coefficient is divided by e! and the weights' lcm only when it is read.
+    A single class keeps its F, with no sum.
 
     Several classes with Q share the factor E = exp(Q/2): their sum is
     T = E S with S = sum_r w_r exp(<K_r, h>), whose divided powers
@@ -442,35 +466,30 @@ def gaussian_sum(form: IntersectionForm,
                for c, d in pairs if c]
     if len(weights) == 1:
         weight, d = weights[0]
-        parts = _MEMO.get(form, d, cap, quadratic)
+        slices = _MEMO.get(form, d, cap, quadratic)
     else:
-        total = _factored_sum(form, weights, cap) if quadratic else None
-        if total is None:
-            total = {}
+        weight = 1
+        slices = _factored_sum(form, weights, cap) if quadratic else None
+        if slices is None:
+            slices = [{} for _ in range(cap)]
             for w, d in weights:
-                for part in _MEMO.get(form, d, cap, quadratic):
+                for total, part in zip(slices, _MEMO.get(form, d, cap,
+                                                         quadratic)):
                     for key, v in part.items():
                         total[key] = total.get(key, 0) + w * v
-        weight, parts = 1, [total]
+            slices = _nonzero(slices)
+    return FormalSeries._canonical(n, cap, None,
+                                   _Packed(n, cap, slices, weight, den))
 
-    shifts, mask = _layout(n, cap)
-    fact = [factorial(e) for e in range(cap)]
-    terms = {}
-    for part in parts:
-        for key, v in part.items():
-            if v:
-                exps = tuple([key >> sh & mask for sh in shifts])
-                ef = 1
-                for e in exps:
-                    if e > 1:
-                        ef *= fact[e]
-                terms[exps] = Fraction(v * weight, ef * den)
-    return FormalSeries._canonical(n, cap, terms)
+
+def _nonzero(slices):
+    return [{key: v for key, v in part.items() if v} for part in slices]
 
 
 def _factored_sum(form, weights, cap):
     """T = E S, the weighted sum of the classes' divided powers (see
-    gaussian_sum), or None when S has more terms than there are classes."""
+    gaussian_sum), by degree, or None when S has more terms than there are
+    classes."""
     streams = [_slice_stream(form, d, cap, False) for _, d in weights]
     s_slices = []       # (degree, [(packed b, S(b) != 0)])
     size = 0
@@ -485,23 +504,23 @@ def _factored_sum(form, weights, cap):
             return None
         if items:
             s_slices.append((degree, items))
+    totals: list[dict[int, int]] = [{} for _ in range(cap)]
     if not s_slices:
-        return {}
+        return totals
     n = form.rank
     e_slices = _MEMO.get(form, (0,) * n, cap, True, cap - s_slices[0][0])
     shifts, mask = _layout(n, cap)
-    total: dict[int, int] = {}
     for degree, items in s_slices:
         for kb, sb in items:
             support = [(sh, kb >> sh & mask) for sh in shifts if kb >> sh & mask]
-            for part in e_slices[:cap - degree]:
+            for total, part in zip(totals[degree:], e_slices):
                 for ka, ea in part.items():
                     v = sb * ea
                     for sh, bi in support:
                         v *= comb((ka >> sh & mask) + bi, bi)
                     key = ka + kb
                     total[key] = total.get(key, 0) + v
-    return total
+    return _nonzero(totals)
 
 
 def divided_powers(form: IntersectionForm, k: Sequence[int],
@@ -519,9 +538,98 @@ def divided_powers(form: IntersectionForm, k: Sequence[int],
 def _layout(n: int, cap: int) -> tuple[list[int], int]:
     """(shifts, mask) of the packed keys: an exponent tuple is one integer,
     `width` bits per entry (no exponent of degree < cap overflows them), so
-    e + u_i is key + (1 << shifts[i])."""
+    e + u_i is key + (1 << shifts[i]). Entry 0 is in the highest field, so
+    ascending keys of one degree are in lex order of their tuples."""
     width = max(cap - 1, 1).bit_length()
-    return [width * i for i in range(n)], (1 << width) - 1
+    return [width * (n - 1 - i) for i in range(n)], (1 << width) - 1
+
+
+class _Packed:
+    """A kernel result as it comes out: `slices[d]` maps the packed key of
+    each e of degree d < cap with F(e) != 0 to F(e), for the series
+    sum_e weight F(e) / (e! den) h^e."""
+
+    __slots__ = ("n", "cap", "slices", "weight", "den")
+
+    def __init__(self, n, cap, slices, weight, den):
+        self.n, self.cap, self.slices = n, cap, slices
+        self.weight, self.den = weight, den
+
+    def _halves(self, labels):
+        """(high, low, split, low mask): a key's high part key >> split
+        holds entries 0..n/2 - 1, its low part the rest (see `_Parts`)."""
+        width = _layout(self.n, self.cap)[1].bit_length()
+        fact = [factorial(e) for e in range(self.cap)]
+        h = self.n // 2
+        split = width * (self.n - h)
+        return (_Parts(h, 0, width, fact, labels),
+                _Parts(self.n - h, h, width, fact, labels),
+                split, (1 << split) - 1)
+
+    def fractions(self, degrees) -> dict[Exponents, Fraction]:
+        """exponent tuple -> coefficient, for the terms of these degrees."""
+        high, low, split, low_mask = self._halves(False)
+        weight, den = self.weight, self.den
+        terms = {}
+        for d in degrees:
+            for key, v in self.slices[d].items():
+                ea, fa, _ = high[key >> split]
+                eb, fb, _ = low[key & low_mask]
+                terms[ea + eb] = Fraction(v * weight, fa * fb * den)
+        return terms
+
+    def lines(self) -> list[str]:
+        """The terms' lines of `FormalSeries.to_text`, in its order, with
+        each coefficient in lowest terms as str(Fraction) writes it."""
+        high, low, split, low_mask = self._halves(True)
+        weight, den = self.weight, self.den
+        lines = []
+        for part in self.slices:
+            for key in sorted(part):
+                _, fa, la = high[key >> split]
+                _, fb, lb = low[key & low_mask]
+                num, q = part[key] * weight, fa * fb * den
+                g = gcd(num, q)
+                coeff = f"{num // g}" if g == q else f"{num // g}/{q // g}"
+                lines.append(f"{coeff} *{la}{lb}" if key else coeff)
+        return lines
+
+
+# a part of at most this many entries is unpacked field by field
+_LEAF = 4
+
+
+class _Parts(dict):
+    """Packed part -> (tuple, e!, label) of `count` entries from `first` on,
+    in the layout of `_layout` with fields of `width` bits. The label is
+    monomial_label's with a leading space ("" for no factor, and for every
+    part unless `labels`). A part of more than _LEAF entries is read as two
+    halves, each from a table of its own, so every distinct half is
+    unpacked once."""
+
+    def __init__(self, count, first, width, fact, labels):
+        super().__init__()
+        self.first, self.fact, self.labels = first, fact, labels
+        self.mask = (1 << width) - 1
+        self.shifts = [width * (count - 1 - i) for i in range(count)]
+        if count > _LEAF:
+            h = count // 2
+            self.split = width * (count - h)
+            self.high = _Parts(h, first, width, fact, labels)
+            self.low = _Parts(count - h, first + h, width, fact, labels)
+
+    def __missing__(self, part):
+        if len(self.shifts) > _LEAF:
+            ea, fa, la = self.high[part >> self.split]
+            eb, fb, lb = self.low[part & (1 << self.split) - 1]
+            value = ea + eb, fa * fb, la + lb
+        else:
+            exps = tuple([part >> sh & self.mask for sh in self.shifts])
+            label = "".join([f" h{i}^{e}" for i, e in enumerate(
+                exps, self.first + 1) if e]) if self.labels else ""
+            value = exps, prod(map(self.fact.__getitem__, exps)), label
+        self[part] = value
+        return value
 
 
 class _SliceMemo:

@@ -24,8 +24,8 @@ from .invariants import ManifoldData, _sign, check_delta_m
 from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
 from .monopole_levels import delta_admissible, leveled_entries
-from .series import (HomogeneousPolynomial, _check_degree, linear_series,
-                     monomial_label, quadratic_series)
+from .series import (FormalSeries, HomogeneousPolynomial, _check_degree,
+                     linear_series, monomial_label, quadratic_series)
 
 Signature = tuple[int, int, int, int, int, int, int, int]
 
@@ -121,6 +121,20 @@ class AssembledRhs:
                                                 terms, degree=self.degree)
 
 
+class _Powers:
+    """x^0, x^1, ... of a series x, each made by one product with x when
+    first asked for, and kept."""
+
+    def __init__(self, x: FormalSeries):
+        self.x = x
+        self.made = [FormalSeries.one(x.num_vars, x.degree_cap)]
+
+    def __getitem__(self, k: int) -> FormalSeries:
+        while len(self.made) <= k:
+            self.made.append(self.made[-1] * self.x)
+        return self.made[k]
+
+
 def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
                        lambda_: Sequence[int], delta: int,
                        mm: int) -> AssembledRhs:
@@ -142,8 +156,8 @@ def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
     coeffs: dict[tuple, dict[Unknown, Fraction]] = {}
     templates: dict[Signature, CoefficientTemplate] = {}
     notes = []
-    q = quadratic_series(m.form, cap)
-    bform = linear_series(m.form, lam, cap)
+    qpow = _Powers(quadratic_series(m.form, cap))
+    bpow = _Powers(linear_series(m.form, lam, cap))
     lam_sq = m.form.square(lam)
     for entry, ell in leveled_entries(m, lam, delta, notes):
         sig: Signature = (m.chi, m.sigma, m.form.square(entry.c1), lam_sq,
@@ -151,11 +165,13 @@ def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
         template = build_template(delta, mm, ell)
         templates.setdefault(sig, template)
         factor = Fraction(_sign(m.form, w, entry.c1) * entry.sw)
-        aform = linear_series(m.form, vec_sub(entry.c1, lam), cap)
+        apow = _Powers(linear_series(m.form, vec_sub(entry.c1, lam), cap))
         for tentry in template.entries:
-            qi = q ** tentry.i
             for j, unknown in enumerate(tentry.unknowns(sig)):
-                poly = (aform ** j) * (bform ** (tentry.degree - j)) * qi
+                ab = apow[j] * bpow[tentry.degree - j]
+                if ab.is_zero():
+                    continue        # the slot is 0: no Q^i is built for it
+                poly = ab * qpow[tentry.i]
                 for mono, c in poly.terms.items():
                     assert sum(mono) == degree
                     slot = coeffs.setdefault(mono, {})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from wittenform.cli import main, parse_cli_vector
 from wittenform.corpus import (bundled_path, elliptic_manifold, k3_form,
-                               k3_manifold)
+                               k3_manifold, list_bundled, load_bundled)
 from wittenform.errors import DimensionMismatch, LoadError
 from wittenform.invariants import KMData
 from wittenform.manifold_io import km_to_text, manifold_to_text, witten_consistent_km
@@ -68,6 +69,69 @@ def test_witten_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().rstrip("\n") == exp_quadratic(k3_form(), 3).to_text()
+
+
+@pytest.mark.parametrize("target", ["missing/series.txt", "."])
+def test_witten_output_that_cannot_be_written_exits_2(capsys, tmp_path,
+                                                      target):
+    # a missing directory and a directory: a line naming the path, no
+    # traceback
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "--degree", "3", "witten", K3_PATH,
+                             "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: [Errno ")
+    assert err.count("\n") == 1
+
+
+def witten_golden_cases(tmp_path):
+    """The witten runs pinned in witten_golden.json: name -> argv. Each
+    bundled synthetic at cap 10 with w = 0 and w = w2, synthetic_05 at cap
+    12, K3 at caps 6, 8 and 10, E(4) at cap 8, and two --compare runs of
+    synthetic_05 at cap 10 against km files written here: the
+    witten-consistent data, and the same data with 1/3 moved from the
+    second class's coefficient to the first (degree 0 still agrees)."""
+    cases = {}
+    for name in list_bundled():
+        if name.startswith("synthetic_"):
+            stem, path = name.split(".")[0], bundled_path(name)
+            w2 = ",".join(map(str, load_bundled(name).w2))
+            for label, w in (("w0", "0"), ("w2", w2)):
+                cases[f"{stem}_cap10_{label}"] = [
+                    "--degree", "10", "witten", path, "--w", w]
+    syn05 = bundled_path("synthetic_05.manifold")
+    cases["synthetic_05_cap12_w0"] = ["--degree", "12", "witten", syn05]
+    for cap in (6, 8, 10):
+        cases[f"k3_cap{cap}_w0"] = ["--degree", str(cap), "witten", K3_PATH]
+    e4 = tmp_path / "e4.manifold"
+    e4.write_text(manifold_to_text(elliptic_manifold(4)))
+    cases["e4_cap8_w0"] = ["--degree", "8", "witten", str(e4)]
+    km = witten_consistent_km(load_bundled("synthetic_05.manifold"),
+                              (0,) * 7)
+    (a1, k1), (a2, k2), *rest = km.terms
+    bumped = KMData(w=km.w, terms=((a1 + Fraction(1, 3), k1),
+                                   (a2 - Fraction(1, 3), k2), *rest))
+    for label, data in (("congruent", km), ("bumped", bumped)):
+        path = tmp_path / f"{label}.km"
+        path.write_text(km_to_text(data))
+        cases[f"synthetic_05_cap10_compare_{label}"] = [
+            "--degree", "10", "witten", syn05, "--compare", str(path)]
+    return cases
+
+
+def test_witten_golden_stdout(capsys, tmp_path):
+    # sha256 of witten stdout and the exit code, recorded before the text
+    # was formatted from the kernel's integers; stderr stays empty
+    golden = os.path.join(os.path.dirname(__file__), "witten_golden.json")
+    with open(golden, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    cases = witten_golden_cases(tmp_path)
+    assert sorted(cases) == sorted(expected)
+    for name, argv in cases.items():
+        code, out, err = run_cli(capsys, *argv)
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert ({"code": code, "sha256": digest}, err) == (expected[name],
+                                                           ""), name
 
 
 def test_witten_compare_congruent(capsys, tmp_path):

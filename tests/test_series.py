@@ -479,6 +479,117 @@ def test_kernel_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# kernel results kept as packed integers until `terms` is read
+
+def solve_unimodular(form, rhs):
+    """The integer u with G u = rhs, by Gauss-Jordan over Fractions."""
+    n = form.rank
+    rows = [[Fraction(x) for x in row] + [Fraction(r)]
+            for row, r in zip(form.gram, rhs)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[col])]
+    u = tuple(int(row[n]) for row in rows)
+    assert form.dual_coefficients(u) == tuple(rhs)
+    return u
+
+
+def packed_cases():
+    """(form, weighted classes, cap, quadratic, route, cancels) on seeded
+    dense forms of ranks 1-6 at caps 0-10, over the three routes of
+    gaussian_sum; `cancels` marks the sums that are the zero series."""
+    rng = random.Random(46)
+    for rank in range(1, 7):
+        form = random_unimodular_form(rng, rank, ops=3 * rank)
+        zero = (0,) * rank
+
+        def klass():
+            return tuple(rng.randint(-2, 2) for _ in range(rank))
+
+        def weight():
+            return Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
+
+        u = solve_unimodular(form, (2,) + (0,) * (rank - 1))
+        minus_u = tuple(-x for x in u)
+        q, k = weight(), klass()
+        for cap in sorted({0, 1, rank + 1, 2 * rank - 2, 10 - rank, 10}):
+            yield form, [(weight(), klass())], cap, True, "single", False
+            yield form, [(weight(), klass())], cap, False, "single", False
+            yield form, [(weight(), klass()) for _ in range(3)], cap, False, \
+                "summed", False
+            # S = -4q sinh^2 <u, h> has one term per even degree in [2, cap)
+            sinh_sq = [(-q, u), (2 * q, zero), (-q, minus_u)]
+            yield form, sinh_sq, cap, True, \
+                "factored" if cap <= 8 else "summed", False
+            # the weighted sum cancels: the zero series on either route
+            yield form, [(q, k), (-q, k)], cap, True, "factored", True
+            yield form, [(q, k), (-q, k)], cap, False, "summed", True
+            if rank >= 2:
+                dense = [(weight(), klass()) for _ in range(3)]
+                yield form, dense, cap, True, None, False
+
+
+def test_packed_series_reads_like_its_terms(monkeypatch):
+    taken = []
+    factored_sum = series._factored_sum
+
+    def spy(*args):
+        out = factored_sum(*args)
+        taken.append("summed" if out is None else "factored")
+        return out
+
+    monkeypatch.setattr(series, "_factored_sum", spy)
+    seen = set()
+    for form, classes, cap, quadratic, route, cancels in packed_cases():
+        n = form.rank
+        taken.clear()
+        s = gaussian_sum(form, classes, cap, quadratic)
+        if route is not None:
+            assert (taken or ["single" if len(classes) == 1 else "summed"]) \
+                == [route], (n, cap, classes)
+            seen.add(route)
+        text = s.to_text()
+        parts = [s.homogeneous_part(d) for d in range(cap)]
+        assert s._packed is not None        # both read the packed integers
+        terms = s.terms
+        assert s._packed is None            # the slices are dropped
+        assert text == FormalSeries(n, cap, dict(terms)).to_text() == s.to_text()
+        assert [(p.degree, p) for p in parts] == [
+            (d, s.homogeneous_part(d)) for d in range(cap)]
+        if cancels:
+            assert not terms and text.splitlines()[1:] == ["0"]
+        probes = [e for e in list(terms)[:20] + [(0,) * n, (1,) * n]
+                  if sum(e) < cap]
+        fresh = gaussian_sum(form, classes, cap, quadratic)
+        assert [fresh.coefficient(e) for e in probes] == [
+            s.coefficient(e) for e in probes]
+        assert gaussian_sum(form, classes, cap, quadratic) == s
+        assert s == gaussian_sum(form, classes, cap, quadratic)
+    assert seen == {"single", "summed", "factored"}
+
+
+def test_packed_key_order_is_lex_order():
+    # within one degree, ascending packed keys are the exponent tuples in
+    # lex order: the order of the canonical text
+    for cap in range(17):
+        for n in (1, 2, 3, 4):
+            shifts, mask = series._layout(n, cap)
+            monomials = [tuple(c.count(i) for i in range(n))
+                         for d in range(cap)
+                         for c in itertools.combinations_with_replacement(
+                             range(n), d)]
+            assert all(e < mask + 1 for m in monomials for e in m)
+            key = {m: sum(e << sh for e, sh in zip(m, shifts))
+                   for m in monomials}
+            assert sorted(monomials, key=lambda m: (sum(m), key[m])) == sorted(
+                monomials, key=lambda m: (sum(m), m))
+
+
+# ---------------------------------------------------------------------------
 # the memo of the kernel's slices
 
 @pytest.fixture
