@@ -20,7 +20,7 @@ from .errors import (DimensionMismatch, InadmissibleDeltaError, LevelError,
                      LoadError, NonCharacteristicError, NonIntegralError,
                      TruncationError, UnimodularityError)
 from .invariants import (check_theorem_hypotheses, expected_sw_dimension,
-                         sw_dimension_warnings, witten_rhs)
+                         km_series, sw_dimension_warnings, witten_rhs)
 from .manifold_io import load_fit_problem, load_km, load_manifold
 from .monopole_levels import (check_delta_window, delta_admissible,
                               enumerate_contributions, i_lambda)
@@ -97,7 +97,6 @@ def cmd_witten(args) -> int:
         if not m.form.is_characteristic(k):
             raise LoadError(f"{args.compare}: class {_fmt_vec(k)} is not "
                             "characteristic for this form")
-    from .invariants import km_series
     lhs = km_series(km, m.form, n)
     mod = args.mod_degree if args.mod_degree is not None else n
     if args.inclusive:

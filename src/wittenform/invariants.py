@@ -27,8 +27,7 @@ from .lattice import (IntersectionForm, Vector, as_vector, congruent_mod2,
                       find_hyperbolic_pair, find_vector_with_square,
                       mod2_reduce, orthogonal_complement, vec_add)
 from .linsolve import LinearSystem
-from .series import (FormalSeries, HomogeneousPolynomial, divided_powers,
-                     gaussian_sum)
+from .series import FormalSeries, HomogeneousPolynomial, gaussian_sum
 
 
 class Verdict(enum.Enum):
@@ -259,19 +258,15 @@ def check_km_simple_type_relation(values) -> SimpleTypeCheck:
     return SimpleTypeCheck(verdict, tuple(checked), tuple(failed))
 
 
-def mmp_vanishing_check(m: ManifoldData, w: Sequence[int],
-                        n_override: Optional[int] = None) -> Verdict:
+def mmp_vanishing_check(m: ManifoldData, w: Sequence[int]) -> Verdict:
     """Does the SW series vanish mod degree c - 2 (strict convention)?
 
     Returns VACUOUS when the window c - 2 is empty (c <= 2).
     """
-    if n_override is not None:
-        threshold = n_override
-    else:
-        c = m.characteristic_number()
-        if c.denominator != 1:
-            raise NonIntegralError(f"c = {c} is not an integer")
-        threshold = int(c) - 2
+    c = m.characteristic_number()
+    if c.denominator != 1:
+        raise NonIntegralError(f"c = {c} is not an integer")
+    threshold = int(c) - 2
     if threshold <= 0:
         return Verdict.VACUOUS
     sw = sw_series(m, w, threshold)
@@ -304,11 +299,11 @@ def fit_km_coefficients(target: FormalSeries,
 
     Equations are the coefficients of every monomial h^e of degree
     < degree_cap, processed in (degree, lex) order so an inconsistency
-    witness is deterministic. The equation at h^e is multiplied by e!, so
-    its coefficients are the integer divided powers F_r(e) of the classes
-    (`series.divided_powers`) and its right side is e! times the target's
-    coefficient; scaling an equation changes neither the solutions nor
-    which equation is the first inconsistent one.
+    witness is deterministic. They are built in integers from the series'
+    divided powers (`FormalSeries._ints`), each class's with weight 1: the
+    equation at h^e is the one in coefficients times e! and the target's
+    den, a positive scale that changes neither the solutions nor which
+    equation is the first inconsistent one.
 
     Raises TruncationError when degree_cap exceeds the target's cap: the
     target's coefficients at those degrees were truncated away, not 0.
@@ -319,28 +314,19 @@ def fit_km_coefficients(target: FormalSeries,
     if not candidates:
         raise ValueError("no candidate classes")
     n = degree_cap
-    target = target.truncate_to(n).terms
-    basis = [divided_powers(form, k, n) for k in candidates]
-
-    monomials = set(target)
-    for b in basis:
-        monomials.update(b)
-    fact = [factorial(e) for e in range(n)]
+    target = target.truncate_to(n)._ints(n)
+    basis = [gaussian_sum(form, [(1, k)], n)._ints(n) for k in candidates]
     system = LinearSystem(len(candidates))
-    for mono in sorted(monomials, key=lambda e: (sum(e), e)):
-        coeffs = [b.get(mono, 0) for b in basis]
-        rhs = target.get(mono, 0)
-        if rhs:
-            ef = 1
-            for e in mono:
-                if e > 1:
-                    ef *= fact[e]
-            rhs *= ef
-        system.add_equation(coeffs, rhs, label=mono)
+    for d, rhs in enumerate(target.slices):
+        columns = [b.slices[d] for b in basis]
+        # ascending packed keys of one degree are its monomials in lex order
+        for key in sorted(set(rhs).union(*columns)):
+            system.add_equation([c.get(key, 0) * target.den for c in columns],
+                                rhs.get(key, 0) * target.weight, label=key)
     sol = system.solve()
     if not sol.consistent:
         return KMFitResult("inconsistent", {}, frozenset(), sol.nullspace_dim,
-                           sol.witness, ())
+                           target.exponents(sol.witness), ())
     a_values = {}
     zero = []
     for idx, k in enumerate(candidates):

@@ -52,10 +52,6 @@ def mod2_reduce(u: Sequence[int]) -> Vector:
     return tuple(a % 2 for a in u)
 
 
-def zero_vector(rank: int) -> Vector:
-    return (0,) * rank
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (x, y, g) with x*a + y*b == g == gcd(a, b)."""
     x, nx = 1, 0
@@ -419,7 +415,6 @@ def _check_search(bound: int, budget: Optional[int]) -> None:
 
 
 def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
-                            allow_zero: bool = False,
                             budget: Optional[int] = None) -> Optional[Vector]:
     """First vector in `sub` (parent coordinates) of prescribed self-pairing.
 
@@ -430,8 +425,6 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
     a proof of non-existence.
     """
     _check_search(bound, budget)
-    if target == 0 and allow_zero:
-        return zero_vector(sub.parent.rank)
     sign = sub._definite_sign
     if sign and sign * target <= 0:
         return None

@@ -133,6 +133,8 @@ def enumerate_contributions(m: ManifoldData, w: Sequence[int],
     (-1)^((w^2 + w.c1)/2) and i_range_max = min(l, floor(delta/2) - m).
     """
     check_delta_m(delta, mm)
+    if ell_max < 0:
+        raise ValueError(f"need ell_max >= 0, got {ell_max}")
     w = m.form._check_vector(w)
     lam = m.form._check_vector(lambda_)
     rows = []

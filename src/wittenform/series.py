@@ -16,6 +16,7 @@ import re
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, gcd, lcm, prod
+from operator import lshift
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, TruncationError
@@ -49,9 +50,10 @@ class FormalSeries:
 
     The public constructor checks caller-supplied terms once. Results of the
     operations below are built canonical and not checked again; only a cap
-    that a caller passes in still is. A result of `gaussian_sum` holds the
-    kernel's integers (`_Packed`) instead, and builds `terms` from them when
-    it is first read (see `__getattr__`).
+    that a caller passes in still is. Results of `gaussian_sum`, `truncate_to`
+    and `homogeneous_part` hold integers (`_Packed`) instead and build `terms`
+    when first read (`__getattr__`). Text, comparison, support and the KM fit
+    read either kind through one accessor, `_ints`; ring operations use `terms`.
     """
 
     __slots__ = ("num_vars", "degree_cap", "terms", "_packed")
@@ -85,8 +87,8 @@ class FormalSeries:
                    packed: Optional["_Packed"] = None, **fields):
         """Wrap `terms` that are canonical by construction (`num_vars`-tuples
         of ints >= 0, degree < cap, nonzero Fractions) without a check, or,
-        with `terms` None, a kernel result `packed` in the layout of
-        `degree_cap`; `fields` sets a subclass's own slots."""
+        with `terms` None, the integers `packed` of cap `degree_cap`;
+        `fields` sets a subclass's own slots."""
         _check_shape(num_vars, degree_cap)
         out = object.__new__(cls)
         out.num_vars = num_vars
@@ -99,7 +101,7 @@ class FormalSeries:
         return out
 
     def __getattr__(self, name):
-        """Reached only for an unset slot: the `terms` of a kernel result,
+        """Reached only for an unset slot: the `terms` of a packed series,
         built on first read; its packed integers are then dropped, so the
         two forms are never both kept, and later reads are plain."""
         if name != "terms" or self._packed is None:
@@ -107,6 +109,15 @@ class FormalSeries:
         self.terms = self._packed.fractions(range(self.degree_cap))
         self._packed = None
         return self.terms
+
+    def _ints(self, cap: int) -> "_Packed":
+        """The terms of degree < cap <= degree_cap as divided-power integers
+        in the layout of `cap` (see `_Packed`): a packed series' own slices
+        when its layout is that one, else `terms` packed once."""
+        p, n = self._packed, self.num_vars
+        if p is not None and _layout(n, p.cap) == _layout(n, cap):
+            return _Packed(n, cap, p.slices[:cap], p.weight, p.den)
+        return _Packed.pack(n, cap, self.terms)
 
     @classmethod
     def zero(cls, num_vars: int, degree_cap: int) -> "FormalSeries":
@@ -137,7 +148,7 @@ class FormalSeries:
         return self.terms.get(exps, Fraction(0))
 
     def support_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
+        return {d for d, p in enumerate(self._ints(self.degree_cap).slices) if p}
 
     def __eq__(self, other):
         if not isinstance(other, FormalSeries):
@@ -147,8 +158,7 @@ class FormalSeries:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.num_vars, self.degree_cap,
-                     tuple(sorted(self.terms.items()))))
+        return hash(self.to_text())
 
     # -- ring operations -----------------------------------------------------
 
@@ -237,8 +247,7 @@ class FormalSeries:
         if n > self.degree_cap:
             raise TruncationError(
                 f"cannot extend cap {self.degree_cap} to {n}")
-        return FormalSeries._canonical(
-            self.num_vars, n, {e: c for e, c in self.terms.items() if sum(e) < n})
+        return FormalSeries._canonical(self.num_vars, n, None, self._ints(n))
 
     def homogeneous_part(self, d: int) -> "HomogeneousPolynomial":
         if d < 0:
@@ -246,12 +255,10 @@ class FormalSeries:
         if d >= self.degree_cap:
             raise TruncationError(
                 f"degree {d} >= cap {self.degree_cap}: truncated away")
-        if self._packed is not None:
-            part = self._packed.fractions((d,))
-        else:
-            part = {e: c for e, c in self.terms.items() if sum(e) == d}
+        part = self._ints(self.degree_cap)        # a new _Packed
+        part.slices = [{}] * d + [part.slices[d]] + [{}] * (part.cap - 1 - d)
         return HomogeneousPolynomial._canonical(self.num_vars, self.degree_cap,
-                                                part, degree=d)
+                                                None, part, degree=d)
 
     def congruent_mod_degree(self, other: "FormalSeries", n: int) -> bool:
         """True iff all coefficients of total degree < n agree."""
@@ -273,20 +280,10 @@ class FormalSeries:
 
     # -- canonical text form ---------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
     def to_text(self) -> str:
-        lines = [f"series vars={self.num_vars} cap={self.degree_cap}"]
-        if self._packed is not None:
-            lines += self._packed.lines()
-        else:
-            for exps, coeff in self.sorted_terms():
-                factors = monomial_label(exps)
-                lines.append(f"{coeff} * {factors}" if factors else f"{coeff}")
-        if len(lines) == 1:
-            lines.append("0")
-        return "\n".join(lines)
+        lines = self._ints(self.degree_cap).lines() or ["0"]
+        return "\n".join(
+            [f"series vars={self.num_vars} cap={self.degree_cap}", *lines])
 
     @classmethod
     def parse(cls, text: str) -> "FormalSeries":
@@ -309,10 +306,9 @@ class FormalSeries:
         return cls(num_vars, cap, terms)
 
     def __repr__(self):
-        body = " + ".join(
-            f"{c}*{e}" for e, c in self.sorted_terms()[:4])
-        extra = "" if len(self.terms) <= 4 else f" (+{len(self.terms) - 4} terms)"
-        return f"FormalSeries<{body or '0'}{extra}>"
+        lines = self.to_text().splitlines()[1:]
+        extra = "" if len(lines) <= 4 else f" (+{len(lines) - 4} terms)"
+        return f"FormalSeries<{' + '.join(lines[:4])}{extra}>"
 
 
 def monomial_label(exps: Sequence[int]) -> str:
@@ -357,18 +353,17 @@ class HomogeneousPolynomial(FormalSeries):
 
     def __init__(self, num_vars, degree_cap, terms=None, degree: int = 0):
         # the given terms, before truncation can drop one at or past the cap
-        _check_degree(terms or (), degree)
+        _check_degree(map(sum, terms or ()), degree)
         super().__init__(num_vars, degree_cap, terms)
         if degree >= degree_cap:
             raise TruncationError(f"degree {degree} >= cap {degree_cap}")
         self.degree = degree
 
 
-def _check_degree(monomials: Iterable[Exponents], degree: int) -> None:
-    for exps in monomials:
-        if sum(exps) != degree:
-            raise ValueError(
-                f"term of degree {sum(exps)} in a degree-{degree} polynomial")
+def _check_degree(degrees: Iterable[int], degree: int) -> None:
+    for d in degrees:
+        if d != degree:
+            raise ValueError(f"term of degree {d} in a degree-{degree} polynomial")
 
 
 def first_difference(a: FormalSeries, b: FormalSeries, n: int
@@ -384,12 +379,17 @@ def first_difference(a: FormalSeries, b: FormalSeries, n: int
         raise TruncationError(
             f"cannot certify congruence mod degree {n} with caps "
             f"{a.degree_cap} and {b.degree_cap}")
-    keys = {e for e in a.terms if sum(e) < n} | {e for e in b.terms if sum(e) < n}
-    for exps in sorted(keys, key=lambda e: (sum(e), e)):
-        ca = a.terms.get(exps, Fraction(0))
-        cb = b.terms.get(exps, Fraction(0))
-        if ca != cb:
-            return exps, ca, cb
+    # in the layout of the smaller cap, which is their own for equal caps
+    cap = min(a.degree_cap, b.degree_cap)
+    pa, pb = a._ints(cap), b._ints(cap)
+    # the coefficients times e! are F_a w_a / den_a and F_b w_b / den_b
+    ka, kb = pa.weight * pb.den, pb.weight * pa.den
+    for d, (sa, sb) in enumerate(zip(pa.slices[:n], pb.slices[:n])):
+        if any(sa.get(key, 0) * ka != sb.get(key, 0) * kb
+               for key in sa.keys() | sb.keys()):
+            fa, fb = pa.fractions((d,)), pb.fractions((d,))
+            exps = min(e for e in fa.keys() | fb.keys() if fa.get(e) != fb.get(e))
+            return exps, fa.get(exps, Fraction(0)), fb.get(exps, Fraction(0))
     return None
 
 
@@ -528,11 +528,8 @@ def divided_powers(form: IntersectionForm, k: Sequence[int],
     """The integer divided powers F(e) = e! [h^e] exp(Q(h, h)/2 + <k, h>)
     of one class (the kernel of `gaussian_sum`), for every e of degree
     < degree_cap with F(e) != 0, keyed by exponent tuple, in a new dict."""
-    shifts, mask = _layout(form.rank, degree_cap)
-    return {tuple([key >> sh & mask for sh in shifts]): v
-            for part in _MEMO.get(form, form.dual_coefficients(k),
-                                  degree_cap, True)
-            for key, v in part.items()}
+    p = gaussian_sum(form, [(1, k)], degree_cap)._packed
+    return {p.exponents(key): v for part in p.slices for key, v in part.items()}
 
 
 def _layout(n: int, cap: int) -> tuple[list[int], int]:
@@ -545,15 +542,34 @@ def _layout(n: int, cap: int) -> tuple[list[int], int]:
 
 
 class _Packed:
-    """A kernel result as it comes out: `slices[d]` maps the packed key of
-    each e of degree d < cap with F(e) != 0 to F(e), for the series
-    sum_e weight F(e) / (e! den) h^e."""
+    """A series as divided-power integers, as the kernel gives them out:
+    `slices[d]` maps the packed key (layout of `cap`) of each e of degree
+    d < cap with F(e) != 0 to F(e), for sum_e weight F(e) / (e! den) h^e."""
 
     __slots__ = ("n", "cap", "slices", "weight", "den")
 
     def __init__(self, n, cap, slices, weight, den):
         self.n, self.cap, self.slices = n, cap, slices
         self.weight, self.den = weight, den
+
+    @classmethod
+    def pack(cls, n, cap, terms) -> "_Packed":
+        """`terms` below degree cap; weight 1, den the lcm of denominators."""
+        shifts, _ = _layout(n, cap)
+        fact = [factorial(e) for e in range(cap)].__getitem__
+        den = lcm(*{c.denominator for c in terms.values()})
+        slices = [{} for _ in range(cap)]
+        for e, c in terms.items():
+            d = sum(e)
+            if d < cap:
+                slices[d][sum(map(lshift, e, shifts))] = (
+                    c.numerator * (den // c.denominator) * prod(map(fact, e)))
+        return cls(n, cap, slices, 1, den)
+
+    def exponents(self, key: int) -> Exponents:
+        """The exponent tuple of a packed key."""
+        shifts, mask = _layout(self.n, self.cap)
+        return tuple([key >> sh & mask for sh in shifts])
 
     def _halves(self, labels):
         """(high, low, split, low mask): a key's high part key >> split

@@ -208,7 +208,7 @@ class Observation:
                 raise DimensionMismatch(
                     f"{what} has {size} entries, manifold rank is {rank}")
         # any series homogeneous of this degree whose cap keeps that degree
-        _check_degree(lhs.terms, degree)
+        _check_degree(sorted(lhs.support_degrees()), degree)
         object.__setattr__(self, "observed_lhs", lhs.homogeneous_part(degree))
 
 
@@ -296,7 +296,8 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
 
     Equations are processed observation by observation with monomials in
     lex order, so the inconsistency witness (observation index, monomial)
-    is deterministic.
+    is deterministic. A monomial in no unknown has a nonzero observed value,
+    and 0 = value is added only while the system is consistent, as a witness.
     """
     assembled = [assemble_rough_rhs(o.manifold, o.w, o.lambda_, o.delta, o.m)
                  for o in problem.observations]
@@ -311,13 +312,16 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
     for obs_idx, (obs, rhs) in enumerate(zip(problem.observations, assembled)):
         templates.update(rhs.templates)
         notes.extend(f"observation {obs_idx}: {n}" for n in rhs.notes)
-        monomials = set(rhs.coeffs) | set(obs.observed_lhs.terms)
-        for mono in sorted(monomials):
-            row = [Fraction(0)] * len(order)
-            for unknown, c in rhs.coeffs.get(mono, {}).items():
+        observed = obs.observed_lhs.terms
+        for mono in sorted(set(rhs.coeffs) | set(observed)):
+            linear = rhs.coeffs.get(mono, {})
+            if not linear and system.inconsistent:
+                continue
+            row = [0] * len(order)
+            for unknown, c in linear.items():
                 row[index[unknown]] = c
-            target = obs.observed_lhs.terms.get(mono, Fraction(0))
-            system.add_equation(row, target, label=(obs_idx, mono))
+            system.add_equation(row, observed.get(mono, 0),
+                                label=(obs_idx, mono))
     sol = system.solve()
     if not sol.consistent:
         return UniversalFitReport(

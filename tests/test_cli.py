@@ -11,9 +11,10 @@ from wittenform.cli import main, parse_cli_vector
 from wittenform.corpus import (bundled_path, elliptic_manifold, k3_form,
                                k3_manifold, list_bundled, load_bundled)
 from wittenform.errors import DimensionMismatch, LoadError
-from wittenform.invariants import KMData
+from wittenform import series
+from wittenform.invariants import KMData, fit_km_coefficients, witten_rhs
 from wittenform.manifold_io import km_to_text, manifold_to_text, witten_consistent_km
-from wittenform.series import exp_quadratic
+from wittenform.series import FormalSeries, exp_quadratic
 
 K3_PATH = bundled_path("k3.manifold")
 
@@ -152,6 +153,50 @@ def test_witten_compare_mismatch_exits_4(capsys, tmp_path):
                            "--compare", str(km_path))
     assert code == 4
     assert "first differing monomial: 1 " in out
+
+
+def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
+                                                   monkeypatch):
+    # both read the kernel's integers: no series builds its `terms`, and
+    # only a witness's degree is unpacked
+    unpacked, views = [], []
+    fractions, getattr_ = series._Packed.fractions, FormalSeries.__getattr__
+
+    def spy_fractions(self, degrees):
+        unpacked.append(tuple(degrees))
+        return fractions(self, degrees)
+
+    def spy_getattr(self, name):
+        views.append(name)
+        return getattr_(self, name)
+
+    monkeypatch.setattr(series._Packed, "fractions", spy_fractions)
+    monkeypatch.setattr(FormalSeries, "__getattr__", spy_getattr)
+    m = k3_manifold()
+    zero, k = (0,) * 22, (2,) + (0,) * 21
+    good = tmp_path / "good.km"
+    good.write_text(km_to_text(witten_consistent_km(m, zero)))
+    # plus 1/3 (e^<k,h> + e^-<k,h> - 2), which starts at degree 2
+    bumped = tmp_path / "bumped.km"
+    bumped.write_text(km_to_text(KMData(zero, (
+        (1, zero), (Fraction(1, 3), k), (Fraction(1, 3), tuple(-x for x in k)),
+        (Fraction(-2, 3), zero)))))
+    code, out, _ = run_cli(capsys, "--degree", "8", "witten", K3_PATH,
+                           "--compare", str(good))
+    assert (code, out, unpacked, views) == (0, "congruent mod 8\n", [], [])
+    code, out, _ = run_cli(capsys, "--degree", "8", "witten", K3_PATH,
+                           "--compare", str(bumped))
+    assert code == 4 and out == ("first differing monomial: h2^2 "
+                                 "(km=4/3, witten=0)\n")
+    assert (unpacked, views) == ([(2,), (2,)], [])
+    unpacked.clear()
+    target = witten_rhs(m, zero, 8)
+    fit = fit_km_coefficients(target, [zero, k], zero, m.form, 8)
+    assert fit.status == "unique" and fit.a_values == {zero: 1, k: 0}
+    fit = fit_km_coefficients(target, [k], zero, m.form, 8)
+    # b = 1 from the constant term, then <k, h> = 2 h2 is not in the target
+    assert fit.status == "inconsistent" and fit.witness == (0, 1) + (0,) * 20
+    assert (unpacked, views) == ([], [])
 
 
 def test_witten_compare_zero_denominator_exits_2(capsys, tmp_path):
@@ -306,6 +351,13 @@ def test_levels_inadmissible_flag(capsys):
     code, out, _ = run_cli(capsys, "levels", K3_PATH, "--delta", "1")
     assert code == 0
     assert "delta_admissible=false" in out
+
+
+def test_levels_negative_ell_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "levels", K3_PATH, "--delta", "4",
+                             "--ell-max", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: need ell_max >= 0, got -1\n"
 
 
 def test_repeated_calls_start_from_the_defaults(capsys):

@@ -228,11 +228,6 @@ def test_mmp_no_entries_passes():
     assert mmp_vanishing_check(m, (0, 0)) is Verdict.PASS
 
 
-def test_mmp_override_window():
-    m = simple_manifold(H, 4, -4, [((0, 0), 1)])
-    assert mmp_vanishing_check(m, (0, 0), n_override=0) is Verdict.VACUOUS
-
-
 def test_mmp_vanishing_degrees_do_not_depend_on_w():
     # within a fixed mod-2 class for w, the per-class signs flip globally,
     # so the set of degrees carrying a nonzero coefficient is unchanged

@@ -585,7 +585,6 @@ def test_find_vector_with_square_examples():
     sub = Sublattice.full(H)
     assert find_vector_with_square(sub, -6, bound=5) == (1, -3)
     assert find_vector_with_square(sub, 0, bound=5) == (1, 0)
-    assert find_vector_with_square(sub, 0, bound=5, allow_zero=True) == (0, 0)
     assert find_vector_with_square(
         Sublattice.full(diagonal_form([1])), 2, bound=10) is None
 
@@ -601,9 +600,6 @@ def test_search_rejects_budget_below_one():
     for budget in (0, -1):
         with pytest.raises(ValueError, match="budget"):
             find_vector_with_square(sub, -2, bound=3, budget=budget)
-        with pytest.raises(ValueError, match="budget"):
-            find_vector_with_square(sub, 0, bound=3, allow_zero=True,
-                                    budget=budget)
         with pytest.raises(ValueError, match="budget"):
             find_hyperbolic_pair(sub, bound=3, budget=budget)
 

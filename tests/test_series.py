@@ -7,14 +7,15 @@ import pytest
 
 from wittenform.errors import DimensionMismatch, TruncationError
 from wittenform.invariants import (KMData, Verdict, fit_km_coefficients,
-                                   km_series, mmp_vanishing_check, witten_rhs)
+                                   km_series, mmp_vanishing_check, sw_series,
+                                   witten_rhs)
 from wittenform.corpus import elliptic_manifold, k3_form, k3_manifold
 from wittenform.lattice import (IntersectionForm, direct_sum, e8_form,
                                 hyperbolic_plane)
 from wittenform.series import (FormalSeries, HomogeneousPolynomial,
                                divided_powers, exp_linear, exp_quadratic,
                                first_difference, gaussian_sum, linear_series,
-                               quadratic_series)
+                               monomial_label, quadratic_series)
 from wittenform import series
 from wittenform.selftest import check_series_identities
 from wittenform.synthetic import random_manifold, random_unimodular_form
@@ -557,7 +558,8 @@ def test_packed_series_reads_like_its_terms(monkeypatch):
         assert s._packed is not None        # both read the packed integers
         terms = s.terms
         assert s._packed is None            # the slices are dropped
-        assert text == FormalSeries(n, cap, dict(terms)).to_text() == s.to_text()
+        assert text == reference_text(s) == s.to_text()
+        assert text == FormalSeries(n, cap, dict(terms)).to_text()
         assert [(p.degree, p) for p in parts] == [
             (d, s.homogeneous_part(d)) for d in range(cap)]
         if cancels:
@@ -587,6 +589,125 @@ def test_packed_key_order_is_lex_order():
                    for m in monomials}
             assert sorted(monomials, key=lambda m: (sum(m), key[m])) == sorted(
                 monomials, key=lambda m: (sum(m), m))
+
+
+# ---------------------------------------------------------------------------
+# the text and the comparison against references that read `terms` (exponent
+# tuples and Fractions), independent of the packed integers that the
+# library's readers take from `FormalSeries._ints`
+
+def reference_text(s):
+    lines = [f"series vars={s.num_vars} cap={s.degree_cap}"]
+    for exps, coeff in sorted(s.terms.items(),
+                              key=lambda item: (sum(item[0]), item[0])):
+        factors = monomial_label(exps)
+        lines.append(f"{coeff} * {factors}" if factors else f"{coeff}")
+    if len(lines) == 1:
+        lines.append("0")
+    return "\n".join(lines)
+
+
+def reference_first_difference(a, b, n):
+    keys = {e for e in a.terms if sum(e) < n} | {e for e in b.terms if sum(e) < n}
+    for exps in sorted(keys, key=lambda e: (sum(e), e)):
+        ca = a.terms.get(exps, Fraction(0))
+        cb = b.terms.get(exps, Fraction(0))
+        if ca != cb:
+            return exps, ca, cb
+    return None
+
+
+def kernel_sum(rng, form, cap):
+    """A gaussian_sum of 1-3 classes with signed fractional weights."""
+    classes = [(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                         rng.randint(1, 6)),
+                tuple(rng.randint(-2, 2) for _ in range(form.rank)))
+               for _ in range(rng.randint(1, 3))]
+    return gaussian_sum(form, classes, cap, quadratic=rng.random() < 0.7)
+
+
+def bumped(s, rng, count):
+    """A constructed copy of s with `count` coefficients changed: raised by
+    a fraction, or set where s has none."""
+    terms = dict(s.terms)
+    for _ in range(count):
+        d = rng.randrange(s.degree_cap)
+        parts = [e for e in itertools.product(range(d + 1), repeat=s.num_vars)
+                 if sum(e) == d]
+        e = rng.choice(parts)
+        terms[e] = terms.get(e, Fraction(0)) + Fraction(rng.choice([-1, 1]),
+                                                        rng.randint(1, 5))
+    return FormalSeries(s.num_vars, s.degree_cap, terms)
+
+
+def test_text_matches_the_tuple_formatter():
+    rng = random.Random(140)
+    cases = 0
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        cap = rng.randint(0, 8)
+        a = random_series(rng, n, cap, nterms=8)
+        b = random_series(rng, n, cap, nterms=8)
+        form = random_unimodular_form(rng, n, ops=3 * n)
+        for s in (a, a * b, a - a, -a, a * Fraction(-7, 3),
+                  a.truncate_to(rng.randint(0, cap)), kernel_sum(rng, form, cap),
+                  kernel_sum(rng, form, cap).truncate_to(rng.randint(0, cap))):
+            text = s.to_text()             # a packed series keeps its slices
+            assert text == reference_text(s)
+            for d in range(s.degree_cap):
+                part = s.homogeneous_part(d)
+                assert part.to_text() == reference_text(part)
+            cases += 1
+    assert cases == 240
+
+
+def test_first_difference_matches_the_reference():
+    rng = random.Random(141)
+    checked = differ = 0
+
+    def check(a, b, n, packed=()):
+        nonlocal checked, differ
+        got = first_difference(a, b, n)
+        cap = min(a.degree_cap, b.degree_cap)
+        for s in packed:
+            # read without a Fraction view when its key layout is the one
+            # of the smaller cap
+            layout = series._layout(s.num_vars, s.degree_cap)
+            assert (s._packed is not None) == (
+                layout == series._layout(s.num_vars, cap))
+        assert got == reference_first_difference(a, b, n), (a, b, n)
+        checked += 1
+        differ += got is not None
+
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        form = random_unimodular_form(rng, n, ops=3 * n)
+        seed = rng.random()
+        # kernel results at caps 8 and 10, whose key fields are 3 and 4
+        # bits wide, of one sum and of another; the one at cap 10 is read
+        # through its terms
+        for cap_b in (8, 10):
+            for same in (True, False):
+                a = kernel_sum(random.Random(seed), form, 8)
+                b = kernel_sum(random.Random(seed if same else seed + 1),
+                               form, cap_b)
+                check(a, b, rng.randint(0, 8), (a, b))
+        # a kernel result against constructed copies with bumps at several
+        # degrees, and against the zero series
+        for count in (0, 1, 3):
+            a = kernel_sum(random.Random(seed), form, 9)
+            b = bumped(kernel_sum(random.Random(seed), form, 9), rng, count)
+            check(a, b, 9, (a,))
+            check(b, a, rng.randint(0, 9))
+        a = kernel_sum(random.Random(seed), form, 7)
+        check(a, FormalSeries.zero(n, 7), 7, (a,))
+        check(FormalSeries.zero(n, 7), FormalSeries.zero(n, 9), 7)
+        # constructed and product series
+        x, y = random_series(rng, n, 7, 8), random_series(rng, n, 7, 8)
+        for a, b in ((x, y), (x * y, y * x), (x * y, bumped(x * y, rng, 2)),
+                     (x, x * Fraction(-1, 2)), (x - x, y)):
+            check(a, b, rng.randint(0, 7))
+    assert checked == 12 * 17 and 80 < differ < checked
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +926,7 @@ def test_mmp_vanishing_on_elliptic_surfaces_is_sharp(n):
     zero = (0,) * m.rank
     want = Verdict.VACUOUS if n == 2 else Verdict.PASS
     assert mmp_vanishing_check(m, zero) is want
-    assert mmp_vanishing_check(m, zero, n_override=n - 1) is Verdict.FAIL
+    assert not sw_series(m, zero, n - 1).is_zero()
 
 
 def test_elliptic_sum_runs_the_kernel_for_exp_q_only(memo):
