@@ -370,6 +370,12 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
     structured lattices (hyperbolic summands and the like) are hit long
     before the box is exhausted. Only assignments holding an entry +-m are
     built, so the cost is proportional to the vectors yielded.
+
+    The order falls into runs: maximal stretches of vectors that differ
+    only in their last nonzero entry j. Let top = max |v_i| over i < j at
+    a run's first vector v. If v_j > top, the run is v_j, -v_j (the rest
+    holds no +-m, so entry j must); otherwise it is 1, -1, ..., top, -top,
+    which is 2 top vectors.
     """
     if rank == 0 or bound < 1:
         return
@@ -407,6 +413,35 @@ def _with_top(prefix: tuple, k: int, low: list, vals: list,
             yield head + rest
 
 
+def _scored_vectors(gram, bound: int) -> Iterator[tuple[Vector, int]]:
+    """(v, v.G.v) for v in `bounded_vectors(len(gram), bound)`, in its
+    order. A run's first vector v (see bounded_vectors) pays one full
+    pairing, and fixes g = G_jj, a = v_j and lin = 2((G v)_j - g a), the
+    part of the run's squares linear in entry j. Each later vector, whose
+    entry j is b, is scored from the one before it by
+        q += (b - a)(lin + g (b + a)).
+    """
+    n = len(gram)
+    left = 0            # vectors of the current run still to come
+    for v in bounded_vectors(n, bound):
+        if left:
+            left -= 1
+            b = v[j]
+            q += (b - a) * (lin + g * (b + a))
+            a = b
+        else:
+            q = 0
+            for j in itertools.compress(range(n), v):
+                gv = sum(map(mul, gram[j], v))
+                q += v[j] * gv
+            # the loop ends on the last nonzero entry j with gv = (G v)_j
+            a, g = v[j], gram[j][j]
+            lin = 2 * (gv - g * a)
+            top = max(map(abs, v[:j]), default=0)
+            left = 1 if a > top else 2 * top - 1
+        yield v, q
+
+
 def _check_search(bound: int, budget: Optional[int]) -> None:
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -430,12 +465,12 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
         return None
     gram = sub.induced_gram()
     remaining = budget
-    for v in bounded_vectors(sub.rank, bound):
+    for v, q in _scored_vectors(gram, bound):
         if remaining is not None:
             if remaining <= 0:
                 return None
             remaining -= 1
-        if _gram_pairing(gram, v, v) == target:
+        if q == target:
             return sub.to_parent(v)
     return None
 
@@ -472,10 +507,10 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
         remaining -= n
         return True
 
-    for v in bounded_vectors(sub.rank, bound):
+    for v, q in _scored_vectors(gram, bound):
         if not spend():
             return None
-        if _gram_pairing(gram, v, v) != 0:
+        if q != 0:
             continue
         for u, du in isotropic:
             if not spend():

@@ -110,14 +110,17 @@ class FormalSeries:
         self._packed = None
         return self.terms
 
-    def _ints(self, cap: int) -> "_Packed":
-        """The terms of degree < cap <= degree_cap as divided-power integers
-        in the layout of `cap` (see `_Packed`): a packed series' own slices
-        when its layout is that one, else `terms` packed once."""
+    def _ints(self, cap: int,
+              degrees: Optional[Sequence[int]] = None) -> "_Packed":
+        """The terms of `degrees` (by default every degree < cap; cap <=
+        degree_cap) as divided-power integers in the layout of `cap` (see
+        `_Packed`): a packed series' own slices, re-keyed when its layout
+        is another, else `terms` packed once."""
         p, n = self._packed, self.num_vars
-        if p is not None and _layout(n, p.cap) == _layout(n, cap):
-            return _Packed(n, cap, p.slices[:cap], p.weight, p.den)
-        return _Packed.pack(n, cap, self.terms)
+        degrees = range(cap) if degrees is None else degrees
+        if p is None:
+            return _Packed.pack(n, cap, self.terms, degrees)
+        return _Packed(n, cap, p.rekeyed(cap, degrees), p.weight, p.den)
 
     @classmethod
     def zero(cls, num_vars: int, degree_cap: int) -> "FormalSeries":
@@ -255,10 +258,9 @@ class FormalSeries:
         if d >= self.degree_cap:
             raise TruncationError(
                 f"degree {d} >= cap {self.degree_cap}: truncated away")
-        part = self._ints(self.degree_cap)        # a new _Packed
-        part.slices = [{}] * d + [part.slices[d]] + [{}] * (part.cap - 1 - d)
-        return HomogeneousPolynomial._canonical(self.num_vars, self.degree_cap,
-                                                None, part, degree=d)
+        return HomogeneousPolynomial._canonical(
+            self.num_vars, self.degree_cap, None,
+            self._ints(self.degree_cap, (d,)), degree=d)
 
     def congruent_mod_degree(self, other: "FormalSeries", n: int) -> bool:
         """True iff all coefficients of total degree < n agree."""
@@ -553,23 +555,43 @@ class _Packed:
         self.weight, self.den = weight, den
 
     @classmethod
-    def pack(cls, n, cap, terms) -> "_Packed":
-        """`terms` below degree cap; weight 1, den the lcm of denominators."""
+    def pack(cls, n, cap, terms, degrees) -> "_Packed":
+        """The `terms` of `degrees` (each < cap); weight 1, den the lcm of
+        their denominators."""
         shifts, _ = _layout(n, cap)
         fact = [factorial(e) for e in range(cap)].__getitem__
-        den = lcm(*{c.denominator for c in terms.values()})
+        kept = [(e, c, d) for e, c in terms.items() if (d := sum(e)) in degrees]
+        den = lcm(*{c.denominator for _, c, _ in kept})
         slices = [{} for _ in range(cap)]
-        for e, c in terms.items():
-            d = sum(e)
-            if d < cap:
-                slices[d][sum(map(lshift, e, shifts))] = (
-                    c.numerator * (den // c.denominator) * prod(map(fact, e)))
+        for e, c, d in kept:
+            slices[d][sum(map(lshift, e, shifts))] = (
+                c.numerator * (den // c.denominator) * prod(map(fact, e)))
         return cls(n, cap, slices, 1, den)
+
+    def rekeyed(self, cap, degrees) -> list[dict[int, int]]:
+        """The slices of `degrees` (each < cap <= self.cap) in the layout
+        of `cap`, the other degrees empty; the slices themselves when the
+        layout is this one."""
+        shifts, mask = _layout(self.n, self.cap)
+        new = _layout(self.n, cap)[0]
+        fields = list(zip(shifts, new))
+        slices = [{} for _ in range(cap)]
+        for d in degrees:
+            part = self.slices[d]
+            slices[d] = part if new == shifts else {
+                sum([(key >> old & mask) << sh for old, sh in fields]): v
+                for key, v in part.items()}
+        return slices
 
     def exponents(self, key: int) -> Exponents:
         """The exponent tuple of a packed key."""
         shifts, mask = _layout(self.n, self.cap)
         return tuple([key >> sh & mask for sh in shifts])
+
+    def keys(self, monomials) -> dict[int, Exponents]:
+        """packed key -> exponent tuple, for exponent tuples of degree < cap."""
+        shifts, _ = _layout(self.n, self.cap)
+        return {sum(map(lshift, e, shifts)): e for e in monomials}
 
     def _halves(self, labels):
         """(high, low, split, low mask): a key's high part key >> split
@@ -582,13 +604,17 @@ class _Packed:
                 _Parts(self.n - h, h, width, fact, labels),
                 split, (1 << split) - 1)
 
-    def fractions(self, degrees) -> dict[Exponents, Fraction]:
-        """exponent tuple -> coefficient, for the terms of these degrees."""
+    def fractions(self, degrees, keys=None) -> dict[Exponents, Fraction]:
+        """exponent tuple -> coefficient, for the terms of these degrees,
+        or only for those of them whose packed key is in `keys`."""
         high, low, split, low_mask = self._halves(False)
         weight, den = self.weight, self.den
         terms = {}
         for d in degrees:
-            for key, v in self.slices[d].items():
+            part = self.slices[d]
+            if keys is not None:
+                part = {key: part[key] for key in keys if key in part}
+            for key, v in part.items():
                 ea, fa, _ = high[key >> split]
                 eb, fb, _ = low[key & low_mask]
                 terms[ea + eb] = Fraction(v * weight, fa * fb * den)

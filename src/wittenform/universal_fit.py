@@ -297,7 +297,10 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
     Equations are processed observation by observation with monomials in
     lex order, so the inconsistency witness (observation index, monomial)
     is deterministic. A monomial in no unknown has a nonzero observed value,
-    and 0 = value is added only while the system is consistent, as a witness.
+    so 0 = value is inconsistent: only the first such monomial is fed, and
+    only while the system is consistent, as a witness. Such monomials are
+    found on the observed value's integers (`FormalSeries._ints`), and then
+    only the monomials fed are unpacked to Fractions.
     """
     assembled = [assemble_rough_rhs(o.manifold, o.w, o.lambda_, o.delta, o.m)
                  for o in problem.observations]
@@ -312,8 +315,21 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
     for obs_idx, (obs, rhs) in enumerate(zip(problem.observations, assembled)):
         templates.update(rhs.templates)
         notes.extend(f"observation {obs_idx}: {n}" for n in rhs.notes)
-        observed = obs.observed_lhs.terms
-        for mono in sorted(set(rhs.coeffs) | set(observed)):
+        lhs = obs.observed_lhs
+        packed = lhs._ints(lhs.degree_cap)
+        monos = packed.keys(rhs.coeffs)
+        free = min(packed.slices[lhs.degree].keys() - monos.keys(),
+                   default=None)
+        if free is None:
+            # every observed monomial carries an unknown: all of the view
+            # is read, here and by validate_solution, so it is built once
+            observed = lhs.terms
+        else:
+            monos[free] = packed.exponents(free)
+            observed = packed.fractions((lhs.degree,), monos)
+        # ascending packed keys of one degree are its monomials in lex order
+        for key in sorted(monos):
+            mono = monos[key]
             linear = rhs.coeffs.get(mono, {})
             if not linear and system.inconsistent:
                 continue

@@ -155,16 +155,16 @@ def test_witten_compare_mismatch_exits_4(capsys, tmp_path):
     assert "first differing monomial: 1 " in out
 
 
-def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
-                                                   monkeypatch):
-    # both read the kernel's integers: no series builds its `terms`, and
-    # only a witness's degree is unpacked
+@pytest.fixture
+def fraction_views(monkeypatch):
+    """(unpacked, views): the degrees each `_Packed.fractions` call unpacks
+    and the names each `FormalSeries.__getattr__` call builds (`terms`)."""
     unpacked, views = [], []
     fractions, getattr_ = series._Packed.fractions, FormalSeries.__getattr__
 
-    def spy_fractions(self, degrees):
+    def spy_fractions(self, degrees, keys=None):
         unpacked.append(tuple(degrees))
-        return fractions(self, degrees)
+        return fractions(self, degrees, keys)
 
     def spy_getattr(self, name):
         views.append(name)
@@ -172,6 +172,14 @@ def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
 
     monkeypatch.setattr(series._Packed, "fractions", spy_fractions)
     monkeypatch.setattr(FormalSeries, "__getattr__", spy_getattr)
+    return unpacked, views
+
+
+def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
+                                                   fraction_views):
+    # both read the kernel's integers: no series builds its `terms`, and
+    # only a witness's degree is unpacked
+    unpacked, views = fraction_views
     m = k3_manifold()
     zero, k = (0,) * 22, (2,) + (0,) * 21
     good = tmp_path / "good.km"
@@ -196,6 +204,25 @@ def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
     fit = fit_km_coefficients(target, [k], zero, m.form, 8)
     # b = 1 from the constant term, then <k, h> = 2 h2 is not in the target
     assert fit.status == "inconsistent" and fit.witness == (0, 1) + (0,) * 20
+    assert (unpacked, views) == ([], [])
+
+
+def test_reads_across_key_layouts_build_no_fraction_view(fraction_views):
+    # a K3 series at cap 9 or 10 (4-bit key fields) read at cap 8 (3-bit
+    # fields) is re-keyed in integers, and keeps its slices
+    unpacked, views = fraction_views
+    m = k3_manifold()
+    zero, k = (0,) * 22, (2,) + (0,) * 21
+    at8, at9, at10 = (witten_rhs(m, zero, cap) for cap in (8, 9, 10))
+    fit = fit_km_coefficients(at10, [zero, k], zero, m.form, 8)
+    assert fit.status == "unique" and fit.a_values == {zero: 1, k: 0}
+    fit = fit_km_coefficients(at10, [k], zero, m.form, 8)
+    assert fit.status == "inconsistent" and fit.witness == (0, 1) + (0,) * 20
+    truncated = at9.truncate_to(8)
+    assert truncated.to_text() == at8.to_text()
+    assert truncated.homogeneous_part(6).to_text() == (
+        at10.homogeneous_part(6).truncate_to(8).to_text())
+    assert all(s._packed is not None for s in (at9, at10, truncated))
     assert (unpacked, views) == ([], [])
 
 

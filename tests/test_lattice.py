@@ -437,6 +437,54 @@ def test_bounded_vectors_cost_is_linear_in_the_bound():
         (s * m,) for m in range(1, bound + 1) for s in (1, -1)]
 
 
+def scoring_grams(rng):
+    """Seeded symmetric Grams of ranks 1-5, three of each kind: entries in
+    [-3, 3], the same with a zero diagonal, degenerate (the last basis
+    vector repeats the first), indefinite (a diagonal of both signs), and
+    the zero form."""
+    for rank in range(1, 6):
+        for kind in ("random", "zero diagonal", "degenerate", "indefinite",
+                     "zero"):
+            for _ in range(3):
+                gram = [[0] * rank for _ in range(rank)]
+                for i in range(rank):
+                    for j in range(i, rank):
+                        gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+                for i in range(rank):
+                    if kind == "zero diagonal":
+                        gram[i][i] = 0
+                    elif kind == "indefinite":
+                        gram[i][i] = (-1) ** i * rng.randint(1, 3)
+                if kind == "degenerate":
+                    gram[-1] = list(gram[0])
+                    for row in gram:
+                        row[-1] = row[0]
+                elif kind == "zero":
+                    gram = [[0] * rank for _ in range(rank)]
+                yield kind, gram
+
+
+def test_scored_vectors_match_the_pairing():
+    # the searches' stream (v, v.G.v), scored along runs, against
+    # bounded_vectors with a full pairing per vector: every box up to
+    # bound 7 in ranks 1 and 2 and up to the bound given below in ranks
+    # 3-5, where the first 5,000 vectors of the bound-7 box are compared
+    rng = random.Random(150)
+    bounds = {1: 7, 2: 7, 3: 4, 4: 2, 5: 2}
+    for kind, gram in scoring_grams(rng):
+        rank = len(gram)
+        if kind == "degenerate" and rank > 1:
+            assert _det(gram) == 0
+        for bound in range(1, bounds[rank] + 1):
+            assert list(lattice._scored_vectors(gram, bound)) == [
+                (v, lattice._gram_pairing(gram, v, v))
+                for v in bounded_vectors(rank, bound)], (gram, bound)
+        head = itertools.islice(lattice._scored_vectors(gram, 7), 5_000)
+        assert list(head) == [
+            (v, lattice._gram_pairing(gram, v, v))
+            for v in itertools.islice(bounded_vectors(rank, 7), 5_000)]
+
+
 def search_sublattices(rng):
     """Seeded small sublattices: definite, indefinite, and with a hyperbolic
     summand, as full lattices and as complements."""

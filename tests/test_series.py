@@ -668,13 +668,10 @@ def test_first_difference_matches_the_reference():
     def check(a, b, n, packed=()):
         nonlocal checked, differ
         got = first_difference(a, b, n)
-        cap = min(a.degree_cap, b.degree_cap)
         for s in packed:
-            # read without a Fraction view when its key layout is the one
-            # of the smaller cap
-            layout = series._layout(s.num_vars, s.degree_cap)
-            assert (s._packed is not None) == (
-                layout == series._layout(s.num_vars, cap))
+            # read without a Fraction view, re-keyed when its key layout is
+            # not the one of the smaller cap
+            assert s._packed is not None
         assert got == reference_first_difference(a, b, n), (a, b, n)
         checked += 1
         differ += got is not None
@@ -684,8 +681,8 @@ def test_first_difference_matches_the_reference():
         form = random_unimodular_form(rng, n, ops=3 * n)
         seed = rng.random()
         # kernel results at caps 8 and 10, whose key fields are 3 and 4
-        # bits wide, of one sum and of another; the one at cap 10 is read
-        # through its terms
+        # bits wide, of one sum and of another; the one at cap 10 is
+        # re-keyed
         for cap_b in (8, 10):
             for same in (True, False):
                 a = kernel_sum(random.Random(seed), form, 8)
