@@ -300,7 +300,7 @@ def fit_km_coefficients(target: FormalSeries,
     Equations are the coefficients of every monomial h^e of degree
     < degree_cap, processed in (degree, lex) order so an inconsistency
     witness is deterministic. They are built in integers from the series'
-    divided powers (`FormalSeries._ints`), each class's with weight 1: the
+    divided powers (`FormalSeries.slices`), each class's with weight 1: the
     equation at h^e is the one in coefficients times e! and the target's
     den, a positive scale that changes neither the solutions nor which
     equation is the first inconsistent one.
@@ -314,8 +314,8 @@ def fit_km_coefficients(target: FormalSeries,
     if not candidates:
         raise ValueError("no candidate classes")
     n = degree_cap
-    target = target.truncate_to(n)._ints(n)
-    basis = [gaussian_sum(form, [(1, k)], n)._ints(n) for k in candidates]
+    target = target.truncate_to(n)
+    basis = [gaussian_sum(form, [(1, k)], n) for k in candidates]
     system = LinearSystem(len(candidates))
     for d, rhs in enumerate(target.slices):
         columns = [b.slices[d] for b in basis]
@@ -326,7 +326,7 @@ def fit_km_coefficients(target: FormalSeries,
     sol = system.solve()
     if not sol.consistent:
         return KMFitResult("inconsistent", {}, frozenset(), sol.nullspace_dim,
-                           target.exponents(sol.witness), ())
+                           target._exponents(sol.witness), ())
     a_values = {}
     zero = []
     for idx, k in enumerate(candidates):

@@ -279,6 +279,8 @@ def _parse_inline_polynomial(value, num_vars, degree, lines, no):
         for chunk in value.split(" + "):
             exps, coeff = _parse_term(chunk.strip(), num_vars)
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        # a zero coefficient has no degree: "0" is the zero polynomial
+        terms = {exps: c for exps, c in terms.items() if c}
         return HomogeneousPolynomial(num_vars, degree + 1, terms, degree=degree)
     except ValueError as exc:
         raise lines.error(str(exc), no) from None

@@ -42,21 +42,24 @@ def _check_shape(num_vars: int, degree_cap: int) -> None:
 
 
 class FormalSeries:
-    """Sparse canonical truncated polynomial: exponent tuple -> Fraction.
+    """Sparse truncated polynomial in `num_vars` variables, below total
+    degree `degree_cap`, held as integer divided powers, the form in which
+    the kernel (`gaussian_sum`) emits it: `slices[d]` maps the packed key
+    (see `_layout`, in the layout of `degree_cap`) of each exponent tuple e
+    of degree d whose coefficient is nonzero to the integer F(e), for
+        sum_e weight F(e) / (e! den) h^e,   den > 0, weight != 0.
+    There is one slice per degree < cap, and no value in one is 0.
 
-    Instances are treated as immutable values; every operation returns a new
-    series. Zero coefficients and terms at or above the degree cap are never
-    stored.
-
-    The public constructor checks caller-supplied terms once. Results of the
-    operations below are built canonical and not checked again; only a cap
-    that a caller passes in still is. Results of `gaussian_sum`, `truncate_to`
-    and `homogeneous_part` hold integers (`_Packed`) instead and build `terms`
-    when first read (`__getattr__`). Text, comparison, support and the KM fit
-    read either kind through one accessor, `_ints`; ring operations use `terms`.
+    Instances are treated as immutable values; every operation returns a
+    new series, and series may share slices with each other and with the
+    kernel's memo. The public constructor checks caller-supplied terms once
+    and packs them. The operations below work on the integers and build
+    their results without a check; only a cap that a caller passes in still
+    is. `terms`, the exponent tuple -> Fraction view, is built on each read
+    and never kept.
     """
 
-    __slots__ = ("num_vars", "degree_cap", "terms", "_packed")
+    __slots__ = ("num_vars", "degree_cap", "slices", "weight", "den")
 
     def __init__(self, num_vars: int, degree_cap: int,
                  terms: Optional[Mapping[Exponents, Fraction]] = None):
@@ -76,51 +79,27 @@ class FormalSeries:
                 c = _as_fraction(coeff)
                 if c != 0:
                     clean[tuple(int(e) for e in exps)] = c
-        self.terms = clean
-        self._packed = None
+        self.slices, self.den = _pack(num_vars, degree_cap, clean)
+        self.weight = 1
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _canonical(cls, num_vars: int, degree_cap: int,
-                   terms: Optional[dict[Exponents, Fraction]],
-                   packed: Optional["_Packed"] = None, **fields):
-        """Wrap `terms` that are canonical by construction (`num_vars`-tuples
-        of ints >= 0, degree < cap, nonzero Fractions) without a check, or,
-        with `terms` None, the integers `packed` of cap `degree_cap`;
-        `fields` sets a subclass's own slots."""
+    def _make(cls, num_vars: int, degree_cap: int, slices: list,
+              weight: int = 1, den: int = 1, **fields):
+        """Wrap `slices` that are canonical by construction (one per degree
+        < cap, in its key layout, no zero value) without a check; `fields`
+        sets a subclass's own slots."""
         _check_shape(num_vars, degree_cap)
         out = object.__new__(cls)
         out.num_vars = num_vars
         out.degree_cap = degree_cap
-        if terms is not None:
-            out.terms = terms
-        out._packed = packed
+        out.slices = slices
+        g = gcd(weight, den)
+        out.weight, out.den = weight // g, den // g
         for name, value in fields.items():
             setattr(out, name, value)
         return out
-
-    def __getattr__(self, name):
-        """Reached only for an unset slot: the `terms` of a packed series,
-        built on first read; its packed integers are then dropped, so the
-        two forms are never both kept, and later reads are plain."""
-        if name != "terms" or self._packed is None:
-            raise AttributeError(name)
-        self.terms = self._packed.fractions(range(self.degree_cap))
-        self._packed = None
-        return self.terms
-
-    def _ints(self, cap: int,
-              degrees: Optional[Sequence[int]] = None) -> "_Packed":
-        """The terms of `degrees` (by default every degree < cap; cap <=
-        degree_cap) as divided-power integers in the layout of `cap` (see
-        `_Packed`): a packed series' own slices, re-keyed when its layout
-        is another, else `terms` packed once."""
-        p, n = self._packed, self.num_vars
-        degrees = range(cap) if degrees is None else degrees
-        if p is None:
-            return _Packed.pack(n, cap, self.terms, degrees)
-        return _Packed(n, cap, p.rekeyed(cap, degrees), p.weight, p.den)
 
     @classmethod
     def zero(cls, num_vars: int, degree_cap: int) -> "FormalSeries":
@@ -128,7 +107,12 @@ class FormalSeries:
 
     @classmethod
     def constant(cls, value, num_vars: int, degree_cap: int) -> "FormalSeries":
-        return cls(num_vars, degree_cap, {(0,) * num_vars: _as_fraction(value)})
+        c = _as_fraction(value)
+        slices = [{} for _ in range(degree_cap)]
+        if c and degree_cap > 0:
+            slices[0] = {0: c.numerator}
+        return FormalSeries._make(num_vars, degree_cap, slices, 1,
+                                  c.denominator)
 
     @classmethod
     def one(cls, num_vars: int, degree_cap: int) -> "FormalSeries":
@@ -136,8 +120,13 @@ class FormalSeries:
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """exponent tuple -> nonzero coefficient, in a new dict."""
+        return self._fractions(range(self.degree_cap))
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(self.slices)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         exps = tuple(int(e) for e in exponents)
@@ -148,17 +137,20 @@ class FormalSeries:
         if sum(exps) >= self.degree_cap:
             raise TruncationError(
                 f"degree {sum(exps)} >= cap {self.degree_cap}: truncated away")
-        return self.terms.get(exps, Fraction(0))
+        (key,) = self._keys([exps])
+        v = self.slices[sum(exps)].get(key, 0)
+        return Fraction(v * self.weight,
+                        prod(map(factorial, exps)) * self.den)
 
     def support_degrees(self) -> set[int]:
-        return {d for d, p in enumerate(self._ints(self.degree_cap).slices) if p}
+        return {d for d, part in enumerate(self.slices) if part}
 
     def __eq__(self, other):
         if not isinstance(other, FormalSeries):
             return NotImplemented
         return (self.num_vars == other.num_vars
                 and self.degree_cap == other.degree_cap
-                and self.terms == other.terms)
+                and first_difference(self, other, self.degree_cap) is None)
 
     def __hash__(self):
         return hash(self.to_text())
@@ -177,24 +169,23 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return NotImplemented
         cap = self._match(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        # drop cancelled terms and the larger cap's terms at or above `cap`
-        return FormalSeries._canonical(
-            self.num_vars, cap,
-            {e: c for e, c in out.items() if c and sum(e) < cap})
+        # weight_a F_a / den_a + weight_b F_b / den_b over den = their lcm
+        den = lcm(self.den, other.den)
+        ka = self.weight * (den // self.den)
+        kb = other.weight * (den // other.den)
+        g = gcd(ka, kb)
+        slices = _weighted_sum([(ka // g, self._rekeyed(cap)),
+                                (kb // g, other._rekeyed(cap))], cap)
+        return FormalSeries._make(self.num_vars, cap, slices, g, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FormalSeries._canonical(self.num_vars, self.degree_cap,
-                                       {e: -c for e, c in self.terms.items()})
+        return FormalSeries._make(self.num_vars, self.degree_cap, self.slices,
+                                  -self.weight, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FormalSeries.constant(other, self.num_vars, self.degree_cap)
-        if not isinstance(other, FormalSeries):
+        if not isinstance(other, (int, Fraction, FormalSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -202,37 +193,23 @@ class FormalSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        n = self.num_vars
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return FormalSeries._canonical(
-                self.num_vars, self.degree_cap,
-                {e: c * v for e, v in self.terms.items()} if c else {})
+            if not c:
+                return FormalSeries.zero(n, self.degree_cap)
+            return FormalSeries._make(n, self.degree_cap, self.slices,
+                                      self.weight * c.numerator,
+                                      self.den * c.denominator)
         if not isinstance(other, FormalSeries):
             return NotImplemented
         cap = self._match(other)
-        # bucket by total degree so pairs that truncate away are never formed
-        buckets_a = self._degree_buckets()
-        buckets_b = other._degree_buckets()
-        out: dict[Exponents, Fraction] = {}
-        for da, items_a in buckets_a:
-            if da >= cap:
-                break
-            for db, items_b in buckets_b:
-                if da + db >= cap:
-                    break
-                for ea, ca in items_a:
-                    for eb, cb in items_b:
-                        key = tuple(x + y for x, y in zip(ea, eb))
-                        prev = out.get(key)
-                        out[key] = ca * cb if prev is None else prev + ca * cb
-        return FormalSeries._canonical(self.num_vars, cap,
-                                       {e: c for e, c in out.items() if c})
-
-    def _degree_buckets(self):
-        buckets: dict[int, list] = {}
-        for exps, coeff in self.terms.items():
-            buckets.setdefault(sum(exps), []).append((exps, coeff))
-        return sorted(buckets.items())
+        inner, outer = self._rekeyed(cap), other._rekeyed(cap)
+        if sum(map(len, outer)) > sum(map(len, inner)):
+            inner, outer = outer, inner
+        return FormalSeries._make(n, cap, _product(outer, inner, n, cap),
+                                  self.weight * other.weight,
+                                  self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -250,7 +227,8 @@ class FormalSeries:
         if n > self.degree_cap:
             raise TruncationError(
                 f"cannot extend cap {self.degree_cap} to {n}")
-        return FormalSeries._canonical(self.num_vars, n, None, self._ints(n))
+        return FormalSeries._make(self.num_vars, n, self._rekeyed(n),
+                                  self.weight, self.den)
 
     def homogeneous_part(self, d: int) -> "HomogeneousPolynomial":
         if d < 0:
@@ -258,34 +236,95 @@ class FormalSeries:
         if d >= self.degree_cap:
             raise TruncationError(
                 f"degree {d} >= cap {self.degree_cap}: truncated away")
-        return HomogeneousPolynomial._canonical(
-            self.num_vars, self.degree_cap, None,
-            self._ints(self.degree_cap, (d,)), degree=d)
+        slices = [{} for _ in range(self.degree_cap)]
+        slices[d] = self.slices[d]
+        return HomogeneousPolynomial._make(self.num_vars, self.degree_cap,
+                                           slices, self.weight, self.den,
+                                           degree=d)
 
     def congruent_mod_degree(self, other: "FormalSeries", n: int) -> bool:
         """True iff all coefficients of total degree < n agree."""
         return first_difference(self, other, n) is None
 
     def derivative(self, var: int) -> "FormalSeries":
-        """Formal partial derivative; the cap drops by one."""
+        """Formal partial derivative; the cap drops by one. In divided
+        powers it is a shift: the new F at e is the old F at e + u_var."""
         if not 0 <= var < self.num_vars:
             raise DimensionMismatch(f"no variable with index {var}")
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            key = exps[:var] + (e - 1,) + exps[var + 1:]
-            out[key] = c * e
-        return FormalSeries._canonical(self.num_vars,
-                                       max(self.degree_cap - 1, 0), out)
+        n, cap = self.num_vars, self.degree_cap
+        shifts, mask = _layout(n, cap)
+        sh = shifts[var]
+        lowered = [{key - (1 << sh): v for key, v in part.items()
+                    if key >> sh & mask} for part in self.slices[1:]]
+        low = max(cap - 1, 0)
+        return FormalSeries._make(n, low, _rekey(n, cap, low, lowered),
+                                  self.weight, self.den)
+
+    # -- packed keys -----------------------------------------------------------
+
+    def _rekeyed(self, cap: int) -> list[dict[int, int]]:
+        """The slices of degree < cap (<= degree_cap) in the key layout of
+        cap: this series' own when the two layouts agree."""
+        return _rekey(self.num_vars, self.degree_cap, cap, self.slices[:cap])
+
+    def _keys(self, monomials) -> dict[int, Exponents]:
+        """packed key -> exponent tuple, for exponent tuples of degree < cap."""
+        shifts, _ = _layout(self.num_vars, self.degree_cap)
+        return {sum(map(lshift, e, shifts)): e for e in monomials}
+
+    def _exponents(self, key: int) -> Exponents:
+        """The exponent tuple of a packed key."""
+        shifts, mask = _layout(self.num_vars, self.degree_cap)
+        return tuple([key >> sh & mask for sh in shifts])
+
+    def _halves(self, labels):
+        """(high, low, split, low mask): a key's high part key >> split
+        holds entries 0..n/2 - 1, its low part the rest (see `_Parts`)."""
+        n, cap = self.num_vars, self.degree_cap
+        width = _layout(n, cap)[1].bit_length()
+        fact = [factorial(e) for e in range(cap)]
+        h = n // 2
+        split = width * (n - h)
+        return (_Parts(h, 0, width, fact, labels),
+                _Parts(n - h, h, width, fact, labels),
+                split, (1 << split) - 1)
+
+    def _fractions(self, degrees, keys=None) -> dict[Exponents, Fraction]:
+        """exponent tuple -> coefficient, for the terms of these degrees,
+        or only for those of them whose packed key is in `keys`."""
+        high, low, split, low_mask = self._halves(False)
+        weight, den = self.weight, self.den
+        terms = {}
+        for d in degrees:
+            part = self.slices[d]
+            if keys is not None:
+                part = {key: part[key] for key in keys if key in part}
+            for key, v in part.items():
+                ea, fa, _ = high[key >> split]
+                eb, fb, _ = low[key & low_mask]
+                terms[ea + eb] = Fraction(v * weight, fa * fb * den)
+        return terms
 
     # -- canonical text form ---------------------------------------------------
 
     def to_text(self) -> str:
-        lines = self._ints(self.degree_cap).lines() or ["0"]
-        return "\n".join(
-            [f"series vars={self.num_vars} cap={self.degree_cap}", *lines])
+        """The header, then one line per term in (degree, lex) order, each
+        coefficient in lowest terms as str(Fraction) writes it."""
+        high, low, split, low_mask = self._halves(True)
+        weight, den = self.weight, self.den
+        lines = [f"series vars={self.num_vars} cap={self.degree_cap}"]
+        for part in self.slices:
+            # ascending packed keys of one degree are in lex order
+            for key in sorted(part):
+                _, fa, la = high[key >> split]
+                _, fb, lb = low[key & low_mask]
+                num, q = part[key] * weight, fa * fb * den
+                g = gcd(num, q)
+                coeff = f"{num // g}" if g == q else f"{num // g}/{q // g}"
+                lines.append(f"{coeff} *{la}{lb}" if key else coeff)
+        if len(lines) == 1:
+            lines.append("0")
+        return "\n".join(lines)
 
     @classmethod
     def parse(cls, text: str) -> "FormalSeries":
@@ -302,6 +341,10 @@ class FormalSeries:
             body = []
         for line in body:
             exps, coeff = _parse_term(line, num_vars)
+            if sum(exps) >= cap:
+                raise ValueError(
+                    f"term of degree {sum(exps)} at or above cap {cap}: "
+                    f"{line!r}")
             if exps in terms:
                 raise ValueError(f"duplicate monomial in series text: {line!r}")
             terms[exps] = coeff
@@ -383,13 +426,13 @@ def first_difference(a: FormalSeries, b: FormalSeries, n: int
             f"{a.degree_cap} and {b.degree_cap}")
     # in the layout of the smaller cap, which is their own for equal caps
     cap = min(a.degree_cap, b.degree_cap)
-    pa, pb = a._ints(cap), b._ints(cap)
     # the coefficients times e! are F_a w_a / den_a and F_b w_b / den_b
-    ka, kb = pa.weight * pb.den, pb.weight * pa.den
-    for d, (sa, sb) in enumerate(zip(pa.slices[:n], pb.slices[:n])):
+    ka, kb = a.weight * b.den, b.weight * a.den
+    pairs = zip(a._rekeyed(cap)[:n], b._rekeyed(cap)[:n])
+    for d, (sa, sb) in enumerate(pairs):
         if any(sa.get(key, 0) * ka != sb.get(key, 0) * kb
                for key in sa.keys() | sb.keys()):
-            fa, fb = pa.fractions((d,)), pb.fractions((d,))
+            fa, fb = a._fractions((d,)), b._fractions((d,))
             exps = min(e for e in fa.keys() | fb.keys() if fa.get(e) != fb.get(e))
             return exps, fa.get(exps, Fraction(0)), fb.get(exps, Fraction(0))
     return None
@@ -400,31 +443,28 @@ def first_difference(a: FormalSeries, b: FormalSeries, n: int
 
 def linear_series(form: IntersectionForm, k: Sequence[int],
                   degree_cap: int) -> FormalSeries:
-    """The linear form <k, h> = sum_j pairing(k, e_j) h_j."""
+    """The linear form <k, h> = sum_j pairing(k, e_j) h_j: F(u_j) is its
+    coefficient."""
     dual = form.dual_coefficients(k)
     n = form.rank
-    terms = {}
-    for j, c in enumerate(dual):
-        if c and degree_cap > 1:
-            exps = tuple(1 if i == j else 0 for i in range(n))
-            terms[exps] = Fraction(c)
-    return FormalSeries._canonical(n, degree_cap, terms)
+    shifts, _ = _layout(n, degree_cap)
+    slices = [{} for _ in range(degree_cap)]
+    if degree_cap > 1:
+        slices[1] = {1 << sh: c for sh, c in zip(shifts, dual) if c}
+    return FormalSeries._make(n, degree_cap, slices)
 
 
 def quadratic_series(form: IntersectionForm, degree_cap: int) -> FormalSeries:
-    """The quadratic form Q(h, h) = sum_{j,k} gram_jk h_j h_k."""
+    """The quadratic form Q(h, h) = sum_{j,k} gram_jk h_j h_k: F(u_j + u_k)
+    is 2 gram_jk, for j = k as for j != k."""
     n = form.rank
-    terms: dict[Exponents, Fraction] = {}
-    for i in range(n):
-        for j in range(i, n):
-            g = form.gram[i][j]
-            if not g or degree_cap <= 2:
-                continue
-            exps = [0] * n
-            exps[i] += 1
-            exps[j] += 1
-            terms[tuple(exps)] = Fraction(g if i == j else 2 * g)
-    return FormalSeries._canonical(n, degree_cap, terms)
+    shifts, _ = _layout(n, degree_cap)
+    gram = form.gram
+    slices = [{} for _ in range(degree_cap)]
+    if degree_cap > 2:
+        slices[2] = {(1 << shifts[i]) + (1 << shifts[j]): 2 * gram[i][j]
+                     for i in range(n) for j in range(i, n) if gram[i][j]}
+    return FormalSeries._make(n, degree_cap, slices)
 
 
 def gaussian_sum(form: IntersectionForm,
@@ -438,8 +478,9 @@ def gaussian_sum(form: IntersectionForm,
         F(e + u_i) = d_i F(e) + sum_j G_ij e_j F(e - u_j),   d = G K,
     which is d^e for a pure linear exponent and a sum over matchings of the
     Gram graph for exp(Q/2). The weighted F are summed as integers, degree
-    by degree, and the result keeps them so (`_Packed`): a monomial's
-    coefficient is divided by e! and the weights' lcm only when it is read.
+    by degree, and the result keeps them so (see `FormalSeries`): a
+    monomial's coefficient is divided by e! and the weights' lcm only when
+    it is read.
     A single class keeps its F, with no sum.
 
     Several classes with Q share the factor E = exp(Q/2): their sum is
@@ -473,51 +514,41 @@ def gaussian_sum(form: IntersectionForm,
         weight = 1
         slices = _factored_sum(form, weights, cap) if quadratic else None
         if slices is None:
-            slices = [{} for _ in range(cap)]
-            for w, d in weights:
-                for total, part in zip(slices, _MEMO.get(form, d, cap,
-                                                         quadratic)):
-                    for key, v in part.items():
-                        total[key] = total.get(key, 0) + w * v
-            slices = _nonzero(slices)
-    return FormalSeries._canonical(n, cap, None,
-                                   _Packed(n, cap, slices, weight, den))
+            slices = _weighted_sum(
+                ((w, _MEMO.get(form, d, cap, quadratic)) for w, d in weights),
+                cap)
+    return FormalSeries._make(n, cap, slices, weight, den)
+
+
+def _weighted_sum(weighted, cap):
+    """sum_r w_r F_r below cap, for (w_r, slices of F_r) in `weighted`, each
+    read once and in turn; zeros dropped."""
+    totals: list[dict[int, int]] = [{} for _ in range(cap)]
+    for w, slices in weighted:
+        for total, part in zip(totals, slices):
+            for key, v in part.items():
+                total[key] = total.get(key, 0) + w * v
+    return _nonzero(totals)
 
 
 def _nonzero(slices):
     return [{key: v for key, v in part.items() if v} for part in slices]
 
 
-def _factored_sum(form, weights, cap):
-    """T = E S, the weighted sum of the classes' divided powers (see
-    gaussian_sum), by degree, or None when S has more terms than there are
-    classes."""
-    streams = [_slice_stream(form, d, cap, False) for _, d in weights]
-    s_slices = []       # (degree, [(packed b, S(b) != 0)])
-    size = 0
-    for degree in range(cap):
-        acc: dict[int, int] = {}
-        for (w, _), stream in zip(weights, streams):
-            for key, v in next(stream).items():
-                acc[key] = acc.get(key, 0) + w * v
-        items = [(key, v) for key, v in acc.items() if v]
-        size += len(items)
-        if size > len(weights):
-            return None
-        if items:
-            s_slices.append((degree, items))
-    totals: list[dict[int, int]] = [{} for _ in range(cap)]
-    if not s_slices:
-        return totals
-    n = form.rank
-    e_slices = _MEMO.get(form, (0,) * n, cap, True, cap - s_slices[0][0])
+def _product(outer, inner, n, cap):
+    """The divided powers of A B below cap, from those of B (`outer`) and A
+    (`inner`), all slices in the key layout of cap:
+        (AB)(e) = sum_{a + b = e} prod_i C(e_i, b_i) A(a) B(b).
+    Only pairs of degree < cap are formed, and the binomials run over the
+    nonzero entries of b, so the sparser factor should be B."""
     shifts, mask = _layout(n, cap)
-    for degree, items in s_slices:
-        for kb, sb in items:
+    totals: list[dict[int, int]] = [{} for _ in range(cap)]
+    for degree, part_b in enumerate(outer):
+        for kb, sb in part_b.items():
             support = [(sh, kb >> sh & mask) for sh in shifts if kb >> sh & mask]
-            for total, part in zip(totals[degree:], e_slices):
-                for ka, ea in part.items():
-                    v = sb * ea
+            for total, part_a in zip(totals[degree:], inner):
+                for ka, fa in part_a.items():
+                    v = sb * fa
                     for sh, bi in support:
                         v *= comb((ka >> sh & mask) + bi, bi)
                     key = ka + kb
@@ -525,13 +556,36 @@ def _factored_sum(form, weights, cap):
     return _nonzero(totals)
 
 
+def _factored_sum(form, weights, cap):
+    """T = E S, the weighted sum of the classes' divided powers (see
+    gaussian_sum), by degree, or None when S has more terms than there are
+    classes."""
+    streams = [_slice_stream(form, d, cap, False) for _, d in weights]
+    s_slices = []
+    size = 0
+    for _ in range(cap):
+        # S at the next degree: the classes' next slices, weighted
+        part, = _weighted_sum([(w, [next(stream)])
+                               for (w, _), stream in zip(weights, streams)], 1)
+        size += len(part)
+        if size > len(weights):
+            return None
+        s_slices.append(part)
+    low = next((d for d, part in enumerate(s_slices) if part), cap)
+    if low == cap:
+        return s_slices
+    n = form.rank
+    e_slices = _MEMO.get(form, (0,) * n, cap, True, cap - low)
+    return _product(s_slices, e_slices, n, cap)
+
+
 def divided_powers(form: IntersectionForm, k: Sequence[int],
                    degree_cap: int) -> dict[Exponents, int]:
     """The integer divided powers F(e) = e! [h^e] exp(Q(h, h)/2 + <k, h>)
     of one class (the kernel of `gaussian_sum`), for every e of degree
     < degree_cap with F(e) != 0, keyed by exponent tuple, in a new dict."""
-    p = gaussian_sum(form, [(1, k)], degree_cap)._packed
-    return {p.exponents(key): v for part in p.slices for key, v in part.items()}
+    s = gaussian_sum(form, [(1, k)], degree_cap)
+    return {s._exponents(key): v for part in s.slices for key, v in part.items()}
 
 
 def _layout(n: int, cap: int) -> tuple[list[int], int]:
@@ -543,98 +597,30 @@ def _layout(n: int, cap: int) -> tuple[list[int], int]:
     return [width * (n - 1 - i) for i in range(n)], (1 << width) - 1
 
 
-class _Packed:
-    """A series as divided-power integers, as the kernel gives them out:
-    `slices[d]` maps the packed key (layout of `cap`) of each e of degree
-    d < cap with F(e) != 0 to F(e), for sum_e weight F(e) / (e! den) h^e."""
-
-    __slots__ = ("n", "cap", "slices", "weight", "den")
-
-    def __init__(self, n, cap, slices, weight, den):
-        self.n, self.cap, self.slices = n, cap, slices
-        self.weight, self.den = weight, den
-
-    @classmethod
-    def pack(cls, n, cap, terms, degrees) -> "_Packed":
-        """The `terms` of `degrees` (each < cap); weight 1, den the lcm of
-        their denominators."""
-        shifts, _ = _layout(n, cap)
-        fact = [factorial(e) for e in range(cap)].__getitem__
-        kept = [(e, c, d) for e, c in terms.items() if (d := sum(e)) in degrees]
-        den = lcm(*{c.denominator for _, c, _ in kept})
-        slices = [{} for _ in range(cap)]
-        for e, c, d in kept:
-            slices[d][sum(map(lshift, e, shifts))] = (
-                c.numerator * (den // c.denominator) * prod(map(fact, e)))
-        return cls(n, cap, slices, 1, den)
-
-    def rekeyed(self, cap, degrees) -> list[dict[int, int]]:
-        """The slices of `degrees` (each < cap <= self.cap) in the layout
-        of `cap`, the other degrees empty; the slices themselves when the
-        layout is this one."""
-        shifts, mask = _layout(self.n, self.cap)
-        new = _layout(self.n, cap)[0]
-        fields = list(zip(shifts, new))
-        slices = [{} for _ in range(cap)]
-        for d in degrees:
-            part = self.slices[d]
-            slices[d] = part if new == shifts else {
-                sum([(key >> old & mask) << sh for old, sh in fields]): v
-                for key, v in part.items()}
+def _rekey(n, old_cap, cap, slices):
+    """`slices`, keyed in the layout of old_cap, in the layout of cap: the
+    same list when the two layouts agree."""
+    old, mask = _layout(n, old_cap)
+    new = _layout(n, cap)[0]
+    if new == old:
         return slices
+    fields = list(zip(old, new))
+    return [{sum([(key >> o & mask) << sh for o, sh in fields]): v
+             for key, v in part.items()} for part in slices]
 
-    def exponents(self, key: int) -> Exponents:
-        """The exponent tuple of a packed key."""
-        shifts, mask = _layout(self.n, self.cap)
-        return tuple([key >> sh & mask for sh in shifts])
 
-    def keys(self, monomials) -> dict[int, Exponents]:
-        """packed key -> exponent tuple, for exponent tuples of degree < cap."""
-        shifts, _ = _layout(self.n, self.cap)
-        return {sum(map(lshift, e, shifts)): e for e in monomials}
-
-    def _halves(self, labels):
-        """(high, low, split, low mask): a key's high part key >> split
-        holds entries 0..n/2 - 1, its low part the rest (see `_Parts`)."""
-        width = _layout(self.n, self.cap)[1].bit_length()
-        fact = [factorial(e) for e in range(self.cap)]
-        h = self.n // 2
-        split = width * (self.n - h)
-        return (_Parts(h, 0, width, fact, labels),
-                _Parts(self.n - h, h, width, fact, labels),
-                split, (1 << split) - 1)
-
-    def fractions(self, degrees, keys=None) -> dict[Exponents, Fraction]:
-        """exponent tuple -> coefficient, for the terms of these degrees,
-        or only for those of them whose packed key is in `keys`."""
-        high, low, split, low_mask = self._halves(False)
-        weight, den = self.weight, self.den
-        terms = {}
-        for d in degrees:
-            part = self.slices[d]
-            if keys is not None:
-                part = {key: part[key] for key in keys if key in part}
-            for key, v in part.items():
-                ea, fa, _ = high[key >> split]
-                eb, fb, _ = low[key & low_mask]
-                terms[ea + eb] = Fraction(v * weight, fa * fb * den)
-        return terms
-
-    def lines(self) -> list[str]:
-        """The terms' lines of `FormalSeries.to_text`, in its order, with
-        each coefficient in lowest terms as str(Fraction) writes it."""
-        high, low, split, low_mask = self._halves(True)
-        weight, den = self.weight, self.den
-        lines = []
-        for part in self.slices:
-            for key in sorted(part):
-                _, fa, la = high[key >> split]
-                _, fb, lb = low[key & low_mask]
-                num, q = part[key] * weight, fa * fb * den
-                g = gcd(num, q)
-                coeff = f"{num // g}" if g == q else f"{num // g}/{q // g}"
-                lines.append(f"{coeff} *{la}{lb}" if key else coeff)
-        return lines
+def _pack(n, cap, terms):
+    """(slices, den) of canonical `terms` (exponent tuple -> nonzero
+    Fraction, degree < cap), F(e) = e! den c_e with den the lcm of their
+    denominators."""
+    shifts, _ = _layout(n, cap)
+    fact = [factorial(e) for e in range(cap)].__getitem__
+    den = lcm(*{c.denominator for c in terms.values()})
+    slices = [{} for _ in range(cap)]
+    for e, c in terms.items():
+        slices[sum(e)][sum(map(lshift, e, shifts))] = (
+            c.numerator * (den // c.denominator) * prod(map(fact, e)))
+    return slices, den
 
 
 # a part of at most this many entries is unpacked field by field

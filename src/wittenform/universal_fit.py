@@ -25,7 +25,8 @@ from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
 from .monopole_levels import delta_admissible, leveled_entries
 from .series import (FormalSeries, HomogeneousPolynomial, _check_degree,
-                     linear_series, monomial_label, quadratic_series)
+                     _pack, first_difference, linear_series, monomial_label,
+                     quadratic_series)
 
 Signature = tuple[int, int, int, int, int, int, int, int]
 
@@ -117,8 +118,10 @@ class AssembledRhs:
                 total += coeff * values[unknown]
             if total:
                 terms[mono] = total
-        return HomogeneousPolynomial._canonical(self.num_vars, self.degree + 1,
-                                                terms, degree=self.degree)
+        cap = self.degree + 1
+        slices, den = _pack(self.num_vars, cap, terms)
+        return HomogeneousPolynomial._make(self.num_vars, cap, slices, 1, den,
+                                           degree=self.degree)
 
 
 class _Powers:
@@ -299,8 +302,8 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
     is deterministic. A monomial in no unknown has a nonzero observed value,
     so 0 = value is inconsistent: only the first such monomial is fed, and
     only while the system is consistent, as a witness. Such monomials are
-    found on the observed value's integers (`FormalSeries._ints`), and then
-    only the monomials fed are unpacked to Fractions.
+    found on the observed value's integers (`FormalSeries.slices`), and
+    then only the monomials fed are unpacked to Fractions.
     """
     assembled = [assemble_rough_rhs(o.manifold, o.w, o.lambda_, o.delta, o.m)
                  for o in problem.observations]
@@ -316,17 +319,11 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
         templates.update(rhs.templates)
         notes.extend(f"observation {obs_idx}: {n}" for n in rhs.notes)
         lhs = obs.observed_lhs
-        packed = lhs._ints(lhs.degree_cap)
-        monos = packed.keys(rhs.coeffs)
-        free = min(packed.slices[lhs.degree].keys() - monos.keys(),
-                   default=None)
-        if free is None:
-            # every observed monomial carries an unknown: all of the view
-            # is read, here and by validate_solution, so it is built once
-            observed = lhs.terms
-        else:
-            monos[free] = packed.exponents(free)
-            observed = packed.fractions((lhs.degree,), monos)
+        monos = lhs._keys(rhs.coeffs)
+        free = min(lhs.slices[lhs.degree].keys() - monos.keys(), default=None)
+        if free is not None:
+            monos[free] = lhs._exponents(free)
+        observed = lhs._fractions((lhs.degree,), monos)
         # ascending packed keys of one degree are its monomials in lex order
         for key in sorted(monos):
             mono = monos[key]
@@ -379,7 +376,8 @@ def validate_solution(problem: FitProblem,
     for obs_idx, (obs, rhs) in enumerate(
             zip(problem.observations, report.assembled)):
         substituted = rhs.substitute(report.values)
-        same = (substituted.terms == obs.observed_lhs.terms)
+        same = first_difference(substituted, obs.observed_lhs,
+                                substituted.degree_cap) is None
         residuals.append(same)
         if not same:
             findings.append(f"observation {obs_idx}: nonzero residual")

@@ -11,7 +11,6 @@ from wittenform.cli import main, parse_cli_vector
 from wittenform.corpus import (bundled_path, elliptic_manifold, k3_form,
                                k3_manifold, list_bundled, load_bundled)
 from wittenform.errors import DimensionMismatch, LoadError
-from wittenform import series
 from wittenform.invariants import KMData, fit_km_coefficients, witten_rhs
 from wittenform.manifold_io import km_to_text, manifold_to_text, witten_consistent_km
 from wittenform.series import FormalSeries, exp_quadratic
@@ -157,27 +156,27 @@ def test_witten_compare_mismatch_exits_4(capsys, tmp_path):
 
 @pytest.fixture
 def fraction_views(monkeypatch):
-    """(unpacked, views): the degrees each `_Packed.fractions` call unpacks
-    and the names each `FormalSeries.__getattr__` call builds (`terms`)."""
+    """(unpacked, views): the degrees each `FormalSeries._fractions` call
+    unpacks, and one entry per read of a series' whole `terms` view."""
     unpacked, views = [], []
-    fractions, getattr_ = series._Packed.fractions, FormalSeries.__getattr__
+    fractions, terms = FormalSeries._fractions, FormalSeries.terms
 
     def spy_fractions(self, degrees, keys=None):
         unpacked.append(tuple(degrees))
         return fractions(self, degrees, keys)
 
-    def spy_getattr(self, name):
-        views.append(name)
-        return getattr_(self, name)
+    def spy_terms(self):
+        views.append("terms")
+        return terms.fget(self)
 
-    monkeypatch.setattr(series._Packed, "fractions", spy_fractions)
-    monkeypatch.setattr(FormalSeries, "__getattr__", spy_getattr)
+    monkeypatch.setattr(FormalSeries, "_fractions", spy_fractions)
+    monkeypatch.setattr(FormalSeries, "terms", property(spy_terms))
     return unpacked, views
 
 
 def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
                                                    fraction_views):
-    # both read the kernel's integers: no series builds its `terms`, and
+    # both read the kernel's integers: no series' `terms` is read, and
     # only a witness's degree is unpacked
     unpacked, views = fraction_views
     m = k3_manifold()
@@ -209,7 +208,8 @@ def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
 
 def test_reads_across_key_layouts_build_no_fraction_view(fraction_views):
     # a K3 series at cap 9 or 10 (4-bit key fields) read at cap 8 (3-bit
-    # fields) is re-keyed in integers, and keeps its slices
+    # fields) is re-keyed in integers; read at cap 9 (the same fields) it
+    # hands over its own slices
     unpacked, views = fraction_views
     m = k3_manifold()
     zero, k = (0,) * 22, (2,) + (0,) * 21
@@ -222,7 +222,8 @@ def test_reads_across_key_layouts_build_no_fraction_view(fraction_views):
     assert truncated.to_text() == at8.to_text()
     assert truncated.homogeneous_part(6).to_text() == (
         at10.homogeneous_part(6).truncate_to(8).to_text())
-    assert all(s._packed is not None for s in (at9, at10, truncated))
+    assert all(x is y for x, y in zip(at10.truncate_to(9).slices, at10.slices))
+    assert not any(x is y for x, y in zip(truncated.slices, at9.slices))
     assert (unpacked, views) == ([], [])
 
 
@@ -411,6 +412,22 @@ def test_fit_consistent(capsys, tmp_path):
     assert code == 0
     assert "status=unique" in out
     assert "p[2,2,0,1][0] = 1/2" in out
+    assert "residual observation=0 exact_zero=true" in out
+
+
+def test_fit_inline_zero_is_the_zero_polynomial(capsys, tmp_path):
+    # "lhs = 0" has no term of the wrong degree: it is the zero polynomial,
+    # which the K3 slot fits with 0
+    (tmp_path / "k3.manifold").write_text(manifold_to_text(k3_manifold()))
+    zeros = " ".join(["0"] * 22)
+    obs = tmp_path / "obs.fit"
+    obs.write_text(
+        "[fit]\ndelta = 2\nm = 0\n\n[observation]\nmanifold = k3.manifold\n"
+        f"w = {zeros}\nlambda = {zeros}\nlhs = 0\n")
+    code, out, err = run_cli(capsys, "fit", str(obs))
+    assert (code, err) == (0, "")
+    assert "status=unique" in out
+    assert "  p[2,2,0,1][0] = 0\n" in out
     assert "residual observation=0 exact_zero=true" in out
 
 

@@ -336,12 +336,13 @@ def reference_fit(target, classes, w, form, cap):
     n = len(classes)
     basis = [exp_quadratic(form, cap) * exp_linear(form, k, cap)
              for k in classes]
-    target = target.truncate_to(cap)
-    monomials = set(target.terms).union(*(b.terms for b in basis))
+    target = target.truncate_to(cap).terms
+    basis = [b.terms for b in basis]
+    monomials = set(target).union(*basis)
     rows, pivots, witness = [], [], None
     for mono in sorted(monomials, key=lambda e: (sum(e), e)):
-        row = [b.terms.get(mono, Fraction(0)) for b in basis]
-        row.append(target.terms.get(mono, Fraction(0)))
+        row = [b.get(mono, Fraction(0)) for b in basis]
+        row.append(target.get(mono, Fraction(0)))
         for p, r in zip(pivots, rows):
             f = row[p]
             row = [x - f * y for x, y in zip(row, r)]

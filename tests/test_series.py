@@ -40,12 +40,26 @@ def naive_mul(a, b):
     # independent Cauchy product with truncation, straight off the definition
     cap = min(a.degree_cap, b.degree_cap)
     out = {}
+    b_terms = sorted((sum(eb), eb, cb) for eb, cb in b.terms.items())
     for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+        room = cap - sum(ea)
+        for db, eb, cb in b_terms:
+            if db >= room:
+                break
             key = tuple(x + y for x, y in zip(ea, eb))
-            if sum(key) < cap:
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out.get(key, Fraction(0)) + ca * cb
     return FormalSeries(a.num_vars, cap, out)
+
+
+def fraction_sum(num_vars, cap, weighted):
+    """sum_r c_r s_r for (c_r, s_r) in `weighted`, over the series' Fraction
+    terms (no ring operation of the library)."""
+    out = {}
+    for c, s in weighted:
+        for e, v in s.terms.items():
+            if sum(e) < cap:
+                out[e] = out.get(e, Fraction(0)) + Fraction(c) * v
+    return FormalSeries(num_vars, cap, out)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +133,64 @@ def test_ring_axioms_randomized():
         assert a * (b + c) == a * b + a * c
 
 
+def edge_series(rng, num_vars, cap):
+    """A series with a term at the top of one key field (h_i^(cap - 1)),
+    terms of random degree < cap, and a weight other than 1."""
+    terms = {tuple(cap - 1 if i == rng.randrange(num_vars) else 0
+                   for i in range(num_vars)): Fraction(rng.randint(1, 9), 7)}
+    for _ in range(6):
+        d = rng.randrange(cap)
+        cuts = sorted(rng.randint(0, d) for _ in range(num_vars - 1))
+        e = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+        terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                     rng.randint(1, 4))
+    return FormalSeries(num_vars, cap, terms) * scale
+
+
+@pytest.mark.parametrize("caps", [(8, 9), (9, 8), (16, 17), (17, 16)])
+def test_ring_operations_across_key_widths(caps):
+    # the packed key fields widen from 3 to 4 bits between caps 8 and 9, and
+    # from 4 to 5 between 16 and 17: each operation, on a series of each
+    # cap, against references on the Fraction terms
+    rng = random.Random(sum(caps))
+    for n in (1, 2, 3):
+        for _ in range(3):
+            a, b = (edge_series(rng, n, cap) for cap in caps)
+            cap = min(caps)
+            ta = a.terms
+            c = Fraction(-7, 3)
+            for got, want in [
+                    (a + b, fraction_sum(n, cap, [(1, a), (1, b)])),
+                    (a - b, fraction_sum(n, cap, [(1, a), (-1, b)])),
+                    (b - a, fraction_sum(n, cap, [(1, b), (-1, a)])),
+                    (a * b, naive_mul(a, b)), (b * a, naive_mul(b, a)),
+                    (-a, fraction_sum(n, a.degree_cap, [(-1, a)])),
+                    (a * c, fraction_sum(n, a.degree_cap, [(c, a)])),
+                    (c * b, fraction_sum(n, b.degree_cap, [(c, b)]))]:
+                assert got.degree_cap == want.degree_cap
+                assert got.terms == want.terms
+            for s in (a, b):
+                terms = s.terms
+                for j in range(n):
+                    d = s.derivative(j)
+                    assert d.degree_cap == s.degree_cap - 1
+                    assert d.terms == {
+                        e[:j] + (e[j] - 1,) + e[j + 1:]: v * e[j]
+                        for e, v in terms.items() if e[j]}
+                for e in itertools.product(range(s.degree_cap), repeat=n):
+                    if sum(e) < s.degree_cap:
+                        assert s.coefficient(e) == terms.get(e, 0)
+                # equal values in other integers: equal, with equal hashes
+                for twin in (FormalSeries(n, s.degree_cap, terms),
+                             (s + s) * Fraction(1, 2)):
+                    assert s == twin and twin == s and hash(s) == hash(twin)
+                assert s != s + FormalSeries.constant(
+                    Fraction(1, 3), n, s.degree_cap)
+            assert a != b and a.truncate_to(cap) != b.truncate_to(cap)
+            assert ta == a.terms
+
+
 # ---------------------------------------------------------------------------
 # truncation semantics
 
@@ -188,11 +260,20 @@ def test_homogeneous_polynomial_rejects_mixed_degrees():
 
 
 def assert_canonical(r):
-    assert FormalSeries(r.num_vars, r.degree_cap, r.terms).terms == r.terms
-    for exps, c in r.terms.items():
+    terms = r.terms
+    assert FormalSeries(r.num_vars, r.degree_cap, terms).terms == terms
+    for exps, c in terms.items():
         assert type(c) is Fraction and c != 0
         assert all(type(e) is int for e in exps)
         assert sum(exps) < r.degree_cap
+    # the stored integers: one slice per degree < cap, keyed by monomials of
+    # that degree, no zero value; a nonzero weight and a positive den
+    assert len(r.slices) == r.degree_cap
+    assert type(r.weight) is int and r.weight and type(r.den) is int
+    assert r.den > 0
+    for d, part in enumerate(r.slices):
+        for key, v in part.items():
+            assert type(v) is int and v and sum(r._exponents(key)) == d
 
 
 def test_results_are_canonical():
@@ -342,6 +423,9 @@ def test_parse_rejects_garbage():
         FormalSeries.parse("series vars=1 cap=3\n1 * x^2")
     with pytest.raises(ValueError, match="zero denominator"):
         FormalSeries.parse("series vars=1 cap=2\n1/0")
+    # a term at or above the header's cap is refused, not dropped
+    with pytest.raises(ValueError, match="degree 3 at or above cap 3"):
+        FormalSeries.parse("series vars=2 cap=3\n1\n5 * h1^3")
 
 
 def test_first_difference_reports_smallest_monomial():
@@ -377,23 +461,25 @@ def test_first_difference_refuses_past_either_cap():
 # the divided-power kernel against the product route
 
 def exp_by_products(p):
-    """exp(p) for p without constant term: sum_n p^n / n! by __mul__."""
-    result = term = FormalSeries.one(p.num_vars, p.degree_cap)
-    n = 1
-    while True:
-        term = term * p * Fraction(1, n)
-        if term.is_zero():
-            return result
-        result = result + term
-        n += 1
+    """exp(p) for p without constant term: sum_k p^k / k!, by naive_mul
+    and fraction_sum (not by the library's ring operations, which share the
+    kernel's product code)."""
+    n, cap = p.num_vars, p.degree_cap
+    powers = [FormalSeries.one(n, cap)]
+    while not powers[-1].is_zero():
+        powers.append(naive_mul(powers[-1], p))
+    return fraction_sum(n, cap, [(Fraction(1, factorial(k)), power)
+                                 for k, power in enumerate(powers)])
 
 
 def product_route(form, weighted_classes, cap):
-    acc = FormalSeries.zero(form.rank, cap)
-    for c, k in weighted_classes:
-        acc = acc + exp_by_products(linear_series(form, k, cap)) * c
-    half_q = quadratic_series(form, cap) * Fraction(1, 2)
-    return exp_by_products(half_q) * acc
+    n = form.rank
+    acc = fraction_sum(n, cap, [
+        (c, exp_by_products(linear_series(form, k, cap)))
+        for c, k in weighted_classes])
+    half_q = fraction_sum(n, cap, [
+        (Fraction(1, 2), quadratic_series(form, cap))])
+    return naive_mul(exp_by_products(half_q), acc)
 
 
 def assert_kernel_matches(form, weighted_classes, cap):
@@ -445,10 +531,11 @@ def test_kernel_divided_powers_of_linear_exponent():
         d = form.dual_coefficients(k)
         cap = rng.randint(1, 8)
         got = gaussian_sum(form, [(1, k)], cap, quadratic=False)
+        terms = got.terms
         for e in itertools.product(range(cap), repeat=rank):
             if sum(e) >= cap:
                 continue
-            f = got.terms.get(e, Fraction(0)) * prod(factorial(x) for x in e)
+            f = terms.get(e, Fraction(0)) * prod(factorial(x) for x in e)
             assert f == prod(di ** x for di, x in zip(d, e))
         assert got == exp_linear(form, k, cap)
 
@@ -461,12 +548,12 @@ def test_divided_powers_are_the_integer_coefficients():
         form = random_unimodular_form(rng, rank, ops=3 * rank)
         k = tuple(rng.randint(-2, 2) for _ in range(rank))
         cap = rng.randint(0, 7)
-        want = product_route(form, [(1, k)], cap)
+        want = product_route(form, [(1, k)], cap).terms
         got = divided_powers(form, k, cap)
-        assert set(got) == set(want.terms)
+        assert set(got) == set(want)
         for e, f in got.items():
             assert type(f) is int
-            assert f == want.terms[e] * prod(factorial(x) for x in e)
+            assert f == want[e] * prod(factorial(x) for x in e)
 
 
 def test_kernel_edge_cases():
@@ -480,7 +567,7 @@ def test_kernel_edge_cases():
 
 
 # ---------------------------------------------------------------------------
-# kernel results kept as packed integers until `terms` is read
+# kernel results read through the `terms` view
 
 def solve_unimodular(form, rhs):
     """The integer u with G u = rhs, by Gauss-Jordan over Fractions."""
@@ -553,11 +640,14 @@ def test_packed_series_reads_like_its_terms(monkeypatch):
             assert (taken or ["single" if len(classes) == 1 else "summed"]) \
                 == [route], (n, cap, classes)
             seen.add(route)
+        slices = s.slices
         text = s.to_text()
         parts = [s.homogeneous_part(d) for d in range(cap)]
-        assert s._packed is not None        # both read the packed integers
         terms = s.terms
-        assert s._packed is None            # the slices are dropped
+        # the view is built on each read and never kept: the series holds
+        # its integers only, before and after
+        assert s.terms == terms and s.terms is not terms
+        assert s.slices is slices and not hasattr(s, "__dict__")
         assert text == reference_text(s) == s.to_text()
         assert text == FormalSeries(n, cap, dict(terms)).to_text()
         assert [(p.degree, p) for p in parts] == [
@@ -593,8 +683,8 @@ def test_packed_key_order_is_lex_order():
 
 # ---------------------------------------------------------------------------
 # the text and the comparison against references that read `terms` (exponent
-# tuples and Fractions), independent of the packed integers that the
-# library's readers take from `FormalSeries._ints`
+# tuples and Fractions), independent of the integer slices that the
+# library's readers take
 
 def reference_text(s):
     lines = [f"series vars={s.num_vars} cap={s.degree_cap}"]
@@ -608,10 +698,11 @@ def reference_text(s):
 
 
 def reference_first_difference(a, b, n):
-    keys = {e for e in a.terms if sum(e) < n} | {e for e in b.terms if sum(e) < n}
+    ta, tb = a.terms, b.terms
+    keys = {e for e in ta if sum(e) < n} | {e for e in tb if sum(e) < n}
     for exps in sorted(keys, key=lambda e: (sum(e), e)):
-        ca = a.terms.get(exps, Fraction(0))
-        cb = b.terms.get(exps, Fraction(0))
+        ca = ta.get(exps, Fraction(0))
+        cb = tb.get(exps, Fraction(0))
         if ca != cb:
             return exps, ca, cb
     return None
@@ -652,7 +743,7 @@ def test_text_matches_the_tuple_formatter():
         for s in (a, a * b, a - a, -a, a * Fraction(-7, 3),
                   a.truncate_to(rng.randint(0, cap)), kernel_sum(rng, form, cap),
                   kernel_sum(rng, form, cap).truncate_to(rng.randint(0, cap))):
-            text = s.to_text()             # a packed series keeps its slices
+            text = s.to_text()
             assert text == reference_text(s)
             for d in range(s.degree_cap):
                 part = s.homogeneous_part(d)
@@ -661,17 +752,26 @@ def test_text_matches_the_tuple_formatter():
     assert cases == 240
 
 
-def test_first_difference_matches_the_reference():
+def test_first_difference_matches_the_reference(monkeypatch):
     rng = random.Random(141)
     checked = differ = 0
+    unpacked = []
+    fractions = FormalSeries._fractions
 
-    def check(a, b, n, packed=()):
+    def spy(self, degrees, keys=None):
+        unpacked.append(tuple(degrees))
+        return fractions(self, degrees, keys)
+
+    monkeypatch.setattr(FormalSeries, "_fractions", spy)
+
+    def check(a, b, n):
         nonlocal checked, differ
+        unpacked.clear()
         got = first_difference(a, b, n)
-        for s in packed:
-            # read without a Fraction view, re-keyed when its key layout is
-            # not the one of the smaller cap
-            assert s._packed is not None
+        # compared in integers (re-keyed when a key layout is not the one
+        # of the smaller cap): only a witness's degree is unpacked, once
+        # per series
+        assert unpacked == ([] if got is None else [(sum(got[0]),)] * 2)
         assert got == reference_first_difference(a, b, n), (a, b, n)
         checked += 1
         differ += got is not None
@@ -688,16 +788,16 @@ def test_first_difference_matches_the_reference():
                 a = kernel_sum(random.Random(seed), form, 8)
                 b = kernel_sum(random.Random(seed if same else seed + 1),
                                form, cap_b)
-                check(a, b, rng.randint(0, 8), (a, b))
+                check(a, b, rng.randint(0, 8))
         # a kernel result against constructed copies with bumps at several
         # degrees, and against the zero series
         for count in (0, 1, 3):
             a = kernel_sum(random.Random(seed), form, 9)
             b = bumped(kernel_sum(random.Random(seed), form, 9), rng, count)
-            check(a, b, 9, (a,))
+            check(a, b, 9)
             check(b, a, rng.randint(0, 9))
         a = kernel_sum(random.Random(seed), form, 7)
-        check(a, FormalSeries.zero(n, 7), 7, (a,))
+        check(a, FormalSeries.zero(n, 7), 7)
         check(FormalSeries.zero(n, 7), FormalSeries.zero(n, 9), 7)
         # constructed and product series
         x, y = random_series(rng, n, 7, 8), random_series(rng, n, 7, 8)
@@ -744,8 +844,9 @@ def test_memo_cold_and_warm_calls_agree(memo):
         # the sum takes the factored route: its SW part has at most one
         # term per class (no factored sum here has the class 0, whose run
         # could have served as E's)
-        sw_part = sum((exp_by_products(linear_series(form, k, cap)) * c
-                       for c, k in classes), FormalSeries.zero(rank, cap))
+        sw_part = fraction_sum(rank, cap, [
+            (c, exp_by_products(linear_series(form, k, cap)))
+            for c, k in classes])
         factored = len(sw_part.terms) <= len(classes)
         assert not factored or all(any(k) for _, k in classes)
         routes.add(factored)
@@ -904,15 +1005,20 @@ def test_witten_rhs_of_elliptic_surfaces_is_the_closed_form(n):
     m, fiber = elliptic(n)
     cap = n + 2
     x = linear_series(m.form, fiber, cap)
-    sinh = FormalSeries.zero(m.rank, cap)
-    for j in range(0, cap, 2):
-        sinh = sinh + (x ** (j + 1)) * Fraction(1, factorial(j + 1))
-    sw_part = sinh ** (n - 2)
+    powers = [FormalSeries.one(m.rank, cap)]
+    for _ in range(cap):
+        powers.append(naive_mul(powers[-1], x))
+    sinh = fraction_sum(m.rank, cap, [(Fraction(1, factorial(j)), powers[j])
+                                      for j in range(1, cap, 2)])
+    sw_part = FormalSeries.one(m.rank, cap)
+    for _ in range(n - 2):
+        sw_part = naive_mul(sw_part, sinh)
     assert min(sw_part.support_degrees()) == n - 2
     # sinh^{n-2} starts at degree n - 2, so e^{Q/2} is needed below 4 only
-    half_q = exp_by_products(quadratic_series(m.form, 4) * Fraction(1, 2))
-    assert witten_rhs(m, (0,) * m.rank, cap) == (
-        FormalSeries(m.rank, cap, half_q.terms) * sw_part)
+    half_q = exp_by_products(fraction_sum(
+        m.rank, 4, [(Fraction(1, 2), quadratic_series(m.form, 4))]))
+    assert witten_rhs(m, (0,) * m.rank, cap) == naive_mul(
+        FormalSeries(m.rank, cap, half_q.terms), sw_part)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -964,8 +1070,9 @@ def test_factored_route_at_and_past_its_rule(memo):
     for classes, cap, size in [(sinh_2x, 5, 2), (sinh_2x, 6, 3),
                                (sinh_sq, 7, 3), (sinh_sq, 9, 4),
                                (linear, 3, 2), (linear, 4, 6)]:
-        sw_part = sum((exp_by_products(linear_series(form, k, cap)) * c
-                       for c, k in classes), FormalSeries.zero(2, cap))
+        sw_part = fraction_sum(2, cap, [
+            (c, exp_by_products(linear_series(form, k, cap)))
+            for c, k in classes])
         assert len(sw_part.terms) == size
         runs = memo.runs
         assert_kernel_matches(form, classes, cap)
