@@ -246,6 +246,31 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
     return IntersectionForm(gram)
 
 
+def gram_components(gram: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The connected components of the Gram graph (i ~ j when G_ij != 0,
+    i != j), each as its ascending basis indices, in order of their least
+    index: the finest split of the basis into mutually orthogonal blocks,
+    so the form is the direct sum of the blocks' Gram matrices. An index
+    that pairs with no other is a block of its own."""
+    indices = range(len(gram))
+    seen = [False] * len(gram)
+    blocks = []
+    for start in indices:
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        # the block grows while it is walked: each index's row is read once
+        for i in block:
+            for j in itertools.compress(indices, gram[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        block.sort()
+        blocks.append(block)
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # integer kernels and orthogonal complements
 

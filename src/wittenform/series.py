@@ -20,7 +20,7 @@ from operator import lshift
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, TruncationError
-from .lattice import IntersectionForm
+from .lattice import IntersectionForm, gram_components
 
 Exponents = tuple[int, ...]
 
@@ -499,6 +499,16 @@ def gaussian_sum(form: IntersectionForm,
     degree n and d_i != 0, or at f + u_i + u_j with F(f) != 0 at degree
     n - 1 and G_ij != 0; only those candidates are visited, so sparse forms
     and zero classes walk just their reachable support.
+
+    With Q, exp(Q/2 + <K, h>) is the product of its restrictions to the
+    orthogonal blocks of the form (`lattice.gram_components`), which share
+    no variable. The recurrence runs once per block, so no monomial that
+    mixes blocks is visited, and the blocks are joined by
+        F(a + b) = F_A(a) F_B(b),
+    with no binomial (each is 1 on disjoint supports): only pairs below the
+    degree limit are formed, a factor equal to 1 is skipped, and the
+    smallest factors are multiplied first (see `_block_product`). A form
+    of one block runs the same loop with no product.
     """
     n = form.rank
     cap = degree_cap
@@ -560,7 +570,9 @@ def _factored_sum(form, weights, cap):
     """T = E S, the weighted sum of the classes' divided powers (see
     gaussian_sum), by degree, or None when S has more terms than there are
     classes."""
-    streams = [_slice_stream(form, d, cap, False) for _, d in weights]
+    layout = _layout(form.rank, cap)
+    streams = [_slice_stream(layout, range(form.rank), d)
+               for _, d in weights]
     s_slices = []
     size = 0
     for _ in range(cap):
@@ -704,42 +716,97 @@ _MEMO = _SliceMemo(_MEMO_ENTRIES)
 
 def _divided_power_slices(form, d, cap, quadratic, degrees):
     """[F at degree 0, ..., F at degree degrees - 1] of the class with
-    G K = d: one kernel run, as the memo stores it. (The factored route
-    reads S's classes from `_slice_stream` directly, as far as it needs,
-    and stores nothing.)"""
-    return list(islice(_slice_stream(form, d, cap, quadratic), degrees))
-
-
-def _slice_stream(form, d, cap, quadratic):
-    """F at degree 0, ..., F at degree cap - 1 of the class with G K = d
-    (see gaussian_sum), one at a time, each a dict packed key -> int F != 0
-    in the layout of `cap`."""
-    if cap <= 0:
-        return
-    n = form.rank
-    shifts, mask = _layout(n, cap)
-    place = [1 << sh for sh in shifts]
+    G K = d, as the memo stores it. With Q, exp(Q/2 + <K, h>) is the
+    product of its restrictions to the blocks of `lattice.gram_components`,
+    which share no variable: the recurrence runs once per block, in the
+    key layout of cap, and `_block_product` joins the blocks. Without Q
+    the whole basis is one block. (The factored route reads S's classes
+    from `_slice_stream` directly, as far as it needs, and stores
+    nothing.)"""
+    layout = _layout(form.rank, cap)
     if quadratic:
-        gram = form.gram
-        nbrs = [[(g, place[j], shifts[j]) for j, g in enumerate(row) if g]
-                for row in gram]
-        quad_steps = [(place[i] + place[j], i) for i in range(n)
-                      for j in range(i, n) if gram[i][j]]
+        gram, blocks = form.gram, gram_components(form.gram)
     else:
-        nbrs, quad_steps = [()] * n, ()
-    lin_steps = [(place[i], i) for i, di in enumerate(d) if di]
+        gram, blocks = None, [range(form.rank)]
+    return _block_product(
+        [list(islice(_slice_stream(layout, block, d, gram), degrees))
+         for block in blocks], degrees)
+
+
+def _block_product(factors, degrees):
+    """The slices below `degrees` of the product of `factors`, slices of
+    series in disjoint sets of variables with F(0) = 1, fresh from their
+    streams: the smallest factor's dicts are updated in place. On disjoint
+    supports every binomial C(e_i, b_i) of `_product` is 1, and each pair
+    (a, b) has a key a + b of its own, so
+        (AB)(a + b) = A(a) B(b)
+    is set, not summed, and the pairs with a = 0 or b = 0 are the two
+    factors' own terms, merged by dict update. A factor equal to 1 is
+    skipped, and the smallest factors are multiplied first, so that the
+    large ones meet only once."""
+    factors = sorted((f for f in factors if any(f[1:])),
+                     key=lambda f: sum(map(len, f)))
+    if not factors:
+        return [{0: 1} if e == 0 else {} for e in range(degrees)]
+    acc, *rest = factors
+    for factor in rest:
+        # from the top degree down, so that the pairs read acc's lower
+        # parts before the factor's own terms join them
+        for degree in range(degrees - 1, 0, -1):
+            part = acc[degree]
+            for low in range(1, degree):
+                part_a, part_b = acc[degree - low], factor[low]
+                if not (part_a and part_b):
+                    continue
+                # the longer part is walked by map, the other by the loop
+                if len(part_a) < len(part_b):
+                    part_a, part_b = part_b, part_a
+                keys, values = part_a.keys(), part_a.values()
+                for key, v in part_b.items():
+                    part.update(zip(map(key.__add__, keys),
+                                    map(v.__mul__, values)))
+            part.update(factor[degree])
+    return acc
+
+
+def _slice_stream(layout, block, d, gram=None):
+    """F at degree 0, 1, ... of exp(<K, h>) (with `gram`, of
+    exp(Q(h, h)/2 + <K, h>)), G K = d, in the variables of `block` alone
+    (see gaussian_sum), one at a time, each a dict packed key -> int F != 0
+    in `layout` (see `_layout`), endlessly: the caller takes as many
+    degrees as it needs. Only G's entries among the block's indices are
+    read, so the blocks of one form build their tables in
+    O(sum of block sizes squared)."""
+    shifts, mask = layout
+    # per direction i: (place of u_i, d_i, (G_ij, place of u_j, shift of
+    # entry j) for the j with G_ij != 0)
+    if gram is not None:
+        cols = [(j, 1 << shifts[j], shifts[j]) for j in block]
+        steps = [(pi, d[i], [(row[j], pj, sj) for j, pj, sj in cols if row[j]])
+                 for i, pi, _ in cols for row in [gram[i]]]
+    else:
+        # exp(<K, h>) steps only in the directions with d_i != 0
+        steps = [(1 << shifts[i], d[i], ()) for i in block if d[i]]
+    lin_steps = [(step[0], step) for step in steps if step[1]]
+    # u_i + u_j with j >= i (the place of u_j is at most u_i's), G_ij != 0
+    quad_steps = [(step[0] + p, step) for step in steps
+                  for _, p, _ in step[2] if p <= step[0]]
     prev: dict[int, int] = {}
     cur: dict[int, int] = {0: 1}
     yield cur
-    for _ in range(1, cap):
-        # candidate -> a direction i with e_i > 0 to run the recurrence on
-        cand = {key + p: i for key in cur for p, i in lin_steps}
-        cand.update({key + p: i for key in prev for p, i in quad_steps})
+    while True:
+        # candidate -> the step of a direction i with e_i > 0 to run the
+        # recurrence on
+        cand = ({key + p: step for key in cur for p, step in lin_steps}
+                if lin_steps else {})
+        if quad_steps and prev:
+            cand.update({key + p: step for key in prev
+                         for p, step in quad_steps})
         nxt = {}
-        for key, i in cand.items():
-            e = key - place[i]
-            v = d[i] * cur.get(e, 0)
-            for g, p, sh in nbrs[i]:
+        for key, (pi, di, row) in cand.items():
+            e = key - pi
+            v = di * cur.get(e, 0) if di else 0
+            for g, p, sh in row:
                 # only a true e - u_j (e_j > 0) is a degree-(n-1) key; a
                 # borrow across fields raises the entry sum instead
                 f = prev.get(e - p)

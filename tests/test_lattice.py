@@ -6,14 +6,15 @@ import pytest
 
 from wittenform import lattice
 from wittenform.cli import main
-from wittenform.corpus import bundled_path
+from wittenform.corpus import (bundled_path, elliptic_manifold, k3_form,
+                               load_bundled)
 from wittenform.errors import DimensionMismatch, UnimodularityError
 from wittenform.lattice import (IntersectionForm, Sublattice, bounded_vectors,
                                 characteristic_base, congruent_mod2,
                                 diagonal_form, direct_sum, e8_form,
                                 find_hyperbolic_pair, find_vector_with_square,
-                                hyperbolic_plane, integer_kernel,
-                                orthogonal_complement)
+                                gram_components, hyperbolic_plane,
+                                integer_kernel, orthogonal_complement)
 from wittenform.selftest import (box_vectors, brute_pairing,
                                  check_lattice_oracles, check_parity_lemma,
                                  random_forms)
@@ -245,6 +246,53 @@ def test_signature_matches_eigenvalue_signs():
         assert form.signature_decomposition() == expected, gram
         if permutation_det(gram) in (1, -1):
             assert IntersectionForm(gram).signature_decomposition() == expected
+
+
+# ---------------------------------------------------------------------------
+# orthogonal blocks
+
+def block_sizes(form):
+    return [len(block) for block in gram_components(form.gram)]
+
+
+def test_gram_components_of_the_corpus():
+    assert block_sizes(k3_form()) == [2, 2, 2, 8, 8]
+    assert block_sizes(elliptic_manifold(4).form) == [2] * 7 + [8] * 4
+    assert block_sizes(load_bundled("synthetic_05.manifold").form) == [2, 4, 1]
+
+
+def reference_components(gram):
+    """Blocks by merging any two that a nonzero entry joins, until none
+    does: the connected components straight off the definition."""
+    blocks = [{i} for i in range(len(gram))]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(blocks)), 2):
+            if any(gram[i][j] for i in blocks[a] for j in blocks[b]):
+                blocks[a] |= blocks.pop(b)
+                merged = True
+                break
+    return sorted(sorted(block) for block in blocks)
+
+
+def test_gram_components_match_the_reference():
+    # direct sums of random forms and of a degenerate block, with the basis
+    # shuffled so that the blocks interleave in index order
+    rng = random.Random(15)
+    for _ in range(30):
+        parts = [random_unimodular_form(rng, rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 4))]
+        gram = direct_sum(*parts).gram
+        if rng.random() < 0.5:
+            gram = [list(row) + [0] for row in gram] + [[0] * (len(gram) + 1)]
+        order = list(range(len(gram)))
+        rng.shuffle(order)
+        gram = [[gram[a][b] for b in order] for a in order]
+        # ascending blocks in order of their least index
+        assert gram_components(gram) == reference_components(gram)
+    assert gram_components([]) == []
+    assert gram_components([[0]]) == [[0]]
 
 
 # ---------------------------------------------------------------------------

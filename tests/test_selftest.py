@@ -21,6 +21,21 @@ def kernel_off_by_one(stream):
     return broken
 
 
+def last_factor_dropped(product):
+    return lambda factors, degrees: product(factors[:-1], degrees)
+
+
+# the first form drawn from this seed splits into the blocks {0, 1} and {2}
+SPLIT_SEED = 27
+
+
+def derivatives_on_a_split_form():
+    form = next(selftest.random_forms(random.Random(SPLIT_SEED), 1))
+    assert lattice.gram_components(form.gram) == [[0, 1], [2]]
+    return selftest.check_series_identities(random.Random(SPLIT_SEED), 6,
+                                            derivative=1)
+
+
 def perturbed_fit(fit):
     def broken(*args):
         result = fit(*args)
@@ -43,6 +58,11 @@ CASES = {
         series, "_slice_stream", kernel_off_by_one,
         lambda: selftest.check_series_identities(random.Random(1), 6,
                                                  inverse=3)),
+    # e^{Q/2} e^{-Q/2} = 1 holds block by block even without a block, but
+    # d/dh_j e^{Q/2} = <e_j, h> e^{Q/2} fails for j in the dropped block
+    "block product missing its last factor": (
+        series, "_block_product", last_factor_dropped,
+        derivatives_on_a_split_form),
     "pairing of the wrong parity": (
         lattice, "_gram_pairing",
         lambda pairing: lambda gram, u, v: pairing(gram, u, v) + 1,

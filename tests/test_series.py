@@ -9,9 +9,10 @@ from wittenform.errors import DimensionMismatch, TruncationError
 from wittenform.invariants import (KMData, Verdict, fit_km_coefficients,
                                    km_series, mmp_vanishing_check, sw_series,
                                    witten_rhs)
-from wittenform.corpus import elliptic_manifold, k3_form, k3_manifold
+from wittenform.corpus import (elliptic_manifold, k3_form, k3_manifold,
+                               load_bundled)
 from wittenform.lattice import (IntersectionForm, direct_sum, e8_form,
-                                hyperbolic_plane)
+                                gram_components, hyperbolic_plane)
 from wittenform.series import (FormalSeries, HomogeneousPolynomial,
                                divided_powers, exp_linear, exp_quadratic,
                                first_difference, gaussian_sum, linear_series,
@@ -564,6 +565,109 @@ def test_kernel_edge_cases():
     assert gaussian_sum(form, [(1, k)], 0) == FormalSeries.zero(3, 0)
     assert gaussian_sum(form, [(2, k), (-2, k)], 5) == FormalSeries.zero(3, 5)
     assert gaussian_sum(form, [(3, k)], 1) == FormalSeries.constant(3, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# forms that split into orthogonal blocks: one kernel run per block
+
+def interleaved_form():
+    """H + <1> + (-E8) with its basis permuted so that the blocks
+    interleave in index order: new index i is old index order[i]."""
+    gram = direct_sum(H, IntersectionForm([[1]]), e8_form(negative=True)).gram
+    order = (3, 0, 4, 2, 5, 1, 6, 7, 8, 9, 10)
+    return IntersectionForm([[gram[a][b] for b in order] for a in order])
+
+
+SPLIT_FORMS = {
+    "K3": k3_form,
+    "E(4)": lambda: elliptic_manifold(4).form,
+    "synthetic_05": lambda: load_bundled("synthetic_05.manifold").form,
+    "synthetic_10": lambda: load_bundled("synthetic_10.manifold").form,
+    "interleaved": interleaved_form,
+    # index 1 pairs with nothing, not even itself, so its factor is 1
+    "isolated zero": lambda: IntersectionForm(
+        [[2, 0, 1, 0], [0, 0, 0, 0], [1, 0, 2, 0], [0, 0, 0, -1]],
+        require_unimodular=False),
+}
+
+
+def route_classes(form):
+    """Weighted classes for each route of gaussian_sum, with duals of few
+    entries so that the references stay small: u is a basis vector whose
+    dual G u has one entry, at index a, and v = u + e_b with b in another
+    block, so that <v, h> reaches two blocks."""
+    n = form.rank
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    u = next(e for e in units
+             if sum(map(bool, form.dual_coefficients(e))) == 1)
+    a = next(i for i, x in enumerate(form.dual_coefficients(u)) if x)
+    b = next(block[0] for block in gram_components(form.gram)
+             if a not in block and any(form.gram[block[0]]))
+    v = tuple(x + y for x, y in zip(u, units[b]))
+    twice = tuple(2 * x for x in u)
+    return {
+        "single": [(Fraction(3, 2), v)],
+        # S = e^<v,h>/2 - e^<u,h>/3 has 3 terms below degree 2
+        "summed": [(Fraction(1, 2), v), (Fraction(-1, 3), u)],
+        # S = sinh^2 <u, h> has one term per even degree >= 2
+        "factored": [(Fraction(1, 4), twice), (Fraction(-1, 2), (0,) * n),
+                     (Fraction(1, 4), tuple(-x for x in twice))],
+    }
+
+
+@pytest.mark.parametrize("name", SPLIT_FORMS)
+def test_every_route_on_split_forms(name, memo, monkeypatch):
+    form = SPLIT_FORMS[name]()
+    n = form.rank
+    assert len(gram_components(form.gram)) > 1
+    taken = []
+    factored_sum = series._factored_sum
+
+    def spy(*args):
+        out = factored_sum(*args)
+        taken.append("summed" if out is None else "factored")
+        return out
+
+    monkeypatch.setattr(series, "_factored_sum", spy)
+    halves = {}     # cap -> e^{Q/2}, shared by the routes
+    for route, classes in route_classes(form).items():
+        # on E(4), a sum with a constant term has 175,497 terms at cap 8,
+        # and its Fraction reference takes about 20 s
+        top = 6 if name == "E(4)" and route != "factored" else 8
+        sw_part = fraction_sum(n, top, [
+            (c, exp_by_products(linear_series(form, k, top)))
+            for c, k in classes])
+        # the product below top needs e^{Q/2} only below top - the lowest
+        # degree of the SW part
+        below = top - min(sw_part.support_degrees(), default=top)
+        if below not in halves:
+            halves[below] = exp_by_products(fraction_sum(
+                n, below, [(Fraction(1, 2), quadratic_series(form, below))]))
+        want = naive_mul(FormalSeries(n, top, halves[below].terms), sw_part)
+        for cap in range(top + 1):
+            taken.clear()
+            got = gaussian_sum(form, classes, cap)
+            assert got == want.truncate_to(cap), (route, cap)
+        # below the top cap a sum may take the other route
+        assert taken == ([] if route == "single" else [route])
+
+
+def test_kernel_runs_once_per_block(memo, monkeypatch):
+    form = interleaved_form()
+    blocks = []
+    stream = series._slice_stream
+
+    def spy(layout, block, *args):
+        blocks.append(list(block))
+        return stream(layout, block, *args)
+
+    monkeypatch.setattr(series, "_slice_stream", spy)
+    k = (1,) * form.rank
+    exp_quadratic(form, 6)
+    assert blocks == [[0, 2, 4, 6, 7, 8, 9, 10], [1, 5], [3]]
+    blocks.clear()
+    exp_linear(form, k, 6)
+    assert blocks == [list(range(form.rank))]
 
 
 # ---------------------------------------------------------------------------
