@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 
 from .errors import (DimensionMismatch, NonCharacteristicError,
                      NonIntegralError)
-from .lattice import (IntersectionForm, Vector, as_vector, congruent_mod2,
-                      find_hyperbolic_pair, find_vector_with_square,
-                      mod2_reduce, orthogonal_complement, vec_add)
+from .lattice import (IntersectionForm, Vector, _gram_pairing, as_vector,
+                      congruent_mod2, find_hyperbolic_pair,
+                      find_vector_with_square, mod2_reduce,
+                      orthogonal_complement, vec_add)
 from .linsolve import LinearSystem
 from .series import FormalSeries, HomogeneousPolynomial, gaussian_sum
 
@@ -55,16 +56,33 @@ def sign_exponent(form: IntersectionForm, w: Sequence[int],
     For characteristic k the sum is always even, so a failure signals
     corrupted data rather than a legitimate value.
     """
-    t = form.pairing(w, w) + form.pairing(w, k)
-    if t % 2:
-        raise NonCharacteristicError(
-            f"sign exponent (w^2 + w.k)/2 = {t}/2 is not an integer; "
-            f"k = {tuple(k)} is not characteristic")
-    return t // 2
+    return _sign_exponents(form, w, (k,))[0]
+
+
+def _sign_exponents(form: IntersectionForm, w: Sequence[int],
+                    classes) -> list[int]:
+    """`sign_exponent` for each class in turn, with w and each class
+    checked once and w.w formed once."""
+    w = form._check_vector(w)
+    w_sq = _gram_pairing(form.gram, w, w)
+    out = []
+    for k in classes:
+        t = w_sq + _gram_pairing(form.gram, w, form._check_vector(k))
+        if t % 2:
+            raise NonCharacteristicError(
+                f"sign exponent (w^2 + w.k)/2 = {t}/2 is not an integer; "
+                f"k = {tuple(k)} is not characteristic")
+        out.append(t // 2)
+    return out
+
+
+def _signs(form, w, classes) -> list[int]:
+    """(-1)^((w^2 + w.k)/2) for each class k."""
+    return [-1 if t % 2 else 1 for t in _sign_exponents(form, w, classes)]
 
 
 def _sign(form, w, k) -> int:
-    return -1 if sign_exponent(form, w, k) % 2 else 1
+    return _signs(form, w, (k,))[0]
 
 
 @dataclass(frozen=True)
@@ -187,8 +205,9 @@ def sw_dimension_warnings(m: ManifoldData) -> list[str]:
 
 def _sw_terms(m: ManifoldData, w: Sequence[int]):
     """(signed SW invariant, c1) for every spin-c entry with SW != 0."""
-    w = m.form._check_vector(w)
-    return [(_sign(m.form, w, e.c1) * e.sw, e.c1) for e in m.spinc if e.sw]
+    entries = [e for e in m.spinc if e.sw]
+    signs = _signs(m.form, w, [e.c1 for e in entries])
+    return [(s * e.sw, e.c1) for s, e in zip(signs, entries)]
 
 
 def sw_series(m: ManifoldData, w: Sequence[int], degree_cap: int) -> FormalSeries:
@@ -200,7 +219,8 @@ def sw_series(m: ManifoldData, w: Sequence[int], degree_cap: int) -> FormalSerie
 def km_series(km: KMData, form: IntersectionForm, degree_cap: int) -> FormalSeries:
     """Basic-class expansion of the Donaldson series:
     exp(Q/2) * sum_r (-1)^((w^2 + w.K_r)/2) a_r exp(<K_r, h>)."""
-    terms = [(a * _sign(form, km.w, k), k) for a, k in km.terms]
+    signs = _signs(form, km.w, [k for _, k in km.terms])
+    terms = [(a * s, k) for s, (a, k) in zip(signs, km.terms)]
     return gaussian_sum(form, terms, degree_cap)
 
 
@@ -329,8 +349,9 @@ def fit_km_coefficients(target: FormalSeries,
                            target._exponents(sol.witness), ())
     a_values = {}
     zero = []
+    signs = _signs(form, w, candidates)
     for idx, k in enumerate(candidates):
-        a = _sign(form, w, k) * sol.values[idx]
+        a = signs[idx] * sol.values[idx]
         a_values[k] = a
         if a == 0:
             zero.append(k)

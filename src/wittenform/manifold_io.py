@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import LoadError, WittenformError
 from .invariants import (KMData, ManifoldData, SpincEntry, _check_c1,
-                         check_delta_m, point_evaluate, witten_consistent_km)
+                         check_delta_m, witten_consistent_km)
 from .lattice import IntersectionForm
 from .series import HomogeneousPolynomial, _parse_term, _parse_rational
 from .universal_fit import FitProblem, Observation
@@ -317,17 +317,17 @@ def parse_fit_problem(text: str, path: Optional[str] = None,
             lam = _parse_int_row(l_v, lines, no_l, "lambda", manifold.rank)
             no_lhs, lhs_v = _get(kv, "lhs", lines, "observation", header)
             if lhs_v.strip() == "witten":
-                km = witten_consistent_km(manifold, w)
-                observed = point_evaluate(km, manifold.form, delta, mm)
+                # the point value is read from the km data, never expanded
+                # in h here (see universal_fit)
+                value = {"km": witten_consistent_km(manifold, w)}
                 provenance = "point_evaluate (x->2 convention, witten-consistent)"
             else:
-                observed = _parse_inline_polynomial(
-                    lhs_v, manifold.rank, delta - 2 * mm, lines, no_lhs)
+                value = {"lhs": _parse_inline_polynomial(
+                    lhs_v, manifold.rank, delta - 2 * mm, lines, no_lhs)}
                 provenance = "user table"
             observations.append(Observation(
                 manifold=manifold, w=tuple(w), lambda_=tuple(lam),
-                delta=delta, m=mm, observed_lhs=observed,
-                provenance=provenance))
+                delta=delta, m=mm, provenance=provenance, **value))
         else:
             raise lines.error(f"unknown section [{name}]", header)
     if delta is None:

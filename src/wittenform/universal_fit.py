@@ -11,16 +11,38 @@ shared exactly when every one of those parameters agrees and no functional
 form across signatures is assumed. The assembled right-hand side is linear
 in the unknowns and is pinned against observed point values by exact
 rational elimination.
+
+Two routes write the equations. An observation whose value is basic-class
+data (`Observation.km`, as `lhs = witten` gives) takes the Q[u, q] route
+when its form is nondegenerate and s < n: u_1..u_s is a basis of the linear
+forms <v,h> with v over Lambda, the c1 of the leveled entries and the
+classes, q = Q(h,h), and both the right-hand side and the point value
+2^m d!/2 sum_r c_r sum_i (q/2)^i/i! <K_r,h>^(d-2i)/(d-2i)! are written in
+Q[u, q], never expanded in the n variables h. Every other observation (an
+explicit value, s = n, a degenerate form) takes the h route, which expands
+each product in h. The two agree: in coordinates (u, y) on h, a q free of
+y would have a Gram of rank <= s < n, so q has positive degree in y and is
+transcendental over Q(u). So u and q are algebraically independent, a
+polynomial in them is zero in Q[h] exactly when it is zero in Q[u, q], and
+both routes give the same augmented row space, hence the same reduced
+echelon form: status, nullspace, values, determined and absent unknowns.
+Only an inconsistency witness names a monomial of its route, so a system
+that turns inconsistent in an equation of a Q[u, q] observation is solved
+again on the h route.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import factorial
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, InadmissibleDeltaError
-from .invariants import ManifoldData, _sign, check_delta_m
+from .invariants import (KMData, ManifoldData, _signs, check_delta_m,
+                         point_evaluate)
 from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
 from .monopole_levels import delta_admissible, leveled_entries
@@ -110,7 +132,7 @@ class AssembledRhs:
             seen.update(linear)
         return sorted(seen)
 
-    def substitute(self, values) -> HomogeneousPolynomial:
+    def _substituted(self, values) -> dict:
         terms = {}
         for mono, linear in self.coeffs.items():
             total = Fraction(0)
@@ -118,35 +140,82 @@ class AssembledRhs:
                 total += coeff * values[unknown]
             if total:
                 terms[mono] = total
+        return terms
+
+    def substitute(self, values) -> HomogeneousPolynomial:
         cap = self.degree + 1
-        slices, den = _pack(self.num_vars, cap, terms)
+        slices, den = _pack(self.num_vars, cap, self._substituted(values))
         return HomogeneousPolynomial._make(self.num_vars, cap, slices, 1, den,
                                            degree=self.degree)
 
+    def equations(self, obs: "Observation") -> list[tuple]:
+        """(monomial, linear form, observed coefficient) of each equation
+        with `obs.observed_lhs`, monomials in lex order.
+
+        A monomial in no unknown has a nonzero observed value, so 0 = value
+        is inconsistent: only the first such monomial is listed, as a
+        witness. Such monomials are found on the observed value's integers
+        (`FormalSeries.slices`), and then only the monomials listed are
+        unpacked to Fractions.
+        """
+        lhs = obs.observed_lhs
+        monos = lhs._keys(self.coeffs)
+        free = min(lhs.slices[lhs.degree].keys() - monos.keys(), default=None)
+        if free is not None:
+            monos[free] = lhs._exponents(free)
+        observed = lhs._fractions((lhs.degree,), monos)
+        # ascending packed keys of one degree are its monomials in lex order
+        return [(mono, self.coeffs.get(mono, {}), observed.get(mono, 0))
+                for mono in map(monos.__getitem__, sorted(monos))]
+
+    def matches(self, values, obs: "Observation") -> bool:
+        """Does the solution `values` reproduce `obs.observed_lhs`?"""
+        substituted = self.substitute(values)
+        return first_difference(substituted, obs.observed_lhs,
+                                substituted.degree_cap) is None
+
+
+@dataclass
+class RingRhs(AssembledRhs):
+    """The right-hand side and the observed point value of one basic-class
+    observation in Q[u_1..u_s, q], num_vars = s. Every term has weight
+    |e| + 2 * (exponent of q) = degree, so a monomial is stored as its
+    u-exponents e alone. See the module docstring."""
+
+    observed: dict       # u-exponents -> point value coefficient
+
+    def substitute(self, values) -> dict:
+        """The right side at `values`, {u-exponents: coefficient}."""
+        return self._substituted(values)
+
+    def equations(self, obs: "Observation") -> list[tuple]:
+        return [(mono, self.coeffs.get(mono, {}), self.observed.get(mono, 0))
+                for mono in sorted(self.coeffs.keys() | self.observed.keys())]
+
+    def matches(self, values, obs: "Observation") -> bool:
+        return self.substitute(values) == self.observed
+
 
 class _Powers:
-    """x^0, x^1, ... of a series x, each made by one product with x when
+    """x^0, x^1, ... of x, each made by one product `mul` with x when
     first asked for, and kept."""
 
-    def __init__(self, x: FormalSeries):
+    def __init__(self, x, one, mul=operator.mul):
         self.x = x
-        self.made = [FormalSeries.one(x.num_vars, x.degree_cap)]
+        self.mul = mul
+        self.made = [one]
 
-    def __getitem__(self, k: int) -> FormalSeries:
+    def __getitem__(self, k: int):
         while len(self.made) <= k:
-            self.made.append(self.made[-1] * self.x)
+            self.made.append(self.mul(self.made[-1], self.x))
         return self.made[k]
 
 
-def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
-                       lambda_: Sequence[int], delta: int,
-                       mm: int) -> AssembledRhs:
-    """Assemble sum_s sign(s) SW(s) sum_i p_i(<A,h>,<B,h>) Q^i symbolically.
-
-    Requires the degree admissibility congruence; entries whose level index
-    is not a non-negative integer are skipped with a note, matching the
-    contribution enumeration.
-    """
+def _checked_vectors(m: ManifoldData, w: Sequence[int],
+                     lambda_: Sequence[int], delta: int,
+                     mm: int) -> tuple[Vector, Vector]:
+    """w and lambda checked against the rank, with (delta, m) and the
+    degree admissibility congruence."""
     w = m.form._check_vector(w)
     lam = m.form._check_vector(lambda_)
     check_delta_m(delta, mm)
@@ -154,29 +223,31 @@ def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
         raise InadmissibleDeltaError(
             f"delta={delta} violates the mod-4 congruence for w^2="
             f"{m.form.square(w)}, chi={m.chi}, sigma={m.sigma}")
-    degree = delta - 2 * mm
-    cap = degree + 1
+    return w, lam
+
+
+def _slot_coefficients(m: ManifoldData, w: Vector, lam: Vector, entries,
+                       delta: int, mm: int, powers_of, times_q):
+    """sum_s sign(s) SW(s) sum_i p_i(<A,h>,<B,h>) Q^i as {monomial: {Unknown:
+    coefficient}}, and the templates by signature. `powers_of(v)` gives the
+    powers of <v,h> and `times_q(a, b, i)` the (monomial, coefficient)
+    pairs of a * b * Q^i in the route's ring."""
     coeffs: dict[tuple, dict[Unknown, Fraction]] = {}
     templates: dict[Signature, CoefficientTemplate] = {}
-    notes = []
-    qpow = _Powers(quadratic_series(m.form, cap))
-    bpow = _Powers(linear_series(m.form, lam, cap))
+    bpow = powers_of(lam)
     lam_sq = m.form.square(lam)
-    for entry, ell in leveled_entries(m, lam, delta, notes):
+    signs = _signs(m.form, w, [entry.c1 for entry, _ in entries])
+    for (entry, ell), sign in zip(entries, signs):
         sig: Signature = (m.chi, m.sigma, m.form.square(entry.c1), lam_sq,
                           m.form.pairing(entry.c1, lam), delta, mm, ell)
         template = build_template(delta, mm, ell)
         templates.setdefault(sig, template)
-        factor = Fraction(_sign(m.form, w, entry.c1) * entry.sw)
-        apow = _Powers(linear_series(m.form, vec_sub(entry.c1, lam), cap))
+        factor = Fraction(sign * entry.sw)
+        apow = powers_of(vec_sub(entry.c1, lam))
         for tentry in template.entries:
             for j, unknown in enumerate(tentry.unknowns(sig)):
-                ab = apow[j] * bpow[tentry.degree - j]
-                if ab.is_zero():
-                    continue        # the slot is 0: no Q^i is built for it
-                poly = ab * qpow[tentry.i]
-                for mono, c in poly.terms.items():
-                    assert sum(mono) == degree
+                for mono, c in times_q(apow[j], bpow[tentry.degree - j],
+                                       tentry.i):
                     slot = coeffs.setdefault(mono, {})
                     slot[unknown] = slot.get(unknown, Fraction(0)) + factor * c
     # prune exact zeros so absent unknowns really are absent
@@ -186,33 +257,166 @@ def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
             coeffs[mono] = linear
         else:
             del coeffs[mono]
+    return coeffs, templates
+
+
+def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
+                       lambda_: Sequence[int], delta: int,
+                       mm: int) -> AssembledRhs:
+    """Assemble sum_s sign(s) SW(s) sum_i p_i(<A,h>,<B,h>) Q^i symbolically
+    in h: the h route.
+
+    Requires the degree admissibility congruence; entries whose level index
+    is not a non-negative integer are skipped with a note, matching the
+    contribution enumeration.
+    """
+    w, lam = _checked_vectors(m, w, lambda_, delta, mm)
+    degree = delta - 2 * mm
+    cap = degree + 1
+    notes = []
+    entries = list(leveled_entries(m, lam, delta, notes))
+    one = FormalSeries.one(m.rank, cap)
+    qpow = _Powers(quadratic_series(m.form, cap), one)
+
+    def times_q(a, b, i):
+        ab = a * b
+        # a zero slot builds no Q^i
+        return () if ab.is_zero() else (ab * qpow[i]).terms.items()
+
+    coeffs, templates = _slot_coefficients(
+        m, w, lam, entries, delta, mm,
+        lambda v: _Powers(linear_series(m.form, v, cap), one), times_q)
     return AssembledRhs(m.rank, degree, coeffs, templates, tuple(notes))
+
+
+def _span_coordinates(vectors) -> tuple[int, dict]:
+    """(s, {vector: coordinates}) for a basis of the span of `vectors`: the
+    vectors, in order, that are independent of those before them."""
+    echelon = []    # (pivot, reduced row, its coordinates in the basis)
+    coords = {}
+    for v in dict.fromkeys(vectors):
+        row, c = list(v), {}
+        # row = v - sum_t f_t E_t and c = sum_t f_t (coordinates of E_t)
+        for piv, e_row, e_coords in echelon:
+            if row[piv]:
+                f = Fraction(row[piv], e_row[piv])
+                row = [a - f * b for a, b in zip(row, e_row)]
+                for k, x in e_coords.items():
+                    c[k] = c.get(k, 0) + f * x
+        lead = next((i for i, a in enumerate(row) if a), None)
+        if lead is None:
+            coords[v] = c
+        else:
+            # v is basis vector number s, and row = v - c in coordinates
+            s = len(echelon)
+            e_coords = {k: -x for k, x in c.items()}
+            e_coords[s] = 1
+            echelon.append((lead, row, e_coords))
+            coords[v] = {s: 1}
+    s = len(echelon)
+    return s, {v: tuple(c.get(k, 0) for k in range(s))
+               for v, c in coords.items()}
+
+
+def _ring_mul(a: dict, b: dict) -> dict:
+    """The product of two polynomials in u, {exponents: coefficient}."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _assemble_ring_rhs(obs: "Observation") -> Optional[RingRhs]:
+    """The right-hand side and point value of a basic-class observation in
+    Q[u, q] (see the module docstring), or None when it takes the h route:
+    its value is explicit, its form is degenerate, or s = n. Raises as
+    `assemble_rough_rhs` does."""
+    if obs.km is None:
+        return None
+    m, km = obs.manifold, obs.km
+    w, lam = _checked_vectors(m, obs.w, obs.lambda_, obs.delta, obs.m)
+    notes = []
+    entries = list(leveled_entries(m, lam, obs.delta, notes))
+    classes = [k for _, k in km.terms]
+    s, coords = _span_coordinates(
+        [lam, *(vec_sub(e.c1, lam) for e, _ in entries), *classes])
+    _, b_plus, b_minus = m.form.signature_decomposition()
+    if s == m.rank or b_plus + b_minus < m.rank:
+        return None
+    one = {(0,) * s: 1}
+
+    def powers_of(v):
+        # <v, h> = sum_k coords[v][k] u_k
+        line = {tuple(int(t == k) for t in range(s)): c
+                for k, c in enumerate(coords[v]) if c}
+        return _Powers(line, one, _ring_mul)
+
+    # times q^i leaves the u-exponents as they are
+    coeffs, templates = _slot_coefficients(
+        m, w, lam, entries, obs.delta, obs.m, powers_of,
+        lambda a, b, i: _ring_mul(a, b).items())
+    # 2^m d!/2 sum_r c_r sum_i (q/2)^i/i! <K_r,h>^(d-2i)/(d-2i)!
+    d = obs.delta - 2 * obs.m
+    scale = Fraction(2 ** obs.m * factorial(d), 2)
+    observed = {}
+    for (a, k), sign in zip(km.terms, _signs(m.form, km.w, classes)):
+        kpow = powers_of(k)
+        for i in range(d // 2 + 1):
+            c = scale * sign * a / (2 ** i * factorial(i) * factorial(d - 2 * i))
+            for mono, x in kpow[d - 2 * i].items():
+                observed[mono] = observed.get(mono, 0) + c * x
+    observed = {mono: c for mono, c in observed.items() if c}
+    return RingRhs(s, d, coeffs, templates, tuple(notes), observed)
 
 
 @dataclass(frozen=True)
 class Observation:
+    """One observed point value D(h^(delta-2m) x^m): an explicit polynomial
+    `lhs` in h, or basic-class data `km` whose point value
+    (`invariants.point_evaluate`) is meant, as for `lhs = witten`.
+    `observed_lhs` is the value in h either way; for `km` it is built on
+    its first read."""
+
     manifold: ManifoldData
     w: Vector
     lambda_: Vector
     delta: int
     m: int
-    observed_lhs: HomogeneousPolynomial
+    lhs: Optional[HomogeneousPolynomial] = None
     provenance: str = "user"
+    km: Optional[KMData] = None
 
     def __post_init__(self):
         object.__setattr__(self, "w", as_vector(self.w))
         object.__setattr__(self, "lambda_", as_vector(self.lambda_))
+        if (self.lhs is None) == (self.km is None):
+            raise ValueError("an observation needs exactly one of lhs and km")
         degree = self.delta - 2 * self.m
-        lhs = self.observed_lhs
         rank = self.manifold.rank
-        for what, size in (("observed value", lhs.num_vars),
-                           ("w", len(self.w)), ("lambda", len(self.lambda_))):
+        sizes = [("w", len(self.w)), ("lambda", len(self.lambda_))]
+        if self.lhs is not None:
+            sizes.insert(0, ("observed value", self.lhs.num_vars))
+        else:
+            sizes += [("km w", len(self.km.w))] + [
+                ("basic class", len(k)) for _, k in self.km.terms]
+        for what, size in sizes:
             if size != rank:
                 raise DimensionMismatch(
                     f"{what} has {size} entries, manifold rank is {rank}")
+        if self.km is not None:
+            check_delta_m(self.delta, self.m)
+            return
         # any series homogeneous of this degree whose cap keeps that degree
-        _check_degree(sorted(lhs.support_degrees()), degree)
-        object.__setattr__(self, "observed_lhs", lhs.homogeneous_part(degree))
+        _check_degree(sorted(self.lhs.support_degrees()), degree)
+        object.__setattr__(self, "lhs", self.lhs.homogeneous_part(degree))
+
+    @cached_property
+    def observed_lhs(self) -> HomogeneousPolynomial:
+        if self.lhs is not None:
+            return self.lhs
+        return point_evaluate(self.km, self.manifold.form, self.delta, self.m)
 
 
 @dataclass(frozen=True)
@@ -297,16 +501,28 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
     """Equate assembled right-hand sides to the observed point values,
     coefficient by coefficient, and solve exactly.
 
-    Equations are processed observation by observation with monomials in
-    lex order, so the inconsistency witness (observation index, monomial)
-    is deterministic. A monomial in no unknown has a nonzero observed value,
-    so 0 = value is inconsistent: only the first such monomial is fed, and
-    only while the system is consistent, as a witness. Such monomials are
-    found on the observed value's integers (`FormalSeries.slices`), and
-    then only the monomials fed are unpacked to Fractions.
+    Each observation takes its route (see the module docstring). Equations
+    are processed observation by observation with monomials in lex order,
+    so the inconsistency witness (observation index, monomial) is
+    deterministic. When that witness lies in a Q[u, q] observation, the
+    problem is solved again on the h route, which names an h-monomial.
     """
-    assembled = [assemble_rough_rhs(o.manifold, o.w, o.lambda_, o.delta, o.m)
-                 for o in problem.observations]
+    assembled = [_assemble_ring_rhs(o) or assemble_rough_rhs(
+        o.manifold, o.w, o.lambda_, o.delta, o.m)
+        for o in problem.observations]
+    report = _solve(problem, assembled)
+    if report.witness is not None and isinstance(
+            assembled[report.witness[0]], RingRhs):
+        report = _solve(problem, [
+            assemble_rough_rhs(o.manifold, o.w, o.lambda_, o.delta, o.m)
+            if isinstance(rhs, RingRhs) else rhs
+            for o, rhs in zip(problem.observations, assembled)])
+    return report
+
+
+def _solve(problem: FitProblem, assembled) -> UniversalFitReport:
+    """One elimination over the equations of every observation, in order.
+    A monomial in no unknown is fed only while the system is consistent."""
     unknowns: set[Unknown] = set()
     for rhs in assembled:
         unknowns.update(rhs.unknowns())
@@ -318,23 +534,13 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
     for obs_idx, (obs, rhs) in enumerate(zip(problem.observations, assembled)):
         templates.update(rhs.templates)
         notes.extend(f"observation {obs_idx}: {n}" for n in rhs.notes)
-        lhs = obs.observed_lhs
-        monos = lhs._keys(rhs.coeffs)
-        free = min(lhs.slices[lhs.degree].keys() - monos.keys(), default=None)
-        if free is not None:
-            monos[free] = lhs._exponents(free)
-        observed = lhs._fractions((lhs.degree,), monos)
-        # ascending packed keys of one degree are its monomials in lex order
-        for key in sorted(monos):
-            mono = monos[key]
-            linear = rhs.coeffs.get(mono, {})
+        for mono, linear, value in rhs.equations(obs):
             if not linear and system.inconsistent:
                 continue
             row = [0] * len(order)
             for unknown, c in linear.items():
                 row[index[unknown]] = c
-            system.add_equation(row, observed.get(mono, 0),
-                                label=(obs_idx, mono))
+            system.add_equation(row, value, label=(obs_idx, mono))
     sol = system.solve()
     if not sol.consistent:
         return UniversalFitReport(
@@ -360,7 +566,7 @@ class ValidationReport:
 def validate_solution(problem: FitProblem,
                       report: UniversalFitReport) -> ValidationReport:
     """Re-substitute the solution and demand exact equality per observation,
-    plus the degree and i-range discipline of every instantiated template."""
+    in the ring its equations were written in, plus the degree and i-range discipline of every instantiated template."""
     findings = []
     residuals = []
     for tentry_sig, template in report.templates.items():
@@ -375,12 +581,10 @@ def validate_solution(problem: FitProblem,
         return ValidationReport(False, (), tuple(findings + ["inconsistent fit"]))
     for obs_idx, (obs, rhs) in enumerate(
             zip(problem.observations, report.assembled)):
-        substituted = rhs.substitute(report.values)
-        same = first_difference(substituted, obs.observed_lhs,
-                                substituted.degree_cap) is None
+        same = rhs.matches(report.values, obs)
         residuals.append(same)
         if not same:
             findings.append(f"observation {obs_idx}: nonzero residual")
-        if substituted.degree != obs.delta - 2 * obs.m:
+        if rhs.degree != obs.delta - 2 * obs.m:
             findings.append(f"observation {obs_idx}: degree mismatch")
     return ValidationReport(not findings, tuple(residuals), tuple(findings))

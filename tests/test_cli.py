@@ -330,25 +330,35 @@ def test_hypotheses_golden_on_the_bundled_corpus(capsys):
 def fit_golden_files():
     """The fit files pinned in fit_golden.json: name -> (manifold file, fit
     text), with w = 0. The manifolds are K3 and E(4), written by
-    manifold_to_text; lambda = e3 is the third basis vector."""
-    def fit(man, rank, delta, lam=(), lhs="witten"):
+    manifold_to_text; lambda = e3 is the third basis vector. `more` holds
+    (lambda, lhs) of further observations on the same manifold."""
+    def fit(man, rank, delta, lam=(), lhs="witten", m=0, more=()):
         def vec(idx):
             return " ".join("1" if i in idx else "0" for i in range(rank))
-        return man, (f"[fit]\ndelta = {delta}\nm = 0\n\n[observation]\n"
-                     f"manifold = {man}\nw = {vec(())}\nlambda = {vec(lam)}\n"
-                     f"lhs = {lhs}\n")
+        return man, f"[fit]\ndelta = {delta}\nm = {m}\n" + "".join(
+            f"\n[observation]\nmanifold = {man}\nw = {vec(())}\n"
+            f"lambda = {vec(o_lam)}\nlhs = {o_lhs}\n"
+            for o_lam, o_lhs in ((lam, lhs), *more))
+    inline = "1 * h1^2 + 1/3 * h2^1 h5^1"
     return {
         "k3_delta2": fit("k3.manifold", 22, 2),
         "k3_delta6": fit("k3.manifold", 22, 6),
         "e4_delta4_e3": fit("e4.manifold", 46, 4, (2,)),
         "e4_delta4_e2_e3": fit("e4.manifold", 46, 4, (1, 2)),
         "k3_delta2_inline_inconsistent": fit("k3.manifold", 22, 2,
-                                             lhs="1 * h1^2 + 1/3 * h2^1 h5^1"),
+                                             lhs=inline),
+        "k3_delta10_m1": fit("k3.manifold", 22, 10, m=1),
+        "k3_delta10": fit("k3.manifold", 22, 10),
+        "e4_delta8_e3": fit("e4.manifold", 46, 8, (2,)),
+        "e4_delta6": fit("e4.manifold", 46, 6),
+        "k3_delta2_witten_then_inline": fit("k3.manifold", 22, 2,
+                                            more=(((), inline),)),
     }
 
 
 def test_fit_golden_on_k3_and_e4(capsys, tmp_path):
-    # fit stdout and exit code on generated K3 and E(4) files
+    # fit stdout, stderr and exit code on generated K3 and E(4) files; an
+    # entry with no "stderr" key wants an empty stderr
     golden = os.path.join(os.path.dirname(__file__), "fit_golden.json")
     with open(golden, encoding="utf-8") as fh:
         cases = json.load(fh)
@@ -362,7 +372,7 @@ def test_fit_golden_on_k3_and_e4(capsys, tmp_path):
         path.write_text(text)
         code, out, err = run_cli(capsys, "fit", str(path))
         assert (code, out, err) == (cases[name]["code"], cases[name]["stdout"],
-                                    ""), name
+                                    cases[name].get("stderr", "")), name
 
 
 def test_levels_k3(capsys):

@@ -89,6 +89,33 @@ def test_sign_exponent_parity():
     assert sign_exponent(form, (1,), (1,)) == 1
 
 
+def test_witten_rhs_checks_each_vector_once(monkeypatch):
+    # E(4), three classes: w once in witten_consistent_km, w and the
+    # classes once more in KMData, w and each class once in the signs of
+    # km_series, and each class once in gaussian_sum's dual_coefficients
+    from wittenform import invariants, lattice
+    e4 = elliptic_manifold(4)
+    lengths = []
+    real = lattice.as_vector
+
+    def counted(v):
+        lengths.append(len(v))
+        return real(v)
+
+    monkeypatch.setattr(lattice, "as_vector", counted)
+    monkeypatch.setattr(invariants, "as_vector", counted)
+    witten_rhs(e4, (0,) * 46, 6)
+    assert lengths == [46] * 12
+    # a wrong length still raises as the pairing's own check does
+    with pytest.raises(DimensionMismatch,
+                       match=r"^vector of length 45 in a rank-46 lattice$"):
+        witten_rhs(e4, (0,) * 45, 4)
+    km = KMData(w=(0,) * 46, terms=((1, (0,) * 46), (1, (0,) * 45)))
+    with pytest.raises(DimensionMismatch,
+                       match=r"^vector of length 45 in a rank-46 lattice$"):
+        km_series(km, e4.form, 4)
+
+
 def test_expected_dimension_and_warnings():
     k3 = k3_manifold()
     assert expected_sw_dimension(k3.form, (0,) * 22, 24, -16) == 0

@@ -1,18 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from wittenform.corpus import k3_manifold
+from wittenform.corpus import (elliptic_manifold, k3_manifold, list_bundled,
+                               load_bundled)
 from wittenform.errors import (DimensionMismatch, InadmissibleDeltaError,
                                TruncationError)
 from wittenform.invariants import ManifoldData, SpincEntry, point_evaluate
-from wittenform.lattice import hyperbolic_plane
+from wittenform.lattice import IntersectionForm, hyperbolic_plane
 from wittenform.manifold_io import witten_consistent_km
+from wittenform.monopole_levels import delta_admissible
 from wittenform.series import FormalSeries, HomogeneousPolynomial
-from wittenform.universal_fit import (FitProblem, Observation,
-                                      assemble_rough_rhs, build_template,
-                                      solve_coefficients, validate_solution)
+from wittenform.universal_fit import (AssembledRhs, FitProblem, Observation,
+                                      RingRhs, assemble_rough_rhs,
+                                      build_template, solve_coefficients,
+                                      validate_solution)
 
 H = hyperbolic_plane()
 
@@ -285,3 +289,169 @@ def test_cross_group_comparison_lines():
     # the report renders without error and mentions both groups
     text = report.to_text()
     assert text.count("group ") == 2
+
+
+# ---------------------------------------------------------------------------
+# the Q[u, q] route against the h route
+
+def fit_both_routes(m, w, lam, delta, mm):
+    """(report, validation) of one fit whose observation is the km data of
+    `witten_consistent_km` (Q[u, q] route unless s = n), and of the same
+    fit with that point value passed as a polynomial in h (h route)."""
+    km = witten_consistent_km(m, w)
+    value = point_evaluate(km, m.form, delta, mm)
+    out = []
+    for obs in (Observation(m, w, lam, delta, mm, km=km),
+                Observation(m, w, lam, delta, mm, value)):
+        problem = FitProblem((obs,))
+        report = solve_coefficients(problem)
+        out.append((report, validate_solution(problem, report)))
+    return out
+
+
+def assert_same_fit(ring, h):
+    (r, r_valid), (h, h_valid) = ring, h
+    assert type(h.assembled[0]) is AssembledRhs
+    assert r.to_text() == h.to_text()
+    assert (r.status, r.nullspace_dim, r.values, r.determined) == (
+        h.status, h.nullspace_dim, h.values, h.determined)
+    assert r_valid == h_valid
+
+
+def sparse_vector(rng, rank, nonzero):
+    v = [0] * rank
+    for i in rng.sample(range(rank), nonzero):
+        v[i] = rng.choice((-1, 1))
+    return tuple(v)
+
+
+def seeded_fits(rng):
+    """(manifold, w, lambda, delta, m): three on each bundled synthetic at
+    delta <= 6, four on K3 at delta <= 6, three on E(4) at delta <= 4."""
+    manifolds = [(load_bundled(name), 6, 3) for name in list_bundled()
+                 if name.startswith("synthetic")]
+    manifolds += [(k3_manifold(), 6, 4), (elliptic_manifold(4), 4, 3)]
+    for m, top, count in manifolds:
+        for _ in range(count):
+            w = sparse_vector(rng, m.rank, rng.randint(0, 2))
+            lam = sparse_vector(rng, m.rank, rng.randint(0, 2))
+            deltas = [d for d in range(top + 1)
+                      if delta_admissible(d, m.form.square(w), m.chi, m.sigma)]
+            if deltas:
+                delta = rng.choice(deltas)
+                yield m, w, lam, delta, rng.randint(0, delta // 2)
+
+
+def test_ring_route_matches_h_route_on_seeded_fits():
+    routes, statuses = Counter(), Counter()
+    for m, w, lam, delta, mm in seeded_fits(random.Random(1818)):
+        ring, h = fit_both_routes(m, w, lam, delta, mm)
+        assert_same_fit(ring, h)
+        routes[type(ring[0].assembled[0])] += 1
+        statuses[ring[0].status] += 1
+    # both routes taken, every status met (an inconsistent Q[u, q] fit is
+    # solved again on the h route, so it counts as h)
+    assert routes[RingRhs] >= 8 and routes[AssembledRhs] >= 3, routes
+    assert set(statuses) == {"unique", "underdetermined", "inconsistent"}
+
+
+def test_ring_route_underdetermined_on_e4():
+    m = elliptic_manifold(4)
+    lam = tuple(int(i == 2) for i in range(46))
+    ring, h = fit_both_routes(m, (0,) * 46, lam, 4, 0)
+    assert_same_fit(ring, h)
+    assert isinstance(ring[0].assembled[0], RingRhs)
+    assert (ring[0].status, ring[0].nullspace_dim) == ("underdetermined", 1)
+    assert ring[1].ok
+
+
+def test_span_of_full_rank_takes_h_route():
+    # synthetic_01 has rank 4 and three classes spanning a rank-3 lattice;
+    # with lambda outside their span, s = n, where u and q are dependent
+    m = load_bundled("synthetic_01.manifold")
+    ring, h = fit_both_routes(m, (0,) * 4, (-1, -1, -1, 0), 6, 1)
+    assert type(ring[0].assembled[0]) is AssembledRhs
+    assert_same_fit(ring, h)
+    assert (ring[0].status, ring[0].nullspace_dim) == ("underdetermined", 6)
+
+
+def test_ring_validation_sees_a_wrong_value():
+    # the Q[u, q] check of a solution is as strict as the h route's
+    m = elliptic_manifold(4)
+    lam = tuple(int(i == 2) for i in range(46))
+    reports = []
+    for report, _ in fit_both_routes(m, (0,) * 46, lam, 4, 0):
+        u = min(report.determined)
+        report.values[u] += 1
+        problem = FitProblem((Observation(
+            m, (0,) * 46, lam, 4, 0, km=witten_consistent_km(m, (0,) * 46)),))
+        reports.append(validate_solution(problem, report))
+    assert reports[0] == reports[1]
+    assert reports[0].residual_zero == (False,)
+
+
+def test_degenerate_form_takes_h_route():
+    form = IntersectionForm([[2, 0, 0], [0, 0, 0], [0, 0, -2]],
+                            require_unimodular=False)
+    m = ManifoldData(name="degenerate", chi=2, sigma=-2, b_plus=1, form=form,
+                     w2=(0, 0, 0), spinc=(SpincEntry((0, 0, 0), 1),),
+                     sw_simple_type=True, check_topology=False)
+    ring, h = fit_both_routes(m, (0, 0, 0), (0, 0, 0), 4, 1)
+    assert type(ring[0].assembled[0]) is AssembledRhs
+    assert_same_fit(ring, h)
+
+
+def test_ring_route_inconsistency_names_an_h_monomial():
+    # K3 delta 10, m 0: inconsistent at q^5 in Q[u, q]; solved again on the
+    # h route, the witness is the CLI's h22^10
+    k3 = k3_manifold()
+    zero = (0,) * 22
+    ring, h = fit_both_routes(k3, zero, zero, 10, 0)
+    assert_same_fit(ring, h)
+    assert ring[0].witness == (0, (0,) * 21 + (10,))
+
+
+def test_ring_route_builds_no_series(monkeypatch):
+    # with every series product refused, the golden fits still finish with
+    # their statuses; the point value in h is built only when read
+    def refuse(*args):
+        raise AssertionError("a series product on the Q[u, q] route")
+
+    e4 = elliptic_manifold(4)
+    e2_e3 = tuple(int(i in (1, 2)) for i in range(46))
+    cases = [(k3_manifold(), (0,) * 22, 10, 1, "unique", 0),
+             (e4, e2_e3, 8, 0, "underdetermined", 50)]
+    observations = []
+    with monkeypatch.context() as patch:
+        patch.setattr(FormalSeries, "__mul__", refuse)
+        patch.setattr(FormalSeries, "__pow__", refuse)
+        for m, lam, delta, mm, status, nullspace in cases:
+            w = (0,) * m.rank
+            obs = Observation(m, w, lam, delta, mm,
+                              km=witten_consistent_km(m, w))
+            problem = FitProblem((obs,))
+            report = solve_coefficients(problem)
+            assert (report.status, report.nullspace_dim) == (status, nullspace)
+            assert validate_solution(problem, report).ok
+            observations.append(obs)
+    # (E(4)'s value in h has 52,836 terms and takes seconds to build)
+    k3_obs = observations[0]
+    assert k3_obs.observed_lhs == point_evaluate(
+        k3_obs.km, k3_obs.manifold.form, k3_obs.delta, k3_obs.m)
+
+
+def test_observation_needs_one_value():
+    k3 = k3_manifold()
+    zero = (0,) * 22
+    km = witten_consistent_km(k3, zero)
+    with pytest.raises(ValueError, match="exactly one"):
+        Observation(k3, zero, zero, 2, 0)
+    with pytest.raises(ValueError, match="exactly one"):
+        Observation(k3, zero, zero, 2, 0,
+                    point_evaluate(km, k3.form, 2, 0), km=km)
+    short = witten_consistent_km(load_bundled("synthetic_10.manifold"),
+                                 (0,) * 6)
+    with pytest.raises(DimensionMismatch, match="km w has 6"):
+        Observation(k3, zero, zero, 2, 0, km=short)
+    with pytest.raises(ValueError):
+        Observation(k3, zero, zero, 2, 2, km=km)
