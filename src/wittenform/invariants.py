@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, InitVar
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from .errors import (DimensionMismatch, NonCharacteristicError,
@@ -28,7 +28,8 @@ from .lattice import (IntersectionForm, Vector, _gram_pairing, as_vector,
                       find_vector_with_square, mod2_reduce,
                       orthogonal_complement, vec_add)
 from .linsolve import LinearSystem
-from .series import FormalSeries, HomogeneousPolynomial, gaussian_sum
+from .series import (FormalSeries, HomogeneousPolynomial, _first_nonzero,
+                     gaussian_sum)
 
 
 class Verdict(enum.Enum):
@@ -318,12 +319,25 @@ def fit_km_coefficients(target: FormalSeries,
     unwind the sign convention: a_r = (-1)^((w^2 + w.K_r)/2) b_r.
 
     Equations are the coefficients of every monomial h^e of degree
-    < degree_cap, processed in (degree, lex) order so an inconsistency
-    witness is deterministic. They are built in integers from the series'
-    divided powers (`FormalSeries.slices`), each class's with weight 1: the
+    < degree_cap, in (degree, lex) order so an inconsistency witness is
+    deterministic. They are built in integers from the series' divided
+    powers (`FormalSeries.slices`), each class's with weight 1: the
     equation at h^e is the one in coefficients times e! and the target's
     den, a positive scale that changes neither the solutions nor which
     equation is the first inconsistent one.
+
+    They are fed to `LinearSystem` in that order only until it reaches
+    full column rank (one pivot per class), past an inconsistency too, so
+    that the rank, and with it `nullspace_dim`, is the one all equations
+    give. A system that never gets there has taken every equation. At full
+    rank the solution b_r = X_r / L (integers) is fixed, and every later
+    equation can only agree with it or be inconsistent; so a consistent
+    prefix is checked against all monomials at once through the residual
+        weight L T - den sum_r X_r F_r,
+    an integer series formed degree by degree from the slices in hand,
+    up to its first nonzero degree. It is 0 exactly when the fit is
+    consistent; otherwise its lowest monomial is the first equation that
+    fails, which is the witness the full elimination reports.
 
     Raises TruncationError when degree_cap exceeds the target's cap: the
     target's coefficients at those degrees were truncated away, not 0.
@@ -335,15 +349,29 @@ def fit_km_coefficients(target: FormalSeries,
         raise ValueError("no candidate classes")
     n = degree_cap
     target = target.truncate_to(n)
-    basis = [gaussian_sum(form, [(1, k)], n) for k in candidates]
-    system = LinearSystem(len(candidates))
-    for d, rhs in enumerate(target.slices):
-        columns = [b.slices[d] for b in basis]
-        # ascending packed keys of one degree are its monomials in lex order
-        for key in sorted(set(rhs).union(*columns)):
-            system.add_equation([c.get(key, 0) * target.den for c in columns],
-                                rhs.get(key, 0) * target.weight, label=key)
+    basis = [gaussian_sum(form, [(1, k)], n).slices for k in candidates]
+    rank = len(candidates)
+    system = LinearSystem(rank)
+    # ascending packed keys of one degree are its monomials in lex order
+    monomials = ((d, key) for d, rhs in enumerate(target.slices)
+                 for key in sorted(set(rhs).union(*(b[d] for b in basis))))
+    for d, key in monomials:
+        system.add_equation([b[d].get(key, 0) * target.den for b in basis],
+                            target.slices[d].get(key, 0) * target.weight,
+                            label=key)
+        if len(system.pivots) == rank:
+            break
     sol = system.solve()
+    if sol.status == "unique":
+        values = [sol.values[i] for i in range(rank)]
+        common = lcm(*(v.denominator for v in values))
+        first = _first_nonzero(
+            [(target.weight * common, target.slices)]
+            + [(-target.den * v.numerator * (common // v.denominator), b)
+               for v, b in zip(values, basis) if v], n)
+        if first is not None:
+            return KMFitResult("inconsistent", {}, frozenset(), 0,
+                               target._exponents(first[1]), ())
     if not sol.consistent:
         return KMFitResult("inconsistent", {}, frozenset(), sol.nullspace_dim,
                            target._exponents(sol.witness), ())

@@ -415,7 +415,9 @@ def first_difference(a: FormalSeries, b: FormalSeries, n: int
                      ) -> Optional[tuple[Exponents, Fraction, Fraction]]:
     """First monomial of total degree < n (degree, then lex order) whose
     coefficients differ, or None if congruent. Refuses an n past either
-    cap: the coefficients there were truncated away, not 0."""
+    cap: the coefficients there were truncated away, not 0. The integers
+    locate the monomial (`_first_nonzero` of the cross-multiplied
+    difference); only its two coefficients become `Fraction`s."""
     if a.num_vars != b.num_vars:
         raise DimensionMismatch("variable counts differ")
     if n < 0:
@@ -425,17 +427,17 @@ def first_difference(a: FormalSeries, b: FormalSeries, n: int
             f"cannot certify congruence mod degree {n} with caps "
             f"{a.degree_cap} and {b.degree_cap}")
     # in the layout of the smaller cap, which is their own for equal caps
-    cap = min(a.degree_cap, b.degree_cap)
+    low = a if a.degree_cap <= b.degree_cap else b
+    cap = low.degree_cap
     # the coefficients times e! are F_a w_a / den_a and F_b w_b / den_b
-    ka, kb = a.weight * b.den, b.weight * a.den
-    pairs = zip(a._rekeyed(cap)[:n], b._rekeyed(cap)[:n])
-    for d, (sa, sb) in enumerate(pairs):
-        if any(sa.get(key, 0) * ka != sb.get(key, 0) * kb
-               for key in sa.keys() | sb.keys()):
-            fa, fb = a._fractions((d,)), b._fractions((d,))
-            exps = min(e for e in fa.keys() | fb.keys() if fa.get(e) != fb.get(e))
-            return exps, fa.get(exps, Fraction(0)), fb.get(exps, Fraction(0))
-    return None
+    first = _first_nonzero([(a.weight * b.den, a._rekeyed(cap)),
+                            (-b.weight * a.den, b._rekeyed(cap))], n)
+    if first is None:
+        return None
+    d, key = first
+    exps = low._exponents(key)
+    fa, fb = (s._fractions((d,), keys=s._keys([exps])) for s in (a, b))
+    return exps, fa.get(exps, Fraction(0)), fb.get(exps, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +537,34 @@ def _weighted_sum(weighted, cap):
     read once and in turn; zeros dropped."""
     totals: list[dict[int, int]] = [{} for _ in range(cap)]
     for w, slices in weighted:
-        for total, part in zip(totals, slices):
-            for key, v in part.items():
-                total[key] = total.get(key, 0) + w * v
+        for d, part in zip(range(cap), slices):
+            totals[d] = _add_part(totals[d], w, part)
     return _nonzero(totals)
+
+
+def _add_part(total, w, part):
+    """total + w part, for one degree's parts, zeros kept: `total` itself,
+    updated, or a new dict when it is empty (a total keeps its zeros, so an
+    empty one has no key yet)."""
+    if not total:
+        return {key: w * v for key, v in part.items()}
+    for key, v in part.items():
+        total[key] = total.get(key, 0) + w * v
+    return total
+
+
+def _first_nonzero(weighted, cap):
+    """(d, key): the lowest degree d < cap at which sum_r w_r F_r is nonzero,
+    for (w_r, slices of F_r) in `weighted`, and the lowest packed key there
+    (the first monomial in lex order); None when the sum is 0 below cap.
+    A degree's sum is formed only once every degree below it is 0."""
+    for d in range(cap):
+        total = {}
+        for w, slices in weighted:
+            total = _add_part(total, w, slices[d])
+        if any(total.values()):
+            return d, min(key for key, v in total.items() if v)
+    return None
 
 
 def _nonzero(slices):

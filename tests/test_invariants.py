@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -19,9 +20,11 @@ from wittenform.invariants import (KMData, KMFitResult, ManifoldData,
                                    witten_consistent_km, witten_rhs)
 from wittenform.lattice import (IntersectionForm, diagonal_form,
                                 hyperbolic_plane)
+from wittenform.linsolve import LinearSystem
 from wittenform.selftest import check_roundtrip_fit
 from wittenform.series import (FormalSeries, HomogeneousPolynomial,
-                               exp_linear, exp_quadratic, quadratic_series)
+                               exp_linear, exp_quadratic, gaussian_sum,
+                               quadratic_series)
 from wittenform.synthetic import random_manifold, random_valid_manifold
 
 H = hyperbolic_plane()
@@ -423,6 +426,108 @@ def test_fit_matches_product_route_reference():
             seen[got.status] += 1
     assert min(seen[s] for s in ("unique", "underdetermined",
                                  "inconsistent")) >= 10, seen
+
+
+def every_monomial_fit(target, classes, w, form, cap):
+    """(fit, prefix): fit_km_coefficients with no residual, every monomial
+    of degree < cap fed to LinearSystem in (degree, lex) order; and the
+    monomials fed until the system reached full column rank (all of them
+    when it never did)."""
+    target = target.truncate_to(cap)
+    basis = [gaussian_sum(form, [(1, k)], cap) for k in classes]
+    system = LinearSystem(len(classes))
+    prefix = []
+    for d, rhs in enumerate(target.slices):
+        columns = [b.slices[d] for b in basis]
+        for key in sorted(set(rhs).union(*columns)):
+            if len(system.pivots) < len(classes):
+                prefix.append(target._exponents(key))
+            system.add_equation([c.get(key, 0) * target.den for c in columns],
+                                rhs.get(key, 0) * target.weight, label=key)
+    sol = system.solve()
+    if not sol.consistent:
+        fit = KMFitResult("inconsistent", {}, frozenset(), sol.nullspace_dim,
+                          target._exponents(sol.witness), ())
+        return fit, prefix
+    a = {k: (-1) ** (sign_exponent(form, w, k) % 2) * sol.values[i]
+         for i, k in enumerate(classes)}
+    fit = KMFitResult(sol.status, a,
+                      frozenset(classes[i] for i in sol.determined),
+                      sol.nullspace_dim, None,
+                      tuple(k for k in classes if a[k] == 0))
+    return fit, prefix
+
+
+def test_fit_matches_every_monomial_oracle():
+    # the rank-revealing prefix plus the residual give the result of
+    # feeding every monomial: the same six fields, the same witness
+    rng = random.Random(1901)
+    seen = Counter()
+    late = 0
+    for _ in range(40):
+        m = random_manifold(rng, max_rank=4, max_classes=3)
+        w = tuple(rng.randint(-2, 2) for _ in range(m.rank))
+        cap = rng.randint(3, 7)
+        classes = m.basic_classes()
+        # one cap above the fit: truncated by it
+        target = witten_rhs(m, w, cap + 1)
+        _, prefix = every_monomial_fit(target, classes, w, m.form, cap)
+        monomials = sorted((e for e in product(range(cap), repeat=m.rank)
+                            if sum(e) < cap), key=lambda e: (sum(e), e))
+        after = monomials[monomials.index(prefix[-1]) + 1:]
+
+        def bump(mono):
+            return target + FormalSeries(m.rank, cap + 1,
+                                         {mono: Fraction(1, 3)})
+
+        extra = {tuple(x + 2 * rng.randint(-1, 1) for x in k)
+                 for k in classes} - set(classes)
+        cases = [(target, classes, cap),
+                 (target.truncate_to(cap), classes, cap),
+                 (bump(rng.choice(prefix)), classes, cap),
+                 (bump(rng.choice(after or prefix)), classes, cap),
+                 (target, classes + sorted(extra), rng.randint(1, 2)),
+                 (bump(rng.choice(monomials)), classes, rng.randint(1, 2)),
+                 (target, classes[:-1] or classes, cap),
+                 (target, classes[1:] + sorted(extra) or classes, cap)]
+        for tgt, cands, fit_cap in cases:
+            got = fit_km_coefficients(tgt, cands, w, m.form, fit_cap)
+            want, fed = every_monomial_fit(tgt, cands, w, m.form, fit_cap)
+            assert got == want, (m, w, cands, fit_cap)
+            assert all(type(a) is Fraction for a in got.a_values.values())
+            seen[got.status] += 1
+            # an inconsistency past the prefix: found by the residual
+            late += got.witness is not None and got.witness not in fed
+    assert sum(seen.values()) == 320
+    assert min(seen[s] for s in ("unique", "underdetermined",
+                                 "inconsistent")) >= 30, seen
+    assert late >= 30
+
+
+def test_fit_feeds_no_equation_past_full_rank(monkeypatch):
+    # a unique fit stops feeding equations at the one that completes the
+    # rank; the other monomials are checked by the residual
+    m = random_manifold(random.Random(9), max_rank=4, max_classes=3)
+    classes = m.basic_classes()
+    assert m.rank == 4 and len(classes) == 3
+    w = (0,) * m.rank
+    target = witten_rhs(m, w, 8)
+    _, prefix = every_monomial_fit(target, classes, w, m.form, 8)
+    ranks = []
+    add_equation = LinearSystem.add_equation
+
+    def counted(self, coeffs, rhs, label=None):
+        out = add_equation(self, coeffs, rhs, label)
+        ranks.append(len(self.pivots))
+        return out
+
+    monkeypatch.setattr(LinearSystem, "add_equation", counted)
+    fit = fit_km_coefficients(target, classes, w, m.form, 8)
+    assert fit.status == "unique"
+    # the rank after each call: 3 only after the last one, which is the
+    # last monomial of the prefix; 330 monomials have degree < 8
+    assert ranks[-1] == 3 and max(ranks[:-1]) < 3
+    assert len(ranks) == len(prefix) <= 10
 
 
 def test_sign_integrality_never_raises_for_characteristic_classes():
