@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 from .errors import (DimensionMismatch, NonCharacteristicError,
                      NonIntegralError)
 from .lattice import (IntersectionForm, Vector, _gram_pairing, as_vector,
-                      congruent_mod2, find_hyperbolic_pair,
-                      find_vector_with_square, mod2_reduce,
+                      congruent_mod2, find_witnesses, mod2_reduce,
                       orthogonal_complement, vec_add)
 from .linsolve import LinearSystem
 from .series import (FormalSeries, HomogeneousPolynomial, _first_nonzero,
@@ -458,13 +457,15 @@ def check_theorem_hypotheses(m: ManifoldData, w: Optional[Sequence[int]],
     """Report, hypothesis by hypothesis, whether the level-0 or level-1
     identity applies to this manifold with the given (or searched) classes.
 
-    A search that finds nothing, within the bound or because the
-    complement's form rules a witness out, is surfaced as status
-    unknown-bounded, never as fail.
-    When `lambda_` is None, a class of the target square is searched in the
-    orthogonal complement of the basic classes; when `w` is None, the
-    canonical representative lambda + w2 is used, which satisfies the mod-2
-    congruence by construction.
+    A hyperbolic pair (abundance) is searched in the orthogonal complement
+    of the basic classes and, when `lambda_` is None, so is a class of the
+    target square: one walk of the complement's box answers both questions
+    (`find_witnesses`), each with its own budget of `budget`, so each
+    answer is the one its search alone gives. A search that finds nothing,
+    within the bound or because the complement's form rules a witness out,
+    is surfaced as status unknown-bounded, never as fail. When `w` is None,
+    the canonical representative lambda + w2 is used, which satisfies the
+    mod-2 congruence by construction.
     """
     if variant not in THEOREM_TARGETS:
         raise ValueError(f"variant must be one of {sorted(THEOREM_TARGETS)}")
@@ -482,7 +483,9 @@ def check_theorem_hypotheses(m: ManifoldData, w: Optional[Sequence[int]],
         "pass" if m.sw_simple_type else "fail",
         "asserted input flag"))
 
-    pair = find_hyperbolic_pair(complement, bound=search_bound, budget=budget)
+    found, pair = find_witnesses(
+        complement, search_bound, budget,
+        target=target if lambda_ is None else None, pair=True)
     if pair is not None:
         entries.append(HypothesisEntry("abundant", "pass",
                                        "hyperbolic pair found in B-perp"))
@@ -491,12 +494,8 @@ def check_theorem_hypotheses(m: ManifoldData, w: Optional[Sequence[int]],
             "abundant", "unknown-bounded",
             f"no hyperbolic pair within bound {search_bound}"))
 
-    lam: Optional[Vector]
-    if lambda_ is not None:
-        lam = m.form._check_vector(lambda_)
-    else:
-        lam = find_vector_with_square(complement, target, bound=search_bound,
-                                      budget=budget)
+    lam: Optional[Vector] = (m.form._check_vector(lambda_)
+                             if lambda_ is not None else found)
     if lam is None:
         entries.append(HypothesisEntry(
             "lambda_exists", "unknown-bounded",

@@ -4,7 +4,10 @@ Vectors are plain tuples of Python ints in the coordinates of the form's
 basis. All arithmetic is exact; signatures and determinants are computed
 by one rational congruence diagonalization, orthogonal complements by
 integer row reduction, and searches for vectors of prescribed square or
-hyperbolic pairs by bounded exhaustive enumeration.
+hyperbolic pairs by bounded exhaustive enumeration. One walk of the box
+(`find_witnesses`) answers both search questions, each with its own
+budget and stopping point; `find_vector_with_square` and
+`find_hyperbolic_pair` ask it one question each.
 
 A search returns None at once, before drawing a candidate, when the
 sublattice's form rules a witness out: a definite form has no nonzero
@@ -21,6 +24,7 @@ change to that oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -77,16 +81,16 @@ class IntersectionForm:
 
     def __init__(self, gram: Sequence[Sequence[int]], *,
                  require_unimodular: bool = True):
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        rows = tuple(tuple(map(int, row)) for row in gram)
         n = len(rows)
         for row in rows:
             if len(row) != n:
                 raise UnimodularityError("Gram matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise UnimodularityError(
-                        f"Gram matrix is not symmetric at ({i},{j})")
+        if rows != tuple(zip(*rows)):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if rows[i][j] != rows[j][i])
+            raise UnimodularityError(
+                f"Gram matrix is not symmetric at ({i},{j})")
         self._signature = None
         if require_unimodular:
             det, self._signature = _diagonalize(rows)
@@ -484,20 +488,7 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
     vector. Otherwise None means "not found within the bound/budget", not
     a proof of non-existence.
     """
-    _check_search(bound, budget)
-    sign = sub._definite_sign
-    if sign and sign * target <= 0:
-        return None
-    gram = sub.induced_gram()
-    remaining = budget
-    for v, q in _scored_vectors(gram, bound):
-        if remaining is not None:
-            if remaining <= 0:
-                return None
-            remaining -= 1
-        if q == target:
-            return sub.to_parent(v)
-    return None
+    return find_witnesses(sub, bound, budget, target=target)[0]
 
 
 def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
@@ -514,41 +505,76 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
     unimodular H, and in rank 2 that is the whole lattice. Otherwise None
     means exhausted bound or budget, not non-existence.
     """
+    return find_witnesses(sub, bound, budget, pair=True)[1]
+
+
+def find_witnesses(sub: Sublattice, bound: int = 20,
+                   budget: Optional[int] = None, target: Optional[int] = None,
+                   pair: bool = False
+                   ) -> tuple[Optional[Vector], Optional[tuple[Vector, Vector]]]:
+    """(vector of square `target`, hyperbolic pair) in `sub`, from one walk
+    of `_scored_vectors` over the box [-bound, bound]^rank.
+
+    The square question is asked when `target` is not None, the pair
+    question when `pair` is true; an unasked question answers None. Each
+    question keeps its own budget, its own early return from the form and
+    its own stopping point, so its answer is the one its search alone
+    (`find_vector_with_square`, `find_hyperbolic_pair`) gives. A draw costs
+    each open question 1, and a pairing of an isotropic draw against an
+    earlier one costs the pair question 1 more; a question whose budget is
+    spent when it is charged answers None. The walk ends when every
+    question is answered, so it draws as many candidates as the longer of
+    the two searches alone, not their sum.
+    """
     _check_search(bound, budget)
     gram = sub.induced_gram()
-    if sub._definite_sign or (sub.rank <= 2
-                              and not _is_hyperbolic_plane(gram)):
-        return None
+    sign = sub._definite_sign
+    limit = math.inf if budget is None else budget
+    # an open question holds its remaining budget, an answered one None
+    square_left = pair_left = None
+    if target is not None and not (sign and sign * target <= 0):
+        square_left = limit
+    if pair and not (sign or (sub.rank <= 2
+                              and not _is_hyperbolic_plane(gram))):
+        pair_left = limit
+    vector = witness = None
+    if square_left is None and pair_left is None:
+        return vector, witness
     isotropic: list[tuple[Vector, Vector]] = []  # (u, G.u)
-    remaining = budget
-
-    def spend(n=1):
-        nonlocal remaining
-        if remaining is None:
-            return True
-        if remaining < n:
-            remaining = 0
-            return False
-        remaining -= n
-        return True
-
     for v, q in _scored_vectors(gram, bound):
-        if not spend():
-            return None
-        if q != 0:
-            continue
-        for u, du in isotropic:
-            if not spend():
-                return None
-            p = sum(map(mul, du, v))
-            if p == 1 or p == -1:
-                e, f = u, (v if p == 1 else vec_neg(v))
-                assert _gram_pairing(gram, e, e) == 0
-                assert _gram_pairing(gram, f, f) == 0
-                assert _gram_pairing(gram, e, f) == 1
-                return sub.to_parent(e), sub.to_parent(f)
-        isotropic.append((v, _gram_times(gram, v)))
-    return None
+        if square_left is not None:
+            if square_left < 1:
+                square_left = None
+            else:
+                square_left -= 1
+                if q == target:
+                    vector = sub.to_parent(v)
+                    square_left = None
+        if pair_left is not None:
+            if pair_left < 1:
+                pair_left = None
+            else:
+                pair_left -= 1
+                if q == 0:
+                    for u, du in isotropic:
+                        if pair_left < 1:
+                            pair_left = None
+                            break
+                        pair_left -= 1
+                        p = sum(map(mul, du, v))
+                        if p == 1 or p == -1:
+                            e, f = u, (v if p == 1 else vec_neg(v))
+                            assert _gram_pairing(gram, e, e) == 0
+                            assert _gram_pairing(gram, f, f) == 0
+                            assert _gram_pairing(gram, e, f) == 1
+                            witness = sub.to_parent(e), sub.to_parent(f)
+                            pair_left = None
+                            break
+                    else:
+                        isotropic.append((v, _gram_times(gram, v)))
+        if square_left is None and pair_left is None:
+            break
+    return vector, witness
 
 
 def _is_hyperbolic_plane(gram) -> bool:

@@ -19,7 +19,8 @@ from operator import mul
 
 from .invariants import KMData, fit_km_coefficients, km_series, witten_rhs
 from .lattice import (IntersectionForm, Sublattice, find_hyperbolic_pair,
-                      find_vector_with_square, orthogonal_complement)
+                      find_vector_with_square, find_witnesses,
+                      orthogonal_complement)
 from .series import FormalSeries, exp_linear, exp_quadratic, linear_series
 from .synthetic import random_manifold, random_unimodular_form
 
@@ -193,7 +194,9 @@ def check_lattice_oracles(rng: random.Random, forms, bound: int,
     find_hyperbolic_pair finds a pair exactly when the box holds one; and,
     for one spanning vector drawn from [-2, 2]^n after the form, a box
     vector lies in the integer span of orthogonal_complement's basis
-    exactly when it is orthogonal to the spanning vector."""
+    exactly when it is orthogonal to the spanning vector. Asked both
+    questions at once, find_witnesses gives, for each t, the two searches'
+    answers (not counted as searches)."""
     name = "lattice-oracles"
     fail = partial(SuiteResult, name, False)
     n_forms = searches = members = 0
@@ -204,8 +207,10 @@ def check_lattice_oracles(rng: random.Random, forms, bound: int,
         box = box_vectors(rank, bound)
         squares = {v: brute_pairing(g, v, v) for v in box}
 
+        vectors = {}
         for target in targets:
-            mine = find_vector_with_square(sub, target, bound=bound)
+            vectors[target] = mine = find_vector_with_square(sub, target,
+                                                             bound=bound)
             oracle = any(any(v) and squares[v] == target for v in box)
             sound = mine is None or brute_pairing(g, mine, mine) == target
             if (mine is not None) != oracle or not sound:
@@ -221,6 +226,11 @@ def check_lattice_oracles(rng: random.Random, forms, bound: int,
         if (mine is not None) != oracle or not sound:
             return fail(f"pair search gave {mine} on {g}")
         searches += 1
+        for target, vector in vectors.items():
+            joint = find_witnesses(sub, bound, target=target, pair=True)
+            if joint != (vector, mine):
+                return fail(f"joint walk for square {target} gave {joint} "
+                            f"on {g}")
 
         spanning = [_random_vector(rng, rank, 2)]
         comp = orthogonal_complement(form, spanning)

@@ -436,8 +436,7 @@ def first_difference(a: FormalSeries, b: FormalSeries, n: int
         return None
     d, key = first
     exps = low._exponents(key)
-    fa, fb = (s._fractions((d,), keys=s._keys([exps])) for s in (a, b))
-    return exps, fa.get(exps, Fraction(0)), fb.get(exps, Fraction(0))
+    return exps, a.coefficient(exps), b.coefficient(exps)
 
 
 # ---------------------------------------------------------------------------

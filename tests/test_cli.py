@@ -177,7 +177,8 @@ def fraction_views(monkeypatch):
 def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
                                                    fraction_views):
     # both read the kernel's integers: no series' `terms` is read, and
-    # only a witness's degree is unpacked
+    # nothing is unpacked (a witness's two coefficients are read one
+    # monomial each)
     unpacked, views = fraction_views
     m = k3_manifold()
     zero, k = (0,) * 22, (2,) + (0,) * 21
@@ -195,8 +196,7 @@ def test_compare_and_km_fit_build_no_fraction_view(capsys, tmp_path,
                            "--compare", str(bumped))
     assert code == 4 and out == ("first differing monomial: h2^2 "
                                  "(km=4/3, witten=0)\n")
-    assert (unpacked, views) == ([(2,), (2,)], [])
-    unpacked.clear()
+    assert (unpacked, views) == ([], [])
     target = witten_rhs(m, zero, 8)
     fit = fit_km_coefficients(target, [zero, k], zero, m.form, 8)
     assert fit.status == "unique" and fit.a_values == {zero: 1, k: 0}

@@ -13,8 +13,9 @@ from wittenform.lattice import (IntersectionForm, Sublattice, bounded_vectors,
                                 characteristic_base, congruent_mod2,
                                 diagonal_form, direct_sum, e8_form,
                                 find_hyperbolic_pair, find_vector_with_square,
-                                gram_components, hyperbolic_plane,
-                                integer_kernel, orthogonal_complement)
+                                find_witnesses, gram_components,
+                                hyperbolic_plane, integer_kernel,
+                                orthogonal_complement)
 from wittenform.selftest import (box_vectors, brute_pairing,
                                  check_lattice_oracles, check_parity_lemma,
                                  random_forms)
@@ -166,6 +167,19 @@ def test_unimodularity_enforced():
         IntersectionForm([[1, 0, 0], [0, 1, 0]])  # not square
     # explicit opt-out for series-level experiments
     assert IntersectionForm([[2]], require_unimodular=False).rank == 1
+
+
+def test_asymmetry_is_reported_at_its_first_entry():
+    # (i, j) with i < j, first in row order
+    for gram, where in (([[0, 1, 5], [2, 0, 0], [3, 0, 0]], (0, 1)),
+                        ([[1, 0, 0], [0, 1, 7], [0, 8, 1]], (1, 2)),
+                        ([[1, 0, 4], [0, 1, 6], [0, 6, 1]], (0, 2))):
+        with pytest.raises(UnimodularityError,
+                           match=rf"not symmetric at \({where[0]},{where[1]}\)"):
+            IntersectionForm(gram, require_unimodular=False)
+    gram = IntersectionForm([(1.0, 0), (0, True)]).gram
+    assert gram == ((1, 0), (0, 1))
+    assert {type(x) for row in gram for x in row} == {int}
 
 
 def permutation_det(rows):
@@ -596,6 +610,79 @@ def test_searches_match_reference_at_every_budget():
                 checked += 1
                 found += witness is not None
     assert found >= 40 and checked - found >= 40
+
+
+def test_joint_walk_matches_reference_at_every_budget():
+    # both questions at once, each with its own budget: every answer is
+    # the one the reference gives for that question alone
+    rng = random.Random(5151)
+    checked = 0
+    for sub in search_sublattices(rng):
+        for bound in (1, 2):
+            pairs = {}  # budget -> the reference's pair, for every target
+            pair, pair_spent = reference_hyperbolic_pair(sub, bound)
+            for target in range(-2, 4):
+                vector, spent = reference_vector_with_square(sub, target,
+                                                             bound)
+                assert (find_witnesses(sub, bound, target=target, pair=True)
+                        == (vector, pair))
+                for budget in range(1, max(spent, pair_spent) + 3):
+                    if budget not in pairs:
+                        pairs[budget] = reference_hyperbolic_pair(
+                            sub, bound, budget)[0]
+                    # past spent + 2 the square reference answers `vector`
+                    if budget < spent + 3:
+                        vector = reference_vector_with_square(
+                            sub, target, bound, budget)[0]
+                    assert find_witnesses(
+                        sub, bound, budget, target=target, pair=True) == (
+                        vector, pairs[budget]), (sub, bound, target, budget)
+                checked += 1
+    assert checked >= 300
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The candidates drawn from bounded_vectors, one count per walk."""
+    counts = []
+    original = lattice.bounded_vectors
+
+    def counted_vectors(rank, bound):
+        n = 0
+        try:
+            for v in original(rank, bound):
+                n += 1
+                yield v
+        finally:
+            counts.append(n)
+
+    monkeypatch.setattr(lattice, "bounded_vectors", counted_vectors)
+    return counts
+
+
+def test_joint_walk_draws_the_longer_search_only(drawn):
+    # the complement of e in H + H + <1> + <-1> is <e> + H + <1> + <-1>:
+    # the pair comes at draw 5, square 0 at draw 1, squares 1 and -2 at
+    # draws 7 and 48, square 100 never (the whole box of 7^5 - 1); budgets
+    # stop the square question (5, 40), the pair question (0, 4) or both,
+    # one draw after the budget is spent
+    sub = orthogonal_complement(direct_sum(H, H, diagonal_form([1, -1])),
+                                [(1, 0, 0, 0, 0, 0)])
+    for target, budget, alone in ((0, None, [1, 5]), (1, None, [7, 5]),
+                                  (-2, None, [48, 5]),
+                                  (100, None, [7 ** 5 - 1, 5]),
+                                  (5, 40, [41, 5]), (0, 4, [1, 3]),
+                                  (-2, 3, [4, 3]), (1, 1, [2, 2])):
+        for search, draws in ((lambda: find_vector_with_square(
+                                   sub, target, 3, budget), alone[0]),
+                              (lambda: find_hyperbolic_pair(sub, 3, budget),
+                               alone[1])):
+            drawn.clear()
+            search()
+            assert drawn == [draws], (target, budget)
+        drawn.clear()
+        find_witnesses(sub, 3, budget, target=target, pair=True)
+        assert drawn == [max(alone)], (target, budget)
 
 
 def test_searches_ruled_out_by_the_form_draw_no_candidate(monkeypatch,

@@ -873,9 +873,9 @@ def test_first_difference_matches_the_reference(monkeypatch):
         unpacked.clear()
         got = first_difference(a, b, n)
         # compared in integers (re-keyed when a key layout is not the one
-        # of the smaller cap): only a witness's degree is unpacked, once
-        # per series
-        assert unpacked == ([] if got is None else [(sum(got[0]),)] * 2)
+        # of the smaller cap): nothing is unpacked, a witness's two
+        # coefficients are read one monomial each
+        assert unpacked == []
         assert got == reference_first_difference(a, b, n), (a, b, n)
         checked += 1
         differ += got is not None
@@ -909,6 +909,30 @@ def test_first_difference_matches_the_reference(monkeypatch):
                      (x, x * Fraction(-1, 2)), (x - x, y)):
             check(a, b, rng.randint(0, 7))
     assert checked == 12 * 17 and 80 < differ < checked
+
+
+def test_mismatching_first_difference_builds_no_unpack_tables(monkeypatch):
+    # a --compare-style mismatch at degree 0 on dense forms: the witness's
+    # coefficients come from `coefficient`, not from the per-cap label
+    # and factorial tables that unpacking a whole degree needs
+    rng = random.Random(142)
+    built = []
+    halves = FormalSeries._halves
+
+    def spy(self, labels):
+        built.append(labels)
+        return halves(self, labels)
+
+    monkeypatch.setattr(FormalSeries, "_halves", spy)
+    for rank in range(1, 5):
+        form = random_unimodular_form(rng, rank, ops=3 * rank)
+        a = kernel_sum(random.Random(rank), form, 10)
+        b = FormalSeries(rank, 10, dict(a.terms))
+        b = b + FormalSeries.constant(Fraction(1, 3), rank, 10)
+        built.clear()
+        exps, ca, cb = first_difference(a, b, 10)
+        assert built == []
+        assert exps == (0,) * rank and cb - ca == Fraction(1, 3)
 
 
 # ---------------------------------------------------------------------------
