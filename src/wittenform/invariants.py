@@ -81,10 +81,6 @@ def _signs(form, w, classes) -> list[int]:
     return [-1 if t % 2 else 1 for t in _sign_exponents(form, w, classes)]
 
 
-def _sign(form, w, k) -> int:
-    return _signs(form, w, (k,))[0]
-
-
 @dataclass(frozen=True)
 class SpincEntry:
     """One spin-c structure, reduced to its first Chern class and invariant."""

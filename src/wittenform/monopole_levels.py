@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import LevelError, NonIntegralError
-from .invariants import ManifoldData, SpincEntry, _sign, check_delta_m
+from .invariants import ManifoldData, SpincEntry, _signs, check_delta_m
 from .lattice import IntersectionForm, Vector, as_vector, vec_sub
 
 
@@ -137,15 +137,17 @@ def enumerate_contributions(m: ManifoldData, w: Sequence[int],
         raise ValueError(f"need ell_max >= 0, got {ell_max}")
     w = m.form._check_vector(w)
     lam = m.form._check_vector(lambda_)
-    rows = []
+    kept = []
     notes = []
     for entry, ell in leveled_entries(m, lam, delta, notes):
         if ell > ell_max:
             notes.append(f"c1={','.join(map(str, entry.c1))}: level {ell} "
                          f"exceeds ell_max {ell_max}")
             continue
-        rows.append(Contribution(
-            entry=entry, ell=ell, sign=_sign(m.form, w, entry.c1),
-            i_range_max=min(ell, delta // 2 - mm)))
+        kept.append((entry, ell))
+    signs = _signs(m.form, w, [entry.c1 for entry, _ in kept])
+    rows = [Contribution(entry=entry, ell=ell, sign=sign,
+                         i_range_max=min(ell, delta // 2 - mm))
+            for (entry, ell), sign in zip(kept, signs)]
     rows.sort(key=lambda r: (r.ell, r.entry.c1))
     return ContributionTable(tuple(rows), tuple(notes))

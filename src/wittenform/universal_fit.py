@@ -12,11 +12,16 @@ form across signatures is assumed. The assembled right-hand side is linear
 in the unknowns and is pinned against observed point values by exact
 rational elimination.
 
-Two routes write the equations. An observation whose value is basic-class
-data (`Observation.km`, as `lhs = witten` gives) takes the Q[u, q] route
-when its form is nondegenerate and s < n: u_1..u_s is a basis of the linear
-forms <v,h> with v over Lambda, the c1 of the leveled entries and the
-classes, q = Q(h,h), and both the right-hand side and the point value
+Two routes write the equations, each as an `AssembledRhs` that holds the
+right-hand side and the observed value in its own variables. An
+observation whose value is basic-class data (`Observation.km`, as
+`lhs = witten` gives) takes the Q[u, q] route when its form is
+nondegenerate and s < n. Here s is the dimension of the span V of Lambda,
+the c1 - Lambda of the leveled entries and the classes; P is the set of
+its pivot columns, V projects isomorphically onto the coordinates in P,
+and u_k = <r_k, h> for the reduced echelon basis r_k of V, so that
+<v, h> = sum_k v[P_k] u_k with integer coordinates. With q = Q(h,h), both
+the right-hand side and the point value
 2^m d!/2 sum_r c_r sum_i (q/2)^i/i! <K_r,h>^(d-2i)/(d-2i)! are written in
 Q[u, q], never expanded in the n variables h. Every other observation (an
 explicit value, s = n, a degenerate form) takes the h route, which expands
@@ -26,15 +31,16 @@ transcendental over Q(u). So u and q are algebraically independent, a
 polynomial in them is zero in Q[h] exactly when it is zero in Q[u, q], and
 both routes give the same augmented row space, hence the same reduced
 echelon form: status, nullspace, values, determined and absent unknowns.
-Only an inconsistency witness names a monomial of its route, so a system
-that turns inconsistent in an equation of a Q[u, q] observation is solved
-again on the h route.
+The argument holds for any basis u of the linear forms <v, h>, v in V.
+Only an inconsistency witness names a monomial of its route, so when the
+witness lies in a Q[u, q] observation, that observation alone is
+assembled again in h and the system solved again.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -47,7 +53,7 @@ from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
 from .monopole_levels import delta_admissible, leveled_entries
 from .series import (FormalSeries, HomogeneousPolynomial, _check_degree,
-                     _pack, first_difference, linear_series, monomial_label,
+                     first_difference, linear_series, monomial_label,
                      quadratic_series)
 
 Signature = tuple[int, int, int, int, int, int, int, int]
@@ -114,10 +120,18 @@ def build_template(delta: int, m: int, ell: int) -> CoefficientTemplate:
 
 @dataclass
 class AssembledRhs:
-    """Right-hand side of the structure formula, linear in the unknowns.
+    """Right-hand side of the structure formula, linear in the unknowns,
+    with the observed point value it is equated to, both in the variables
+    of one route (see the module docstring).
 
-    coeffs maps each h-monomial (of total degree exactly delta - 2m) to the
-    exact-rational linear form in the unknowns multiplying it.
+    On the h route the variables are h_1..h_n (num_vars = n), and every
+    monomial has total degree `degree` = delta - 2m. On the Q[u, q] route
+    they are u_1..u_s (num_vars = s < n), and the u-exponents e stand for
+    u^e q^((degree - |e|)/2): q is implicit by weight. coeffs maps each
+    monomial's exponents to the exact-rational linear form in the unknowns
+    multiplying it; `observed` is the point value in the same variables,
+    with a cap above `degree` (None from `assemble_rough_rhs`, which sees
+    no observation).
     """
 
     num_vars: int
@@ -125,6 +139,7 @@ class AssembledRhs:
     coeffs: dict         # monomial exponents -> {Unknown: Fraction}
     templates: dict      # Signature -> CoefficientTemplate
     notes: tuple[str, ...]
+    observed: Optional[FormalSeries] = None
 
     def unknowns(self) -> list[Unknown]:
         seen = set()
@@ -132,25 +147,15 @@ class AssembledRhs:
             seen.update(linear)
         return sorted(seen)
 
-    def _substituted(self, values) -> dict:
-        terms = {}
-        for mono, linear in self.coeffs.items():
-            total = Fraction(0)
-            for unknown, coeff in linear.items():
-                total += coeff * values[unknown]
-            if total:
-                terms[mono] = total
-        return terms
+    def substitute(self, values) -> FormalSeries:
+        """The right side at `values`, in the route's variables."""
+        return FormalSeries(self.num_vars, self.degree + 1, {
+            mono: sum(c * values[u] for u, c in linear.items())
+            for mono, linear in self.coeffs.items()})
 
-    def substitute(self, values) -> HomogeneousPolynomial:
-        cap = self.degree + 1
-        slices, den = _pack(self.num_vars, cap, self._substituted(values))
-        return HomogeneousPolynomial._make(self.num_vars, cap, slices, 1, den,
-                                           degree=self.degree)
-
-    def equations(self, obs: "Observation") -> list[tuple]:
-        """(monomial, linear form, observed coefficient) of each equation
-        with `obs.observed_lhs`, monomials in lex order.
+    def equations(self) -> list[tuple]:
+        """(monomial, linear form, observed coefficient) of each equation,
+        monomials by degree, then lex.
 
         A monomial in no unknown has a nonzero observed value, so 0 = value
         is inconsistent: only the first such monomial is listed, as a
@@ -158,42 +163,24 @@ class AssembledRhs:
         (`FormalSeries.slices`), and then only the monomials listed are
         unpacked to Fractions.
         """
-        lhs = obs.observed_lhs
+        lhs = self.observed
+        degrees = sorted(lhs.support_degrees())
         monos = lhs._keys(self.coeffs)
-        free = min(lhs.slices[lhs.degree].keys() - monos.keys(), default=None)
-        if free is not None:
-            monos[free] = lhs._exponents(free)
-        observed = lhs._fractions((lhs.degree,), monos)
+        for d in degrees:
+            free = min(lhs.slices[d].keys() - monos.keys(), default=None)
+            if free is not None:
+                monos[free] = lhs._exponents(free)
+                break
+        observed = lhs._fractions(degrees, monos)
         # ascending packed keys of one degree are its monomials in lex order
+        order = sorted(monos, key=lambda key: (sum(monos[key]), key))
         return [(mono, self.coeffs.get(mono, {}), observed.get(mono, 0))
-                for mono in map(monos.__getitem__, sorted(monos))]
+                for mono in map(monos.__getitem__, order)]
 
-    def matches(self, values, obs: "Observation") -> bool:
-        """Does the solution `values` reproduce `obs.observed_lhs`?"""
-        substituted = self.substitute(values)
-        return first_difference(substituted, obs.observed_lhs,
-                                substituted.degree_cap) is None
-
-
-@dataclass
-class RingRhs(AssembledRhs):
-    """The right-hand side and the observed point value of one basic-class
-    observation in Q[u_1..u_s, q], num_vars = s. Every term has weight
-    |e| + 2 * (exponent of q) = degree, so a monomial is stored as its
-    u-exponents e alone. See the module docstring."""
-
-    observed: dict       # u-exponents -> point value coefficient
-
-    def substitute(self, values) -> dict:
-        """The right side at `values`, {u-exponents: coefficient}."""
-        return self._substituted(values)
-
-    def equations(self, obs: "Observation") -> list[tuple]:
-        return [(mono, self.coeffs.get(mono, {}), self.observed.get(mono, 0))
-                for mono in sorted(self.coeffs.keys() | self.observed.keys())]
-
-    def matches(self, values, obs: "Observation") -> bool:
-        return self.substitute(values) == self.observed
+    def matches(self, values) -> bool:
+        """Does the solution `values` reproduce the observed value?"""
+        return first_difference(self.substitute(values), self.observed,
+                                self.degree + 1) is None
 
 
 class _Powers:
@@ -289,33 +276,15 @@ def assemble_rough_rhs(m: ManifoldData, w: Sequence[int],
     return AssembledRhs(m.rank, degree, coeffs, templates, tuple(notes))
 
 
-def _span_coordinates(vectors) -> tuple[int, dict]:
-    """(s, {vector: coordinates}) for a basis of the span of `vectors`: the
-    vectors, in order, that are independent of those before them."""
-    echelon = []    # (pivot, reduced row, its coordinates in the basis)
-    coords = {}
+def _span_pivots(vectors, n: int) -> list[int]:
+    """P, the pivot columns of the span V of `vectors` in Q^n, as
+    `LinearSystem` finds them with each vector an equation v.x = 0. The
+    projection of V onto the coordinates in P is an isomorphism, since the
+    reduced echelon basis r_k of V is the unit vector k there."""
+    system = LinearSystem(n)
     for v in dict.fromkeys(vectors):
-        row, c = list(v), {}
-        # row = v - sum_t f_t E_t and c = sum_t f_t (coordinates of E_t)
-        for piv, e_row, e_coords in echelon:
-            if row[piv]:
-                f = Fraction(row[piv], e_row[piv])
-                row = [a - f * b for a, b in zip(row, e_row)]
-                for k, x in e_coords.items():
-                    c[k] = c.get(k, 0) + f * x
-        lead = next((i for i, a in enumerate(row) if a), None)
-        if lead is None:
-            coords[v] = c
-        else:
-            # v is basis vector number s, and row = v - c in coordinates
-            s = len(echelon)
-            e_coords = {k: -x for k, x in c.items()}
-            e_coords[s] = 1
-            echelon.append((lead, row, e_coords))
-            coords[v] = {s: 1}
-    s = len(echelon)
-    return s, {v: tuple(c.get(k, 0) for k in range(s))
-               for v, c in coords.items()}
+        system.add_equation(v, 0)
+    return system.pivots
 
 
 def _ring_mul(a: dict, b: dict) -> dict:
@@ -328,7 +297,7 @@ def _ring_mul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _assemble_ring_rhs(obs: "Observation") -> Optional[RingRhs]:
+def _assemble_ring_rhs(obs: "Observation") -> Optional[AssembledRhs]:
     """The right-hand side and point value of a basic-class observation in
     Q[u, q] (see the module docstring), or None when it takes the h route:
     its value is explicit, its form is degenerate, or s = n. Raises as
@@ -340,17 +309,19 @@ def _assemble_ring_rhs(obs: "Observation") -> Optional[RingRhs]:
     notes = []
     entries = list(leveled_entries(m, lam, obs.delta, notes))
     classes = [k for _, k in km.terms]
-    s, coords = _span_coordinates(
-        [lam, *(vec_sub(e.c1, lam) for e, _ in entries), *classes])
+    pivots = _span_pivots(
+        [lam, *(vec_sub(e.c1, lam) for e, _ in entries), *classes], m.rank)
+    s = len(pivots)
     _, b_plus, b_minus = m.form.signature_decomposition()
     if s == m.rank or b_plus + b_minus < m.rank:
         return None
     one = {(0,) * s: 1}
 
     def powers_of(v):
-        # <v, h> = sum_k coords[v][k] u_k
-        line = {tuple(int(t == k) for t in range(s)): c
-                for k, c in enumerate(coords[v]) if c}
+        # u_k = <r_k, h> for the reduced echelon basis r_k of the span, so
+        # <v, h> = sum_k v[P_k] u_k
+        line = {tuple(int(t == k) for t in range(s)): v[p]
+                for k, p in enumerate(pivots) if v[p]}
         return _Powers(line, one, _ring_mul)
 
     # times q^i leaves the u-exponents as they are
@@ -367,8 +338,15 @@ def _assemble_ring_rhs(obs: "Observation") -> Optional[RingRhs]:
             c = scale * sign * a / (2 ** i * factorial(i) * factorial(d - 2 * i))
             for mono, x in kpow[d - 2 * i].items():
                 observed[mono] = observed.get(mono, 0) + c * x
-    observed = {mono: c for mono, c in observed.items() if c}
-    return RingRhs(s, d, coeffs, templates, tuple(notes), observed)
+    return AssembledRhs(s, d, coeffs, templates, tuple(notes),
+                        FormalSeries(s, d + 1, observed))
+
+
+def _assemble_h_rhs(obs: "Observation") -> AssembledRhs:
+    """The right-hand side of `obs` in h, with its value in h."""
+    rhs = assemble_rough_rhs(obs.manifold, obs.w, obs.lambda_, obs.delta,
+                             obs.m)
+    return replace(rhs, observed=obs.observed_lhs)
 
 
 @dataclass(frozen=True)
@@ -502,25 +480,28 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
     coefficient by coefficient, and solve exactly.
 
     Each observation takes its route (see the module docstring). Equations
-    are processed observation by observation with monomials in lex order,
-    so the inconsistency witness (observation index, monomial) is
-    deterministic. When that witness lies in a Q[u, q] observation, the
-    problem is solved again on the h route, which names an h-monomial.
+    are processed observation by observation with monomials by degree,
+    then lex, so the inconsistency witness (observation index, monomial)
+    is deterministic. When that witness lies in a Q[u, q] observation k,
+    the problem is solved again with observation k alone in h, which names
+    an h-monomial of k. Nothing else can change: observations 0..k-1 have
+    the same augmented row space on either route, so the solver reaches k
+    in the same state, and the final rank does not depend on the route.
     """
-    assembled = [_assemble_ring_rhs(o) or assemble_rough_rhs(
-        o.manifold, o.w, o.lambda_, o.delta, o.m)
-        for o in problem.observations]
-    report = _solve(problem, assembled)
-    if report.witness is not None and isinstance(
-            assembled[report.witness[0]], RingRhs):
-        report = _solve(problem, [
-            assemble_rough_rhs(o.manifold, o.w, o.lambda_, o.delta, o.m)
-            if isinstance(rhs, RingRhs) else rhs
-            for o, rhs in zip(problem.observations, assembled)])
+    observations = problem.observations
+    assembled = [_assemble_ring_rhs(o) or _assemble_h_rhs(o)
+                 for o in observations]
+    report = _solve(assembled)
+    if report.witness is not None:
+        k = report.witness[0]
+        # the Q[u, q] route writes observation k in s < n variables
+        if assembled[k].num_vars < observations[k].manifold.rank:
+            assembled[k] = _assemble_h_rhs(observations[k])
+            report = _solve(assembled)
     return report
 
 
-def _solve(problem: FitProblem, assembled) -> UniversalFitReport:
+def _solve(assembled) -> UniversalFitReport:
     """One elimination over the equations of every observation, in order.
     A monomial in no unknown is fed only while the system is consistent."""
     unknowns: set[Unknown] = set()
@@ -531,10 +512,10 @@ def _solve(problem: FitProblem, assembled) -> UniversalFitReport:
     system = LinearSystem(len(order))
     templates: dict[Signature, CoefficientTemplate] = {}
     notes: list[str] = []
-    for obs_idx, (obs, rhs) in enumerate(zip(problem.observations, assembled)):
+    for obs_idx, rhs in enumerate(assembled):
         templates.update(rhs.templates)
         notes.extend(f"observation {obs_idx}: {n}" for n in rhs.notes)
-        for mono, linear, value in rhs.equations(obs):
+        for mono, linear, value in rhs.equations():
             if not linear and system.inconsistent:
                 continue
             row = [0] * len(order)
@@ -565,8 +546,9 @@ class ValidationReport:
 
 def validate_solution(problem: FitProblem,
                       report: UniversalFitReport) -> ValidationReport:
-    """Re-substitute the solution and demand exact equality per observation,
-    in the ring its equations were written in, plus the degree and i-range discipline of every instantiated template."""
+    """Re-substitute the solution and demand exact equality per
+    observation, in the ring its equations were written in, plus the
+    degree and i-range discipline of every instantiated template."""
     findings = []
     residuals = []
     for tentry_sig, template in report.templates.items():
@@ -581,7 +563,7 @@ def validate_solution(problem: FitProblem,
         return ValidationReport(False, (), tuple(findings + ["inconsistent fit"]))
     for obs_idx, (obs, rhs) in enumerate(
             zip(problem.observations, report.assembled)):
-        same = rhs.matches(report.values, obs)
+        same = rhs.matches(report.values)
         residuals.append(same)
         if not same:
             findings.append(f"observation {obs_idx}: nonzero residual")

@@ -353,6 +353,8 @@ def fit_golden_files():
         "e4_delta6": fit("e4.manifold", 46, 6),
         "k3_delta2_witten_then_inline": fit("k3.manifold", 22, 2,
                                             more=(((), inline),)),
+        "k3_delta10_two_lambdas": fit("k3.manifold", 22, 10,
+                                      more=(((0, 1, 2, 3), "witten"),)),
     }
 
 

@@ -13,10 +13,10 @@ from wittenform.lattice import IntersectionForm, hyperbolic_plane
 from wittenform.manifold_io import witten_consistent_km
 from wittenform.monopole_levels import delta_admissible
 from wittenform.series import FormalSeries, HomogeneousPolynomial
-from wittenform.universal_fit import (AssembledRhs, FitProblem, Observation,
-                                      RingRhs, assemble_rough_rhs,
-                                      build_template, solve_coefficients,
-                                      validate_solution)
+from wittenform import universal_fit
+from wittenform.universal_fit import (FitProblem, Observation, _span_pivots,
+                                      assemble_rough_rhs, build_template,
+                                      solve_coefficients, validate_solution)
 
 H = hyperbolic_plane()
 
@@ -306,12 +306,19 @@ def fit_both_routes(m, w, lam, delta, mm):
         problem = FitProblem((obs,))
         report = solve_coefficients(problem)
         out.append((report, validate_solution(problem, report)))
+    # an explicit value takes the h route, in the n variables h
+    assert not on_ring_route(out[1][0], m)
     return out
+
+
+def on_ring_route(report, m, idx=0):
+    """Did observation idx take the Q[u, q] route? It alone writes its
+    equations in s < n variables."""
+    return report.assembled[idx].num_vars < m.rank
 
 
 def assert_same_fit(ring, h):
     (r, r_valid), (h, h_valid) = ring, h
-    assert type(h.assembled[0]) is AssembledRhs
     assert r.to_text() == h.to_text()
     assert (r.status, r.nullspace_dim, r.values, r.determined) == (
         h.status, h.nullspace_dim, h.values, h.determined)
@@ -347,11 +354,11 @@ def test_ring_route_matches_h_route_on_seeded_fits():
     for m, w, lam, delta, mm in seeded_fits(random.Random(1818)):
         ring, h = fit_both_routes(m, w, lam, delta, mm)
         assert_same_fit(ring, h)
-        routes[type(ring[0].assembled[0])] += 1
+        routes[on_ring_route(ring[0], m)] += 1
         statuses[ring[0].status] += 1
     # both routes taken, every status met (an inconsistent Q[u, q] fit is
     # solved again on the h route, so it counts as h)
-    assert routes[RingRhs] >= 8 and routes[AssembledRhs] >= 3, routes
+    assert routes[True] >= 8 and routes[False] >= 3, routes
     assert set(statuses) == {"unique", "underdetermined", "inconsistent"}
 
 
@@ -360,7 +367,7 @@ def test_ring_route_underdetermined_on_e4():
     lam = tuple(int(i == 2) for i in range(46))
     ring, h = fit_both_routes(m, (0,) * 46, lam, 4, 0)
     assert_same_fit(ring, h)
-    assert isinstance(ring[0].assembled[0], RingRhs)
+    assert on_ring_route(ring[0], m)
     assert (ring[0].status, ring[0].nullspace_dim) == ("underdetermined", 1)
     assert ring[1].ok
 
@@ -370,7 +377,7 @@ def test_span_of_full_rank_takes_h_route():
     # with lambda outside their span, s = n, where u and q are dependent
     m = load_bundled("synthetic_01.manifold")
     ring, h = fit_both_routes(m, (0,) * 4, (-1, -1, -1, 0), 6, 1)
-    assert type(ring[0].assembled[0]) is AssembledRhs
+    assert not on_ring_route(ring[0], m)
     assert_same_fit(ring, h)
     assert (ring[0].status, ring[0].nullspace_dim) == ("underdetermined", 6)
 
@@ -397,7 +404,7 @@ def test_degenerate_form_takes_h_route():
                      w2=(0, 0, 0), spinc=(SpincEntry((0, 0, 0), 1),),
                      sw_simple_type=True, check_topology=False)
     ring, h = fit_both_routes(m, (0, 0, 0), (0, 0, 0), 4, 1)
-    assert type(ring[0].assembled[0]) is AssembledRhs
+    assert not on_ring_route(ring[0], m)
     assert_same_fit(ring, h)
 
 
@@ -438,6 +445,124 @@ def test_ring_route_builds_no_series(monkeypatch):
     k3_obs = observations[0]
     assert k3_obs.observed_lhs == point_evaluate(
         k3_obs.km, k3_obs.manifold.form, k3_obs.delta, k3_obs.m)
+
+
+def seeded_problems(rng):
+    """(manifold, w, lambdas, delta, m) of fit problems of 2-3 observations
+    on one manifold with one w and (delta, m), delta <= 6, and a lambda of
+    their own: three on each bundled synthetic, five on K3."""
+    manifolds = [(load_bundled(name), 3) for name in list_bundled()
+                 if name.startswith("synthetic")]
+    manifolds.append((k3_manifold(), 5))
+    for m, count in manifolds:
+        for _ in range(count):
+            w = sparse_vector(rng, m.rank, rng.randint(0, 2))
+            deltas = [d for d in range(7)
+                      if delta_admissible(d, m.form.square(w), m.chi, m.sigma)]
+            if deltas:
+                delta = rng.choice(deltas)
+                lams = [sparse_vector(rng, m.rank, rng.randint(0, 2))
+                        for _ in range(rng.randint(2, 3))]
+                yield m, w, lams, delta, rng.randint(0, delta // 2)
+
+
+def test_multi_observation_fits_match_their_h_values():
+    # each problem gives the same text and validation with every value as
+    # km data (Q[u, q] route where s < n) and as its polynomial in h
+    statuses, later_witnesses = Counter(), 0
+    for m, w, lams, delta, mm in seeded_problems(random.Random(2121)):
+        km = witten_consistent_km(m, w)
+        value = point_evaluate(km, m.form, delta, mm)
+        fits = []
+        for kw in ({"km": km}, {"lhs": value}):
+            problem = FitProblem(tuple(
+                Observation(m, w, lam, delta, mm, **kw) for lam in lams))
+            report = solve_coefficients(problem)
+            fits.append((report.to_text(), validate_solution(problem, report)))
+            if "km" in kw:
+                statuses[report.status] += 1
+                k = report.witness[0] if report.witness else 0
+                # a witness after an observation solved in Q[u, q]
+                later_witnesses += any(
+                    on_ring_route(report, m, idx) for idx in range(k))
+        assert fits[0] == fits[1], (m.name, w, lams, delta, mm)
+    assert set(statuses) == {"unique", "underdetermined", "inconsistent"}
+    assert later_witnesses >= 3, later_witnesses
+
+
+def k3_problem_inconsistent_in_the_middle():
+    # lambda = e7 + e8 has square -4, so its level is 2 < delta/2 and
+    # nothing matches the q^3 term; lambda = 0 and e1 are consistent
+    k3 = k3_manifold()
+    zero = (0,) * 22
+    km = witten_consistent_km(k3, zero)
+    lams = [zero, tuple(int(i in (6, 7)) for i in range(22)),
+            tuple(int(i == 0) for i in range(22))]
+    return k3, FitProblem(tuple(Observation(k3, zero, lam, 6, 0, km=km)
+                                for lam in lams))
+
+
+def test_resolve_assembles_only_the_failing_observation(monkeypatch):
+    calls = []
+    original = universal_fit.assemble_rough_rhs
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(universal_fit, "assemble_rough_rhs", spy)
+    k3, problem = k3_problem_inconsistent_in_the_middle()
+    report = solve_coefficients(problem)
+    assert len(calls) == 1
+    assert calls[0][2] == problem.observations[1].lambda_
+    assert report.witness == (1, (0,) * 21 + (6,))
+    assert [on_ring_route(report, k3, idx) for idx in range(3)] == [
+        True, False, True]
+    # the same as a fit with every observation in h
+    h_problem = FitProblem(tuple(
+        Observation(o.manifold, o.w, o.lambda_, o.delta, o.m,
+                    point_evaluate(o.km, o.manifold.form, o.delta, o.m))
+        for o in problem.observations))
+    h_report = solve_coefficients(h_problem)
+    assert report.to_text() == h_report.to_text()
+    assert report.nullspace_dim == h_report.nullspace_dim == 24
+
+
+def fraction_rank(vectors) -> int:
+    """The rank of `vectors` by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_span_pivots_carry_the_rank():
+    # restricted to P the vectors have rank |P|, their rank in Q^n
+    rng = random.Random(4242)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        vectors = [tuple(rng.choice((0, 0, 0, 1, -1, 2, -3))
+                         for _ in range(n)) for _ in range(rng.randint(0, 6))]
+        if len(vectors) >= 2 and rng.random() < 0.5:
+            # a combination of two of them, so that some set is dependent
+            a, b = rng.sample(vectors, 2)
+            c = rng.randint(-2, 2)
+            vectors.append(tuple(x + c * y for x, y in zip(a, b)))
+        pivots = _span_pivots(vectors, n)
+        assert len(set(pivots)) == len(pivots)
+        restricted = [[v[p] for p in pivots] for v in vectors]
+        assert fraction_rank(restricted) == len(pivots) == fraction_rank(
+            vectors)
 
 
 def test_observation_needs_one_value():
