@@ -13,6 +13,7 @@ The identification is exact because the form is unimodular.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, gcd, lcm, prod
@@ -496,10 +497,10 @@ def gaussian_sum(form: IntersectionForm,
     k kernel runs, each over at least about E's support, that summing the
     k classes would take. A sum whose S has more terms keeps those runs.
 
-    A degree-(n+1) value can be nonzero only at e + u_i with F(e) != 0 at
-    degree n and d_i != 0, or at f + u_i + u_j with F(f) != 0 at degree
-    n - 1 and G_ij != 0; only those candidates are visited, so sparse forms
-    and zero classes walk just their reachable support.
+    A degree-(n+1) monomial t is reached only from its lowest index i with
+    t_i > 0, pushed forward from the nonzero F at degrees n and n - 1 that
+    feed it there (see `_slice_stream`), so sparse forms and zero classes
+    walk just their reachable support.
 
     With Q, exp(Q/2 + <K, h>) is the product of its restrictions to the
     orthogonal blocks of the form (`lattice.gram_components`), which share
@@ -796,51 +797,50 @@ def _block_product(factors, degrees):
 
 def _slice_stream(layout, block, d, gram=None):
     """F at degree 0, 1, ... of exp(<K, h>) (with `gram`, of
-    exp(Q(h, h)/2 + <K, h>)), G K = d, in the variables of `block` alone
-    (see gaussian_sum), one at a time, each a dict packed key -> int F != 0
-    in `layout` (see `_layout`), endlessly: the caller takes as many
-    degrees as it needs. Only G's entries among the block's indices are
-    read, so the blocks of one form build their tables in
-    O(sum of block sizes squared)."""
+    exp(Q(h, h)/2 + <K, h>)), G K = d, in the variables of `block`
+    (ascending) alone (see gaussian_sum), one at a time, each a dict packed
+    key -> int F != 0 in `layout` (see `_layout`) in ascending key order,
+    endlessly: the caller takes as many degrees as it needs. Only G's
+    entries among the block's indices are read, so the blocks of one form
+    build their tables in O(sum of block sizes squared).
+
+    A monomial t is reached from its lowest index i with t_i > 0 only:
+        F(t) = d_i F(t - u_i) + sum_{j >= i} G_ij (f_j + 1) F(f),
+    f = t - u_i - u_j. The sources of direction i, the keys with no entry
+    before i, are those below 1 << (shifts[i] + width): a prefix of an
+    ascending slice. The d_i part has one source per t (one comprehension);
+    the G part is summed, then sorted in. The t with lowest index i fill
+    one key range, so the directions run from the last to the first.
+    Without Q, F(t) = 0 when d_i = 0, and direction i is skipped."""
     shifts, mask = layout
-    # per direction i: (place of u_i, d_i, (G_ij, place of u_j, shift of
-    # entry j) for the j with G_ij != 0)
+    width = mask.bit_length()
+    order = block[::-1]
+    # per direction i: (the least key with an entry before i, a 1-tuple to
+    # bisect (key, F) pairs, place of u_i, d_i) if d_i != 0, and (that key,
+    # (G_ij, place of u_i + u_j, shift of entry j) for j >= i, G_ij != 0)
+    lin = [((1 << shifts[i] + width,), 1 << shifts[i], d[i])
+           for i in order if d[i]]
+    quad = []
     if gram is not None:
-        cols = [(j, 1 << shifts[j], shifts[j]) for j in block]
-        steps = [(pi, d[i], [(row[j], pj, sj) for j, pj, sj in cols if row[j]])
-                 for i, pi, _ in cols for row in [gram[i]]]
-    else:
-        # exp(<K, h>) steps only in the directions with d_i != 0
-        steps = [(1 << shifts[i], d[i], ()) for i in block if d[i]]
-    lin_steps = [(step[0], step) for step in steps if step[1]]
-    # u_i + u_j with j >= i (the place of u_j is at most u_i's), G_ij != 0
-    quad_steps = [(step[0] + p, step) for step in steps
-                  for _, p, _ in step[2] if p <= step[0]]
-    prev: dict[int, int] = {}
-    cur: dict[int, int] = {0: 1}
-    yield cur
+        places = [(i, 1 << shifts[i]) for i in order]
+        quad = [((pi << width,), row) for k, (i, pi) in enumerate(places, 1)
+                for row in [[(gram[i][j], pi + pj, shifts[j])
+                             for j, pj in places[:k] if gram[i][j]]] if row]
+    prev, cur = [], [(0, 1)]        # degrees n - 1 and n, as (key, F) lists
+    nxt = {0: 1}
     while True:
-        # candidate -> the step of a direction i with e_i > 0 to run the
-        # recurrence on
-        cand = ({key + p: step for key in cur for p, step in lin_steps}
-                if lin_steps else {})
-        if quad_steps and prev:
-            cand.update({key + p: step for key in prev
-                         for p, step in quad_steps})
-        nxt = {}
-        for key, (pi, di, row) in cand.items():
-            e = key - pi
-            v = di * cur.get(e, 0) if di else 0
-            for g, p, sh in row:
-                # only a true e - u_j (e_j > 0) is a degree-(n-1) key; a
-                # borrow across fields raises the entry sum instead
-                f = prev.get(e - p)
-                if f:
-                    v += g * (e >> sh & mask) * f
-            if v:
-                nxt[key] = v
         yield nxt
-        prev, cur = cur, nxt
+        nxt = {e + pi: di * v for bound, pi, di in lin
+               for e, v in cur[:bisect_left(cur, bound)]}
+        if prev and quad:
+            for bound, row in quad:
+                sources = prev[:bisect_left(prev, bound)]
+                for g, p, sh in row:
+                    for f, v in sources:
+                        t = f + p
+                        nxt[t] = nxt.get(t, 0) + g * ((f >> sh & mask) + 1) * v
+            nxt = {t: nxt[t] for t in sorted(nxt) if nxt[t]}
+        prev, cur = cur, list(nxt.items())
 
 
 def exp_linear(form: IntersectionForm, k: Sequence[int],

@@ -671,6 +671,102 @@ def test_kernel_runs_once_per_block(memo, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the kernel's stream against the pull form of its recurrence
+
+def pull_stream(layout, block, d, gram=None):
+    """The kernel's slices by the pull form of the recurrence: every
+    candidate e + u_i (d_i != 0) and f + u_i + u_j (G_ij != 0) is visited,
+    and its value is pulled through one direction i with e_i > 0, in
+    insertion order."""
+    shifts, mask = layout
+    if gram is not None:
+        cols = [(j, 1 << shifts[j], shifts[j]) for j in block]
+        steps = [(pi, d[i], [(row[j], pj, sj) for j, pj, sj in cols if row[j]])
+                 for i, pi, _ in cols for row in [gram[i]]]
+    else:
+        steps = [(1 << shifts[i], d[i], ()) for i in block if d[i]]
+    lin_steps = [(step[0], step) for step in steps if step[1]]
+    quad_steps = [(step[0] + p, step) for step in steps
+                  for _, p, _ in step[2] if p <= step[0]]
+    prev, cur = {}, {0: 1}
+    yield cur
+    while True:
+        cand = {key + p: step for key in cur for p, step in lin_steps}
+        if prev:
+            cand.update({key + p: step for key in prev
+                         for p, step in quad_steps})
+        nxt = {}
+        for key, (pi, di, row) in cand.items():
+            e = key - pi
+            v = di * cur.get(e, 0)
+            for g, p, sh in row:
+                # only a true e - u_j is a degree-(n-1) key; a borrow
+                # across fields raises the entry sum instead
+                f = prev.get(e - p)
+                if f:
+                    v += g * (e >> sh & mask) * f
+            if v:
+                nxt[key] = v
+        yield nxt
+        prev, cur = cur, nxt
+
+
+def stream_cases():
+    """(name, form, d, cap, quadratic) for the kernel's stream: seeded dense
+    (sheared) and sparse (block or one shear) forms of ranks 1-7 at caps
+    0-12, where 2, 3, 5 and 9 put a top exponent cap - 1 in the top bit of
+    its key field; classes with some d_i = 0 and the zero class, with Q and
+    without; then K3, E(4) and synthetic_05."""
+    rng = random.Random(2201)
+    for rank in range(1, 8):
+        for kind, ops in (("dense", 3 * rank), ("block", 0), ("sheared", 1)):
+            form = random_unimodular_form(rng, rank, ops=ops)
+            for cap in sorted({0, 1, 2, 3, 4, 5, 9, 13 - rank}):
+                d = [rng.randint(-2, 2) for _ in range(rank)]
+                d[rng.randrange(rank)] = 0
+                for dual in (tuple(d), (0,) * rank):
+                    name = f"{kind} rank {rank} cap {cap} d={dual}"
+                    yield name, form, dual, cap, True
+                    yield name, form, dual, cap, False
+    for name, form, cap in (("K3", k3_form(), 8),
+                            ("E(4)", elliptic_manifold(4).form, 6),
+                            ("synthetic_05",
+                             load_bundled("synthetic_05.manifold").form, 12)):
+        # three nonzero entries: without Q, every d_i != 0 is a variable
+        # of the whole support
+        d = [0] * form.rank
+        for i in rng.sample(range(form.rank), 3):
+            d[i] = rng.choice((-2, -1, 1, 2))
+        d = tuple(d)
+        for dual in (d, (0,) * form.rank):
+            yield name, form, dual, cap, True
+        yield name, form, d, cap, False
+
+
+def test_stream_matches_the_pull_form():
+    blocks_seen = 0
+    for name, form, d, cap, quadratic in stream_cases():
+        layout = series._layout(form.rank, cap)
+        shifts, mask = layout
+        gram = form.gram if quadratic else None
+        blocks = (gram_components(form.gram) if quadratic
+                  else [range(form.rank)])
+        for block in blocks:
+            blocks_seen += 1
+            got = list(itertools.islice(
+                series._slice_stream(layout, block, d, gram), cap))
+            want = list(itertools.islice(
+                pull_stream(layout, block, d, gram), cap))
+            assert got == want, (name, quadratic, block)
+            for degree, part in enumerate(got):
+                assert list(part) == sorted(part), (name, degree)
+                assert all(part.values()), (name, degree)
+                assert {sum(key >> sh & mask for sh in shifts)
+                        for key in part} <= {degree}, (name, degree)
+    assert blocks_seen > 500
+
+
+# ---------------------------------------------------------------------------
 # kernel results read through the `terms` view
 
 def solve_unimodular(form, rhs):
