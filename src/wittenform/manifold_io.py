@@ -70,6 +70,14 @@ def _parse_kv(body, lines, section):
     return seen, rows
 
 
+def _parse_keys(body, lines, section):
+    """The key = value lines of a section that may hold no bare row."""
+    kv, rows = _parse_kv(body, lines, section)
+    if rows:
+        raise lines.error(f"unexpected bare row in [{section}]", rows[0][0])
+    return kv
+
+
 def _get(kv, key, lines, section, header_line):
     if key not in kv:
         raise lines.error(f"missing key {key!r} in [{section}]", header_line)
@@ -114,9 +122,7 @@ def parse_manifold(text: str, path: Optional[str] = None) -> ManifoldData:
             if manifold_kv is not None:
                 raise lines.error("duplicate [manifold] section", header)
             manifold_header = header
-            manifold_kv, extra = _parse_kv(body, lines, "manifold")
-            if extra:
-                raise lines.error("unexpected bare row in [manifold]", extra[0][0])
+            manifold_kv = _parse_keys(body, lines, "manifold")
         elif name == "form":
             if form_rows is not None:
                 raise lines.error("duplicate [form] section", header)
@@ -138,9 +144,7 @@ def parse_manifold(text: str, path: Optional[str] = None) -> ManifoldData:
                 raise lines.error("[w2] must hold exactly one bit row", header)
             w2_row = rows[0]
         elif name == "spinc":
-            kv, rows = _parse_kv(body, lines, "spinc")
-            if rows:
-                raise lines.error("unexpected bare row in [spinc]", rows[0][0])
+            kv = _parse_keys(body, lines, "spinc")
             no_c1, c1_value = _get(kv, "c1", lines, "spinc", header)
             no_sw, sw_value = _get(kv, "sw", lines, "spinc", header)
             spinc.append((no_c1,
@@ -228,11 +232,13 @@ def parse_km(text: str, path: Optional[str] = None) -> KMData:
     terms = []
     for name, header, body in sections:
         if name == "km":
-            kv, rows = _parse_kv(body, lines, "km")
+            if w is not None:
+                raise lines.error("duplicate [km] section", header)
+            kv = _parse_keys(body, lines, "km")
             no, value = _get(kv, "w", lines, "km", header)
             w = _parse_int_row(value, lines, no, "w")
         elif name == "term":
-            kv, rows = _parse_kv(body, lines, "term")
+            kv = _parse_keys(body, lines, "term")
             no_a, a_v = _get(kv, "a", lines, "term", header)
             try:
                 a = _parse_rational(a_v)
@@ -296,7 +302,9 @@ def parse_fit_problem(text: str, path: Optional[str] = None,
         base_dir = os.path.dirname(path) if path else "."
     for name, header, body in sections:
         if name == "fit":
-            kv, rows = _parse_kv(body, lines, "fit")
+            if delta is not None:
+                raise lines.error("duplicate [fit] section", header)
+            kv = _parse_keys(body, lines, "fit")
             no, value = _get(kv, "delta", lines, "fit", header)
             delta = _parse_int(value, lines, no, "delta")
             no, value = _get(kv, "m", lines, "fit", header)
@@ -308,7 +316,7 @@ def parse_fit_problem(text: str, path: Optional[str] = None,
         elif name == "observation":
             if delta is None:
                 raise lines.error("[fit] section must precede observations", header)
-            kv, rows = _parse_kv(body, lines, "observation")
+            kv = _parse_keys(body, lines, "observation")
             no_m, mpath = _get(kv, "manifold", lines, "observation", header)
             manifold = load_manifold(os.path.join(base_dir, mpath))
             no_w, w_v = _get(kv, "w", lines, "observation", header)

@@ -479,38 +479,24 @@ def gaussian_sum(form: IntersectionForm,
     F(e) = e! [h^e] exp(Q/2 + <K, h>), filled degree by degree with
         F(e + u_i) = d_i F(e) + sum_j G_ij e_j F(e - u_j),   d = G K,
     which is d^e for a pure linear exponent and a sum over matchings of the
-    Gram graph for exp(Q/2). The weighted F are summed as integers, degree
-    by degree, and the result keeps them so (see `FormalSeries`): a
-    monomial's coefficient is divided by e! and the weights' lcm only when
-    it is read.
-    A single class keeps its F, with no sum.
-
-    Several classes with Q share the factor E = exp(Q/2): their sum is
-    T = E S with S = sum_r w_r exp(<K_r, h>), whose divided powers
-    S(b) = sum_r w_r d_r^b come from the same kernel without Q. S is built
-    degree by degree and given up as soon as it has more terms than there
-    are classes. Otherwise (as for E(n), where S = (2 sinh <F, h>)^(n-2)
-    starts at degree n - 2) the kernel runs once, for E, up to degree
-    cap - s with s the lowest degree of S, and
-        T(e) = sum_{a + b = e} prod_i C(e_i, b_i) E(a) S(b)
-    forms only pairs of degree < cap: at most |S| |E| of them, against the
-    k kernel runs, each over at least about E's support, that summing the
-    k classes would take. A sum whose S has more terms keeps those runs.
-
-    A degree-(n+1) monomial t is reached only from its lowest index i with
-    t_i > 0, pushed forward from the nonzero F at degrees n and n - 1 that
-    feed it there (see `_slice_stream`), so sparse forms and zero classes
-    walk just their reachable support.
+    Gram graph for exp(Q/2). A degree-(n+1) monomial t is reached only from
+    its lowest index i with t_i > 0 (see `_slice_stream`), so sparse forms
+    and zero classes walk just their reachable support. The result keeps
+    integers (see `FormalSeries`): a monomial's coefficient is divided by
+    e! and the weights' lcm only when it is read.
 
     With Q, exp(Q/2 + <K, h>) is the product of its restrictions to the
     orthogonal blocks of the form (`lattice.gram_components`), which share
-    no variable. The recurrence runs once per block, so no monomial that
-    mixes blocks is visited, and the blocks are joined by
-        F(a + b) = F_A(a) F_B(b),
-    with no binomial (each is 1 on disjoint supports): only pairs below the
-    degree limit are formed, a factor equal to 1 is skipped, and the
-    smallest factors are multiplied first (see `_block_product`). A form
-    of one block runs the same loop with no product.
+    no variable; without Q the whole basis is one block. A block is common
+    when every class has the same d on it (a single class has none). So
+        T = V P,   V = sum_r w_r prod_{B varying} F_{r,B},
+    with P the product over the common blocks, and the recurrence runs once
+    per class on the varying blocks (the memo's entries) and once per
+    common block. On E(n), whose classes differ only in the hyperbolic
+    summand holding the fiber, that is k runs on one H and one run on each
+    other block. V starts at some degree s (s = n - 2 on E(n)), so the
+    common blocks are read below cap - s only, and `_block_product` joins
+    them to V with F(a + b) = F_V(a) F_B(b).
     """
     n = form.rank
     cap = degree_cap
@@ -519,17 +505,25 @@ def gaussian_sum(form: IntersectionForm,
     den = lcm(*(c.denominator for c, _ in pairs))
     weights = [(c.numerator * (den // c.denominator), d)
                for c, d in pairs if c]
-    if len(weights) == 1:
-        weight, d = weights[0]
-        slices = _MEMO.get(form, d, cap, quadratic)
-    else:
-        weight = 1
-        slices = _factored_sum(form, weights, cap) if quadratic else None
-        if slices is None:
-            slices = _weighted_sum(
-                ((w, _MEMO.get(form, d, cap, quadratic)) for w, d in weights),
-                cap)
-    return FormalSeries._make(n, cap, slices, weight, den)
+    if not weights:
+        return FormalSeries.zero(n, cap)
+    blocks = gram_components(form.gram) if quadratic else [range(n)]
+    (weight, first), *rest = weights
+    if not rest:
+        slices = _MEMO.get(form, blocks, first, cap, quadratic)
+        return FormalSeries._make(n, cap, slices, weight, den)
+    # the common blocks are those where every class has the first's d
+    differ = {i for _, d in rest for i, x in enumerate(d) if x != first[i]}
+    common = [block for block in blocks if differ.isdisjoint(block)]
+    varying = [block for block in blocks if not differ.isdisjoint(block)]
+    v = _weighted_sum(((w, _MEMO.get(form, varying, d, cap, quadratic))
+                       for w, d in weights), cap)
+    low = next((e for e, part in enumerate(v) if part), cap)
+    layout, gram = _layout(n, cap), form.gram if quadratic else None
+    factors = [list(islice(_slice_stream(layout, block, first, gram),
+                           cap - low)) for block in common]
+    return FormalSeries._make(n, cap, _block_product([v] + factors, cap),
+                              1, den)
 
 
 def _weighted_sum(weighted, cap):
@@ -590,31 +584,6 @@ def _product(outer, inner, n, cap):
                     key = ka + kb
                     total[key] = total.get(key, 0) + v
     return _nonzero(totals)
-
-
-def _factored_sum(form, weights, cap):
-    """T = E S, the weighted sum of the classes' divided powers (see
-    gaussian_sum), by degree, or None when S has more terms than there are
-    classes."""
-    layout = _layout(form.rank, cap)
-    streams = [_slice_stream(layout, range(form.rank), d)
-               for _, d in weights]
-    s_slices = []
-    size = 0
-    for _ in range(cap):
-        # S at the next degree: the classes' next slices, weighted
-        part, = _weighted_sum([(w, [next(stream)])
-                               for (w, _), stream in zip(weights, streams)], 1)
-        size += len(part)
-        if size > len(weights):
-            return None
-        s_slices.append(part)
-    low = next((d for d, part in enumerate(s_slices) if part), cap)
-    if low == cap:
-        return s_slices
-    n = form.rank
-    e_slices = _MEMO.get(form, (0,) * n, cap, True, cap - low)
-    return _product(s_slices, e_slices, n, cap)
 
 
 def divided_powers(form: IntersectionForm, k: Sequence[int],
@@ -699,38 +668,32 @@ class _Parts(dict):
 
 
 class _SliceMemo:
-    """The kernel's slices of the latest form object and cap, by (G K,
-    quadratic), holding at most `bound` F values in all. A call with another
-    form object or cap empties it; a class that does not fit beside the
-    stored ones is returned but not stored, and nothing is evicted. Callers
-    must not mutate the slices they get.
-
-    An entry may hold only a class's first slices (the factored route's E
-    needs no more); a call that needs more runs the class again and
-    replaces it.
+    """The kernel's slices of the latest form object and cap, by (block
+    indices, d = G K on them, quadratic), holding at most `bound` F values
+    in all. A call with another form object or cap empties it; a class
+    that does not fit beside the stored ones is returned but not stored,
+    and nothing is evicted. Callers must not mutate the slices they get.
     """
 
     def __init__(self, bound: int):
         self.bound = bound
         self.form = self.cap = None
-        self.slices: dict = {}      # (G K, quadratic) -> slices
+        self.slices: dict = {}      # (indices, d on them, quadratic) -> slices
         self.entries = 0
 
-    def get(self, form, d, cap, quadratic, degrees=None):
-        """The first `degrees` (by default all `cap`) slices or more."""
-        degrees = cap if degrees is None else degrees
+    def get(self, form, blocks, d, cap, quadratic):
+        """All `cap` slices of the class with G K = d on `blocks`."""
         if form is not self.form or cap != self.cap:
             self.form, self.cap, self.slices, self.entries = form, cap, {}, 0
-        key = d, quadratic
-        hit = self.slices.get(key, ())
-        if len(hit) >= degrees:
-            return hit
-        slices = _divided_power_slices(form, d, cap, quadratic, degrees)
-        # a shorter run of the same class gives way to this one
-        size = sum(map(len, slices)) - sum(map(len, hit))
-        if self.entries + size <= self.bound:
-            self.slices[key] = slices
-            self.entries += size
+        indices = tuple([i for block in blocks for i in block])
+        key = indices, tuple([d[i] for i in indices]), quadratic
+        slices = self.slices.get(key)
+        if slices is None:
+            slices = _divided_power_slices(form, blocks, d, cap, quadratic)
+            size = sum(map(len, slices))
+            if self.entries + size <= self.bound:
+                self.slices[key] = slices
+                self.entries += size
         return slices
 
 
@@ -740,48 +703,46 @@ _MEMO_ENTRIES = 8192
 _MEMO = _SliceMemo(_MEMO_ENTRIES)
 
 
-def _divided_power_slices(form, d, cap, quadratic, degrees):
-    """[F at degree 0, ..., F at degree degrees - 1] of the class with
-    G K = d, as the memo stores it. With Q, exp(Q/2 + <K, h>) is the
-    product of its restrictions to the blocks of `lattice.gram_components`,
-    which share no variable: the recurrence runs once per block, in the
-    key layout of cap, and `_block_product` joins the blocks. Without Q
-    the whole basis is one block. (The factored route reads S's classes
-    from `_slice_stream` directly, as far as it needs, and stores
-    nothing.)"""
+def _divided_power_slices(form, blocks, d, cap, quadratic):
+    """[F at degree 0, ..., F at degree cap - 1] of exp(Q/2 + <K, h>)
+    (without Q, of exp(<K, h>)), G K = d, restricted to the variables of
+    `blocks`, as the memo stores it: the recurrence runs once per block,
+    in the key layout of cap, and `_block_product` joins the blocks,
+    smallest first."""
     layout = _layout(form.rank, cap)
-    if quadratic:
-        gram, blocks = form.gram, gram_components(form.gram)
-    else:
-        gram, blocks = None, [range(form.rank)]
+    gram = form.gram if quadratic else None
+    factors = sorted((list(islice(_slice_stream(layout, block, d, gram), cap))
+                      for block in blocks), key=_size)
     return _block_product(
-        [list(islice(_slice_stream(layout, block, d, gram), degrees))
-         for block in blocks], degrees)
+        factors or [[{0: 1} if e == 0 else {} for e in range(cap)]], cap)
+
+
+def _size(slices):
+    return sum(map(len, slices))
 
 
 def _block_product(factors, degrees):
     """The slices below `degrees` of the product of `factors`, slices of
-    series in disjoint sets of variables with F(0) = 1, fresh from their
-    streams: the smallest factor's dicts are updated in place. On disjoint
-    supports every binomial C(e_i, b_i) of `_product` is 1, and each pair
-    (a, b) has a key a + b of its own, so
+    series in disjoint sets of variables. The first is updated in place
+    and may have any constant term c. Every later one has F(0) = 1, and
+    needs its slices only below degrees - s, s the first one's lowest
+    nonzero degree (all of them when c != 0).
+    On disjoint supports every binomial C(e_i, b_i) of `_product` is 1, and
+    each pair (a, b) has a key a + b of its own, so
         (AB)(a + b) = A(a) B(b)
-    is set, not summed, and the pairs with a = 0 or b = 0 are the two
-    factors' own terms, merged by dict update. A factor equal to 1 is
-    skipped, and the smallest factors are multiplied first, so that the
-    large ones meet only once."""
-    factors = sorted((f for f in factors if any(f[1:])),
-                     key=lambda f: sum(map(len, f)))
-    if not factors:
-        return [{0: 1} if e == 0 else {} for e in range(degrees)]
+    is set, not summed, and the pairs with a = 0 are a later factor's own
+    terms times c, merged by dict update. A later factor equal to 1 is
+    skipped, and the smallest are multiplied first, so that the large ones
+    meet only once."""
     acc, *rest = factors
-    for factor in rest:
+    c = acc[0].get(0, 0) if acc else 0
+    for factor in sorted((f for f in rest if any(f[1:])), key=_size):
         # from the top degree down, so that the pairs read acc's lower
         # parts before the factor's own terms join them
         for degree in range(degrees - 1, 0, -1):
             part = acc[degree]
-            for low in range(1, degree):
-                part_a, part_b = acc[degree - low], factor[low]
+            for low, part_b in enumerate(factor[1:degree], 1):
+                part_a = acc[degree - low]
                 if not (part_a and part_b):
                     continue
                 # the longer part is walked by map, the other by the loop
@@ -791,7 +752,10 @@ def _block_product(factors, degrees):
                 for key, v in part_b.items():
                     part.update(zip(map(key.__add__, keys),
                                     map(v.__mul__, values)))
-            part.update(factor[degree])
+            if c == 1:
+                part.update(factor[degree])
+            elif c:
+                part.update({key: c * v for key, v in factor[degree].items()})
     return acc
 
 

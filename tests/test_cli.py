@@ -87,8 +87,8 @@ def test_witten_output_that_cannot_be_written_exits_2(capsys, tmp_path,
 def witten_golden_cases(tmp_path):
     """The witten runs pinned in witten_golden.json: name -> argv. Each
     bundled synthetic at cap 10 with w = 0 and w = w2, synthetic_05 at cap
-    12, K3 at caps 6, 8 and 10, E(4) at cap 8, and two --compare runs of
-    synthetic_05 at cap 10 against km files written here: the
+    12, K3 at caps 6, 8 and 10, E(4) at caps 8 and 10, and two --compare
+    runs of synthetic_05 at cap 10 against km files written here: the
     witten-consistent data, and the same data with 1/3 moved from the
     second class's coefficient to the first (degree 0 still agrees)."""
     cases = {}
@@ -105,7 +105,8 @@ def witten_golden_cases(tmp_path):
         cases[f"k3_cap{cap}_w0"] = ["--degree", str(cap), "witten", K3_PATH]
     e4 = tmp_path / "e4.manifold"
     e4.write_text(manifold_to_text(elliptic_manifold(4)))
-    cases["e4_cap8_w0"] = ["--degree", "8", "witten", str(e4)]
+    for cap in (8, 10):
+        cases[f"e4_cap{cap}_w0"] = ["--degree", str(cap), "witten", str(e4)]
     km = witten_consistent_km(load_bundled("synthetic_05.manifold"),
                               (0,) * 7)
     (a1, k1), (a2, k2), *rest = km.terms
@@ -236,6 +237,25 @@ def test_witten_compare_zero_denominator_exits_2(capsys, tmp_path):
                              "--compare", str(km_path))
     assert (code, out) == (2, "")
     assert err == f"error: {km_path}:5: bad rational for a: '1/0'\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a second [km] would replace the first one's w
+    ("[km]\nw = {z}\n\n[term]\na = 1\nk = {z}\n\n[km]\nw = {z}\n", 8,
+     "duplicate [km] section"),
+    ("[km]\nw = {z}\n1 2\n\n[term]\na = 1\nk = {z}\n", 3,
+     "unexpected bare row in [km]"),
+    ("[km]\nw = {z}\n\n[term]\na = 1\nk = {z}\n5 5\n", 7,
+     "unexpected bare row in [term]"),
+], ids=["second km", "row in km", "row in term"])
+def test_witten_compare_km_file_structure_exits_2(capsys, tmp_path, text,
+                                                  line, message):
+    km_path = tmp_path / "bad.km"
+    km_path.write_text(text.format(z=" ".join(["0"] * 22)))
+    code, out, err = run_cli(capsys, "--degree", "4", "witten", K3_PATH,
+                             "--compare", str(km_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {km_path}:{line}: {message}\n"
 
 
 def test_witten_compare_inclusive_flag(capsys, tmp_path):
@@ -556,3 +576,24 @@ def test_fit_bad_file_exits_2_with_line(capsys, tmp_path, mm, lhs):
     assert (code, out) == (2, "")
     line = 3 if mm else 9
     assert err.startswith(f"error: {obs}:{line}: ")
+
+
+@pytest.mark.parametrize("head, tail, line, message", [
+    # a second [fit] would set the delta of every observation after it
+    ("", "\n[fit]\ndelta = 6\nm = 0\n", 11, "duplicate [fit] section"),
+    ("7\n", "", 4, "unexpected bare row in [fit]"),
+    ("", "1 2\n", 10, "unexpected bare row in [observation]"),
+], ids=["second fit", "row in fit", "row in observation"])
+def test_fit_file_structure_exits_2_with_line(capsys, tmp_path, head, tail,
+                                             line, message):
+    (tmp_path / "s1.manifold").write_text(
+        manifold_to_text(load_bundled("synthetic_01.manifold")))
+    zeros = " ".join(["0"] * load_bundled("synthetic_01.manifold").rank)
+    obs = tmp_path / "obs.fit"
+    obs.write_text(
+        f"[fit]\ndelta = 4\nm = 0\n{head}\n[observation]\n"
+        f"manifold = s1.manifold\nw = {zeros}\nlambda = {zeros}\n"
+        f"lhs = witten\n{tail}")
+    code, out, err = run_cli(capsys, "fit", str(obs))
+    assert (code, out) == (2, "")
+    assert err == f"error: {obs}:{line}: {message}\n"

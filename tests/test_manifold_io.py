@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from wittenform.invariants import KMData
 from wittenform.manifold_io import (km_to_text, manifold_to_text,
                                     parse_fit_problem, parse_km,
                                     parse_manifold, witten_consistent_km)
-from wittenform.synthetic import random_valid_manifold
+from wittenform.synthetic import random_valid_manifold, write_bundled_corpus
 
 K3_TEXT = manifold_to_text(k3_manifold())
 
@@ -37,6 +38,17 @@ def test_bundled_corpus_loads():
 def test_bundled_k3_matches_code():
     assert load_bundled("k3.manifold") == k3_manifold()
     assert bundled_path("k3.manifold").endswith("k3.manifold")
+
+
+def test_bundled_corpus_is_regenerated_byte_for_byte(tmp_path):
+    # the bundled files are write_bundled_corpus's output at its default
+    # seed, 20240601: K3 and ten synthetics
+    written = write_bundled_corpus(str(tmp_path))
+    assert [os.path.basename(path) for path in written] == list_bundled()
+    for path in written:
+        name = os.path.basename(path)
+        with open(path, "rb") as fresh, open(bundled_path(name), "rb") as kept:
+            assert fresh.read() == kept.read(), name
 
 
 def test_bundled_fixtures_are_witten_consistent():

@@ -564,6 +564,9 @@ def test_kernel_edge_cases():
     assert gaussian_sum(form, [(0, k)], 5) == FormalSeries.zero(3, 5)
     assert gaussian_sum(form, [(1, k)], 0) == FormalSeries.zero(3, 0)
     assert gaussian_sum(form, [(2, k), (-2, k)], 5) == FormalSeries.zero(3, 5)
+    # one class twice: every block is common, and the weights add
+    assert gaussian_sum(form, [(2, k), (Fraction(1, 3), k)], 5) == \
+        gaussian_sum(form, [(Fraction(7, 3), k)], 5)
     assert gaussian_sum(form, [(3, k)], 1) == FormalSeries.constant(3, 3, 1)
 
 
@@ -592,48 +595,51 @@ SPLIT_FORMS = {
 
 
 def route_classes(form):
-    """Weighted classes for each route of gaussian_sum, with duals of few
-    entries so that the references stay small: u is a basis vector whose
-    dual G u has one entry, at index a, and v = u + e_b with b in another
-    block, so that <v, h> reaches two blocks."""
+    """Weighted classes for gaussian_sum, with duals of few entries so that
+    the references stay small: u is a basis vector whose dual G u has one
+    entry, at index a, and v = u + e_b with b in another block, so that
+    <v, h> reaches two blocks. Each sum comes with its kernel runs per
+    block: one for a block that is not named."""
     n = form.rank
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     u = next(e for e in units
              if sum(map(bool, form.dual_coefficients(e))) == 1)
     a = next(i for i, x in enumerate(form.dual_coefficients(u)) if x)
-    b = next(block[0] for block in gram_components(form.gram)
-             if a not in block and any(form.gram[block[0]]))
-    v = tuple(x + y for x, y in zip(u, units[b]))
+    blocks = [tuple(block) for block in gram_components(form.gram)]
+    block_a = next(block for block in blocks if a in block)
+    block_b = next(block for block in blocks
+                   if a not in block and any(form.gram[block[0]]))
+    v = tuple(x + y for x, y in zip(u, units[block_b[0]]))
     twice = tuple(2 * x for x in u)
     return {
-        "single": [(Fraction(3, 2), v)],
-        # S = e^<v,h>/2 - e^<u,h>/3 has 3 terms below degree 2
-        "summed": [(Fraction(1, 2), v), (Fraction(-1, 3), u)],
-        # S = sinh^2 <u, h> has one term per even degree >= 2
-        "factored": [(Fraction(1, 4), twice), (Fraction(-1, 2), (0,) * n),
-                     (Fraction(1, 4), tuple(-x for x in twice))],
+        # one class: every block is its own, none is common
+        "single": ([(Fraction(3, 2), v)], {}),
+        # v and u differ on b's block only; over the lcm 6 the integer
+        # weights are 3 and -2, so V's integer constant c is 1
+        "one block differs": ([(Fraction(1, 2), v), (Fraction(-1, 3), u)],
+                              {block_b: 2}),
+        # v and 2u differ on a's and b's blocks, and c is 3 + 2 = 5
+        "two blocks differ": ([(Fraction(1, 2), v), (Fraction(1, 3), twice)],
+                              {block_a: 2, block_b: 2}),
+        # sinh^2 <u, h>: c is 0 and V starts at degree 2, so the common
+        # blocks are read below cap - 2 only
+        "sinh squared": ([(Fraction(1, 4), twice), (Fraction(-1, 2), (0,) * n),
+                          (Fraction(1, 4), tuple(-x for x in twice))],
+                         {block_a: 3}),
     }
 
 
 @pytest.mark.parametrize("name", SPLIT_FORMS)
-def test_every_route_on_split_forms(name, memo, monkeypatch):
+def test_every_route_on_split_forms(name, memo):
     form = SPLIT_FORMS[name]()
     n = form.rank
-    assert len(gram_components(form.gram)) > 1
-    taken = []
-    factored_sum = series._factored_sum
-
-    def spy(*args):
-        out = factored_sum(*args)
-        taken.append("summed" if out is None else "factored")
-        return out
-
-    monkeypatch.setattr(series, "_factored_sum", spy)
-    halves = {}     # cap -> e^{Q/2}, shared by the routes
-    for route, classes in route_classes(form).items():
+    blocks = [tuple(block) for block in gram_components(form.gram)]
+    assert len(blocks) > 1
+    halves = {}     # cap -> e^{Q/2}, shared by the sums
+    for route, (classes, runs) in route_classes(form).items():
         # on E(4), a sum with a constant term has 175,497 terms at cap 8,
         # and its Fraction reference takes about 20 s
-        top = 6 if name == "E(4)" and route != "factored" else 8
+        top = 6 if name == "E(4)" and route != "sinh squared" else 8
         sw_part = fraction_sum(n, top, [
             (c, exp_by_products(linear_series(form, k, top)))
             for c, k in classes])
@@ -645,11 +651,13 @@ def test_every_route_on_split_forms(name, memo, monkeypatch):
                 n, below, [(Fraction(1, 2), quadratic_series(form, below))]))
         want = naive_mul(FormalSeries(n, top, halves[below].terms), sw_part)
         for cap in range(top + 1):
-            taken.clear()
+            memo.streams.clear()
             got = gaussian_sum(form, classes, cap)
             assert got == want.truncate_to(cap), (route, cap)
-        # below the top cap a sum may take the other route
-        assert taken == ([] if route == "single" else [route])
+            # every call is cold: the cap differs from the last one's
+            assert sorted(memo.streams) == sorted(
+                block for block in blocks
+                for _ in range(runs.get(block, 1))), (route, cap)
 
 
 def test_kernel_runs_once_per_block(memo, monkeypatch):
@@ -787,9 +795,10 @@ def solve_unimodular(form, rhs):
 
 
 def packed_cases():
-    """(form, weighted classes, cap, quadratic, route, cancels) on seeded
-    dense forms of ranks 1-6 at caps 0-10, over the three routes of
-    gaussian_sum; `cancels` marks the sums that are the zero series."""
+    """(form, weighted classes, cap, quadratic, cancels) on seeded dense
+    forms of ranks 1-6 at caps 0-10: single classes, sums of classes that
+    differ and sums of one class; `cancels` marks the sums that are the
+    zero series."""
     rng = random.Random(46)
     for rank in range(1, 7):
         form = random_unimodular_form(rng, rank, ops=3 * rank)
@@ -805,41 +814,45 @@ def packed_cases():
         minus_u = tuple(-x for x in u)
         q, k = weight(), klass()
         for cap in sorted({0, 1, rank + 1, 2 * rank - 2, 10 - rank, 10}):
-            yield form, [(weight(), klass())], cap, True, "single", False
-            yield form, [(weight(), klass())], cap, False, "single", False
+            yield form, [(weight(), klass())], cap, True, False
+            yield form, [(weight(), klass())], cap, False, False
             yield form, [(weight(), klass()) for _ in range(3)], cap, False, \
-                "summed", False
+                False
             # S = -4q sinh^2 <u, h> has one term per even degree in [2, cap)
             sinh_sq = [(-q, u), (2 * q, zero), (-q, minus_u)]
-            yield form, sinh_sq, cap, True, \
-                "factored" if cap <= 8 else "summed", False
-            # the weighted sum cancels: the zero series on either route
-            yield form, [(q, k), (-q, k)], cap, True, "factored", True
-            yield form, [(q, k), (-q, k)], cap, False, "summed", True
+            yield form, sinh_sq, cap, True, False
+            # the weighted sum cancels: the zero series
+            yield form, [(q, k), (-q, k)], cap, True, True
+            yield form, [(q, k), (-q, k)], cap, False, True
             if rank >= 2:
                 dense = [(weight(), klass()) for _ in range(3)]
-                yield form, dense, cap, True, None, False
+                yield form, dense, cap, True, False
 
 
 def test_packed_series_reads_like_its_terms(monkeypatch):
-    taken = []
-    factored_sum = series._factored_sum
+    streams = []
+    stream = series._slice_stream
 
-    def spy(*args):
-        out = factored_sum(*args)
-        taken.append("summed" if out is None else "factored")
-        return out
+    def spy(layout, block, *args):
+        streams.append(tuple(block))
+        return stream(layout, block, *args)
 
-    monkeypatch.setattr(series, "_factored_sum", spy)
+    monkeypatch.setattr(series, "_slice_stream", spy)
     seen = set()
-    for form, classes, cap, quadratic, route, cancels in packed_cases():
+    for form, classes, cap, quadratic, cancels in packed_cases():
         n = form.rank
-        taken.clear()
+        whole = tuple(range(n))
+        assert gram_components(form.gram) == [list(whole)]
+        # an empty memo for each sum
+        monkeypatch.setattr(series, "_MEMO",
+                            series._SliceMemo(series._MEMO_ENTRIES))
+        streams.clear()
         s = gaussian_sum(form, classes, cap, quadratic)
-        if route is not None:
-            assert (taken or ["single" if len(classes) == 1 else "summed"]) \
-                == [route], (n, cap, classes)
-            seen.add(route)
+        # a form of one block: each distinct class runs on the whole form,
+        # and a sum of one class runs its common block once
+        duals = {form.dual_coefficients(k) for _, k in classes}
+        assert streams == [whole] * len(duals), (n, cap, classes)
+        seen.add((len(classes), len(duals)))
         slices = s.slices
         text = s.to_text()
         parts = [s.homogeneous_part(d) for d in range(cap)]
@@ -861,7 +874,7 @@ def test_packed_series_reads_like_its_terms(monkeypatch):
             s.coefficient(e) for e in probes]
         assert gaussian_sum(form, classes, cap, quadratic) == s
         assert s == gaussian_sum(form, classes, cap, quadratic)
-    assert seen == {"single", "summed", "factored"}
+    assert {(1, 1), (2, 1), (3, 3)} <= seen
 
 
 def test_packed_key_order_is_lex_order():
@@ -1036,18 +1049,26 @@ def test_mismatching_first_difference_builds_no_unpack_tables(monkeypatch):
 
 @pytest.fixture
 def memo(monkeypatch):
-    """A fresh, empty memo of the default bound, and a count of the kernel
-    runs made while the test runs."""
+    """A fresh, empty memo of the default bound, a count of the kernel runs
+    that it makes (`runs`), and the blocks that the kernel's recurrence
+    runs on (`streams`), in order, while the test runs."""
     fresh = series._SliceMemo(series._MEMO_ENTRIES)
     monkeypatch.setattr(series, "_MEMO", fresh)
     kernel = series._divided_power_slices
+    stream = series._slice_stream
     fresh.runs = 0
+    fresh.streams = []
 
     def counted(*args):
         fresh.runs += 1
         return kernel(*args)
 
+    def spy(layout, block, *args):
+        fresh.streams.append(tuple(block))
+        return stream(layout, block, *args)
+
     monkeypatch.setattr(series, "_divided_power_slices", counted)
+    monkeypatch.setattr(series, "_slice_stream", spy)
     return fresh
 
 
@@ -1055,40 +1076,41 @@ def stored_sizes(memo):
     return {key: sum(map(len, slices)) for key, slices in memo.slices.items()}
 
 
+def memo_key(form, d, quadratic=True):
+    """The memo's key of a single class: every block, in block order."""
+    blocks = gram_components(form.gram) if quadratic else [range(form.rank)]
+    indices = tuple(i for block in blocks for i in block)
+    return indices, tuple(d[i] for i in indices), quadratic
+
+
 def test_memo_cold_and_warm_calls_agree(memo):
     rng = random.Random(40)
-    routes = set()
     for rank in range(1, 5):
         form = random_unimodular_form(rng, rank, ops=3 * rank)
+        assert gram_components(form.gram) == [list(range(rank))]
         classes = [(Fraction(rng.randint(-5, 5) or 1, 3 * rng.randint(1, 3)),
                     tuple(rng.randint(-2, 2) for _ in range(rank)))
                    for _ in range(3)]
         cap = rng.randint(1, 8)
-        # one run per distinct class, and one more for E = exp(Q/2) when
-        # the sum takes the factored route: its SW part has at most one
-        # term per class (no factored sum here has the class 0, whose run
-        # could have served as E's)
-        sw_part = fraction_sum(rank, cap, [
-            (c, exp_by_products(linear_series(form, k, cap)))
-            for c, k in classes])
-        factored = len(sw_part.terms) <= len(classes)
-        assert not factored or all(any(k) for _, k in classes)
-        routes.add(factored)
-        expected = len(set(k for _, k in classes)) + factored
+        # a form of one block: one run per distinct class, on the whole form
+        expected = len(set(k for _, k in classes))
+        assert expected > 1
         runs = memo.runs        # a new form object: nothing stored for it
+        memo.streams.clear()
         cold = gaussian_sum(form, classes, cap)
         cold_dp = [divided_powers(form, k, cap) for _, k in classes]
         assert memo.runs - runs == expected
+        assert memo.streams == [tuple(range(rank))] * expected
         warm = gaussian_sum(form, classes, cap)
         warm_dp = [divided_powers(form, k, cap) for _, k in classes]
         assert memo.runs - runs == expected
+        assert len(memo.streams) == expected
         assert warm == cold == product_route(form, classes, cap)
         assert warm_dp == cold_dp
         # a single class is read straight from its slices
         for c, k in classes:
             assert (gaussian_sum(form, [(c, k)], cap)
                     == product_route(form, [(c, k)], cap))
-    assert routes == {False, True}
 
 
 def test_memo_key_separates_quadratic_cap_form_and_class(memo):
@@ -1107,7 +1129,9 @@ def test_memo_key_separates_quadratic_cap_form_and_class(memo):
     assert memo.runs == 2
     second = gaussian_sum(form, [(1, k2)], 6)
     assert second == product_route(form, [(1, k2)], 6) and memo.runs == 3
-    assert set(memo.slices) == {(d, True), (d, False), (d2, True)}
+    assert set(memo.slices) == {memo_key(form, d), memo_key(form, d, False),
+                                memo_key(form, d2)}
+    assert memo_key(form, d) == ((0, 1, 2), d, True)
     assert memo.form is form and memo.cap == 6
     # each of them is found again
     assert gaussian_sum(form, [(1, k)], 6) == first
@@ -1124,7 +1148,7 @@ def test_memo_key_separates_quadratic_cap_form_and_class(memo):
         assert gaussian_sum(f, [(1, k)], cap) == want()
         assert memo.runs == runs
         assert memo.form is f and memo.cap == cap
-        assert list(memo.slices) == [(f.dual_coefficients(k), True)]
+        assert list(memo.slices) == [memo_key(f, f.dual_coefficients(k))]
 
 
 def test_memo_results_are_not_shared_with_callers(memo):
@@ -1162,10 +1186,11 @@ def test_memo_fills_until_full(memo):
             d = form.dual_coefficients(k)
             runs = memo.runs
             size = len(divided_powers(form, k, cap))
-            assert memo.runs - runs == ((d, True) not in stored)
-            if (d, True) not in stored:
+            key = memo_key(form, d)
+            assert memo.runs - runs == (key not in stored)
+            if key not in stored:
                 if sum(stored.values()) + size <= bound:
-                    stored[d, True] = size
+                    stored[key] = size
                 elif size <= bound:
                     refused += 1
                 else:
@@ -1201,7 +1226,7 @@ def test_round_trip_memo_keeps_the_classes_that_fit(memo, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sums whose Seiberg-Witten part cancels: the factored route
+# elliptic surfaces, whose classes differ in one block only
 
 def elliptic(n):
     m = elliptic_manifold(n)
@@ -1256,29 +1281,42 @@ def test_mmp_vanishing_on_elliptic_surfaces_is_sharp(n):
     assert not sw_series(m, zero, n - 1).is_zero()
 
 
-def test_elliptic_sum_runs_the_kernel_for_exp_q_only(memo):
-    # E(4): S = (2 sinh <F, h>)^2 has 2 terms below degree 6, so the three
-    # classes take one run, for E up to degree 6 - 2, and no class's own
+def test_elliptic_sum_runs_each_class_on_the_fiber_block_only(memo):
+    # E(4): the classes 2F, 0, -2F differ only on the H block {0, 1} that
+    # holds F, so each runs there, and every other block runs once, below
+    # degree 6 - 2: V = e^{Q_H/2} (2 sinh <F, h>)^2 starts at degree 2
     m, _ = elliptic(4)
     zero = (0,) * m.rank
+    blocks = [tuple(block) for block in gram_components(m.form.gram)]
+    fiber, rest = blocks[0], blocks[1:]
+    assert fiber == (0, 1) and len(rest) == 10
     rhs = witten_rhs(m, zero, 6)
-    assert memo.runs == 1
-    key = (zero, True)
-    assert list(memo.slices) == [key] and len(memo.slices[key]) == 4
+    assert memo.runs == 3
+    assert memo.streams == [fiber] * 3 + rest
+    assert {key[0] for key in memo.slices} == {fiber}
     assert len(rhs.terms) == 69
-    assert witten_rhs(m, zero, 6) == rhs and memo.runs == 1
-    # the class 0 itself needs all 6 degrees: it runs again, in E's place
+    # again: the classes from the memo, the other blocks run again
+    memo.streams.clear()
+    assert witten_rhs(m, zero, 6) == rhs and memo.runs == 3
+    assert memo.streams == rest
+    # the class 0 alone has no common block: it runs on every block
+    memo.streams.clear()
     full = divided_powers(m.form, zero, 6)
-    assert memo.runs == 2 and len(memo.slices[key]) == 6
+    assert memo.runs == 4 and sorted(memo.streams) == sorted(blocks)
+    assert memo_key(m.form, zero) in memo.slices
     assert max(map(sum, full)) == 4 and divided_powers(m.form, zero, 6) == full
-    assert memo.runs == 2 and memo.entries == len(full)
+    on_fiber = [size for key, size in stored_sizes(memo).items()
+                if key[0] == fiber]
+    assert memo.runs == 4 and len(on_fiber) == 3
+    assert memo.entries == len(full) + sum(on_fiber)
 
 
-def test_factored_route_at_and_past_its_rule(memo):
-    # a sum whose S has |S| = k terms takes the factored route (one run, for
-    # E), one with |S| = k + 1 the summed route (one run per class)
+def test_one_block_sums_run_every_class_on_the_whole_form(memo):
+    # on a form of one block every class runs on the whole form, however
+    # many terms the Seiberg-Witten part S = sum_r w_r e^<K_r, h> has
     rng = random.Random(44)
     form = random_unimodular_form(rng, 2, ops=6)
+    assert gram_components(form.gram) == [[0, 1]]
     (g11, g12), (_, g22) = form.gram
     det = g11 * g22 - g12 * g12
     u = (2 * det * g22, -2 * det * g12)         # G u = (2, 0)
@@ -1299,9 +1337,8 @@ def test_factored_route_at_and_past_its_rule(memo):
             for c, k in classes])
         assert len(sw_part.terms) == size
         runs = memo.runs
+        memo.streams.clear()
         assert_kernel_matches(form, classes, cap)
-        factored = size <= len(classes)
-        assert memo.runs - runs == (1 if factored else len(classes))
-    runs = memo.runs
+        assert memo.runs - runs == len(classes)
+        assert memo.streams == [(0, 1)] * len(classes)
     assert gaussian_sum(form, [(1, u), (-1, u)], 6).is_zero()
-    assert memo.runs == runs        # S = 0: no run at all
