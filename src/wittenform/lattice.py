@@ -1,10 +1,11 @@
 """Exact arithmetic on integral unimodular intersection lattices.
 
 Vectors are plain tuples of Python ints in the coordinates of the form's
-basis. All arithmetic is exact; signatures and determinants are computed
-by one rational congruence diagonalization, orthogonal complements by
-integer row reduction, and searches for vectors of prescribed square or
-hyperbolic pairs by bounded exhaustive enumeration. One walk of the box
+basis. All arithmetic is exact and in ints; signatures and determinants
+are computed by fraction-free (Bareiss) elimination on each orthogonal
+block of the Gram, orthogonal complements by integer row reduction, and
+searches for vectors of prescribed square or hyperbolic pairs by bounded
+exhaustive enumeration. One walk of the box
 (`find_witnesses`) answers both search questions, each with its own
 budget and stopping point; `find_vector_with_square` and
 `find_hyperbolic_pair` ask it one question each.
@@ -27,7 +28,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +37,7 @@ Vector = tuple[int, ...]
 
 
 def as_vector(coords: Sequence[int]) -> Vector:
-    return tuple(int(c) for c in coords)
+    return tuple(map(int, coords))
 
 
 def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
@@ -135,7 +135,7 @@ class IntersectionForm:
         return all((dual[j] - self.gram[j][j]) % 2 == 0 for j in range(self.rank))
 
     def signature_decomposition(self) -> tuple[int, int, int]:
-        """(sigma, b_plus, b_minus) by exact rational congruence diagonalization."""
+        """(sigma, b_plus, b_minus) by fraction-free block-wise elimination."""
         if self._signature is None:
             self._signature = _diagonalize(self.gram)[1]
         return self._signature
@@ -158,48 +158,60 @@ def _gram_pairing(gram, u, v) -> int:
     return total
 
 
-def _diagonalize(gram) -> tuple[Fraction, tuple[int, int, int]]:
-    """(det, (sigma, b_plus, b_minus)) by one rational congruence
-    diagonalization of the Gram's ints. Every step is a congruence P^T A P
-    with det P = +-1, so the product of the pivots is the determinant. Pivot
-    i reads only row i and the block after it, so a step updates a[j][c]
-    for c >= j > i where the pivot row is nonzero, mirrors each update into
-    a[c][j], and makes a Fraction only for the quotient and those entries."""
-    n = len(gram)
-    a = [list(row) for row in gram]
+def _diagonalize(gram) -> tuple[int, tuple[int, int, int]]:
+    """(det, (sigma, b_plus, b_minus)) by fraction-free symmetric (Bareiss)
+    elimination on each orthogonal block of the Gram (`gram_components`).
+    After pivot piv, each entry of the block below and right of it is
+    (piv a[j][c] - a[i][j] a[i][c]) / prev, a bordered minor of the pivots
+    so far, so the division by the previous pivot is exact and every entry
+    stays an int. The rational pivot is piv / prev, so its sign compares
+    piv's with prev's, and a block's last pivot is its determinant. A zero
+    pivot is swapped with a later nonzero diagonal entry, or else gets a
+    partner row and column added to it (a[i][i] becomes 2 a[i][off]); an
+    index orthogonal to the rest of the block is skipped, leaves prev as it
+    is, and makes the det 0. Every step is a congruence P^T A P with
+    det P = +-1, so neither the det nor the signature changes."""
+    det = 1
     pos = neg = 0
-    det = Fraction(1)
-    for i in range(n):
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
+    for block in gram_components(gram):
+        a = [[gram[i][j] for j in block] for i in block]
+        n = len(a)
+        prev = 1
+        for i in range(n):
+            if a[i][i] == 0:
+                swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+                if swap is not None:
+                    a[i], a[swap] = a[swap], a[i]
+                    for row in a:
+                        row[i], row[swap] = row[swap], row[i]
+                else:
+                    off = next((j for j in range(i + 1, n) if a[i][j] != 0),
+                               None)
+                    if off is None:
+                        det = 0
+                        continue  # cannot occur for unimodular forms
+                    # congruence: add row/col `off` into i, making
+                    # a[i][i] = 2*a[i][off]; only row i is read from here on
+                    ri, ro = a[i], a[off]
+                    for c in range(i, n):
+                        ri[c] += ro[c]
+                    ri[i] += ri[off]
+            ri = a[i]
+            piv = ri[i]
+            if (piv > 0) == (prev > 0):
+                pos += 1
             else:
-                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if off is None:
-                    det = Fraction(0)
-                    continue  # zero block; cannot occur for unimodular forms
-                # congruence: add row/col `off` into i, making a[i][i] = 2*a[i][off]
-                ri, ro = a[i], a[off]
-                for c in range(i, n):
-                    ri[c] += ro[c]
-                ri[i] += ri[off]
-        ri = a[i]
-        piv = ri[i]
-        det *= piv
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        support = [c for c in range(i + 1, n) if ri[c] != 0]
-        for k, j in enumerate(support):
-            f = Fraction(ri[j], piv)
-            rj = a[j]
-            for c in support[k:]:
-                rj[c] -= f * ri[c]
-                a[c][j] = rj[c]
+                neg += 1
+            tail = ri[i + 1:]
+            for j in range(i + 1, n):
+                rj, f = a[j], ri[j]
+                if f:
+                    rj[i + 1:] = [(piv * x - f * y) // prev
+                                  for x, y in zip(rj[i + 1:], tail)]
+                elif piv != prev:  # a row the pivot row misses only scales
+                    rj[i + 1:] = [piv * x // prev for x in rj[i + 1:]]
+            prev = piv
+        det *= prev
     return det, (pos - neg, pos, neg)
 
 

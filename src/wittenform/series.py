@@ -279,8 +279,10 @@ class FormalSeries:
         return tuple([key >> sh & mask for sh in shifts])
 
     def _halves(self, labels):
-        """(high, low, split, low mask): a key's high part key >> split
-        holds entries 0..n/2 - 1, its low part the rest (see `_Parts`)."""
+        """(high, low, split, low mask): a key's high half key >> split
+        holds entries 0..n/2 - 1, its low half the rest. Each half is read
+        from its own `_Parts` table, which reads it as two quarters; one
+        decoder serves `to_text` and `_fractions`."""
         n, cap = self.num_vars, self.degree_cap
         width = _layout(n, cap)[1].bit_length()
         fact = [factorial(e) for e in range(cap)]
@@ -630,40 +632,54 @@ def _pack(n, cap, terms):
     return slices, den
 
 
-# a part of at most this many entries is unpacked field by field
-_LEAF = 4
-
-
 class _Parts(dict):
-    """Packed part -> (tuple, e!, label) of `count` entries from `first` on,
-    in the layout of `_layout` with fields of `width` bits. The label is
+    """Packed half-key -> (tuple, e!, label) of `count` entries from `first`
+    on, in the layout of `_layout` with fields of `width` bits. The label is
     monomial_label's with a leading space ("" for no factor, and for every
-    part unless `labels`). A part of more than _LEAF entries is read as two
-    halves, each from a table of its own, so every distinct half is
-    unpacked once."""
+    part unless `labels`). A half-key is read as two quarters, each from a
+    `_Quarter` table of its own, so every distinct quarter is decoded once."""
 
     def __init__(self, count, first, width, fact, labels):
         super().__init__()
-        self.first, self.fact, self.labels = first, fact, labels
-        self.mask = (1 << width) - 1
-        self.shifts = [width * (count - 1 - i) for i in range(count)]
-        if count > _LEAF:
-            h = count // 2
-            self.split = width * (count - h)
-            self.high = _Parts(h, first, width, fact, labels)
-            self.low = _Parts(count - h, first + h, width, fact, labels)
+        h = count // 2
+        self.split = width * (count - h)
+        self.low_mask = (1 << self.split) - 1
+        self.high = _Quarter(h, first, width, fact, labels)
+        self.low = _Quarter(count - h, first + h, width, fact, labels)
 
     def __missing__(self, part):
-        if len(self.shifts) > _LEAF:
-            ea, fa, la = self.high[part >> self.split]
-            eb, fb, lb = self.low[part & (1 << self.split) - 1]
-            value = ea + eb, fa * fb, la + lb
-        else:
-            exps = tuple([part >> sh & self.mask for sh in self.shifts])
-            label = "".join([f" h{i}^{e}" for i, e in enumerate(
-                exps, self.first + 1) if e]) if self.labels else ""
-            value = exps, prod(map(self.fact.__getitem__, exps)), label
-        self[part] = value
+        ea, fa, la = self.high[part >> self.split]
+        eb, fb, lb = self.low[part & self.low_mask]
+        value = self[part] = ea + eb, fa * fb, la + lb
+        return value
+
+
+class _Quarter(dict):
+    """Packed quarter-key -> (tuple, e!, label), as in `_Parts`. A miss
+    decodes only the key's nonzero fields, highest first: the top set bit
+    (bit_length) names the field of the lowest entry left."""
+
+    def __init__(self, count, first, width, fact, labels):
+        super().__init__()
+        self.count, self.width, self.fact = count, width, fact
+        # " h<i>^" of each field, counted from the low end
+        self.names = [f" h{first + count - field}^"
+                      for field in range(count)] if labels else None
+
+    def __missing__(self, part):
+        width, fact, names = self.width, self.fact, self.names
+        exps = [0] * self.count
+        f, label, rest = 1, "", part
+        while rest:
+            field = (rest.bit_length() - 1) // width
+            shift = field * width
+            e = rest >> shift
+            rest ^= e << shift
+            exps[-1 - field] = e
+            f *= fact[e]
+            if names:
+                label += f"{names[field]}{e}"
+        value = self[part] = tuple(exps), f, label
         return value
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -260,6 +261,43 @@ def test_signature_matches_eigenvalue_signs():
         assert form.signature_decomposition() == expected, gram
         if permutation_det(gram) in (1, -1):
             assert IntersectionForm(gram).signature_decomposition() == expected
+
+
+def test_diagonalization_of_block_sums_matches_the_oracles():
+    # direct sums of random blocks, singular ones and ones whose diagonal is
+    # all zero included, with the basis shuffled so that the blocks
+    # interleave: the det is the product of the blocks' dets, the signature
+    # the sum of theirs
+    rng = random.Random(1968)
+    special = [[list(row) for row in H.gram], [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+               # in this order: pivot -1, a skipped index, then the form
+               # [[0, 1, 1], [1, 0, 1], [1, 1, 0]] of signature -1
+               [[-1, 1, 1, 0, 0], [1, -1, -1, 0, 0], [1, -1, -1, 1, 1],
+                [0, 0, 1, 0, 1], [0, 0, 1, 1, 0]]]
+    pool = list(random_symmetric_grams(rng, per_rank=12)) + special
+    oracle = [(permutation_det(g), eigenvalue_sign_counts(g)) for g in pool]
+    singular = 0
+    for trial in range(300):
+        picks = [rng.randrange(len(pool)) for _ in range(rng.randint(1, 4))]
+        if trial % 2 == 0:
+            picks.append(rng.randrange(len(pool) - len(special), len(pool)))
+        # each index's block, its place in it and its Gram, shuffled
+        where = [(b, i, pool[p]) for b, p in enumerate(picks)
+                 for i in range(len(pool[p]))]
+        rng.shuffle(where)
+        gram = [[g[i][j] if b == c else 0 for c, j, _ in where]
+                for b, i, g in where]
+        det, signature = lattice._diagonalize(gram)
+        assert type(det) is int
+        assert det == prod(oracle[p][0] for p in picks), gram
+        assert signature == tuple(map(sum, zip(*(oracle[p][1] for p in picks),
+                                               (0, 0, 0)))), gram
+        singular += det == 0
+    assert 50 <= singular <= 250
+    assert lattice._diagonalize(special[-1]) == (0, (-2, 1, 3))
+    assert lattice._diagonalize(k3_form().gram) == (-1, (-16, 3, 19))
+    assert lattice._diagonalize(elliptic_manifold(4).form.gram) == (
+        -1, (-32, 7, 39))
 
 
 # ---------------------------------------------------------------------------

@@ -965,6 +965,46 @@ def test_text_matches_the_tuple_formatter():
     assert cases == 240
 
 
+def sparse_exponents(rng, n, cap):
+    """An exponent tuple of degree < cap on at most three variables."""
+    exps = [0] * n
+    support = rng.sample(range(n), min(3, n))
+    for _ in range(rng.randrange(max(cap, 1))):
+        exps[rng.choice(support)] += 1
+    return tuple(exps)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 5, 9, 17])
+def test_text_and_terms_above_rank_four(cap):
+    # every entry of every rank from 5 to 46 holds, in one series, the top
+    # exponent cap - 1, which fills its field's top bit at these caps
+    rng = random.Random(1400 + cap)
+    cases = 0
+    for n in range(5, 47):
+        sparse = {sparse_exponents(rng, n, cap):
+                  Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                           rng.randint(1, 6)) for _ in range(8)}
+        tops = {tuple(cap - 1 if j == i else 0 for j in range(n)):
+                Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                for i in range(n)} if cap > 1 else {}
+        scale = Fraction(rng.choice([-7, 5]), rng.choice([1, 3]))
+        expected = [(FormalSeries(n, cap, sparse), sparse),
+                    (FormalSeries(n, cap, tops), tops),
+                    (-FormalSeries(n, cap, tops),
+                     {e: -c for e, c in tops.items()}),
+                    (FormalSeries(n, cap, sparse) * scale,
+                     {e: c * scale for e, c in sparse.items()}),
+                    (FormalSeries.constant(Fraction(-5, 3), n, cap),
+                     {(0,) * n: Fraction(-5, 3)} if cap else {}),
+                    (FormalSeries.zero(n, cap), {})]
+        for s, terms in expected:
+            terms = {e: c for e, c in terms.items() if sum(e) < cap and c}
+            assert s.terms == terms
+            assert s.to_text() == reference_text(s)
+            cases += 1
+    assert cases == 42 * 6
+
+
 def test_first_difference_matches_the_reference(monkeypatch):
     rng = random.Random(141)
     checked = differ = 0
