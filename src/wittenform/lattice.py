@@ -91,9 +91,12 @@ class IntersectionForm:
                         if rows[i][j] != rows[j][i])
             raise UnimodularityError(
                 f"Gram matrix is not symmetric at ({i},{j})")
+        # split once: the signature check and every Gaussian sum on the
+        # form read these blocks
+        self.blocks = gram_components(rows)
         self._signature = None
         if require_unimodular:
-            det, self._signature = _diagonalize(rows)
+            det, self._signature = _diagonalize(rows, self.blocks)
             if det != 1 and det != -1:
                 raise UnimodularityError(f"Gram determinant is {det}, not +-1")
         self.gram = rows
@@ -137,7 +140,7 @@ class IntersectionForm:
     def signature_decomposition(self) -> tuple[int, int, int]:
         """(sigma, b_plus, b_minus) by fraction-free block-wise elimination."""
         if self._signature is None:
-            self._signature = _diagonalize(self.gram)[1]
+            self._signature = _diagonalize(self.gram, self.blocks)[1]
         return self._signature
 
 
@@ -158,9 +161,10 @@ def _gram_pairing(gram, u, v) -> int:
     return total
 
 
-def _diagonalize(gram) -> tuple[int, tuple[int, int, int]]:
+def _diagonalize(gram, blocks) -> tuple[int, tuple[int, int, int]]:
     """(det, (sigma, b_plus, b_minus)) by fraction-free symmetric (Bareiss)
-    elimination on each orthogonal block of the Gram (`gram_components`).
+    elimination on each of `blocks`, the Gram's orthogonal blocks as
+    `gram_components` gives them (a form's own `blocks`).
     After pivot piv, each entry of the block below and right of it is
     (piv a[j][c] - a[i][j] a[i][c]) / prev, a bordered minor of the pivots
     so far, so the division by the previous pivot is exact and every entry
@@ -173,7 +177,7 @@ def _diagonalize(gram) -> tuple[int, tuple[int, int, int]]:
     det P = +-1, so neither the det nor the signature changes."""
     det = 1
     pos = neg = 0
-    for block in gram_components(gram):
+    for block in blocks:
         a = [[gram[i][j] for j in block] for i in block]
         n = len(a)
         prev = 1
@@ -375,7 +379,7 @@ class Sublattice:
             sign = -1
         else:
             return 0
-        _, (_, pos, neg) = _diagonalize(gram)
+        _, (_, pos, neg) = _diagonalize(gram, gram_components(gram))
         return sign if (pos if sign > 0 else neg) == self.rank else 0
 
     def to_parent(self, coords: Sequence[int]) -> Vector:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Hashable, Optional, Sequence
 
 
@@ -67,33 +66,19 @@ class LinearSystem:
         self.inconsistent = False
         # the label of the first inconsistent equation, which may be None
         self.witness: Optional[Hashable] = None
-        # at full column rank: the solution as integers X over a common
-        # denominator L, x_i = X_i / L
-        self._scaled: Optional[tuple[list[int], int]] = None
 
     def add_equation(self, coeffs: Sequence[Fraction], rhs, label=None) -> str:
         """Reduce one equation into the system.
 
         Returns "added", "redundant" or "inconsistent"; the first
-        inconsistent label is kept as the witness.
-
-        At full column rank no equation can be added, and the elimination
-        would leave 0 = s * (rhs - sum_i c_i x_i) with s > 0; so the
-        equation is only tested, in integers, against x = X / L:
-        sum_i c_i X_i * den(rhs) == num(rhs) * L.
+        inconsistent label is kept as the witness. Every equation goes
+        through the same elimination; at full column rank it can only
+        reduce to 0 = 0 (redundant) or to 0 = s != 0 (inconsistent).
         """
         if len(coeffs) != self.n:
             raise ValueError("coefficient vector has wrong length")
         row = [c if isinstance(c, (int, Fraction)) else Fraction(c)
                for c in (*coeffs, rhs)]
-        if len(self.pivots) == self.n:
-            scaled, common = self._scaled or self._scale()
-            b = row[self.n]
-            # map stops at the end of `scaled`, before the rhs
-            if sum(map(mul, row, scaled)) * b.denominator == (
-                    b.numerator * common):
-                return "redundant"
-            return self._inconsistent(label)
         den = lcm(*[c.denominator for c in row])
         row = [c.numerator * (den // c.denominator) for c in row]
         for piv, existing in zip(self.pivots, self.rows):
@@ -106,7 +91,11 @@ class LinearSystem:
                 row = [s * a - c * b for a, b in zip(row, existing)]
         lead = next((i for i in range(self.n) if row[i]), None)
         if lead is None:
-            return self._inconsistent(label) if row[self.n] else "redundant"
+            if not row[self.n]:
+                return "redundant"
+            if not self.inconsistent:
+                self.inconsistent, self.witness = True, label
+            return "inconsistent"
         row = _primitive(row, lead)
         p = row[lead]
         for idx, existing in enumerate(self.rows):
@@ -119,19 +108,6 @@ class LinearSystem:
         self.rows.append(row)
         self.pivots.append(lead)
         return "added"
-
-    def _inconsistent(self, label) -> str:
-        if not self.inconsistent:
-            self.inconsistent, self.witness = True, label
-        return "inconsistent"
-
-    def _scale(self) -> tuple[list[int], int]:
-        common = lcm(*[row[piv] for piv, row in zip(self.pivots, self.rows)])
-        scaled = [0] * self.n
-        for piv, row in zip(self.pivots, self.rows):
-            scaled[piv] = row[self.n] * (common // row[piv])
-        self._scaled = scaled, common
-        return self._scaled
 
     def solve(self) -> Solution:
         if self.inconsistent:

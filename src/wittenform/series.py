@@ -21,7 +21,7 @@ from operator import lshift
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, TruncationError
-from .lattice import IntersectionForm, gram_components
+from .lattice import IntersectionForm
 
 Exponents = tuple[int, ...]
 
@@ -232,8 +232,7 @@ class FormalSeries:
                                   self.weight, self.den)
 
     def homogeneous_part(self, d: int) -> "HomogeneousPolynomial":
-        if d < 0:
-            raise ValueError(f"degree {d} is negative")
+        _check_nonnegative(d)
         if d >= self.degree_cap:
             raise TruncationError(
                 f"degree {d} >= cap {self.degree_cap}: truncated away")
@@ -400,12 +399,18 @@ class HomogeneousPolynomial(FormalSeries):
     __slots__ = ("degree",)
 
     def __init__(self, num_vars, degree_cap, terms=None, degree: int = 0):
+        _check_nonnegative(degree)
         # the given terms, before truncation can drop one at or past the cap
         _check_degree(map(sum, terms or ()), degree)
         super().__init__(num_vars, degree_cap, terms)
         if degree >= degree_cap:
             raise TruncationError(f"degree {degree} >= cap {degree_cap}")
         self.degree = degree
+
+
+def _check_nonnegative(degree: int) -> None:
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
 
 
 def _check_degree(degrees: Iterable[int], degree: int) -> None:
@@ -423,8 +428,7 @@ def first_difference(a: FormalSeries, b: FormalSeries, n: int
     difference); only its two coefficients become `Fraction`s."""
     if a.num_vars != b.num_vars:
         raise DimensionMismatch("variable counts differ")
-    if n < 0:
-        raise ValueError(f"degree {n} is negative")
+    _check_nonnegative(n)
     if n > a.degree_cap or n > b.degree_cap:
         raise TruncationError(
             f"cannot certify congruence mod degree {n} with caps "
@@ -488,9 +492,10 @@ def gaussian_sum(form: IntersectionForm,
     e! and the weights' lcm only when it is read.
 
     With Q, exp(Q/2 + <K, h>) is the product of its restrictions to the
-    orthogonal blocks of the form (`lattice.gram_components`), which share
-    no variable; without Q the whole basis is one block. A block is common
-    when every class has the same d on it (a single class has none). So
+    orthogonal blocks of the form (`form.blocks`, split once when the form
+    is built), which share no variable; without Q the whole basis is one
+    block. A block is common when every class has the same d on it (a
+    single class has none). So
         T = V P,   V = sum_r w_r prod_{B varying} F_{r,B},
     with P the product over the common blocks, and the recurrence runs once
     per class on the varying blocks (the memo's entries) and once per
@@ -498,10 +503,12 @@ def gaussian_sum(form: IntersectionForm,
     summand holding the fiber, that is k runs on one H and one run on each
     other block. V starts at some degree s (s = n - 2 on E(n)), so the
     common blocks are read below cap - s only, and `_block_product` joins
-    them to V with F(a + b) = F_V(a) F_B(b).
+    them to V with F(a + b) = F_V(a) F_B(b). A negative cap is refused
+    before any class is read.
     """
     n = form.rank
     cap = degree_cap
+    _check_shape(n, cap)
     pairs = [(_as_fraction(c), form.dual_coefficients(k))
              for c, k in weighted_classes]
     den = lcm(*(c.denominator for c, _ in pairs))
@@ -509,7 +516,7 @@ def gaussian_sum(form: IntersectionForm,
                for c, d in pairs if c]
     if not weights:
         return FormalSeries.zero(n, cap)
-    blocks = gram_components(form.gram) if quadratic else [range(n)]
+    blocks = form.blocks if quadratic else [range(n)]
     (weight, first), *rest = weights
     if not rest:
         slices = _MEMO.get(form, blocks, first, cap, quadratic)

@@ -502,8 +502,8 @@ def solve_coefficients(problem: FitProblem) -> UniversalFitReport:
 
 
 def _solve(assembled) -> UniversalFitReport:
-    """One elimination over the equations of every observation, in order.
-    A monomial in no unknown is fed only while the system is consistent."""
+    """One elimination over the equations of every observation, in order;
+    the first inconsistent equation is the witness."""
     unknowns: set[Unknown] = set()
     for rhs in assembled:
         unknowns.update(rhs.unknowns())
@@ -516,8 +516,6 @@ def _solve(assembled) -> UniversalFitReport:
         templates.update(rhs.templates)
         notes.extend(f"observation {obs_idx}: {n}" for n in rhs.notes)
         for mono, linear, value in rhs.equations():
-            if not linear and system.inconsistent:
-                continue
             row = [0] * len(order)
             for unknown, c in linear.items():
                 row[index[unknown]] = c

@@ -521,7 +521,7 @@ def test_negative_degree_exit_2(capsys):
     code, out, err = run_cli(capsys, "--degree", "-1", "witten", K3_PATH)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err == "error: num_vars and degree_cap must be non-negative\n"
 
 
 def test_bad_vector_exit_2(capsys):

@@ -287,17 +287,19 @@ def test_diagonalization_of_block_sums_matches_the_oracles():
         rng.shuffle(where)
         gram = [[g[i][j] if b == c else 0 for c, j, _ in where]
                 for b, i, g in where]
-        det, signature = lattice._diagonalize(gram)
+        det, signature = lattice._diagonalize(gram, gram_components(gram))
         assert type(det) is int
         assert det == prod(oracle[p][0] for p in picks), gram
         assert signature == tuple(map(sum, zip(*(oracle[p][1] for p in picks),
                                                (0, 0, 0)))), gram
         singular += det == 0
     assert 50 <= singular <= 250
-    assert lattice._diagonalize(special[-1]) == (0, (-2, 1, 3))
-    assert lattice._diagonalize(k3_form().gram) == (-1, (-16, 3, 19))
-    assert lattice._diagonalize(elliptic_manifold(4).form.gram) == (
-        -1, (-32, 7, 39))
+    assert lattice._diagonalize(special[-1],
+                                gram_components(special[-1])) == (
+        0, (-2, 1, 3))
+    k3, e4 = k3_form(), elliptic_manifold(4).form
+    assert lattice._diagonalize(k3.gram, k3.blocks) == (-1, (-16, 3, 19))
+    assert lattice._diagonalize(e4.gram, e4.blocks) == (-1, (-32, 7, 39))
 
 
 # ---------------------------------------------------------------------------

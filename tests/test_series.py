@@ -6,9 +6,10 @@ from math import factorial, prod
 import pytest
 
 from wittenform.errors import DimensionMismatch, TruncationError
+from wittenform.cli import main
 from wittenform.invariants import (KMData, Verdict, fit_km_coefficients,
                                    km_series, mmp_vanishing_check, sw_series,
-                                   witten_rhs)
+                                   witten_consistent_km, witten_rhs)
 from wittenform.corpus import (elliptic_manifold, k3_form, k3_manifold,
                                load_bundled)
 from wittenform.lattice import (IntersectionForm, direct_sum, e8_form,
@@ -17,7 +18,8 @@ from wittenform.series import (FormalSeries, HomogeneousPolynomial,
                                divided_powers, exp_linear, exp_quadratic,
                                first_difference, gaussian_sum, linear_series,
                                monomial_label, quadratic_series)
-from wittenform import series
+from wittenform import lattice, series
+from wittenform.manifold_io import manifold_to_text
 from wittenform.selftest import check_series_identities
 from wittenform.synthetic import random_manifold, random_unimodular_form
 
@@ -388,6 +390,27 @@ def test_quadratic_series_is_plain_q():
     assert q == S(2, 4, {(1, 1): 2})
 
 
+def test_negative_caps_are_refused_by_the_shape_check():
+    # every sum checks its cap before it reads a class
+    m = k3_manifold()
+    zero = (0,) * m.rank
+    km = witten_consistent_km(m, zero)
+    calls = {
+        "witten_rhs": lambda: witten_rhs(m, zero, -1),
+        "km_series": lambda: km_series(km, m.form, -1),
+        "sw_series": lambda: sw_series(m, zero, -1),
+        "exp_linear": lambda: exp_linear(m.form, km.terms[0][1], -1),
+        "exp_quadratic": lambda: exp_quadratic(m.form, -2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == (
+            "num_vars and degree_cap must be non-negative"), name
+    with pytest.raises(ValueError, match="^degree -1 is negative$"):
+        HomogeneousPolynomial(2, 3, degree=-1)
+
+
 # ---------------------------------------------------------------------------
 # canonical text
 
@@ -676,6 +699,45 @@ def test_kernel_runs_once_per_block(memo, monkeypatch):
     blocks.clear()
     exp_linear(form, k, 6)
     assert blocks == [list(range(form.rank))]
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The number of `gram_components` calls. A module that imports the
+    name holds a binding of its own, so series' is counted as well,
+    should it hold one."""
+    calls = []
+    real = lattice.gram_components
+
+    def counted(gram):
+        calls.append(len(gram))
+        return real(gram)
+
+    monkeypatch.setattr(lattice, "gram_components", counted)
+    monkeypatch.setattr(series, "gram_components", counted, raising=False)
+    return calls
+
+
+def test_a_form_is_split_into_blocks_once(splits, capsys, tmp_path):
+    # a witten job splits its form when the file is loaded, and its sum
+    # reads the form's blocks
+    m = elliptic_manifold(4)
+    zero = (0,) * m.rank
+    path = tmp_path / "e4.manifold"
+    path.write_text(manifold_to_text(m))
+    splits.clear()
+    assert main(["--degree", "6", "witten", str(path)]) == 0
+    assert splits == [46]
+    target = witten_rhs(m, zero, 6)
+    assert capsys.readouterr().out == target.to_text() + "\n"
+    # a KM round trip on a form in hand splits it no more
+    splits.clear()
+    km = witten_consistent_km(m, zero)
+    fit = fit_km_coefficients(target, [k for _, k in km.terms], zero,
+                              m.form, 6)
+    assert fit.status == "unique" and len(km.terms) == 3
+    assert km_series(km, m.form, 6) == target
+    assert splits == []
 
 
 # ---------------------------------------------------------------------------
