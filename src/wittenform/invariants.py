@@ -64,10 +64,10 @@ def _sign_exponents(form: IntersectionForm, w: Sequence[int],
     """`sign_exponent` for each class in turn, with w and each class
     checked once and w.w formed once."""
     w = form._check_vector(w)
-    w_sq = _gram_pairing(form.gram, w, w)
+    w_sq = _gram_pairing(form.sparse_rows, w, w)
     out = []
     for k in classes:
-        t = w_sq + _gram_pairing(form.gram, w, form._check_vector(k))
+        t = w_sq + _gram_pairing(form.sparse_rows, w, form._check_vector(k))
         if t % 2:
             raise NonCharacteristicError(
                 f"sign exponent (w^2 + w.k)/2 = {t}/2 is not an integer; "
@@ -111,10 +111,13 @@ class KMData:
         object.__setattr__(self, "terms", tuple(clean))
 
 
-def _check_c1(form: IntersectionForm, c1: Sequence[int], name: str) -> None:
-    if not form.is_characteristic(c1):
-        raise ValueError(
-            f"c1 {tuple(c1)} of manifold {name!r} is not characteristic")
+class NonCharacteristicC1(ValueError):
+    """A spin-c entry's c1 is not characteristic; `index` is the entry's
+    place in the manifold's table, so a file loader can name its line."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,14 @@ class ManifoldData:
         object.__setattr__(self, "spinc", tuple(self.spinc))
         if len(self.w2) != self.form.rank:
             raise DimensionMismatch("w2 length does not match the form rank")
-        for entry in self.spinc:
+        for index, entry in enumerate(self.spinc):
             if len(entry.c1) != self.form.rank:
                 raise DimensionMismatch(
                     f"c1 {entry.c1} does not match rank {self.form.rank}")
-            _check_c1(self.form, entry.c1, self.name)
+            if not self.form.is_characteristic(entry.c1):
+                raise NonCharacteristicC1(
+                    f"c1 {entry.c1} of manifold {self.name!r} is not "
+                    "characteristic", index)
         if check_topology:
             if self.form.rank != self.chi - 2:
                 raise ValueError(

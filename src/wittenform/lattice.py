@@ -1,14 +1,20 @@
 """Exact arithmetic on integral unimodular intersection lattices.
 
 Vectors are plain tuples of Python ints in the coordinates of the form's
-basis. All arithmetic is exact and in ints; signatures and determinants
-are computed by fraction-free (Bareiss) elimination on each orthogonal
-block of the Gram, orthogonal complements by integer row reduction, and
-searches for vectors of prescribed square or hyperbolic pairs by bounded
-exhaustive enumeration. One walk of the box
-(`find_witnesses`) answers both search questions, each with its own
-budget and stopping point; `find_vector_with_square` and
-`find_hyperbolic_pair` ask it one question each.
+basis. A form keeps its Gram as sparse rows, each row's nonzero (j, G_ij)
+(`SparseRows`), and everything that reads the Gram when a form is built
+or paired reads those: the symmetry check, the split into orthogonal
+blocks, the signature check, G.v and u.G.v. So a form like E(n) = (2n-1)H
++ n(-E8), almost all zeros, costs its nonzero entries there, not rank^2.
+All arithmetic is exact and in ints; signatures and determinants are
+computed by fraction-free (Bareiss) elimination, once per distinct
+orthogonal block of the Gram (copies of one block share the result),
+orthogonal complements by integer row reduction, and searches for vectors
+of prescribed square or hyperbolic pairs by bounded exhaustive
+enumeration. One walk of the box (`find_witnesses`) answers both search
+questions, each with its own budget and stopping point;
+`find_vector_with_square` and `find_hyperbolic_pair` ask it one question
+each.
 
 A search returns None at once, before drawing a candidate, when the
 sublattice's form rules a witness out: a definite form has no nonzero
@@ -69,6 +75,25 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
+class SparseRows(tuple):
+    """A Gram matrix as its rows' nonzero entries: row i is the tuple of
+    the (j, G_ij) with G_ij != 0, j ascending, each G_ij an int."""
+
+    __slots__ = ()
+
+
+def _sparse(gram) -> SparseRows:
+    """`gram`, dense rows of numbers, as its SparseRows (each entry made an
+    int, zeros dropped); a SparseRows is returned as it is. Each row's
+    nonzero places are found by `compress`, so only they cost a call of
+    int."""
+    if isinstance(gram, SparseRows):
+        return gram
+    indices = range(len(gram))
+    return SparseRows([tuple([(j, g) for j in itertools.compress(indices, row)
+                              if (g := int(row[j]))]) for row in gram])
+
+
 class IntersectionForm:
     """Integral unimodular symmetric bilinear form given by its Gram matrix.
 
@@ -77,20 +102,35 @@ class IntersectionForm:
     is a data-entry error. Series-level experiments on non-unimodular
     lattices can opt out with require_unimodular=False; manifold data
     never does.
+
+    The form keeps its Gram as sparse rows (`sparse_rows`, the nonzero
+    (j, G_ij) of each row), built once with its orthogonal `blocks`; the
+    symmetry check, the split, the signature check, pairings, G.k and the
+    kernel's step tables read them, so they cost the nonzero entries, not
+    rank^2. The signature check eliminates each distinct block once (K3 =
+    3H + 2(-E8) runs two eliminations, not five). `gram`, the dense Gram
+    as a tuple of int tuples, is built from the sparse rows on its first
+    read.
     """
 
     def __init__(self, gram: Sequence[Sequence[int]], *,
                  require_unimodular: bool = True):
-        rows = tuple(tuple(map(int, row)) for row in gram)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise UnimodularityError("Gram matrix is not square")
-        if rows != tuple(zip(*rows)):
-            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                        if rows[i][j] != rows[j][i])
+        n = len(gram)
+        if any(len(row) != n for row in gram):
+            raise UnimodularityError("Gram matrix is not square")
+        rows = _sparse(gram)
+        # symmetric iff each sparse row equals the sparse column
+        cols = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            for j, g in row:
+                cols[j].append((i, g))
+        if tuple(map(tuple, cols)) != rows:
+            # the first (i, j), i < j in row order, with G_ij != G_ji
+            i, j = min((i, j) for i, (row, col) in enumerate(zip(rows, cols))
+                       for j, _ in set(row) ^ set(col) if j > i)
             raise UnimodularityError(
                 f"Gram matrix is not symmetric at ({i},{j})")
+        self.sparse_rows = rows
         # split once: the signature check and every Gaussian sum on the
         # form read these blocks
         self.blocks = gram_components(rows)
@@ -99,17 +139,35 @@ class IntersectionForm:
             det, self._signature = _diagonalize(rows, self.blocks)
             if det != 1 and det != -1:
                 raise UnimodularityError(f"Gram determinant is {det}, not +-1")
-        self.gram = rows
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram matrix, a tuple of int tuples."""
+        n = self.rank
+        dense = []
+        for row in self.sparse_rows:
+            out = [0] * n
+            for j, g in row:
+                out[j] = g
+            dense.append(tuple(out))
+        return tuple(dense)
+
+    @cached_property
+    def _diagonal(self) -> tuple[int, ...]:
+        """(G_00, G_11, ...), which `is_characteristic` reads."""
+        return tuple(map(dict.get, map(dict, self.sparse_rows),
+                         range(self.rank), itertools.repeat(0)))
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.sparse_rows)
 
     def __eq__(self, other):
-        return isinstance(other, IntersectionForm) and self.gram == other.gram
+        return (isinstance(other, IntersectionForm)
+                and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash(self.gram)
+        return hash(self.sparse_rows)
 
     def __repr__(self):
         return f"IntersectionForm(rank={self.rank})"
@@ -122,7 +180,7 @@ class IntersectionForm:
         return v
 
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return _gram_pairing(self.gram, self._check_vector(u),
+        return _gram_pairing(self.sparse_rows, self._check_vector(u),
                              self._check_vector(v))
 
     def square(self, v: Sequence[int]) -> int:
@@ -130,93 +188,126 @@ class IntersectionForm:
 
     def dual_coefficients(self, k: Sequence[int]) -> Vector:
         """The row G.k, i.e. the values pairing(k, e_j) on the basis."""
-        return _gram_times(self.gram, self._check_vector(k))
+        return _gram_times(self.sparse_rows, self._check_vector(k))
 
     def is_characteristic(self, k: Sequence[int]) -> bool:
         """True iff pairing(k, x) == pairing(x, x) mod 2 for all basis x."""
         dual = self.dual_coefficients(k)
-        return all((dual[j] - self.gram[j][j]) % 2 == 0 for j in range(self.rank))
+        return all((d - g) % 2 == 0 for d, g in zip(dual, self._diagonal))
 
     def signature_decomposition(self) -> tuple[int, int, int]:
         """(sigma, b_plus, b_minus) by fraction-free block-wise elimination."""
         if self._signature is None:
-            self._signature = _diagonalize(self.gram, self.blocks)[1]
+            self._signature = _diagonalize(self.sparse_rows, self.blocks)[1]
         return self._signature
 
 
 def _gram_times(gram, v) -> Vector:
-    """G.v for a symmetric G: the sum of G's rows where v is nonzero."""
-    out = [0] * len(gram)
+    """G.v for a symmetric G (dense or SparseRows): the sum of G's sparse
+    rows where v is nonzero."""
+    rows = _sparse(gram)
+    out = [0] * len(rows)
     for i in itertools.compress(range(len(v)), v):
         vi = v[i]
-        out = [o + vi * g for o, g in zip(out, gram[i])]
+        for j, g in rows[i]:
+            out[j] += vi * g
     return tuple(out)
 
 
 def _gram_pairing(gram, u, v) -> int:
-    """u.G.v, walking only the rows where u is nonzero."""
+    """u.G.v (G dense or SparseRows), walking only the sparse rows where u
+    is nonzero."""
+    rows = _sparse(gram)
     total = 0
     for i in itertools.compress(range(len(u)), u):
-        total += u[i] * sum(map(mul, gram[i], v))
+        total += u[i] * sum([g * v[j] for j, g in rows[i]])
     return total
 
 
 def _diagonalize(gram, blocks) -> tuple[int, tuple[int, int, int]]:
-    """(det, (sigma, b_plus, b_minus)) by fraction-free symmetric (Bareiss)
-    elimination on each of `blocks`, the Gram's orthogonal blocks as
-    `gram_components` gives them (a form's own `blocks`).
-    After pivot piv, each entry of the block below and right of it is
-    (piv a[j][c] - a[i][j] a[i][c]) / prev, a bordered minor of the pivots
-    so far, so the division by the previous pivot is exact and every entry
-    stays an int. The rational pivot is piv / prev, so its sign compares
-    piv's with prev's, and a block's last pivot is its determinant. A zero
-    pivot is swapped with a later nonzero diagonal entry, or else gets a
-    partner row and column added to it (a[i][i] becomes 2 a[i][off]); an
-    index orthogonal to the rest of the block is skipped, leaves prev as it
-    is, and makes the det 0. Every step is a congruence P^T A P with
-    det P = +-1, so neither the det nor the signature changes."""
+    """(det, (sigma, b_plus, b_minus)) of the Gram (dense or SparseRows) by
+    fraction-free symmetric elimination (`_eliminate`) on each of
+    `blocks`, its orthogonal blocks as `gram_components` gives them (a
+    form's own `blocks`). A block is keyed by its sparse rows with every
+    index shifted by the block's least one: blocks of one key are
+    translates with the same Gram, so each distinct block is eliminated
+    once and its copies read that (det, b_plus, b_minus). E(n) =
+    (2n-1)H + n(-E8) runs two eliminations."""
+    rows = _sparse(gram)
+    done = {}       # shifted sparse rows of a block -> (det, pos, neg)
     det = 1
     pos = neg = 0
     for block in blocks:
-        a = [[gram[i][j] for j in block] for i in block]
-        n = len(a)
-        prev = 1
-        for i in range(n):
-            if a[i][i] == 0:
-                swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-                if swap is not None:
-                    a[i], a[swap] = a[swap], a[i]
-                    for row in a:
-                        row[i], row[swap] = row[swap], row[i]
-                else:
-                    off = next((j for j in range(i + 1, n) if a[i][j] != 0),
-                               None)
-                    if off is None:
-                        det = 0
-                        continue  # cannot occur for unimodular forms
-                    # congruence: add row/col `off` into i, making
-                    # a[i][i] = 2*a[i][off]; only row i is read from here on
-                    ri, ro = a[i], a[off]
-                    for c in range(i, n):
-                        ri[c] += ro[c]
-                    ri[i] += ri[off]
-            ri = a[i]
-            piv = ri[i]
-            if (piv > 0) == (prev > 0):
-                pos += 1
-            else:
-                neg += 1
-            tail = ri[i + 1:]
-            for j in range(i + 1, n):
-                rj, f = a[j], ri[j]
-                if f:
-                    rj[i + 1:] = [(piv * x - f * y) // prev
-                                  for x, y in zip(rj[i + 1:], tail)]
-                elif piv != prev:  # a row the pivot row misses only scales
-                    rj[i + 1:] = [piv * x // prev for x in rj[i + 1:]]
-            prev = piv
-        det *= prev
+        start = block[0]
+        key = tuple([tuple([(j - start, g) for j, g in rows[i]])
+                     for i in block])
+        found = done.get(key)
+        if found is None:
+            found = done[key] = _eliminate(rows, block)
+        det *= found[0]
+        pos += found[1]
+        neg += found[2]
     return det, (pos - neg, pos, neg)
+
+
+def _eliminate(rows, block) -> tuple[int, int, int]:
+    """(det, b_plus, b_minus) of the Gram on `block`, G's entries among
+    the block's indices (from its SparseRows `rows`), by fraction-free
+    symmetric (Bareiss) elimination.
+    After pivot piv, each entry below and right of it is
+    (piv a[j][c] - a[i][j] a[i][c]) / prev, a bordered minor of the pivots
+    so far, so the division by the previous pivot is exact and every entry
+    stays an int. The rational pivot is piv / prev, so its sign compares
+    piv's with prev's, and the last pivot is the determinant. A zero
+    pivot is swapped with a later nonzero diagonal entry, or else gets a
+    partner row and column added to it (a[i][i] becomes 2 a[i][off]); an
+    index orthogonal to the rest is skipped, leaves prev as it is, and
+    makes the det 0. Every step is a congruence P^T A P with det P = +-1,
+    so neither the det nor the signature changes."""
+    n = len(block)
+    place = dict(zip(block, range(n)))
+    a = [[0] * n for _ in range(n)]
+    for ai, i in zip(a, block):
+        for j, g in rows[i]:
+            ai[place[j]] = g
+    singular = False
+    prev = 1
+    pos = neg = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                off = next((j for j in range(i + 1, n) if a[i][j] != 0),
+                           None)
+                if off is None:
+                    singular = True
+                    continue  # cannot occur for unimodular forms
+                # congruence: add row/col `off` into i, making
+                # a[i][i] = 2*a[i][off]; only row i is read from here on
+                ri, ro = a[i], a[off]
+                for c in range(i, n):
+                    ri[c] += ro[c]
+                ri[i] += ri[off]
+        ri = a[i]
+        piv = ri[i]
+        if (piv > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        tail = ri[i + 1:]
+        for j in range(i + 1, n):
+            rj, f = a[j], ri[j]
+            if f:
+                rj[i + 1:] = [(piv * x - f * y) // prev
+                              for x, y in zip(rj[i + 1:], tail)]
+            elif piv != prev:  # a row the pivot row misses only scales
+                rj[i + 1:] = [piv * x // prev for x in rj[i + 1:]]
+        prev = piv
+    return (0 if singular else prev), pos, neg
 
 
 def congruent_mod2(form: IntersectionForm, w: Sequence[int],
@@ -259,9 +350,9 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
     gram = [[0] * n for _ in range(n)]
     offset = 0
     for f in forms:
-        for i in range(f.rank):
-            for j in range(f.rank):
-                gram[offset + i][offset + j] = f.gram[i][j]
+        for i, row in enumerate(f.sparse_rows, offset):
+            for j, g in row:
+                gram[i][offset + j] = g
         offset += f.rank
     return IntersectionForm(gram)
 
@@ -271,18 +362,19 @@ def gram_components(gram: Sequence[Sequence[int]]) -> list[list[int]]:
     i != j), each as its ascending basis indices, in order of their least
     index: the finest split of the basis into mutually orthogonal blocks,
     so the form is the direct sum of the blocks' Gram matrices. An index
-    that pairs with no other is a block of its own."""
-    indices = range(len(gram))
-    seen = [False] * len(gram)
+    that pairs with no other is a block of its own. `gram` is dense or
+    SparseRows; the walk reads the sparse rows."""
+    rows = _sparse(gram)
+    seen = [False] * len(rows)
     blocks = []
-    for start in indices:
+    for start in range(len(rows)):
         if seen[start]:
             continue
         seen[start] = True
         block = [start]
         # the block grows while it is walked: each index's row is read once
         for i in block:
-            for j in itertools.compress(indices, gram[i]):
+            for j, _ in rows[i]:
                 if not seen[j]:
                     seen[j] = True
                     block.append(j)
@@ -362,7 +454,7 @@ class Sublattice:
 
     @cached_property
     def _gram(self) -> tuple[tuple[int, ...], ...]:
-        duals = [_gram_times(self.parent.gram, b) for b in self.basis]
+        duals = [_gram_times(self.parent.sparse_rows, b) for b in self.basis]
         return tuple(tuple(sum(map(mul, d, b)) for b in self.basis)
                      for d in duals)
 
@@ -379,7 +471,8 @@ class Sublattice:
             sign = -1
         else:
             return 0
-        _, (_, pos, neg) = _diagonalize(gram, gram_components(gram))
+        rows = _sparse(gram)
+        _, (_, pos, neg) = _diagonalize(rows, gram_components(rows))
         return sign if (pos if sign > 0 else neg) == self.rank else 0
 
     def to_parent(self, coords: Sequence[int]) -> Vector:
@@ -557,6 +650,7 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     if square_left is None and pair_left is None:
         return vector, witness
     isotropic: list[tuple[Vector, Vector]] = []  # (u, G.u)
+    rows = _sparse(gram)
     for v, q in _scored_vectors(gram, bound):
         if square_left is not None:
             if square_left < 1:
@@ -580,14 +674,14 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
                         p = sum(map(mul, du, v))
                         if p == 1 or p == -1:
                             e, f = u, (v if p == 1 else vec_neg(v))
-                            assert _gram_pairing(gram, e, e) == 0
-                            assert _gram_pairing(gram, f, f) == 0
-                            assert _gram_pairing(gram, e, f) == 1
+                            assert _gram_pairing(rows, e, e) == 0
+                            assert _gram_pairing(rows, f, f) == 0
+                            assert _gram_pairing(rows, e, f) == 1
                             witness = sub.to_parent(e), sub.to_parent(f)
                             pair_left = None
                             break
                     else:
-                        isotropic.append((v, _gram_times(gram, v)))
+                        isotropic.append((v, _gram_times(rows, v)))
         if square_left is None and pair_left is None:
             break
     return vector, witness

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import LoadError, WittenformError
-from .invariants import (KMData, ManifoldData, SpincEntry, _check_c1,
-                         check_delta_m, witten_consistent_km)
+from .invariants import (KMData, ManifoldData, NonCharacteristicC1,
+                         SpincEntry, check_delta_m, witten_consistent_km)
 from .lattice import IntersectionForm
 from .series import HomogeneousPolynomial, _parse_term, _parse_rational
 from .universal_fit import FitProblem, Observation
@@ -92,8 +92,12 @@ def _parse_int(value, lines, no, what):
 
 
 def _parse_int_row(value, lines, no, what, expected_len=None):
+    """The integers of a whitespace-separated row. A token "0" is given
+    its value with no call of int, so a sparse Gram row calls int at its
+    nonzero entries only; every other token goes through int ("-0", "+0"
+    and "00" read as 0, and "0x1", "1.0" or "O" is a bad integer row)."""
     try:
-        row = [int(tok) for tok in value.split()]
+        row = [0 if tok == "0" else int(tok) for tok in value.split()]
     except ValueError:
         raise lines.error(f"bad integer row for {what}: {value!r}", no) from None
     if expected_len is not None and len(row) != expected_len:
@@ -182,16 +186,14 @@ def parse_manifold(text: str, path: Optional[str] = None) -> ManifoldData:
         if len(c1) != rank:
             raise lines.error(
                 f"c1 has {len(c1)} entries, expected rank = {rank}", no_c1)
-    for no_c1, c1, sw in spinc:
-        try:
-            _check_c1(form, c1, name_value)
-        except ValueError as exc:
-            raise lines.error(str(exc), no_c1) from None
     try:
         return ManifoldData(
             name=name_value, chi=chi, sigma=sigma, b_plus=b_plus, form=form,
             w2=tuple(w2), spinc=tuple(SpincEntry(c1, sw) for _, c1, sw in spinc),
             sw_simple_type=simple_type)
+    except NonCharacteristicC1 as exc:
+        # each c1 is checked once, by ManifoldData, before the topology
+        raise lines.error(str(exc), spinc[exc.index][0]) from None
     except (ValueError, WittenformError) as exc:
         raise lines.error(str(exc), manifold_header) from None
 

@@ -21,7 +21,7 @@ from operator import lshift
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, TruncationError
-from .lattice import IntersectionForm
+from .lattice import IntersectionForm, _sparse
 
 Exponents = tuple[int, ...]
 
@@ -467,11 +467,11 @@ def quadratic_series(form: IntersectionForm, degree_cap: int) -> FormalSeries:
     is 2 gram_jk, for j = k as for j != k."""
     n = form.rank
     shifts, _ = _layout(n, degree_cap)
-    gram = form.gram
     slices = [{} for _ in range(degree_cap)]
     if degree_cap > 2:
-        slices[2] = {(1 << shifts[i]) + (1 << shifts[j]): 2 * gram[i][j]
-                     for i in range(n) for j in range(i, n) if gram[i][j]}
+        slices[2] = {(1 << shifts[i]) + (1 << shifts[j]): 2 * g
+                     for i, row in enumerate(form.sparse_rows)
+                     for j, g in row if j >= i}
     return FormalSeries._make(n, degree_cap, slices)
 
 
@@ -528,7 +528,7 @@ def gaussian_sum(form: IntersectionForm,
     v = _weighted_sum(((w, _MEMO.get(form, varying, d, cap, quadratic))
                        for w, d in weights), cap)
     low = next((e for e, part in enumerate(v) if part), cap)
-    layout, gram = _layout(n, cap), form.gram if quadratic else None
+    layout, gram = _layout(n, cap), form.sparse_rows if quadratic else None
     factors = [list(islice(_slice_stream(layout, block, first, gram),
                            cap - low)) for block in common]
     return FormalSeries._make(n, cap, _block_product([v] + factors, cap),
@@ -733,7 +733,7 @@ def _divided_power_slices(form, blocks, d, cap, quadratic):
     in the key layout of cap, and `_block_product` joins the blocks,
     smallest first."""
     layout = _layout(form.rank, cap)
-    gram = form.gram if quadratic else None
+    gram = form.sparse_rows if quadratic else None
     factors = sorted((list(islice(_slice_stream(layout, block, d, gram), cap))
                       for block in blocks), key=_size)
     return _block_product(
@@ -787,9 +787,12 @@ def _slice_stream(layout, block, d, gram=None):
     exp(Q(h, h)/2 + <K, h>)), G K = d, in the variables of `block`
     (ascending) alone (see gaussian_sum), one at a time, each a dict packed
     key -> int F != 0 in `layout` (see `_layout`) in ascending key order,
-    endlessly: the caller takes as many degrees as it needs. Only G's
-    entries among the block's indices are read, so the blocks of one form
-    build their tables in O(sum of block sizes squared).
+    endlessly: the caller takes as many degrees as it needs. `block` is a
+    union of G's orthogonal blocks (one of them, or the whole basis), so
+    every nonzero G_ij of its rows has j in it. `gram` is dense or
+    SparseRows (a form's `sparse_rows`); the step tables read only the
+    sparse rows of the block, so the blocks of one form build them in
+    O(its nonzero entries).
 
     A monomial t is reached from its lowest index i with t_i > 0 only:
         F(t) = d_i F(t - u_i) + sum_{j >= i} G_ij (f_j + 1) F(f),
@@ -809,10 +812,10 @@ def _slice_stream(layout, block, d, gram=None):
            for i in order if d[i]]
     quad = []
     if gram is not None:
-        places = [(i, 1 << shifts[i]) for i in order]
-        quad = [((pi << width,), row) for k, (i, pi) in enumerate(places, 1)
-                for row in [[(gram[i][j], pi + pj, shifts[j])
-                             for j, pj in places[:k] if gram[i][j]]] if row]
+        rows = _sparse(gram)
+        quad = [((pi << width,), row) for i in order for pi in [1 << shifts[i]]
+                for row in [[(g, pi + (1 << shifts[j]), shifts[j])
+                             for j, g in rows[i] if j >= i]] if row]
     prev, cur = [], [(0, 1)]        # degrees n - 1 and n, as (key, F) lists
     nxt = {0: 1}
     while True:

@@ -87,10 +87,11 @@ def test_witten_output_that_cannot_be_written_exits_2(capsys, tmp_path,
 def witten_golden_cases(tmp_path):
     """The witten runs pinned in witten_golden.json: name -> argv. Each
     bundled synthetic at cap 10 with w = 0 and w = w2, synthetic_05 at cap
-    12, K3 at caps 6, 8 and 10, E(4) at caps 8 and 10, and two --compare
-    runs of synthetic_05 at cap 10 against km files written here: the
-    witten-consistent data, and the same data with 1/3 moved from the
-    second class's coefficient to the first (degree 0 still agrees)."""
+    12, K3 at caps 6, 8 and 10, E(4) at caps 8 and 10, E(6) and E(8)
+    (ranks 70 and 94) at cap 8, and two --compare runs of synthetic_05 at
+    cap 10 against km files written here: the witten-consistent data, and
+    the same data with 1/3 moved from the second class's coefficient to
+    the first (degree 0 still agrees)."""
     cases = {}
     for name in list_bundled():
         if name.startswith("synthetic_"):
@@ -107,6 +108,10 @@ def witten_golden_cases(tmp_path):
     e4.write_text(manifold_to_text(elliptic_manifold(4)))
     for cap in (8, 10):
         cases[f"e4_cap{cap}_w0"] = ["--degree", str(cap), "witten", str(e4)]
+    for n in (6, 8):
+        path = tmp_path / f"e{n}.manifold"
+        path.write_text(manifold_to_text(elliptic_manifold(n)))
+        cases[f"e{n}_cap8_w0"] = ["--degree", "8", "witten", str(path)]
     km = witten_consistent_km(load_bundled("synthetic_05.manifold"),
                               (0,) * 7)
     (a1, k1), (a2, k2), *rest = km.terms

@@ -171,16 +171,37 @@ def test_unimodularity_enforced():
 
 
 def test_asymmetry_is_reported_at_its_first_entry():
-    # (i, j) with i < j, first in row order
+    # (i, j) with i < j, first in row order, also where G_ij is a zero
+    # that the sparse rows hold no entry for and only G_ji is nonzero
     for gram, where in (([[0, 1, 5], [2, 0, 0], [3, 0, 0]], (0, 1)),
                         ([[1, 0, 0], [0, 1, 7], [0, 8, 1]], (1, 2)),
-                        ([[1, 0, 4], [0, 1, 6], [0, 6, 1]], (0, 2))):
+                        ([[1, 0, 4], [0, 1, 6], [0, 6, 1]], (0, 2)),
+                        ([[1, 0, 0], [0, 1, 0], [5, 0, 1]], (0, 2)),
+                        ([[1, 0, 0], [0, 1, 4], [2, 0, 1]], (0, 2)),
+                        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 3, 1, 0],
+                          [0, 0, 0, 1]], (1, 2)),
+                        ([[1, 0, 0, 0], [0, 1, 0, 9], [0, 0, 1, 0],
+                          [0, 0, 2, 1]], (1, 3))):
         with pytest.raises(UnimodularityError,
                            match=rf"not symmetric at \({where[0]},{where[1]}\)"):
             IntersectionForm(gram, require_unimodular=False)
-    gram = IntersectionForm([(1.0, 0), (0, True)]).gram
-    assert gram == ((1, 0), (0, 1))
-    assert {type(x) for row in gram for x in row} == {int}
+    form = IntersectionForm([(1.0, 0), (0, True)])
+    assert form.gram == ((1, 0), (0, 1))
+    assert {type(x) for row in form.gram for x in row} == {int}
+    assert form.sparse_rows == (((0, 1),), ((1, 1),))
+    assert {type(g) for row in form.sparse_rows for _, g in row} == {int}
+
+
+def test_sparse_rows_hold_the_nonzero_entries():
+    rng = random.Random(26)
+    for gram in random_symmetric_grams(rng, per_rank=8):
+        form = IntersectionForm(gram, require_unimodular=False)
+        assert form.sparse_rows == tuple(
+            tuple((j, g) for j, g in enumerate(row) if g) for row in gram)
+        assert form.gram == tuple(map(tuple, gram))
+        assert form == IntersectionForm(form.gram, require_unimodular=False)
+    e4 = elliptic_manifold(4).form
+    assert sum(map(len, e4.sparse_rows)) == 7 * 2 + 4 * (8 + 2 * 7)
 
 
 def permutation_det(rows):
@@ -300,6 +321,143 @@ def test_diagonalization_of_block_sums_matches_the_oracles():
     k3, e4 = k3_form(), elliptic_manifold(4).form
     assert lattice._diagonalize(k3.gram, k3.blocks) == (-1, (-16, 3, 19))
     assert lattice._diagonalize(e4.gram, e4.blocks) == (-1, (-32, 7, 39))
+
+
+# ---------------------------------------------------------------------------
+# one elimination per distinct block
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The blocks that `_diagonalize` eliminates, in order, as lists."""
+    runs = []
+    real = lattice._eliminate
+
+    def counted(rows, block):
+        runs.append(list(block))
+        return real(rows, block)
+
+    monkeypatch.setattr(lattice, "_eliminate", counted)
+    return runs
+
+
+def block_by_block(gram):
+    """(det, signature) from `_diagonalize` run on each block alone: no
+    block can share another's elimination."""
+    det, signature = 1, (0, 0, 0)
+    for block in gram_components(gram):
+        d, sig = lattice._diagonalize(gram, [block])
+        det *= d
+        signature = tuple(map(sum, zip(signature, sig)))
+    return det, signature
+
+
+def own_gram(gram, block):
+    return tuple(tuple(gram[a][b] for b in block) for a in block)
+
+
+def block_sum(parts, order=None):
+    """The dense Gram of the direct sum of `parts` (dense Grams), with the
+    basis in `order` (a permutation of the indices) when one is given."""
+    n = sum(map(len, parts))
+    gram = [[0] * n for _ in range(n)]
+    offset = 0
+    for part in parts:
+        for i, row in enumerate(part):
+            gram[offset + i][offset:offset + len(row)] = row
+        offset += len(part)
+    order = order or range(n)
+    return [[gram[a][b] for b in order] for a in order]
+
+
+def test_elliptic_surfaces_eliminate_two_blocks(eliminations):
+    for n in (2, 4, 6, 8):
+        form = elliptic_manifold(n).form
+        eliminations.clear()
+        want = (-1, (-8 * n, 2 * n - 1, 10 * n - 1))
+        assert lattice._diagonalize(form.sparse_rows, form.blocks) == want
+        # one H and one -E8, each the first copy of its kind
+        assert eliminations == [[0, 1], list(range(4 * n - 2, 4 * n + 6))]
+        assert lattice._diagonalize(form.gram, form.blocks) == want
+        assert block_by_block(form.gram) == want
+        assert form.signature_decomposition() == want[1]
+
+
+def test_repeated_blocks_share_their_elimination(eliminations):
+    rng = random.Random(2600)
+    for trial in range(24):
+        rank, copies = rng.randint(1, 4), rng.randint(2, 5)
+        part = [list(row) for row in
+                random_unimodular_form(rng, rank, ops=3 * rank).gram]
+        parts = [part] * copies
+        changed = trial % 2
+        if changed:
+            # one copy with a diagonal entry moved: a block of its own,
+            # unimodular or not as the determinant oracle says
+            other = [list(row) for row in part]
+            i = rng.randrange(rank)
+            other[i][i] += rng.choice((-1, 1))
+            at = rng.randrange(copies)
+            parts = parts[:at] + [other] + parts[at + 1:]
+        gram = block_sum(parts)
+        want = block_by_block(gram)
+        assert want[0] == prod(_det(p) for p in parts)
+        assert want[1] == tuple(map(sum, zip(
+            *(eigenvalue_sign_counts(p) for p in parts))))
+        eliminations.clear()
+        assert lattice._diagonalize(gram, gram_components(gram)) == want
+        # a random part may itself split: one run per distinct block Gram
+        assert len(eliminations) == len(
+            {own_gram(gram, block) for block in gram_components(gram)})
+        if not changed:
+            assert len(eliminations) == len(
+                {own_gram(part, block) for block in gram_components(part)})
+        det = want[0]
+        if det in (1, -1):
+            assert IntersectionForm(gram).signature_decomposition() == want[1]
+        else:
+            # the message names the determinant of the whole sum
+            with pytest.raises(UnimodularityError) as err:
+                IntersectionForm(gram)
+            assert str(err.value) == f"Gram determinant is {det}, not +-1"
+
+
+def test_interleaved_blocks_match_block_by_block(eliminations):
+    # two H on the indices 0, 2 and 1, 3 are translates: one elimination
+    gram = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    assert block_by_block(gram) == (1, (0, 2, 2))
+    eliminations.clear()
+    assert lattice._diagonalize(gram, gram_components(gram)) == (1, (0, 2, 2))
+    assert eliminations == [[0, 2]]
+    # shuffled sums of repeated and changed blocks, so that the blocks
+    # interleave: only translates share, and each block's own Gram decides
+    rng = random.Random(2601)
+    e8 = [list(row) for row in e8_form(negative=True).gram]
+    for trial in range(30):
+        part = [list(row) for row in random_unimodular_form(
+            rng, rng.randint(1, 3), ops=6).gram]
+        other = [list(row) for row in part]
+        other[0][0] += 2
+        parts = [part] * rng.randint(1, 3) + [[[0, 1], [1, 0]]] * 2
+        if trial % 3 == 0:
+            parts += [other]
+        if trial % 5 == 0:
+            parts += [e8]
+        n = sum(map(len, parts))
+        order = list(range(n))
+        rng.shuffle(order)
+        gram = block_sum(parts, order if trial % 4 else None)
+        want = block_by_block(gram)
+        eliminations.clear()
+        got = lattice._diagonalize(gram, gram_components(gram))
+        assert got == want, gram
+        assert got[0] == prod(_det(p) for p in parts)
+        assert got[1] == tuple(map(sum, zip(
+            *(eigenvalue_sign_counts(p) for p in parts))))
+        blocks = gram_components(gram)
+        # blocks of one Gram but not translates of each other each run
+        keys = {(tuple(b - block[0] for b in block), own_gram(gram, block))
+                for block in blocks}
+        assert len(eliminations) == len(keys)
 
 
 # ---------------------------------------------------------------------------

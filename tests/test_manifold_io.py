@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from wittenform.corpus import (bundled_path, k3_manifold, list_bundled,
-                               load_bundled)
+from wittenform.cli import main
+from wittenform.corpus import (bundled_path, elliptic_manifold, k3_manifold,
+                               list_bundled, load_bundled)
 from wittenform.errors import LoadError
+from wittenform.lattice import IntersectionForm
 from wittenform.invariants import KMData
 from wittenform.manifold_io import (km_to_text, manifold_to_text,
                                     parse_fit_problem, parse_km,
@@ -136,6 +138,51 @@ def test_error_non_characteristic_second_c1_has_its_line():
         parse_manifold(text)
     assert err.value.line == bad_line
     assert "not characteristic" in str(err.value)
+
+
+def test_each_c1_is_checked_once_per_load(monkeypatch):
+    text = manifold_to_text(elliptic_manifold(4))
+    checked = []
+    real = IntersectionForm.is_characteristic
+
+    def counted(form, k):
+        checked.append(tuple(k))
+        return real(form, k)
+
+    monkeypatch.setattr(IntersectionForm, "is_characteristic", counted)
+    m = parse_manifold(text)
+    assert checked == [entry.c1 for entry in m.spinc]
+    assert len(checked) == 3
+
+
+@pytest.mark.parametrize("token", ["-0", "+0", "00"])
+def test_zero_tokens_in_a_gram_row_load_as_zero(token):
+    rows = [f"1 {token} 0 0", "0 1 0 0", f"0 0 1 {token}", "0 0 0 -1"]
+    m = parse_manifold(_tiny_manifold_text(rows=rows))
+    assert m.form.gram == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                           (0, 0, 0, -1))
+    assert m.form.sparse_rows == (((0, 1),), ((1, 1),), ((2, 1),),
+                                  ((3, -1),))
+    assert m == parse_manifold(_tiny_manifold_text())
+
+
+@pytest.mark.parametrize("token", ["0x1", "1.0", "O"])
+def test_bad_tokens_in_a_gram_row_are_bad_integer_rows(token, tmp_path,
+                                                        capsys):
+    row = f"0 1 {token} 0"
+    text = _tiny_manifold_text(rows=["1 0 0 0", row, "0 0 1 0", "0 0 0 -1"])
+    line = text.splitlines().index(row) + 1
+    with pytest.raises(LoadError) as err:
+        parse_manifold(text, path="tiny.manifold")
+    assert err.value.line == line
+    assert str(err.value) == (f"tiny.manifold:{line}: bad integer row for "
+                              f"gram row: {row!r}")
+    path = tmp_path / "tiny.manifold"
+    path.write_text(text)
+    assert main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tiny.manifold:{line}: bad integer row for gram row" in captured.err
 
 
 def test_error_bad_coupling_rejected():
