@@ -78,15 +78,15 @@ def cmd_witten(args) -> int:
     n = args.degree
     rhs = witten_rhs(m, w, n)
     if args.compare is None:
-        text = rhs.to_text()
+        # streamed in chunks: the whole text is never held at once
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
+                    rhs.write_text(fh)
             except OSError as exc:
                 raise LoadError(str(exc), path=args.output) from None
         else:
-            print(text)
+            rhs.write_text(sys.stdout)
         return 0
     km = load_km(args.compare)
     if len(km.w) != m.rank:

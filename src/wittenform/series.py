@@ -28,6 +28,9 @@ Exponents = tuple[int, ...]
 _TERM_RE = re.compile(r"^h(\d+)\^(\d+)$")
 _HEADER_RE = re.compile(r"^series vars=(\d+) cap=(\d+)$")
 
+# term lines per `FormalSeries.write_text` chunk
+_CHUNK_LINES = 4096
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -57,7 +60,10 @@ class FormalSeries:
     and packs them. The operations below work on the integers and build
     their results without a check; only a cap that a caller passes in still
     is. `terms`, the exponent tuple -> Fraction view, is built on each read
-    and never kept.
+    and never kept. The canonical text is made in chunks of at most
+    `_CHUNK_LINES` (4,096) term lines: `write_text` writes them one by one,
+    so a large series is never held as text at once, and `to_text` joins
+    them into one string.
     """
 
     __slots__ = ("num_vars", "degree_cap", "slices", "weight", "den")
@@ -281,7 +287,7 @@ class FormalSeries:
         """(high, low, split, low mask): a key's high half key >> split
         holds entries 0..n/2 - 1, its low half the rest. Each half is read
         from its own `_Parts` table, which reads it as two quarters; one
-        decoder serves `to_text` and `_fractions`."""
+        decoder serves the text (`labels`) and `_fractions`."""
         n, cap = self.num_vars, self.degree_cap
         width = _layout(n, cap)[1].bit_length()
         fact = [factorial(e) for e in range(cap)]
@@ -302,8 +308,8 @@ class FormalSeries:
             if keys is not None:
                 part = {key: part[key] for key in keys if key in part}
             for key, v in part.items():
-                ea, fa, _ = high[key >> split]
-                eb, fb, _ = low[key & low_mask]
+                ea, fa = high[key >> split]
+                eb, fb = low[key & low_mask]
                 terms[ea + eb] = Fraction(v * weight, fa * fb * den)
         return terms
 
@@ -312,21 +318,47 @@ class FormalSeries:
     def to_text(self) -> str:
         """The header, then one line per term in (degree, lex) order, each
         coefficient in lowest terms as str(Fraction) writes it."""
+        return "".join(self._text_chunks())[:-1]
+
+    def write_text(self, fh) -> None:
+        """Write `to_text()` and a final newline to the text stream `fh`,
+        one `fh.write` per chunk of at most `_CHUNK_LINES` term lines, so
+        the whole text is never held at once."""
+        for chunk in self._text_chunks():
+            fh.write(chunk)
+
+    def _text_chunks(self):
+        """The lines of `to_text()`, each ending in a newline, joined in
+        chunks of at most `_CHUNK_LINES` term lines; the first chunk starts
+        with the header. Each degree's keys are sorted (ascending packed
+        keys of one degree are in lex order) and cut into the pieces that
+        fill the chunks, so the loop over a piece's lines tests nothing."""
+        header = f"series vars={self.num_vars} cap={self.degree_cap}\n"
+        if self.is_zero():
+            yield header + "0\n"
+            return
         high, low, split, low_mask = self._halves(True)
         weight, den = self.weight, self.den
-        lines = [f"series vars={self.num_vars} cap={self.degree_cap}"]
+        lines, room = [header], _CHUNK_LINES
         for part in self.slices:
-            # ascending packed keys of one degree are in lex order
-            for key in sorted(part):
-                _, fa, la = high[key >> split]
-                _, fb, lb = low[key & low_mask]
-                num, q = part[key] * weight, fa * fb * den
-                g = gcd(num, q)
-                coeff = f"{num // g}" if g == q else f"{num // g}/{q // g}"
-                lines.append(f"{coeff} *{la}{lb}" if key else coeff)
-        if len(lines) == 1:
-            lines.append("0")
-        return "\n".join(lines)
+            keys = sorted(part)
+            start = 0
+            while start < len(keys):
+                piece = keys[start:start + room]
+                for key in piece:
+                    la, fa = high[key >> split]
+                    lb, fb = low[key & low_mask]
+                    num, q = part[key] * weight, fa * fb * den
+                    g = gcd(num, q)
+                    coeff = f"{num // g}" if g == q else f"{num // g}/{q // g}"
+                    lines.append(f"{coeff} *{la}{lb}\n" if key else f"{coeff}\n")
+                start += len(piece)
+                room -= len(piece)
+                if not room:
+                    yield "".join(lines)
+                    lines, room = [], _CHUNK_LINES
+        if lines:
+            yield "".join(lines)
 
     @classmethod
     def parse(cls, text: str) -> "FormalSeries":
@@ -353,9 +385,11 @@ class FormalSeries:
         return cls(num_vars, cap, terms)
 
     def __repr__(self):
-        lines = self.to_text().splitlines()[1:]
-        extra = "" if len(lines) <= 4 else f" (+{len(lines) - 4} terms)"
-        return f"FormalSeries<{' + '.join(lines[:4])}{extra}>"
+        # the first four term lines, from the first chunk only
+        shown = next(self._text_chunks()).splitlines()[1:5]
+        count = sum(map(len, self.slices))
+        extra = "" if count <= 4 else f" (+{count - 4} terms)"
+        return f"FormalSeries<{' + '.join(shown)}{extra}>"
 
 
 def monomial_label(exps: Sequence[int]) -> str:
@@ -640,11 +674,12 @@ def _pack(n, cap, terms):
 
 
 class _Parts(dict):
-    """Packed half-key -> (tuple, e!, label) of `count` entries from `first`
-    on, in the layout of `_layout` with fields of `width` bits. The label is
-    monomial_label's with a leading space ("" for no factor, and for every
-    part unless `labels`). A half-key is read as two quarters, each from a
-    `_Quarter` table of its own, so every distinct quarter is decoded once."""
+    """Packed half-key -> (name, e!) of `count` entries from `first` on, in
+    the layout of `_layout` with fields of `width` bits. The name is the
+    exponent tuple, or with `labels` monomial_label's text with a leading
+    space ("" for no factor). A half-key is read as two quarters, each from
+    a `_Quarter` table of its own, so every distinct quarter is decoded
+    once; the half's name is their names joined by `+`."""
 
     def __init__(self, count, first, width, fact, labels):
         super().__init__()
@@ -655,23 +690,23 @@ class _Parts(dict):
         self.low = _Quarter(count - h, first + h, width, fact, labels)
 
     def __missing__(self, part):
-        ea, fa, la = self.high[part >> self.split]
-        eb, fb, lb = self.low[part & self.low_mask]
-        value = self[part] = ea + eb, fa * fb, la + lb
+        na, fa = self.high[part >> self.split]
+        nb, fb = self.low[part & self.low_mask]
+        value = self[part] = na + nb, fa * fb
         return value
 
 
 class _Quarter(dict):
-    """Packed quarter-key -> (tuple, e!, label), as in `_Parts`. A miss
-    decodes only the key's nonzero fields, highest first: the top set bit
+    """Packed quarter-key -> (name, e!), as in `_Parts`. A miss decodes
+    only the key's nonzero fields, highest first: the top set bit
     (bit_length) names the field of the lowest entry left."""
 
     def __init__(self, count, first, width, fact, labels):
         super().__init__()
         self.count, self.width, self.fact = count, width, fact
+        self.labels = labels
         # " h<i>^" of each field, counted from the low end
-        self.names = [f" h{first + count - field}^"
-                      for field in range(count)] if labels else None
+        self.names = [f" h{first + count - field}^" for field in range(count)]
 
     def __missing__(self, part):
         width, fact, names = self.width, self.fact, self.names
@@ -684,9 +719,9 @@ class _Quarter(dict):
             rest ^= e << shift
             exps[-1 - field] = e
             f *= fact[e]
-            if names:
-                label += f"{names[field]}{e}"
-        value = self[part] = tuple(exps), f, label
+            label += f"{names[field]}{e}"
+        # by the flag: a quarter of no field has no names and the label ""
+        value = self[part] = label if self.labels else tuple(exps), f
         return value
 
 

@@ -2,11 +2,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import wittenform
 from wittenform.cli import main, parse_cli_vector
 from wittenform.corpus import (bundled_path, elliptic_manifold, k3_form,
                                k3_manifold, list_bundled, load_bundled)
@@ -69,6 +72,15 @@ def test_witten_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().rstrip("\n") == exp_quadratic(k3_form(), 3).to_text()
+    # the file holds the bytes that stdout gets: at cap 8 two chunks, at
+    # cap 0 the zero series
+    for cap in ("8", "0"):
+        argv = ["--degree", cap, "witten", K3_PATH]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, printed, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, printed, err) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("target", ["missing/series.txt", "."])
@@ -138,6 +150,50 @@ def test_witten_golden_stdout(capsys, tmp_path):
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert ({"code": code, "sha256": digest}, err) == (expected[name],
                                                            ""), name
+
+
+class Recorder:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_witten_streams_stdout_in_bounded_chunks(monkeypatch):
+    def whole_text(self):
+        raise AssertionError("witten built the whole text")
+
+    monkeypatch.setattr(FormalSeries, "to_text", whole_text)
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["--degree", "8", "witten", K3_PATH]) == 0
+    monkeypatch.undo()
+    # the header and 4,096 term lines, then the other 2,568 of K3's 6,664
+    assert [w.count("\n") for w in out.writes] == [1 + 4096, 2568]
+    golden = os.path.join(os.path.dirname(__file__), "witten_golden.json")
+    with open(golden, encoding="utf-8") as fh:
+        want = json.load(fh)["k3_cap8_w0"]["sha256"]
+    text = "".join(out.writes)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want
+
+
+def test_witten_into_a_closed_pipe_exits_0():
+    # the reader closes the pipe after the header: the rest of the writes
+    # fail, and main's broken-pipe path ends the run quietly
+    package_root = os.path.dirname(os.path.dirname(wittenform.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wittenform.cli", "--degree", "10", "witten",
+         K3_PATH], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert first == b"series vars=22 cap=10\n"
+    assert b"Traceback" not in err
 
 
 def test_witten_compare_congruent(capsys, tmp_path):

@@ -1067,6 +1067,118 @@ def test_text_and_terms_above_rank_four(cap):
     assert cases == 42 * 6
 
 
+class Recorder:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def slice_terms(s):
+    """exponent tuple -> coefficient, read off the slices key by key with
+    `_exponents` (no decoder table)."""
+    terms = {}
+    for part in s.slices:
+        for key, v in part.items():
+            e = s._exponents(key)
+            terms[e] = Fraction(v * s.weight,
+                                prod(map(factorial, e)) * s.den)
+    return terms
+
+
+def one_degree_series(count, constant):
+    """A 3-variable series whose degree-90 slice holds `count` terms, the
+    first monomials of that degree in lex order, with or without a
+    constant term."""
+    monomials = [(a, b, 90 - a - b) for a in range(91) for b in range(91 - a)]
+    terms = {e: Fraction((i % 7) - 3 or 5, 1 + i % 4)
+             for i, e in enumerate(monomials[:count])}
+    if constant:
+        terms[(0, 0, 0)] = Fraction(-2, 3)
+    return FormalSeries(3, 91, terms)
+
+
+def writer_cases():
+    """name -> series: zero and constant series, fractional weights and
+    dens, kernel sums on forms of rank 1, 2, 3 and 5 (below rank 4 a half
+    holds a quarter of no field), one degree of 4,095-4,097 terms around
+    the chunk size, and K3's witten series at cap 8."""
+    rng = random.Random(2027)
+    cases = {"zero cap 0": FormalSeries.zero(2, 0),
+             "zero cap 3": FormalSeries.zero(2, 3),
+             "constant": FormalSeries.constant(Fraction(-5, 3), 3, 4)}
+    cases["fractional"] = gaussian_sum(
+        H, [(Fraction(5, 6), (1, 0)), (Fraction(-1, 4), (0, 1))], 6
+    ) * Fraction(-7, 3)
+    for n in (1, 2, 3, 5):
+        form = random_unimodular_form(rng, n, ops=3 * n)
+        k = tuple(rng.randint(-2, 2) for _ in range(n))
+        cases[f"rank {n}"] = gaussian_sum(form, [(Fraction(3, 4), k)],
+                                          7) * Fraction(2, 5)
+    for count in (4095, 4096, 4097):
+        for constant in (False, True):
+            cases[f"{count} terms, constant={constant}"] = one_degree_series(
+                count, constant)
+    cases["K3 cap 8"] = witten_rhs(k3_manifold(), (0,) * 22, 8)
+    return cases
+
+
+def test_write_text_writes_the_text_in_bounded_chunks():
+    chunk = series._CHUNK_LINES
+    assert chunk == 4096
+    cases = writer_cases()
+    # K3's cap-8 text is 6,665 lines: the header and 6,664 terms
+    assert sum(map(len, cases["K3 cap 8"].slices)) == 6664
+    for name, s in cases.items():
+        out = Recorder()
+        s.write_text(out)
+        text = s.to_text()
+        assert "".join(out.writes) == text + "\n", name
+        assert text == reference_text(s), name
+        # full chunks of term lines, the last one excepted; the first also
+        # holds the header, and a zero series writes its "0" line
+        count = sum(map(len, s.slices))
+        sizes = [min(chunk, count - i) for i in range(0, count, chunk)] or [1]
+        sizes[0] += 1
+        assert [w.count("\n") for w in out.writes] == sizes, name
+        # the tuple names of the same decoder
+        terms = slice_terms(s)
+        assert s.terms == terms, name
+        for d, part in enumerate(s.slices):
+            assert s._fractions([d]) == {
+                e: c for e, c in terms.items() if sum(e) == d}, name
+            keys = list(part)[::3]
+            assert s._fractions([d], keys) == {
+                s._exponents(key): terms[s._exponents(key)]
+                for key in keys}, name
+
+
+def test_repr_shows_four_lines_without_the_whole_text(monkeypatch):
+    def old_repr(s):
+        lines = s.to_text().splitlines()[1:]
+        extra = "" if len(lines) <= 4 else f" (+{len(lines) - 4} terms)"
+        return f"FormalSeries<{' + '.join(lines[:4])}{extra}>"
+
+    cases = writer_cases()
+    cases["three terms"] = S(2, 5, {(0, 0): 4, (1, 0): 5, (1, 1): 3})
+    cases["four terms"] = S(2, 5, {(0, 0): 4, (1, 0): 5, (1, 1): 3,
+                                   (0, 2): Fraction(-1, 2)})
+    cases["homogeneous"] = HomogeneousPolynomial(
+        2, 5, {(1, 1): Fraction(1, 3), (2, 0): 2}, degree=2)
+    expected = {name: old_repr(s) for name, s in cases.items()}
+    assert expected["zero cap 3"] == "FormalSeries<0>"
+    assert expected["4097 terms, constant=True"].endswith(" (+4094 terms)>")
+
+    def whole_text(self):
+        raise AssertionError("__repr__ wrote the whole text")
+
+    monkeypatch.setattr(FormalSeries, "to_text", whole_text)
+    assert {name: repr(s) for name, s in cases.items()} == expected
+
+
 def test_first_difference_matches_the_reference(monkeypatch):
     rng = random.Random(141)
     checked = differ = 0
