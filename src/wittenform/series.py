@@ -30,6 +30,9 @@ _HEADER_RE = re.compile(r"^series vars=(\d+) cap=(\d+)$")
 
 # term lines per `FormalSeries.write_text` chunk
 _CHUNK_LINES = 4096
+# the most `_Labels` misses that one read nests, each decoding one field;
+# a key of more fields is read into its table that many fields at a time
+_DEPTH = 128
 
 
 def _as_fraction(x) -> Fraction:
@@ -63,7 +66,9 @@ class FormalSeries:
     and never kept. The canonical text is made in chunks of at most
     `_CHUNK_LINES` (4,096) term lines: `write_text` writes them one by one,
     so a large series is never held as text at once, and `to_text` joins
-    them into one string.
+    them into one string. Both the text and `terms` decode a key by its
+    two halves, each read from a `_Labels` table (see `_halves`) that
+    fills itself one field per entry.
     """
 
     __slots__ = ("num_vars", "degree_cap", "slices", "weight", "den")
@@ -286,15 +291,15 @@ class FormalSeries:
     def _halves(self, labels):
         """(high, low, split, low mask): a key's high half key >> split
         holds entries 0..n/2 - 1, its low half the rest. Each half is read
-        from its own `_Parts` table, which reads it as two quarters; one
-        decoder serves the text (`labels`) and `_fractions`."""
+        from a `_Labels` table of its own, which fills itself one field per
+        entry; one decoder serves the text (`labels`) and `_fractions`."""
         n, cap = self.num_vars, self.degree_cap
         width = _layout(n, cap)[1].bit_length()
         fact = [factorial(e) for e in range(cap)]
         h = n // 2
         split = width * (n - h)
-        return (_Parts(h, 0, width, fact, labels),
-                _Parts(n - h, h, width, fact, labels),
+        return (_Labels(h, 0, width, fact, labels),
+                _Labels(n - h, h, width, fact, labels),
                 split, (1 << split) - 1)
 
     def _fractions(self, degrees, keys=None) -> dict[Exponents, Fraction]:
@@ -332,7 +337,9 @@ class FormalSeries:
         chunks of at most `_CHUNK_LINES` term lines; the first chunk starts
         with the header. Each degree's keys are sorted (ascending packed
         keys of one degree are in lex order) and cut into the pieces that
-        fill the chunks, so the loop over a piece's lines tests nothing."""
+        fill the chunks, so the loop over a piece's lines tests nothing but
+        whether its high half changed: keys of one high half are adjacent
+        in that order, so the high table is read once per run of them."""
         header = f"series vars={self.num_vars} cap={self.degree_cap}\n"
         if self.is_zero():
             yield header + "0\n"
@@ -340,13 +347,16 @@ class FormalSeries:
         high, low, split, low_mask = self._halves(True)
         weight, den = self.weight, self.den
         lines, room = [header], _CHUNK_LINES
+        last = None
         for part in self.slices:
             keys = sorted(part)
             start = 0
             while start < len(keys):
                 piece = keys[start:start + room]
                 for key in piece:
-                    la, fa = high[key >> split]
+                    if key >> split != last:
+                        last = key >> split
+                        la, fa = high[last]
                     lb, fb = low[key & low_mask]
                     num, q = part[key] * weight, fa * fb * den
                     g = gcd(num, q)
@@ -673,55 +683,39 @@ def _pack(n, cap, terms):
     return slices, den
 
 
-class _Parts(dict):
+class _Labels(dict):
     """Packed half-key -> (name, e!) of `count` entries from `first` on, in
     the layout of `_layout` with fields of `width` bits. The name is the
     exponent tuple, or with `labels` monomial_label's text with a leading
-    space ("" for no factor). A half-key is read as two quarters, each from
-    a `_Quarter` table of its own, so every distinct quarter is decoded
-    once; the half's name is their names joined by `+`."""
+    space ("" for no factor). The table fills itself: key 0 is seeded, and
+    a miss decodes only the key's top field (its top set bit, by
+    bit_length, names the field of the lowest entry) and reads the rest of
+    the key from the same table, so each entry costs one field."""
 
     def __init__(self, count, first, width, fact, labels):
-        super().__init__()
-        h = count // 2
-        self.split = width * (count - h)
-        self.low_mask = (1 << self.split) - 1
-        self.high = _Quarter(h, first, width, fact, labels)
-        self.low = _Quarter(count - h, first + h, width, fact, labels)
-
-    def __missing__(self, part):
-        na, fa = self.high[part >> self.split]
-        nb, fb = self.low[part & self.low_mask]
-        value = self[part] = na + nb, fa * fb
-        return value
-
-
-class _Quarter(dict):
-    """Packed quarter-key -> (name, e!), as in `_Parts`. A miss decodes
-    only the key's nonzero fields, highest first: the top set bit
-    (bit_length) names the field of the lowest entry left."""
-
-    def __init__(self, count, first, width, fact, labels):
-        super().__init__()
+        super().__init__({0: ("" if labels else (0,) * count, 1)})
         self.count, self.width, self.fact = count, width, fact
         self.labels = labels
         # " h<i>^" of each field, counted from the low end
         self.names = [f" h{first + count - field}^" for field in range(count)]
 
-    def __missing__(self, part):
-        width, fact, names = self.width, self.fact, self.names
-        exps = [0] * self.count
-        f, label, rest = 1, "", part
-        while rest:
-            field = (rest.bit_length() - 1) // width
-            shift = field * width
-            e = rest >> shift
-            rest ^= e << shift
-            exps[-1 - field] = e
-            f *= fact[e]
-            label += f"{names[field]}{e}"
-        # by the flag: a quarter of no field has no names and the label ""
-        value = self[part] = label if self.labels else tuple(exps), f
+    def __missing__(self, key):
+        field = (key.bit_length() - 1) // self.width
+        shift = field * self.width
+        e = key >> shift
+        rest = key ^ e << shift
+        if field > _DEPTH:
+            # read the rest's low fields first, _DEPTH at a time, so that
+            # no miss waits on more than _DEPTH others
+            for top in range(_DEPTH, field, _DEPTH):
+                self[rest & (1 << top * self.width) - 1]
+        name, f = self[rest]
+        if self.labels:
+            name = f"{self.names[field]}{e}{name}"
+        else:
+            i = self.count - 1 - field
+            name = (*name[:i], e, *name[i + 1:])
+        value = self[key] = name, f * self.fact[e]
         return value
 
 

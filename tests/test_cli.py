@@ -99,11 +99,13 @@ def test_witten_output_that_cannot_be_written_exits_2(capsys, tmp_path,
 def witten_golden_cases(tmp_path):
     """The witten runs pinned in witten_golden.json: name -> argv. Each
     bundled synthetic at cap 10 with w = 0 and w = w2, synthetic_05 at cap
-    12, K3 at caps 6, 8 and 10, E(4) at caps 8 and 10, E(6) and E(8)
-    (ranks 70 and 94) at cap 8, and two --compare runs of synthetic_05 at
-    cap 10 against km files written here: the witten-consistent data, and
-    the same data with 1/3 moved from the second class's coefficient to
-    the first (degree 0 still agrees)."""
+    12, K3 at caps 6, 8 and 10, E(4) at caps 6, 8 and 10, E(4) at cap 6
+    with w = e2 (the partner of the fiber F in the first H, so w.F = 1 and
+    the classes' relative signs flip: 2,387 terms against w = 0's 69),
+    E(6) and E(8) (ranks 70 and 94) at cap 8, and two --compare runs of
+    synthetic_05 at cap 10 against km files written here: the
+    witten-consistent data, and the same data with 1/3 moved from the
+    second class's coefficient to the first (degree 0 still agrees)."""
     cases = {}
     for name in list_bundled():
         if name.startswith("synthetic_"):
@@ -118,8 +120,10 @@ def witten_golden_cases(tmp_path):
         cases[f"k3_cap{cap}_w0"] = ["--degree", str(cap), "witten", K3_PATH]
     e4 = tmp_path / "e4.manifold"
     e4.write_text(manifold_to_text(elliptic_manifold(4)))
-    for cap in (8, 10):
+    for cap in (6, 8, 10):
         cases[f"e4_cap{cap}_w0"] = ["--degree", str(cap), "witten", str(e4)]
+    e2 = ",".join("1" if i == 1 else "0" for i in range(46))
+    cases["e4_cap6_we2"] = ["--degree", "6", "witten", str(e4), "--w", e2]
     for n in (6, 8):
         path = tmp_path / f"e{n}.manifold"
         path.write_text(manifold_to_text(elliptic_manifold(n)))

@@ -957,13 +957,14 @@ def test_packed_key_order_is_lex_order():
 
 
 # ---------------------------------------------------------------------------
-# the text and the comparison against references that read `terms` (exponent
-# tuples and Fractions), independent of the integer slices that the
-# library's readers take
+# the text and the comparison against references that share no code path
+# with the library's readers: `reference_text` reads the slices key by key
+# with `_exponents` (no decoder table), `reference_first_difference` reads
+# `terms` (exponent tuples and Fractions)
 
 def reference_text(s):
     lines = [f"series vars={s.num_vars} cap={s.degree_cap}"]
-    for exps, coeff in sorted(s.terms.items(),
+    for exps, coeff in sorted(slice_terms(s).items(),
                               key=lambda item: (sum(item[0]), item[0])):
         factors = monomial_label(exps)
         lines.append(f"{coeff} * {factors}" if factors else f"{coeff}")
@@ -1103,8 +1104,8 @@ def one_degree_series(count, constant):
 
 def writer_cases():
     """name -> series: zero and constant series, fractional weights and
-    dens, kernel sums on forms of rank 1, 2, 3 and 5 (below rank 4 a half
-    holds a quarter of no field), one degree of 4,095-4,097 terms around
+    dens, kernel sums on forms of rank 1, 2, 3 and 5 (at rank 1 the high
+    half holds no field), one degree of 4,095-4,097 terms around
     the chunk size, and K3's witten series at cap 8."""
     rng = random.Random(2027)
     cases = {"zero cap 0": FormalSeries.zero(2, 0),
@@ -1154,6 +1155,65 @@ def test_write_text_writes_the_text_in_bounded_chunks():
             assert s._fractions([d], keys) == {
                 s._exponents(key): terms[s._exponents(key)]
                 for key in keys}, name
+
+
+class CountingLabels(series._Labels):
+    """A decoder table that counts its misses."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.misses = 0
+
+    def __missing__(self, key):
+        self.misses += 1
+        return super().__missing__(key)
+
+
+def check_labels(count, first, cap, exponent_rows):
+    """Read each row's packed key from fresh text and tuple tables of
+    `count` fields from entry `first` on, at this cap, against the row."""
+    width = max(cap - 1, 1).bit_length()
+    fact = [factorial(e) for e in range(cap)]
+    text = CountingLabels(count, first, width, fact, True)
+    tuples = CountingLabels(count, first, width, fact, False)
+    for exps in exponent_rows:
+        key = sum(e << width * (count - 1 - i) for i, e in enumerate(exps))
+        label = "".join(f" h{first + i + 1}^{e}"
+                        for i, e in enumerate(exps) if e)
+        f = prod(map(factorial, exps))
+        assert text[key] == (label, f), (count, cap, exps)
+        assert tuples[key] == (tuple(exps), f), (count, cap, exps)
+    # each miss decodes one field and adds one entry to the seeded key 0
+    for table in (text, tuples):
+        assert table.misses == len(table) - 1, (count, cap)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 5, 8, 9, 16])
+def test_labels_decode_one_field_per_entry(cap):
+    # fields 1-4 bits wide (caps 2, 3-4, 5-8, 9-16); random keys, key 0,
+    # and keys whose top field holds cap - 1, the top of the field's range
+    rng = random.Random(2800 + cap)
+    for count in (0, 1, 2, 11, 23):
+        first = rng.randrange(40)
+        rows = [[0] * count]
+        rows += [[rng.randrange(cap) if rng.random() < 0.6 else 0
+                  for _ in range(count)] for _ in range(60)]
+        if count:
+            rows += [[cap - 1] + row[1:] for row in rows[:20]]
+        check_labels(count, first, cap, rows)
+
+
+def test_labels_decode_a_key_of_a_thousand_fields():
+    # an entry per field, each read from the rest of its key: keys of
+    # 1,000 nonzero fields, as many as in each half of h1 h2 ... h2000,
+    # still decode (read into the table a bounded number of fields at a
+    # time), in the table and through the series
+    for cap, exps in ((2, [1] * 1000), (4, [1 + i % 3 for i in range(1000)])):
+        check_labels(len(exps), 0, cap, [exps, exps[:-1] + [0]])
+    exps = (1,) * 2000
+    s = FormalSeries(2000, 2001, {exps: Fraction(-1, 3)})
+    assert s.to_text() == reference_text(s)
+    assert s.terms == {exps: Fraction(-1, 3)}
 
 
 def test_repr_shows_four_lines_without_the_whole_text(monkeypatch):
