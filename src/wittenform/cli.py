@@ -92,8 +92,6 @@ def cmd_witten(args) -> int:
     if len(km.w) != m.rank:
         raise LoadError(f"{args.compare}: w has wrong rank")
     for _, k in km.terms:
-        if len(k) != m.rank:
-            raise LoadError(f"{args.compare}: class {k} has wrong rank")
         if not m.form.is_characteristic(k):
             raise LoadError(f"{args.compare}: class {_fmt_vec(k)} is not "
                             "characteristic for this form")

@@ -396,14 +396,20 @@ def check_delta_m(delta: int, m: int) -> None:
         raise ValueError(f"need 0 <= m <= delta/2, got delta={delta}, m={m}")
 
 
+def point_scale(d: int, m: int) -> Fraction:
+    """2^m d!/2, the x -> 2 convention's factor from a series' degree-d
+    part to the point value D(h^d x^m)."""
+    return Fraction(2 ** m * factorial(d), 2)
+
+
 def point_evaluate(km: KMData, form: IntersectionForm, delta: int,
                    m: int) -> HomogeneousPolynomial:
-    """Point value D(h^(delta-2m) x^m) as a polynomial in h, under the
-    x -> 2 convention: 2^m * (d!/2) * (degree-d part of the series), with
-    the factor folded into the basic-class coefficients."""
+    """Point value D(h^(delta-2m) x^m) as a polynomial in h: `point_scale`
+    times the degree-d part of the series, d = delta - 2m, with the factor
+    folded into the basic-class coefficients."""
     check_delta_m(delta, m)
     d = delta - 2 * m
-    scale = Fraction(2 ** m * factorial(d), 2)
+    scale = point_scale(d, m)
     scaled = KMData(km.w, tuple((scale * a, k) for a, k in km.terms))
     return km_series(scaled, form, d + 1).homogeneous_part(d)
 

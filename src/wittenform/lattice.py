@@ -1,11 +1,12 @@
 """Exact arithmetic on integral unimodular intersection lattices.
 
 Vectors are plain tuples of Python ints in the coordinates of the form's
-basis. A form keeps its Gram as sparse rows, each row's nonzero (j, G_ij)
-(`SparseRows`), and everything that reads the Gram when a form is built
-or paired reads those: the symmetry check, the split into orthogonal
-blocks, the signature check, G.v and u.G.v. So a form like E(n) = (2n-1)H
-+ n(-E8), almost all zeros, costs its nonzero entries there, not rank^2.
+basis. A form keeps its Gram as sparse rows, each row's nonzero (j, G_ij),
+the one Gram format of every helper; everything that reads the Gram when
+a form is built or paired reads those: the symmetry check, the split into
+orthogonal blocks, the signature check, G.v and u.G.v. So a form like E(n)
+= (2n-1)H + n(-E8), almost all zeros, costs its nonzero entries there,
+not rank^2. A sublattice's induced form is an `IntersectionForm` too.
 All arithmetic is exact and in ints; signatures and determinants are
 computed by fraction-free (Bareiss) elimination, once per distinct
 orthogonal block of the Gram (copies of one block share the result),
@@ -75,23 +76,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-class SparseRows(tuple):
-    """A Gram matrix as its rows' nonzero entries: row i is the tuple of
-    the (j, G_ij) with G_ij != 0, j ascending, each G_ij an int."""
-
-    __slots__ = ()
-
-
-def _sparse(gram) -> SparseRows:
-    """`gram`, dense rows of numbers, as its SparseRows (each entry made an
-    int, zeros dropped); a SparseRows is returned as it is. Each row's
-    nonzero places are found by `compress`, so only they cost a call of
-    int."""
-    if isinstance(gram, SparseRows):
-        return gram
+def _sparse(gram: Sequence[Sequence[int]]) -> tuple[tuple, ...]:
+    """`gram`, dense rows of numbers, as sparse rows: row i holds the
+    (j, G_ij) with G_ij != 0, j ascending, each made an int (only its
+    nonzero places, found by `compress`, cost a call of int). Only
+    `IntersectionForm` converts a Gram; every helper takes sparse rows."""
     indices = range(len(gram))
-    return SparseRows([tuple([(j, g) for j in itertools.compress(indices, row)
-                              if (g := int(row[j]))]) for row in gram])
+    return tuple([tuple([(j, g) for j in itertools.compress(indices, row)
+                         if (g := int(row[j]))]) for row in gram])
 
 
 class IntersectionForm:
@@ -202,10 +194,9 @@ class IntersectionForm:
         return self._signature
 
 
-def _gram_times(gram, v) -> Vector:
-    """G.v for a symmetric G (dense or SparseRows): the sum of G's sparse
-    rows where v is nonzero."""
-    rows = _sparse(gram)
+def _gram_times(rows, v) -> Vector:
+    """G.v for a symmetric G given by its sparse rows: the sum of the rows
+    where v is nonzero."""
     out = [0] * len(rows)
     for i in itertools.compress(range(len(v)), v):
         vi = v[i]
@@ -214,26 +205,24 @@ def _gram_times(gram, v) -> Vector:
     return tuple(out)
 
 
-def _gram_pairing(gram, u, v) -> int:
-    """u.G.v (G dense or SparseRows), walking only the sparse rows where u
-    is nonzero."""
-    rows = _sparse(gram)
+def _gram_pairing(rows, u, v) -> int:
+    """u.G.v, G given by its sparse rows, walking only the rows where u is
+    nonzero."""
     total = 0
     for i in itertools.compress(range(len(u)), u):
         total += u[i] * sum([g * v[j] for j, g in rows[i]])
     return total
 
 
-def _diagonalize(gram, blocks) -> tuple[int, tuple[int, int, int]]:
-    """(det, (sigma, b_plus, b_minus)) of the Gram (dense or SparseRows) by
-    fraction-free symmetric elimination (`_eliminate`) on each of
+def _diagonalize(rows, blocks) -> tuple[int, tuple[int, int, int]]:
+    """(det, (sigma, b_plus, b_minus)) of the Gram given by its sparse rows
+    by fraction-free symmetric elimination (`_eliminate`) on each of
     `blocks`, its orthogonal blocks as `gram_components` gives them (a
     form's own `blocks`). A block is keyed by its sparse rows with every
     index shifted by the block's least one: blocks of one key are
     translates with the same Gram, so each distinct block is eliminated
     once and its copies read that (det, b_plus, b_minus). E(n) =
     (2n-1)H + n(-E8) runs two eliminations."""
-    rows = _sparse(gram)
     done = {}       # shifted sparse rows of a block -> (det, pos, neg)
     det = 1
     pos = neg = 0
@@ -252,7 +241,7 @@ def _diagonalize(gram, blocks) -> tuple[int, tuple[int, int, int]]:
 
 def _eliminate(rows, block) -> tuple[int, int, int]:
     """(det, b_plus, b_minus) of the Gram on `block`, G's entries among
-    the block's indices (from its SparseRows `rows`), by fraction-free
+    the block's indices (from its sparse rows `rows`), by fraction-free
     symmetric (Bareiss) elimination.
     After pivot piv, each entry below and right of it is
     (piv a[j][c] - a[i][j] a[i][c]) / prev, a bordered minor of the pivots
@@ -357,14 +346,13 @@ def direct_sum(*forms: IntersectionForm) -> IntersectionForm:
     return IntersectionForm(gram)
 
 
-def gram_components(gram: Sequence[Sequence[int]]) -> list[list[int]]:
+def gram_components(rows) -> list[list[int]]:
     """The connected components of the Gram graph (i ~ j when G_ij != 0,
     i != j), each as its ascending basis indices, in order of their least
     index: the finest split of the basis into mutually orthogonal blocks,
     so the form is the direct sum of the blocks' Gram matrices. An index
-    that pairs with no other is a block of its own. `gram` is dense or
-    SparseRows; the walk reads the sparse rows."""
-    rows = _sparse(gram)
+    that pairs with no other is a block of its own. The walk reads the
+    Gram's sparse rows `rows`."""
     seen = [False] * len(rows)
     blocks = []
     for start in range(len(rows)):
@@ -450,13 +438,16 @@ class Sublattice:
 
     def induced_gram(self) -> tuple[tuple[int, ...], ...]:
         """The Gram matrix of the basis, computed once per sublattice."""
-        return self._gram
+        return self.form.gram
 
     @cached_property
-    def _gram(self) -> tuple[tuple[int, ...], ...]:
+    def form(self) -> IntersectionForm:
+        """The induced form on the basis, built once per sublattice; it
+        need not be unimodular, and it caches its own signature."""
         duals = [_gram_times(self.parent.sparse_rows, b) for b in self.basis]
-        return tuple(tuple(sum(map(mul, d, b)) for b in self.basis)
-                     for d in duals)
+        return IntersectionForm(
+            [[sum(map(mul, d, b)) for b in self.basis] for d in duals],
+            require_unimodular=False)
 
     @cached_property
     def _definite_sign(self) -> int:
@@ -464,15 +455,14 @@ class Sublattice:
         else 0. A definite form has diagonal entries of one strict sign,
         which settles most indefinite forms without diagonalizing; a
         degenerate form is never definite."""
-        gram = self._gram
-        if all(row[i] > 0 for i, row in enumerate(gram)):
+        diagonal = self.form._diagonal
+        if all(g > 0 for g in diagonal):
             sign = 1
-        elif all(row[i] < 0 for i, row in enumerate(gram)):
+        elif all(g < 0 for g in diagonal):
             sign = -1
         else:
             return 0
-        rows = _sparse(gram)
-        _, (_, pos, neg) = _diagonalize(rows, gram_components(rows))
+        _, pos, neg = self.form.signature_decomposition()
         return sign if (pos if sign > 0 else neg) == self.rank else 0
 
     def to_parent(self, coords: Sequence[int]) -> Vector:
@@ -650,7 +640,7 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     if square_left is None and pair_left is None:
         return vector, witness
     isotropic: list[tuple[Vector, Vector]] = []  # (u, G.u)
-    rows = _sparse(gram)
+    rows = sub.form.sparse_rows
     for v, q in _scored_vectors(gram, bound):
         if square_left is not None:
             if square_left < 1:

@@ -15,13 +15,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb, factorial, gcd, lcm, prod
-from operator import lshift
+from operator import lshift, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, TruncationError
-from .lattice import IntersectionForm, _sparse
+from .lattice import IntersectionForm
 
 Exponents = tuple[int, ...]
 
@@ -295,7 +295,7 @@ class FormalSeries:
         entry; one decoder serves the text (`labels`) and `_fractions`."""
         n, cap = self.num_vars, self.degree_cap
         width = _layout(n, cap)[1].bit_length()
-        fact = [factorial(e) for e in range(cap)]
+        fact = _factorials(cap)
         h = n // 2
         split = width * (n - h)
         return (_Labels(h, 0, width, fact, labels),
@@ -657,6 +657,11 @@ def _layout(n: int, cap: int) -> tuple[list[int], int]:
     return [width * (n - 1 - i) for i in range(n)], (1 << width) - 1
 
 
+def _factorials(cap):
+    """[0!, 1!, ..., (cap - 1)!], by a running product."""
+    return list(accumulate(range(1, cap), mul, initial=1))[:cap]
+
+
 def _rekey(n, old_cap, cap, slices):
     """`slices`, keyed in the layout of old_cap, in the layout of cap: the
     same list when the two layouts agree."""
@@ -674,7 +679,7 @@ def _pack(n, cap, terms):
     Fraction, degree < cap), F(e) = e! den c_e with den the lcm of their
     denominators."""
     shifts, _ = _layout(n, cap)
-    fact = [factorial(e) for e in range(cap)].__getitem__
+    fact = _factorials(cap).__getitem__
     den = lcm(*{c.denominator for c in terms.values()})
     slices = [{} for _ in range(cap)]
     for e, c in terms.items():
@@ -811,17 +816,17 @@ def _block_product(factors, degrees):
     return acc
 
 
-def _slice_stream(layout, block, d, gram=None):
-    """F at degree 0, 1, ... of exp(<K, h>) (with `gram`, of
+def _slice_stream(layout, block, d, rows=None):
+    """F at degree 0, 1, ... of exp(<K, h>) (with `rows`, of
     exp(Q(h, h)/2 + <K, h>)), G K = d, in the variables of `block`
     (ascending) alone (see gaussian_sum), one at a time, each a dict packed
     key -> int F != 0 in `layout` (see `_layout`) in ascending key order,
     endlessly: the caller takes as many degrees as it needs. `block` is a
     union of G's orthogonal blocks (one of them, or the whole basis), so
-    every nonzero G_ij of its rows has j in it. `gram` is dense or
-    SparseRows (a form's `sparse_rows`); the step tables read only the
-    sparse rows of the block, so the blocks of one form build them in
-    O(its nonzero entries).
+    every nonzero G_ij of its rows has j in it. `rows` is G's sparse rows
+    (a form's `sparse_rows`); the step tables read only the rows of the
+    block, so the blocks of one form build them in O(its nonzero
+    entries).
 
     A monomial t is reached from its lowest index i with t_i > 0 only:
         F(t) = d_i F(t - u_i) + sum_{j >= i} G_ij (f_j + 1) F(f),
@@ -840,8 +845,7 @@ def _slice_stream(layout, block, d, gram=None):
     lin = [((1 << shifts[i] + width,), 1 << shifts[i], d[i])
            for i in order if d[i]]
     quad = []
-    if gram is not None:
-        rows = _sparse(gram)
+    if rows is not None:
         quad = [((pi << width,), row) for i in order for pi in [1 << shifts[i]]
                 for row in [[(g, pi + (1 << shifts[j]), shifts[j])
                              for j, g in rows[i] if j >= i]] if row]

@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, InadmissibleDeltaError
 from .invariants import (KMData, ManifoldData, _signs, check_delta_m,
-                         point_evaluate)
+                         point_evaluate, point_scale)
 from .lattice import Vector, as_vector, vec_sub
 from .linsolve import LinearSystem
 from .monopole_levels import delta_admissible, leveled_entries
@@ -330,7 +330,7 @@ def _assemble_ring_rhs(obs: "Observation") -> Optional[AssembledRhs]:
         lambda a, b, i: _ring_mul(a, b).items())
     # 2^m d!/2 sum_r c_r sum_i (q/2)^i/i! <K_r,h>^(d-2i)/(d-2i)!
     d = obs.delta - 2 * obs.m
-    scale = Fraction(2 ** obs.m * factorial(d), 2)
+    scale = point_scale(d, obs.m)
     observed = {}
     for (a, k), sign in zip(km.terms, _signs(m.form, km.w, classes)):
         kpow = powers_of(k)

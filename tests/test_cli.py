@@ -312,7 +312,14 @@ def test_witten_compare_zero_denominator_exits_2(capsys, tmp_path):
      "unexpected bare row in [km]"),
     ("[km]\nw = {z}\n\n[term]\na = 1\nk = {z}\n5 5\n", 7,
      "unexpected bare row in [term]"),
-], ids=["second km", "row in km", "row in term"])
+    ("[km]\nw = {z}\n\n[term]\na = 1\nk = {z}\n\n[extra]\n", 8,
+     "unknown section [extra]"),
+    ("[term]\na = 1\nk = {z}\n", None, "missing [km] section"),
+    # parse_km names the [term] line of a class shorter than w
+    ("[km]\nw = {z}\n\n[term]\na = 1\nk = 0 0\n", 4,
+     "k length does not match w length"),
+], ids=["second km", "row in km", "row in term", "unknown section", "no km",
+        "short class"])
 def test_witten_compare_km_file_structure_exits_2(capsys, tmp_path, text,
                                                   line, message):
     km_path = tmp_path / "bad.km"
@@ -320,7 +327,24 @@ def test_witten_compare_km_file_structure_exits_2(capsys, tmp_path, text,
     code, out, err = run_cli(capsys, "--degree", "4", "witten", K3_PATH,
                              "--compare", str(km_path))
     assert (code, out) == (2, "")
-    assert err == f"error: {km_path}:{line}: {message}\n"
+    where = f"{km_path}:{line}:" if line else f"{km_path}:"
+    assert err == f"error: {where} {message}\n"
+
+
+@pytest.mark.parametrize("w, k, message", [
+    ("0 " * 21, "0 " * 21, "w has wrong rank"),
+    # K3 is even, and G e1 = e2 is odd at index 1
+    ("0 " * 22, "1 " + "0 " * 21,
+     "class 1" + ",0" * 21 + " is not characteristic for this form"),
+], ids=["w of rank 21", "non-characteristic class"])
+def test_witten_compare_km_that_misfits_the_form_exits_2(capsys, tmp_path, w,
+                                                         k, message):
+    km_path = tmp_path / "bad.km"
+    km_path.write_text(f"[km]\nw = {w}\n\n[term]\na = 1\nk = {k}\n")
+    code, out, err = run_cli(capsys, "--degree", "4", "witten", K3_PATH,
+                             "--compare", str(km_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {km_path}: {message}\n"
 
 
 def test_witten_compare_inclusive_flag(capsys, tmp_path):
@@ -388,6 +412,22 @@ def test_hypotheses_small_budget_unknown(capsys):
     assert code == 0
     assert "status=unknown-bounded" in out
     assert "overall=unknown-bounded" in out
+
+
+def test_hypotheses_with_a_supplied_lambda(capsys):
+    # the class that the search finds, supplied: the same report, but
+    # lambda_exists says where lambda came from
+    code, searched, _ = run_cli(capsys, "hypotheses", K3_PATH,
+                                "--variant", "level0")
+    assert code == 0
+    lam = "0,0,0,0,0,0,1,0,-1" + ",0" * 13
+    assert f"witness lambda={lam}\n" in searched
+    code, out, err = run_cli(capsys, "hypotheses", K3_PATH,
+                             "--variant", "level0", "--lambda", lam)
+    assert (code, err) == (0, "")
+    assert "hypothesis=lambda_exists status=pass detail=supplied\n" in out
+    assert out == searched.replace("lambda_exists status=pass detail=searched",
+                                   "lambda_exists status=pass detail=supplied")
 
 
 def test_hypotheses_negative_budget_exit_2(capsys):
@@ -577,6 +617,66 @@ def test_load_error_exit_2_with_line(capsys, tmp_path):
     assert "bad.manifold:3" in err
 
 
+# a rank-4 manifold, diag(1, 1, 1, -1): line 1 is [manifold], 6 its
+# sw_simple_type, 8 [form], 10-13 the Gram rows, 15 [w2], 18 [spinc], 19 c1
+TINY = ("[manifold]\nname = tiny\nchi = 6\nsigma = 2\nb_plus = 3\n"
+        "sw_simple_type = true\n\n[form]\nrank = 4\n1 0 0 0\n0 1 0 0\n"
+        "0 0 1 0\n0 0 0 -1\n\n[w2]\n1 1 1 1\n\n[spinc]\nc1 = 1 1 1 1\n"
+        "sw = 1\n")
+
+
+@pytest.mark.parametrize("old, new, line, message", [
+    ("[manifold]\n", "stray\n[manifold]\n", 1,
+     "content before any section: 'stray'"),
+    ("name = tiny\n", "", 1, "missing key 'name' in [manifold]"),
+    ("0 1 0 0\n", "0 1 0\n", 11, "gram row has 3 entries, expected 4"),
+    ("= true", "= maybe", 6, "bad boolean for sw_simple_type: 'maybe'"),
+    ("sw = 1\n", "sw = 1\n\n[manifold]\nname = again\n", 22,
+     "duplicate [manifold] section"),
+    ("sw = 1\n", "sw = 1\n\n[form]\nrank = 4\n", 22,
+     "duplicate [form] section"),
+    ("sw = 1\n", "sw = 1\n\n[w2]\n1 1 1 1\n", 22, "duplicate [w2] section"),
+    ("1 1 1 1\n\n", "1 1 1 1\n0 0 0 0\n\n", 15,
+     "[w2] must hold exactly one bit row"),
+    ("sw = 1\n", "sw = 1\n\n[extra]\n", 22, "unknown section [extra]"),
+    (TINY[:TINY.index("[form]")], "", None, "missing [manifold] section"),
+    ("[w2]\n1 1 1 1\n", "", None, "missing [w2] section"),
+    ("c1 = 1 1 1 1", "c1 = 1 1 1", 19, "c1 has 3 entries, expected rank = 4"),
+    ("sigma = 2", "sigma = 0", 1, "form signature 2 != declared sigma 0"),
+    ("b_plus = 3", "b_plus = 5", 1, "form b_plus 3 != declared b_plus 5"),
+], ids=["content before sections", "missing key", "short gram row",
+        "bad boolean", "second manifold", "second form", "second w2",
+        "two-row w2", "unknown section", "no manifold", "no w2", "short c1",
+        "sigma contradicted", "b_plus contradicted"])
+def test_manifold_file_exits_2_with_line(capsys, tmp_path, old, new, line,
+                                         message):
+    path = tmp_path / "bad.manifold"
+    assert old in TINY
+    path.write_text(TINY.replace(old, new, 1))
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert (code, out) == (2, "")
+    where = f"{path}:{line}:" if line else f"{path}:"
+    assert err == f"error: {where} {message}\n"
+
+
+@pytest.mark.parametrize("simple_type, c1, warning", [
+    # an entry of positive expected dimension contradicts simple type
+    ("true", "5 1 1 1", "warning entry c1=5,1,1,1 has sw=1 but expected "
+                        "dimension 2; inconsistent with simple type\n"),
+    # without simple type there is nothing to contradict
+    ("false", "5 1 1 1", ""),
+])
+def test_info_warns_of_positive_dimension_under_simple_type(
+        capsys, tmp_path, simple_type, c1, warning):
+    path = tmp_path / "tiny.manifold"
+    path.write_text(TINY.replace("= true", f"= {simple_type}")
+                    .replace("c1 = 1 1 1 1", f"c1 = {c1}"))
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert (code, err) == (0, warning)
+    assert f"sw_simple_type={simple_type} (asserted)\n" in out
+    assert "spinc c1=5,1,1,1 sw=1 characteristic=true expected_dim=2\n" in out
+
+
 def test_missing_file_exit_2(capsys):
     code, out, err = run_cli(capsys, "info", "no-such-file.manifold")
     assert code == 2
@@ -648,7 +748,8 @@ def test_fit_bad_file_exits_2_with_line(capsys, tmp_path, mm, lhs):
     ("", "\n[fit]\ndelta = 6\nm = 0\n", 11, "duplicate [fit] section"),
     ("7\n", "", 4, "unexpected bare row in [fit]"),
     ("", "1 2\n", 10, "unexpected bare row in [observation]"),
-], ids=["second fit", "row in fit", "row in observation"])
+    ("", "\n[extra]\n", 11, "unknown section [extra]"),
+], ids=["second fit", "row in fit", "row in observation", "unknown section"])
 def test_fit_file_structure_exits_2_with_line(capsys, tmp_path, head, tail,
                                              line, message):
     (tmp_path / "s1.manifold").write_text(
@@ -662,3 +763,16 @@ def test_fit_file_structure_exits_2_with_line(capsys, tmp_path, head, tail,
     code, out, err = run_cli(capsys, "fit", str(obs))
     assert (code, out) == (2, "")
     assert err == f"error: {obs}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# no section\n", "missing [fit] section"),
+    ("[fit]\ndelta = 4\nm = 0\n", "no [observation] sections"),
+], ids=["no fit", "no observation"])
+def test_fit_file_without_its_sections_exits_2(capsys, tmp_path, text,
+                                               message):
+    obs = tmp_path / "obs.fit"
+    obs.write_text(text)
+    code, out, err = run_cli(capsys, "fit", str(obs))
+    assert (code, out) == (2, "")
+    assert err == f"error: {obs}: {message}\n"

@@ -5,10 +5,10 @@ from math import prod
 
 import pytest
 
-from wittenform import lattice
+from wittenform import invariants, lattice
 from wittenform.cli import main
 from wittenform.corpus import (bundled_path, elliptic_manifold, k3_form,
-                               load_bundled)
+                               list_bundled, load_bundled)
 from wittenform.errors import DimensionMismatch, UnimodularityError
 from wittenform.lattice import (IntersectionForm, Sublattice, bounded_vectors,
                                 characteristic_base, congruent_mod2,
@@ -308,19 +308,31 @@ def test_diagonalization_of_block_sums_matches_the_oracles():
         rng.shuffle(where)
         gram = [[g[i][j] if b == c else 0 for c, j, _ in where]
                 for b, i, g in where]
-        det, signature = lattice._diagonalize(gram, gram_components(gram))
+        det, signature = diagonalize(gram)
         assert type(det) is int
         assert det == prod(oracle[p][0] for p in picks), gram
         assert signature == tuple(map(sum, zip(*(oracle[p][1] for p in picks),
                                                (0, 0, 0)))), gram
         singular += det == 0
     assert 50 <= singular <= 250
-    assert lattice._diagonalize(special[-1],
-                                gram_components(special[-1])) == (
-        0, (-2, 1, 3))
+    assert diagonalize(special[-1]) == (0, (-2, 1, 3))
     k3, e4 = k3_form(), elliptic_manifold(4).form
-    assert lattice._diagonalize(k3.gram, k3.blocks) == (-1, (-16, 3, 19))
-    assert lattice._diagonalize(e4.gram, e4.blocks) == (-1, (-32, 7, 39))
+    assert lattice._diagonalize(k3.sparse_rows, k3.blocks) == (
+        -1, (-16, 3, 19))
+    assert lattice._diagonalize(e4.sparse_rows, e4.blocks) == (
+        -1, (-32, 7, 39))
+
+
+def diagonalize(gram):
+    """`_diagonalize` of a dense Gram, on its sparse rows and all of its
+    blocks."""
+    rows = lattice._sparse(gram)
+    return lattice._diagonalize(rows, gram_components(rows))
+
+
+def components(gram):
+    """`gram_components` of a dense Gram."""
+    return gram_components(lattice._sparse(gram))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +356,9 @@ def block_by_block(gram):
     """(det, signature) from `_diagonalize` run on each block alone: no
     block can share another's elimination."""
     det, signature = 1, (0, 0, 0)
-    for block in gram_components(gram):
-        d, sig = lattice._diagonalize(gram, [block])
+    rows = lattice._sparse(gram)
+    for block in gram_components(rows):
+        d, sig = lattice._diagonalize(rows, [block])
         det *= d
         signature = tuple(map(sum, zip(signature, sig)))
     return det, signature
@@ -377,7 +390,6 @@ def test_elliptic_surfaces_eliminate_two_blocks(eliminations):
         assert lattice._diagonalize(form.sparse_rows, form.blocks) == want
         # one H and one -E8, each the first copy of its kind
         assert eliminations == [[0, 1], list(range(4 * n - 2, 4 * n + 6))]
-        assert lattice._diagonalize(form.gram, form.blocks) == want
         assert block_by_block(form.gram) == want
         assert form.signature_decomposition() == want[1]
 
@@ -404,13 +416,13 @@ def test_repeated_blocks_share_their_elimination(eliminations):
         assert want[1] == tuple(map(sum, zip(
             *(eigenvalue_sign_counts(p) for p in parts))))
         eliminations.clear()
-        assert lattice._diagonalize(gram, gram_components(gram)) == want
+        assert diagonalize(gram) == want
         # a random part may itself split: one run per distinct block Gram
         assert len(eliminations) == len(
-            {own_gram(gram, block) for block in gram_components(gram)})
+            {own_gram(gram, block) for block in components(gram)})
         if not changed:
             assert len(eliminations) == len(
-                {own_gram(part, block) for block in gram_components(part)})
+                {own_gram(part, block) for block in components(part)})
         det = want[0]
         if det in (1, -1):
             assert IntersectionForm(gram).signature_decomposition() == want[1]
@@ -426,7 +438,7 @@ def test_interleaved_blocks_match_block_by_block(eliminations):
     gram = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
     assert block_by_block(gram) == (1, (0, 2, 2))
     eliminations.clear()
-    assert lattice._diagonalize(gram, gram_components(gram)) == (1, (0, 2, 2))
+    assert diagonalize(gram) == (1, (0, 2, 2))
     assert eliminations == [[0, 2]]
     # shuffled sums of repeated and changed blocks, so that the blocks
     # interleave: only translates share, and each block's own Gram decides
@@ -448,12 +460,12 @@ def test_interleaved_blocks_match_block_by_block(eliminations):
         gram = block_sum(parts, order if trial % 4 else None)
         want = block_by_block(gram)
         eliminations.clear()
-        got = lattice._diagonalize(gram, gram_components(gram))
+        got = diagonalize(gram)
         assert got == want, gram
         assert got[0] == prod(_det(p) for p in parts)
         assert got[1] == tuple(map(sum, zip(
             *(eigenvalue_sign_counts(p) for p in parts))))
-        blocks = gram_components(gram)
+        blocks = components(gram)
         # blocks of one Gram but not translates of each other each run
         keys = {(tuple(b - block[0] for b in block), own_gram(gram, block))
                 for block in blocks}
@@ -464,7 +476,7 @@ def test_interleaved_blocks_match_block_by_block(eliminations):
 # orthogonal blocks
 
 def block_sizes(form):
-    return [len(block) for block in gram_components(form.gram)]
+    return [len(block) for block in gram_components(form.sparse_rows)]
 
 
 def test_gram_components_of_the_corpus():
@@ -502,9 +514,9 @@ def test_gram_components_match_the_reference():
         rng.shuffle(order)
         gram = [[gram[a][b] for b in order] for a in order]
         # ascending blocks in order of their least index
-        assert gram_components(gram) == reference_components(gram)
-    assert gram_components([]) == []
-    assert gram_components([[0]]) == [[0]]
+        assert components(gram) == reference_components(gram)
+    assert components([]) == []
+    assert components([[0]]) == [[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -735,13 +747,14 @@ def test_scored_vectors_match_the_pairing():
         rank = len(gram)
         if kind == "degenerate" and rank > 1:
             assert _det(gram) == 0
+        rows = lattice._sparse(gram)
         for bound in range(1, bounds[rank] + 1):
             assert list(lattice._scored_vectors(gram, bound)) == [
-                (v, lattice._gram_pairing(gram, v, v))
+                (v, lattice._gram_pairing(rows, v, v))
                 for v in bounded_vectors(rank, bound)], (gram, bound)
         head = itertools.islice(lattice._scored_vectors(gram, 7), 5_000)
         assert list(head) == [
-            (v, lattice._gram_pairing(gram, v, v))
+            (v, lattice._gram_pairing(rows, v, v))
             for v in itertools.islice(bounded_vectors(rank, 7), 5_000)]
 
 
@@ -941,6 +954,43 @@ def test_searches_ruled_out_by_the_form_draw_no_candidate(monkeypatch,
         code = main(["hypotheses", path, "--variant", "level0", flag, "0"])
         err = capsys.readouterr().err
         assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("name", list_bundled())
+def test_complement_is_eliminated_once(name, eliminations, monkeypatch):
+    # the complement's induced form is an IntersectionForm, whose signature
+    # is cached: the search's definiteness test and a later read of the
+    # signature share one elimination of each distinct block
+    m = load_bundled(name)
+    subs = []
+    search = invariants.find_witnesses
+
+    def spy(sub, *args, **kwargs):
+        subs.append(sub)
+        return search(sub, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "find_witnesses", spy)
+    for variant in invariants.THEOREM_TARGETS:
+        subs.clear()
+        eliminations.clear()
+        invariants.check_theorem_hypotheses(m, None, None, variant)
+        (sub,) = subs
+        during = len(eliminations)
+        assert isinstance(sub.form, IntersectionForm)
+        assert sub.induced_gram() is sub.form.gram
+        signature = sub.form.signature_decomposition()
+        after = len(eliminations) - during
+        # a second read runs none
+        assert sub.form.signature_decomposition() == signature
+        assert len(eliminations) == during + after
+        # the same count as a fresh form of the same Gram runs
+        eliminations.clear()
+        fresh = IntersectionForm(sub.form.gram, require_unimodular=False)
+        assert fresh.signature_decomposition() == signature
+        assert during in (0, len(eliminations))
+        assert during + after == len(eliminations) <= len(sub.form.blocks)
+        if during:
+            assert after == 0
 
 
 def test_find_hyperbolic_pair_on_h():

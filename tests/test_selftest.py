@@ -31,7 +31,7 @@ SPLIT_SEED = 27
 
 def derivatives_on_a_split_form():
     form = next(selftest.random_forms(random.Random(SPLIT_SEED), 1))
-    assert lattice.gram_components(form.gram) == [[0, 1], [2]]
+    assert lattice.gram_components(form.sparse_rows) == [[0, 1], [2]]
     return selftest.check_series_identities(random.Random(SPLIT_SEED), 6,
                                             derivative=1)
 
@@ -65,7 +65,7 @@ CASES = {
         derivatives_on_a_split_form),
     "pairing of the wrong parity": (
         lattice, "_gram_pairing",
-        lambda pairing: lambda gram, u, v: pairing(gram, u, v) + 1,
+        lambda pairing: lambda rows, u, v: pairing(rows, u, v) + 1,
         lambda: selftest.check_parity_lemma(PARITY_FORMS, 2)),
     "fit with a perturbed coefficient": (
         selftest, "fit_km_coefficients", perturbed_fit, roundtrip),

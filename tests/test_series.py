@@ -628,7 +628,7 @@ def route_classes(form):
     u = next(e for e in units
              if sum(map(bool, form.dual_coefficients(e))) == 1)
     a = next(i for i, x in enumerate(form.dual_coefficients(u)) if x)
-    blocks = [tuple(block) for block in gram_components(form.gram)]
+    blocks = [tuple(block) for block in gram_components(form.sparse_rows)]
     block_a = next(block for block in blocks if a in block)
     block_b = next(block for block in blocks
                    if a not in block and any(form.gram[block[0]]))
@@ -656,7 +656,7 @@ def route_classes(form):
 def test_every_route_on_split_forms(name, memo):
     form = SPLIT_FORMS[name]()
     n = form.rank
-    blocks = [tuple(block) for block in gram_components(form.gram)]
+    blocks = [tuple(block) for block in gram_components(form.sparse_rows)]
     assert len(blocks) > 1
     halves = {}     # cap -> e^{Q/2}, shared by the sums
     for route, (classes, runs) in route_classes(form).items():
@@ -819,12 +819,13 @@ def test_stream_matches_the_pull_form():
         layout = series._layout(form.rank, cap)
         shifts, mask = layout
         gram = form.gram if quadratic else None
-        blocks = (gram_components(form.gram) if quadratic
+        rows = form.sparse_rows if quadratic else None
+        blocks = (gram_components(form.sparse_rows) if quadratic
                   else [range(form.rank)])
         for block in blocks:
             blocks_seen += 1
             got = list(itertools.islice(
-                series._slice_stream(layout, block, d, gram), cap))
+                series._slice_stream(layout, block, d, rows), cap))
             want = list(itertools.islice(
                 pull_stream(layout, block, d, gram), cap))
             assert got == want, (name, quadratic, block)
@@ -904,7 +905,7 @@ def test_packed_series_reads_like_its_terms(monkeypatch):
     for form, classes, cap, quadratic, cancels in packed_cases():
         n = form.rank
         whole = tuple(range(n))
-        assert gram_components(form.gram) == [list(whole)]
+        assert gram_components(form.sparse_rows) == [list(whole)]
         # an empty memo for each sum
         monkeypatch.setattr(series, "_MEMO",
                             series._SliceMemo(series._MEMO_ENTRIES))
@@ -1216,6 +1217,12 @@ def test_labels_decode_a_key_of_a_thousand_fields():
     assert s.terms == {exps: Fraction(-1, 3)}
 
 
+def test_factorial_table_is_the_factorials_below_its_cap():
+    # the running product that the decoder and _pack share
+    for cap in range(41):
+        assert series._factorials(cap) == [factorial(e) for e in range(cap)]
+
+
 def test_repr_shows_four_lines_without_the_whole_text(monkeypatch):
     def old_repr(s):
         lines = s.to_text().splitlines()[1:]
@@ -1352,7 +1359,7 @@ def stored_sizes(memo):
 
 def memo_key(form, d, quadratic=True):
     """The memo's key of a single class: every block, in block order."""
-    blocks = gram_components(form.gram) if quadratic else [range(form.rank)]
+    blocks = gram_components(form.sparse_rows) if quadratic else [range(form.rank)]
     indices = tuple(i for block in blocks for i in block)
     return indices, tuple(d[i] for i in indices), quadratic
 
@@ -1361,7 +1368,7 @@ def test_memo_cold_and_warm_calls_agree(memo):
     rng = random.Random(40)
     for rank in range(1, 5):
         form = random_unimodular_form(rng, rank, ops=3 * rank)
-        assert gram_components(form.gram) == [list(range(rank))]
+        assert gram_components(form.sparse_rows) == [list(range(rank))]
         classes = [(Fraction(rng.randint(-5, 5) or 1, 3 * rng.randint(1, 3)),
                     tuple(rng.randint(-2, 2) for _ in range(rank)))
                    for _ in range(3)]
@@ -1561,7 +1568,7 @@ def test_elliptic_sum_runs_each_class_on_the_fiber_block_only(memo):
     # degree 6 - 2: V = e^{Q_H/2} (2 sinh <F, h>)^2 starts at degree 2
     m, _ = elliptic(4)
     zero = (0,) * m.rank
-    blocks = [tuple(block) for block in gram_components(m.form.gram)]
+    blocks = [tuple(block) for block in gram_components(m.form.sparse_rows)]
     fiber, rest = blocks[0], blocks[1:]
     assert fiber == (0, 1) and len(rest) == 10
     rhs = witten_rhs(m, zero, 6)
@@ -1590,7 +1597,7 @@ def test_one_block_sums_run_every_class_on_the_whole_form(memo):
     # many terms the Seiberg-Witten part S = sum_r w_r e^<K_r, h> has
     rng = random.Random(44)
     form = random_unimodular_form(rng, 2, ops=6)
-    assert gram_components(form.gram) == [[0, 1]]
+    assert gram_components(form.sparse_rows) == [[0, 1]]
     (g11, g12), (_, g22) = form.gram
     det = g11 * g22 - g12 * g12
     u = (2 * det * g22, -2 * det * g12)         # G u = (2, 0)
