@@ -15,7 +15,10 @@ of prescribed square or hyperbolic pairs by bounded exhaustive
 enumeration. One walk of the box (`find_witnesses`) answers both search
 questions, each with its own budget and stopping point;
 `find_vector_with_square` and `find_hyperbolic_pair` ask it one question
-each.
+each. The walk goes run by run (`_scored_runs`): along a run of
+`bounded_vectors`, vectors that differ only in their last nonzero entry
+b, the square is a quadratic in b, which the walk solves for the squares
+it seeks; the candidates of a run without a hit are drawn in bulk.
 
 A search returns None at once, before drawing a candidate, when the
 sublattice's form rules a witness out: a definite form has no nonzero
@@ -443,11 +446,19 @@ class Sublattice:
     @cached_property
     def form(self) -> IntersectionForm:
         """The induced form on the basis, built once per sublattice; it
-        need not be unimodular, and it caches its own signature."""
-        duals = [_gram_times(self.parent.sparse_rows, b) for b in self.basis]
-        return IntersectionForm(
-            [[sum(map(mul, d, b)) for b in self.basis] for d in duals],
-            require_unimodular=False)
+        need not be unimodular, and it caches its own signature. Row j
+        sums, over b_j's nonzero entries k only, b_jk times the column
+        ((G b_0)_k, (G b_1)_k, ...) of the duals, so a basis of unit
+        vectors costs one column per row, not rank^2 products."""
+        rows = self.parent.sparse_rows
+        cols = list(zip(*[_gram_times(rows, b) for b in self.basis]))
+        zero = [0] * self.rank
+        gram = []
+        for b in self.basis:
+            terms = [cols[k] if b[k] == 1 else [b[k] * x for x in cols[k]]
+                     for k in itertools.compress(range(len(b)), b)]
+            gram.append(list(map(sum, zip(zero, *terms))))
+        return IntersectionForm(gram, require_unimodular=False)
 
     @cached_property
     def _definite_sign(self) -> int:
@@ -493,17 +504,21 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
 
     Ordered by support size, then top magnitude m = max |coord|, then
     support position in `combinations` order, then assignment in `product`
-    order over [1, -1, 2, -2, ..., m, -m]; every vector in the box appears
-    exactly once. The ordering front-loads the sparse small vectors so
-    structured lattices (hyperbolic summands and the like) are hit long
-    before the box is exhausted. Only assignments holding an entry +-m are
-    built, so the cost is proportional to the vectors yielded.
+    order over vals = [1, -1, 2, -2, ..., m, -m]; every vector in the box
+    appears exactly once. The ordering front-loads the sparse small vectors
+    so structured lattices (hyperbolic summands and the like) are hit long
+    before the box is exhausted.
 
-    The order falls into runs: maximal stretches of vectors that differ
-    only in their last nonzero entry j. Let top = max |v_i| over i < j at
-    a run's first vector v. If v_j > top, the run is v_j, -v_j (the rest
-    holds no +-m, so entry j must); otherwise it is 1, -1, ..., top, -top,
-    which is 2 top vectors.
+    The order falls into runs, the stretches of vectors that differ only
+    in their last nonzero entry: for each prefix in `product(vals,
+    repeat=size - 1)` (the support's other entries), the run is prefix +
+    (b,), with b over vals if the prefix holds +-m and over (m, -m)
+    otherwise. Only vectors holding an entry +-m are built, so the cost is
+    proportional to the vectors yielded. The runs are built two entries
+    at a time: after the support's outer entries, the last two run over
+    product(vals, vals) if the outer ones hold +-m, else over
+    product(low, (m, -m)) then product((m, -m), vals), low being vals
+    without +-m.
     """
     if rank == 0 or bound < 1:
         return
@@ -511,63 +526,117 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
         low: list[int] = []   # [1, -1, ..., m-1, -(m-1)]
         vals: list[int] = []  # low + [m, -m]
         for m in range(1, bound + 1):
-            vals += (m, -m)
+            tops = (m, -m)
+            vals += tops
             for support in itertools.combinations(range(rank), size):
-                # an assignment is led by a 0 that every off-support
-                # coordinate reads; itemgetter of one index returns the
-                # item, not a 1-tuple, hence the slice when rank == 1
-                idx = [0] * rank
-                for slot, pos in enumerate(support, 1):
-                    idx[pos] = slot
-                place = (itemgetter(*idx) if rank > 1
-                         else itemgetter(slice(1, None)))
-                yield from map(place, _with_top((0,), size, low, vals, m))
-            low += (m, -m)
+                place = _placer(rank, support)
+                if size == 1:
+                    yield place((0, m))
+                    yield place((0, -m))
+                    continue
+                for outer in itertools.product(vals, repeat=size - 2):
+                    if m in outer or -m in outer:
+                        ends = itertools.product(vals, repeat=2)
+                    else:
+                        ends = itertools.chain(itertools.product(low, tops),
+                                               itertools.product(tops, vals))
+                    yield from map(place, map(((0,) + outer).__add__, ends))
+            low += tops
 
 
-def _with_top(prefix: tuple, k: int, low: list, vals: list,
-              m: int) -> Iterator[tuple]:
-    """prefix + t for the length-k tuples t over vals = low + [m, -m] that
-    hold an entry +-m, in `product` order."""
-    if k == 1:
-        yield prefix + (m,)
-        yield prefix + (-m,)
-        return
-    for a in low:
-        yield from _with_top(prefix + (a,), k - 1, low, vals, m)
-    for a in (m, -m):
-        head = prefix + (a,)
-        for rest in itertools.product(vals, repeat=k - 1):
-            yield head + rest
+def _placer(rank: int, support: tuple) -> itemgetter:
+    """The itemgetter that places an assignment (0, a_1, ..., a_size) on
+    `support`: coordinate support[k] reads a_(k+1) and every other
+    coordinate the leading 0. An itemgetter of one index returns the item,
+    not a 1-tuple, hence the slice when rank == 1."""
+    idx = [0] * rank
+    for slot, pos in enumerate(support, 1):
+        idx[pos] = slot
+    return itemgetter(*idx) if rank > 1 else itemgetter(slice(1, None))
 
 
-def _scored_vectors(gram, bound: int) -> Iterator[tuple[Vector, int]]:
-    """(v, v.G.v) for v in `bounded_vectors(len(gram), bound)`, in its
-    order. A run's first vector v (see bounded_vectors) pays one full
-    pairing, and fixes g = G_jj, a = v_j and lin = 2((G v)_j - g a), the
-    part of the run's squares linear in entry j. Each later vector, whose
-    entry j is b, is scored from the one before it by
-        q += (b - a)(lin + g (b + a)).
-    """
+def _scored_runs(gram, bound: int) -> Iterator[tuple]:
+    """The runs of `bounded_vectors(len(gram), bound)`, in its order, each
+    as (c, lin, g, values, prefix, place): the run's vectors are
+    place(prefix + (b,)) for b in `values`, which is (m, -m) for a short
+    run and vals for a long one (a list that grows with m, so read it
+    before the next run), and the square of each is
+    c + b (lin + g b), with c the square of the prefix, lin twice the
+    prefix's pairing with the last support vector e_j, and g = G_jj.
+    For each assignment of the support's outer entries, o.G.o and (G o)
+    at the last two support places are summed once; the run of each
+    value a of the next entry then costs c = o.G.o + a (2 (G o)_i + G_ii
+    a) and lin = 2 ((G o)_j + a G_ij)."""
     n = len(gram)
-    left = 0            # vectors of the current run still to come
-    for v in bounded_vectors(n, bound):
-        if left:
-            left -= 1
-            b = v[j]
-            q += (b - a) * (lin + g * (b + a))
-            a = b
+    for size in range(1, n + 1):
+        low: list[int] = []
+        vals: list[int] = []
+        for m in range(1, bound + 1):
+            tops = (m, -m)
+            vals += tops
+            for support in itertools.combinations(range(n), size):
+                place = _placer(n, support)
+                j = support[-1]
+                g = gram[j][j]
+                if size == 1:
+                    yield 0, 0, g, tops, (0,), place
+                    continue
+                *outside, i = support[:-1]
+                gii, gij2 = gram[i][i], 2 * gram[i][j]
+                col_i = [gram[p][i] for p in outside]
+                col_j = [gram[p][j] for p in outside]
+                block = [[gram[p][r] for r in outside] for p in outside]
+                for outer in itertools.product(vals, repeat=size - 2):
+                    head = (0,) + outer
+                    c0 = sum(map(mul, outer, [sum(map(mul, row, outer))
+                                              for row in block]))
+                    ci = 2 * sum(map(mul, outer, col_i))
+                    lin0 = 2 * sum(map(mul, outer, col_j))
+                    if m in outer or -m in outer:
+                        for a in vals:
+                            yield (c0 + a * (ci + gii * a), lin0 + a * gij2,
+                                   g, vals, head + (a,), place)
+                        continue
+                    for a in low:
+                        yield (c0 + a * (ci + gii * a), lin0 + a * gij2,
+                               g, tops, head + (a,), place)
+                    for a in tops:
+                        yield (c0 + a * (ci + gii * a), lin0 + a * gij2,
+                               g, vals, head + (a,), place)
+            low += tops
+
+
+def _run_hits(c: int, lin: int, g: int, values: Sequence[int],
+              goals: Sequence[int]) -> list[int]:
+    """The places, counted from 1, of a run's vectors whose square
+    c + b (lin + g b) is one of `goals`, in run order. A short run (m, -m)
+    is evaluated at both values. A long one, 1, -1, ..., m, -m, where b
+    sits at place 2b - 1 if b > 0 and -2b if b < 0, is solved for each
+    goal: by the integer square root of the discriminant, linearly when
+    g == 0, and when g == lin == 0 every value hits if c does."""
+    if len(values) == 2:
+        return [k for k, b in enumerate(values, 1)
+                if c + b * (lin + g * b) in goals]
+    m = values[-2]
+    places = set()
+    for goal in goals:
+        rest = c - goal
+        if g == 0:
+            if lin == 0:
+                if rest == 0:
+                    return list(range(1, len(values) + 1))
+                continue
+            roots = [-rest // lin] if rest % lin == 0 else []
         else:
-            q = 0
-            for j in itertools.compress(range(n), v):
-                gv = sum(map(mul, gram[j], v))
-                q += v[j] * gv
-            # the loop ends on the last nonzero entry j with gv = (G v)_j
-            a, g = v[j], gram[j][j]
-            lin = 2 * (gv - g * a)
-            top = max(map(abs, v[:j]), default=0)
-            left = 1 if a > top else 2 * top - 1
-        yield v, q
+            disc = lin * lin - 4 * g * rest
+            root = math.isqrt(disc) if disc >= 0 else -1
+            if root * root != disc:
+                continue
+            roots = [(s - lin) // (2 * g) for s in (root, -root)
+                     if (s - lin) % (2 * g) == 0]
+        places.update(2 * b - 1 if b > 0 else -2 * b
+                      for b in roots if b and -m <= b <= m)
+    return sorted(places)
 
 
 def _check_search(bound: int, budget: Optional[int]) -> None:
@@ -612,7 +681,7 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
                    pair: bool = False
                    ) -> tuple[Optional[Vector], Optional[tuple[Vector, Vector]]]:
     """(vector of square `target`, hyperbolic pair) in `sub`, from one walk
-    of `_scored_vectors` over the box [-bound, bound]^rank.
+    of the box [-bound, bound]^rank in the order of `bounded_vectors`.
 
     The square question is asked when `target` is not None, the pair
     question when `pair` is true; an unasked question answers None. Each
@@ -624,43 +693,99 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     spent when it is charged answers None. The walk ends when every
     question is answered, so it draws as many candidates as the longer of
     the two searches alone, not their sum.
+
+    The walk goes run by run (`_scored_runs`). A run none of whose
+    vectors has an open question's square (`target`, or 0 for the pair
+    question; `_run_hits`) is charged to each open question as a whole,
+    and its candidates stay in `bounded_vectors` until a hit needs its
+    vector or the walk ends: then every candidate up to that draw is
+    pulled with one `islice`. So the walk draws exactly the candidates
+    that a candidate-by-candidate walk draws.
     """
     _check_search(bound, budget)
     gram = sub.induced_gram()
     sign = sub._definite_sign
     limit = math.inf if budget is None else budget
-    # an open question holds its remaining budget, an answered one None
-    square_left = pair_left = None
+    # an open question holds the draw at which it finds its budget spent,
+    # an answered one None
+    square_stop = pair_stop = None
     if target is not None and not (sign and sign * target <= 0):
-        square_left = limit
+        square_stop = limit + 1
     if pair and not (sign or (sub.rank <= 2
                               and not _is_hyperbolic_plane(gram))):
-        pair_left = limit
+        pair_stop = limit + 1
     vector = witness = None
-    if square_left is None and pair_left is None:
+    if square_stop is None and pair_stop is None:
         return vector, witness
     isotropic: list[tuple[Vector, Vector]] = []  # (u, G.u)
     rows = sub.form.sparse_rows
-    for v, q in _scored_vectors(gram, bound):
-        if square_left is not None:
-            if square_left < 1:
-                square_left = None
-            else:
-                square_left -= 1
-                if q == target:
+    vectors = bounded_vectors(sub.rank, bound)
+    pulled = last = 0   # candidates pulled; the draw the last answer came at
+
+    def draw(d: int) -> Vector:
+        """The d-th candidate, pulling every pending one before it."""
+        nonlocal pulled
+        v = next(itertools.islice(vectors, d - pulled - 1, None))
+        pulled = d
+        return v
+
+    def spend(d: int) -> None:
+        """Answer None to each open question whose budget is spent by draw
+        d."""
+        nonlocal square_stop, pair_stop, last
+        if square_stop is not None and square_stop <= d:
+            last = max(last, square_stop)
+            square_stop = None
+        if pair_stop is not None and pair_stop <= d:
+            last = max(last, pair_stop)
+            pair_stop = None
+
+    def questions() -> tuple[tuple[int, ...], float]:
+        """The squares the open questions seek, and the first draw at which
+        one of them finds its budget spent."""
+        goals = []
+        stops = [math.inf]
+        if square_stop is not None:
+            goals.append(target)
+            stops.append(square_stop)
+        if pair_stop is not None:
+            goals.append(0)
+            stops.append(pair_stop)
+        return tuple(goals), min(stops)
+
+    goals, stop = questions()
+    drawn = 0   # the candidates the walk has passed, pulled or pending
+    for c, lin, g, values, prefix, place in _scored_runs(gram, bound):
+        if len(values) == 2:    # a short run m, -m: look before solving
+            m = values[0]
+            mid = c + g * m * m
+            hits = ((mid + m * lin in goals or mid - m * lin in goals)
+                    and _run_hits(c, lin, g, values, goals))
+        else:
+            hits = _run_hits(c, lin, g, values, goals)
+        if hits:
+            for k in hits:
+                d = drawn + k
+                spend(d)
+                if square_stop is None and pair_stop is None:
+                    break
+                b = values[k - 1]
+                q = c + b * (lin + g * b)
+                square_hit = square_stop is not None and q == target
+                pair_hit = pair_stop is not None and q == 0
+                if not (square_hit or pair_hit):
+                    continue    # the goal of a question answered in the run
+                v = draw(d)
+                assert v == place(prefix + (b,))
+                if square_hit:
                     vector = sub.to_parent(v)
-                    square_left = None
-        if pair_left is not None:
-            if pair_left < 1:
-                pair_left = None
-            else:
-                pair_left -= 1
-                if q == 0:
+                    square_stop = None
+                    last = d
+                if pair_hit:
                     for u, du in isotropic:
-                        if pair_left < 1:
-                            pair_left = None
+                        if pair_stop <= d + 1:  # spent before this pairing
                             break
-                        pair_left -= 1
+                        pair_stop -= 1
                         p = sum(map(mul, du, v))
                         if p == 1 or p == -1:
                             e, f = u, (v if p == 1 else vec_neg(v))
@@ -668,12 +793,26 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
                             assert _gram_pairing(rows, f, f) == 0
                             assert _gram_pairing(rows, e, f) == 1
                             witness = sub.to_parent(e), sub.to_parent(f)
-                            pair_left = None
                             break
                     else:
                         isotropic.append((v, _gram_times(rows, v)))
-        if square_left is None and pair_left is None:
-            break
+                        continue
+                    pair_stop = None
+                    last = d
+            if square_stop is None and pair_stop is None:
+                break
+            goals, stop = questions()
+        drawn += len(values)
+        if drawn >= stop:
+            spend(drawn)
+            if square_stop is None and pair_stop is None:
+                break
+            goals, stop = questions()
+    else:
+        last = drawn    # the box is spent
+    if last > pulled:
+        draw(last)
+    vectors.close()
     return vector, witness
 
 

@@ -611,6 +611,30 @@ def test_complement_orthogonality_and_rank():
         assert comp.rank == n - span_rank
 
 
+def test_induced_form_is_the_basis_pairings():
+    # the induced Gram, paired on the basis vectors' nonzero entries,
+    # against the dense pairings: every bundled complement (K3's is the
+    # whole lattice on unit vectors), seeded complements whose bases hold
+    # entries of both signs and above 1, a rank-0 complement and a basis
+    # holding the zero vector
+    rng = random.Random(11)
+    subs = [orthogonal_complement(m.form, m.basic_classes())
+            for m in map(load_bundled, list_bundled())]
+    for _ in range(25):
+        form = random_unimodular_form(rng, rng.randint(1, 6))
+        subs.append(orthogonal_complement(
+            form, [tuple(rng.randint(-3, 3) for _ in range(form.rank))
+                   for _ in range(rng.randint(0, 3))]))
+    subs.append(orthogonal_complement(H, [(1, 0), (0, 1)]))
+    subs.append(Sublattice(H, ((1, 1), (0, 0), (2, -3))))
+    assert any(abs(x) > 1 for sub in subs for b in sub.basis for x in b)
+    for sub in subs:
+        want = tuple(tuple(brute_pairing(sub.parent.gram, u, v)
+                           for v in sub.basis) for u in sub.basis)
+        assert sub.form.gram == want
+        assert sub.form.sparse_rows == lattice._sparse(want)
+
+
 def test_complement_membership_matches_brute_force():
     # box vector is orthogonal to the spanning set iff it is an integer
     # combination of the returned basis (saturation)
@@ -736,11 +760,19 @@ def scoring_grams(rng):
                 yield kind, gram
 
 
-def test_scored_vectors_match_the_pairing():
-    # the searches' stream (v, v.G.v), scored along runs, against
-    # bounded_vectors with a full pairing per vector: every box up to
-    # bound 7 in ranks 1 and 2 and up to the bound given below in ranks
-    # 3-5, where the first 5,000 vectors of the bound-7 box are compared
+def scored_run_vectors(gram, bound):
+    """(v, v.G.v) for the vectors of each run of `_scored_runs`, the
+    square from the run's (c, lin, g)."""
+    for c, lin, g, values, prefix, place in lattice._scored_runs(gram, bound):
+        for b in values:
+            yield place(prefix + (b,)), c + b * (lin + g * b)
+
+
+def test_scored_runs_match_the_pairing():
+    # each run's (c, lin, g) against bounded_vectors with a full pairing
+    # per vector: every box up to bound 7 in ranks 1 and 2 and up to the
+    # bound given below in ranks 3-5, where the first 5,000 vectors of the
+    # bound-7 box are compared
     rng = random.Random(150)
     bounds = {1: 7, 2: 7, 3: 4, 4: 2, 5: 2}
     for kind, gram in scoring_grams(rng):
@@ -749,13 +781,33 @@ def test_scored_vectors_match_the_pairing():
             assert _det(gram) == 0
         rows = lattice._sparse(gram)
         for bound in range(1, bounds[rank] + 1):
-            assert list(lattice._scored_vectors(gram, bound)) == [
+            assert list(scored_run_vectors(gram, bound)) == [
                 (v, lattice._gram_pairing(rows, v, v))
                 for v in bounded_vectors(rank, bound)], (gram, bound)
-        head = itertools.islice(lattice._scored_vectors(gram, 7), 5_000)
+        head = itertools.islice(scored_run_vectors(gram, 7), 5_000)
         assert list(head) == [
             (v, lattice._gram_pairing(rows, v, v))
             for v in itertools.islice(bounded_vectors(rank, 7), 5_000)]
+
+
+def test_run_hits_are_the_places_of_the_goals():
+    # the hits of every run up to bound 6 in ranks 1-3, for each pair of
+    # goals, solved in the long runs (a quadratic, a linear or a constant
+    # square in b), against the run's squares value by value
+    kinds = set()
+    for _, gram in scoring_grams(random.Random(150)):
+        if len(gram) > 3:
+            continue
+        for c, lin, g, values, _, _ in lattice._scored_runs(gram, 6):
+            squares = [c + b * (lin + g * b) for b in values]
+            for goals in itertools.combinations(set(squares) | {-2, 0, 3},
+                                                2):
+                assert lattice._run_hits(c, lin, g, values, goals) == [
+                    k for k, q in enumerate(squares, 1) if q in goals]
+            if len(values) > 2:
+                kinds.add("quadratic" if g else "linear" if lin
+                          else "constant")
+    assert kinds == {"quadratic", "linear", "constant"}
 
 
 def search_sublattices(rng):
@@ -852,23 +904,92 @@ def test_joint_walk_matches_reference_at_every_budget():
     assert checked >= 300
 
 
-@pytest.fixture
-def drawn(monkeypatch):
-    """The candidates drawn from bounded_vectors, one count per walk."""
-    counts = []
-    original = lattice.bounded_vectors
-
+def counting(enumerate_vectors, counts):
+    """`enumerate_vectors` that appends to `counts` the candidates each
+    walk draws from it."""
     def counted_vectors(rank, bound):
         n = 0
         try:
-            for v in original(rank, bound):
+            for v in enumerate_vectors(rank, bound):
                 n += 1
                 yield v
         finally:
             counts.append(n)
+    return counted_vectors
 
-    monkeypatch.setattr(lattice, "bounded_vectors", counted_vectors)
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The candidates drawn from bounded_vectors, one count per walk."""
+    counts = []
+    monkeypatch.setattr(lattice, "bounded_vectors",
+                        counting(lattice.bounded_vectors, counts))
     return counts
+
+
+def test_joint_walk_matches_reference_at_larger_bounds(drawn, monkeypatch):
+    # bounds 5-7, whose runs are up to 14 long: quadratic hits deep in
+    # long runs, budgets that end mid-run, linear runs (zero diagonals)
+    # and runs where every value hits (the zero forms). On a seeded sample
+    # of the scoring Grams, every budget up to spent + 2 answers both
+    # questions as the references do; the sweep stops at 250 and then
+    # tries 5,000, which reaches rank 3's full supports, since the zero
+    # forms' pair references pair each isotropic draw with every earlier
+    # one. Each search alone draws the candidates its reference draws, or
+    # none when the form rules its witness out, and the joint walk draws
+    # those of the longer one
+    reference_draws = []
+    monkeypatch.setitem(globals(), "reference_bounded_vectors",
+                        counting(reference_bounded_vectors, reference_draws))
+    rng = random.Random(5152)
+    checked = set()
+    for kind, gram in scoring_grams(random.Random(150)):
+        rank = len(gram)
+        if rank > 3 or rng.random() < 0.4:
+            continue
+        sub = Sublattice.full(IntersectionForm(gram, require_unimodular=False))
+        bound = rng.choice((5, 6, 7)) if rank < 3 else 5
+        # mostly the square of a box vector, so that hits come deep in runs
+        point = [rng.randint(-bound, bound) for _ in range(rank)]
+        target = rng.choice((brute_pairing(gram, point, point),) * 2
+                            + (rng.randint(-3, 4),))
+        for budget in [*range(1, 251), 5_000]:
+            reference_draws.clear()
+            vector, spent = reference_vector_with_square(sub, target, bound,
+                                                         budget)
+            pair, pair_spent = reference_hyperbolic_pair(sub, bound, budget)
+            alone = []
+            for search, want in ((find_vector_with_square, vector),
+                                 (find_hyperbolic_pair, pair)):
+                drawn.clear()
+                args = (target,) if search is find_vector_with_square else ()
+                assert search(sub, *args, bound=bound, budget=budget) == want
+                assert drawn in ([], [reference_draws[len(alone)]])
+                alone += drawn
+            drawn.clear()
+            assert find_witnesses(sub, bound, budget, target=target,
+                                  pair=True) == (vector, pair), (
+                kind, gram, bound, target, budget)
+            assert drawn == ([max(alone)] if alone else [])
+            if spent <= budget - 2 and pair_spent <= budget - 2:
+                assert find_witnesses(sub, bound, target=target,
+                                      pair=True) == (vector, pair)
+                break
+        checked.add((kind, budget == 5_000))
+    # the sample holds each kind with a distinct run shape, and a zero
+    # form swept to 5,000
+    assert {kind for kind, _ in checked} >= {"random", "zero diagonal",
+                                              "indefinite", "zero"}
+    assert ("zero", True) in checked
+
+
+def test_walk_cost_is_linear_in_the_bound(drawn):
+    # on <1> the square 2 is out of reach: the walk passes every run of
+    # the box and pulls all of its 100,000 candidates; a walk that rebuilt
+    # the run values for each magnitude would be quadratic in the bound
+    sub = Sublattice.full(diagonal_form([1]))
+    assert find_witnesses(sub, 50_000, target=2, pair=True) == (None, None)
+    assert drawn == [100_000]
 
 
 def test_joint_walk_draws_the_longer_search_only(drawn):
@@ -899,18 +1020,8 @@ def test_joint_walk_draws_the_longer_search_only(drawn):
 def test_searches_ruled_out_by_the_form_draw_no_candidate(monkeypatch,
                                                           capsys):
     drawn = []
-    original = lattice.bounded_vectors
-
-    def counted_vectors(rank, bound):
-        n = 0
-        try:
-            for v in original(rank, bound):
-                n += 1
-                yield v
-        finally:
-            drawn.append(n)
-
-    monkeypatch.setattr(lattice, "bounded_vectors", counted_vectors)
+    monkeypatch.setattr(lattice, "bounded_vectors",
+                        counting(lattice.bounded_vectors, drawn))
 
     def candidates(search, *args, **kwargs):
         drawn.clear()
