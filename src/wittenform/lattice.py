@@ -18,7 +18,9 @@ questions, each with its own budget and stopping point;
 each. The walk goes run by run (`_scored_runs`): along a run of
 `bounded_vectors`, vectors that differ only in their last nonzero entry
 b, the square is a quadratic in b, which the walk solves for the squares
-it seeks; the candidates of a run without a hit are drawn in bulk.
+it seeks. A stretch of two-long runs is solved in one step, by the
+quadratics that give its squares; the candidates of a run or a stretch
+without a hit are drawn in bulk.
 
 A search returns None at once, before drawing a candidate, when the
 sublattice's form rules a witness out: a definite form has no nonzero
@@ -37,8 +39,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter, mul
+from functools import cached_property, partial, reduce
+from operator import add, itemgetter, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, UnimodularityError
@@ -514,34 +516,48 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
     repeat=size - 1)` (the support's other entries), the run is prefix +
     (b,), with b over vals if the prefix holds +-m and over (m, -m)
     otherwise. Only vectors holding an entry +-m are built, so the cost is
-    proportional to the vectors yielded. The runs are built two entries
-    at a time: after the support's outer entries, the last two run over
-    product(vals, vals) if the outer ones hold +-m, else over
-    product(low, (m, -m)) then product((m, -m), vals), low being vals
-    without +-m.
+    proportional to the vectors yielded. For each assignment of the
+    support's outer entries, `itertools.product` builds the whole
+    assignments (0, outer..., a, b) of its last two entries: over vals x
+    vals if the outer ones hold +-m, else over low x (m, -m) then
+    (m, -m) x vals, low being vals without +-m. Each support's placer is
+    built once, in the m = 1 pass, so a support the caller never reaches
+    costs nothing.
     """
     if rank == 0 or bound < 1:
         return
     for size in range(1, rank + 1):
         low: list[int] = []   # [1, -1, ..., m-1, -(m-1)]
         vals: list[int] = []  # low + [m, -m]
+        placers: list[itemgetter] = []
         for m in range(1, bound + 1):
             tops = (m, -m)
             vals += tops
-            for support in itertools.combinations(range(rank), size):
-                place = _placer(rank, support)
+            for place in (placers if m > 1 else _building(
+                    map(partial(_placer, rank),
+                        itertools.combinations(range(rank), size)), placers)):
                 if size == 1:
                     yield place((0, m))
                     yield place((0, -m))
                     continue
-                for outer in itertools.product(vals, repeat=size - 2):
-                    if m in outer or -m in outer:
-                        ends = itertools.product(vals, repeat=2)
+                for head in itertools.product((0,), *[vals] * (size - 2)):
+                    fixed = tuple(zip(head))    # ((0,), (outer_1,), ...)
+                    if m in head or -m in head:
+                        yield from map(place, itertools.product(
+                            *fixed, vals, vals))
                     else:
-                        ends = itertools.chain(itertools.product(low, tops),
-                                               itertools.product(tops, vals))
-                    yield from map(place, map(((0,) + outer).__add__, ends))
+                        yield from map(place, itertools.product(
+                            *fixed, low, tops))
+                        yield from map(place, itertools.product(
+                            *fixed, tops, vals))
             low += tops
+
+
+def _building(items: Iterator, built: list) -> Iterator:
+    """`items`, each appended to `built` as it is yielded."""
+    for item in items:
+        built.append(item)
+        yield item
 
 
 def _placer(rank: int, support: tuple) -> itemgetter:
@@ -555,37 +571,64 @@ def _placer(rank: int, support: tuple) -> itemgetter:
     return itemgetter(*idx) if rank > 1 else itemgetter(slice(1, None))
 
 
+def _support(gram, support: tuple) -> tuple:
+    """What the runs on `support` (of size >= 2) read of the Gram:
+    (place, G_jj, G_ii, 2 G_ij, the column G_pi and the column G_pj over
+    the outer places p, the outer places' block), i and j being the last
+    two places of the support."""
+    *outside, i, j = support
+    return (_placer(len(gram), support), gram[j][j], gram[i][i],
+            2 * gram[i][j], [gram[p][i] for p in outside],
+            [gram[p][j] for p in outside],
+            [[gram[p][r] for r in outside] for p in outside])
+
+
 def _scored_runs(gram, bound: int) -> Iterator[tuple]:
-    """The runs of `bounded_vectors(len(gram), bound)`, in its order, each
-    as (c, lin, g, values, prefix, place): the run's vectors are
+    """The runs of `bounded_vectors(len(gram), bound)`, in its order, with
+    stretches of two-long runs gathered into one item each.
+
+    A run is (c, lin, g, values, prefix, place): its vectors are
     place(prefix + (b,)) for b in `values`, which is (m, -m) for a short
     run and vals for a long one (a list that grows with m, so read it
-    before the next run), and the square of each is
-    c + b (lin + g b), with c the square of the prefix, lin twice the
-    prefix's pairing with the last support vector e_j, and g = G_jj.
-    For each assignment of the support's outer entries, o.G.o and (G o)
-    at the last two support places are summed once; the run of each
-    value a of the next entry then costs c = o.G.o + a (2 (G o)_i + G_ii
-    a) and lin = 2 ((G o)_j + a G_ij)."""
+    before the next item), and the square of each is c + b (lin + g b),
+    with c the square of the prefix, lin twice the prefix's pairing with
+    the last support vector e_j, and g = G_jj.
+
+    A stretch is (count, quads, lim, runs): `count` consecutive
+    candidates, which are the vectors of the runs in the iterator `runs`
+    (read it before the next item), and whose squares are the values of
+    the quadratics a x^2 + b x + c, (a, b, c) in `quads`, at the integers
+    0 < |x| <= lim. The size-1 runs at one m are one stretch, with the
+    constant quadratics G_jj m^2. On a larger support, the short runs of
+    an assignment `outer` of the outer entries that holds no +-m are one
+    stretch: the last two entries (x, b) run over low x (m, -m), and the
+    square is G_ii x^2 + (ci + 2 G_ij b) x + (c0 + lin0 b + G_jj m^2),
+    one quadratic in x for each b, with c0 = o.G.o, ci = 2 (G o)_i and
+    lin0 = 2 (G o)_j summed once per assignment. The run of each value a
+    of the next entry then has c = c0 + a (ci + G_ii a) and
+    lin = lin0 + 2 a G_ij."""
     n = len(gram)
-    for size in range(1, n + 1):
+    diag = [gram[j][j] for j in range(n)]
+    singles = [_placer(n, (j,)) for j in range(n)]
+    for m in range(1, bound + 1):
+        tops = (m, -m)
+        yield (2 * n, {(0, 0, g * m * m) for g in diag}, 1,
+               [(0, 0, g, tops, (0,), place)
+                for g, place in zip(diag, singles)])
+    for size in range(2, n + 1):
         low: list[int] = []
         vals: list[int] = []
+        supports: list[tuple] = []
         for m in range(1, bound + 1):
             tops = (m, -m)
             vals += tops
-            for support in itertools.combinations(range(n), size):
-                place = _placer(n, support)
-                j = support[-1]
-                g = gram[j][j]
-                if size == 1:
-                    yield 0, 0, g, tops, (0,), place
-                    continue
-                *outside, i = support[:-1]
-                gii, gij2 = gram[i][i], 2 * gram[i][j]
-                col_i = [gram[p][i] for p in outside]
-                col_j = [gram[p][j] for p in outside]
-                block = [[gram[p][r] for r in outside] for p in outside]
+            count = 2 * len(low)
+            for place, g, gii, gij2, col_i, col_j, block in (
+                    supports if m > 1 else _building(
+                        map(partial(_support, gram),
+                            itertools.combinations(range(n), size)),
+                        supports)):
+                gm = g * m * m
                 for outer in itertools.product(vals, repeat=size - 2):
                     head = (0,) + outer
                     c0 = sum(map(mul, outer, [sum(map(mul, row, outer))
@@ -597,13 +640,55 @@ def _scored_runs(gram, bound: int) -> Iterator[tuple]:
                             yield (c0 + a * (ci + gii * a), lin0 + a * gij2,
                                    g, vals, head + (a,), place)
                         continue
-                    for a in low:
-                        yield (c0 + a * (ci + gii * a), lin0 + a * gij2,
-                               g, tops, head + (a,), place)
+                    if count:
+                        quads = ((gii, ci + gij2 * m, c0 + lin0 * m + gm),
+                                 (gii, ci - gij2 * m, c0 - lin0 * m + gm))
+                        yield count, quads, m - 1, _short_runs(
+                            c0, ci, gii, lin0, gij2, g, low, tops, head,
+                            place)
                     for a in tops:
                         yield (c0 + a * (ci + gii * a), lin0 + a * gij2,
                                g, vals, head + (a,), place)
             low += tops
+
+
+def _short_runs(c0, ci, gii, lin0, gij2, g, low, tops, head,
+                place) -> Iterator[tuple]:
+    """The short runs of a stretch of `_scored_runs`, one for each a in
+    `low`."""
+    for a in low:
+        yield (c0 + a * (ci + gii * a), lin0 + a * gij2, g, tops,
+               head + (a,), place)
+
+
+def _integer_roots(quads, goals: Sequence[int], lim: int) -> set[int]:
+    """The integers x with 0 < |x| <= lim at which one of the quadratics
+    a x^2 + b x + c, (a, b, c) in `quads`, is one of `goals`: by the
+    integer square root of the discriminant, linearly when a == 0, and
+    every such x when a == b == 0 and c is a goal."""
+    roots = set()
+    for a, b, c in quads:
+        for goal in goals:
+            rest = c - goal
+            if a == 0:
+                if b == 0:
+                    if rest == 0:
+                        return {x for x in range(-lim, lim + 1) if x}
+                elif rest % b == 0:
+                    roots.add(-rest // b)
+                continue
+            disc = b * b - 4 * a * rest
+            if disc < 0:
+                continue
+            root = math.isqrt(disc)
+            if root * root != disc:
+                continue
+            for s in (root - b, -root - b):
+                if s % (2 * a) == 0:
+                    roots.add(s // (2 * a))
+    if roots:
+        roots = {x for x in roots if x and -lim <= x <= lim}
+    return roots
 
 
 def _run_hits(c: int, lin: int, g: int, values: Sequence[int],
@@ -612,31 +697,13 @@ def _run_hits(c: int, lin: int, g: int, values: Sequence[int],
     c + b (lin + g b) is one of `goals`, in run order. A short run (m, -m)
     is evaluated at both values. A long one, 1, -1, ..., m, -m, where b
     sits at place 2b - 1 if b > 0 and -2b if b < 0, is solved for each
-    goal: by the integer square root of the discriminant, linearly when
-    g == 0, and when g == lin == 0 every value hits if c does."""
+    goal by `_integer_roots`."""
     if len(values) == 2:
         return [k for k, b in enumerate(values, 1)
                 if c + b * (lin + g * b) in goals]
-    m = values[-2]
-    places = set()
-    for goal in goals:
-        rest = c - goal
-        if g == 0:
-            if lin == 0:
-                if rest == 0:
-                    return list(range(1, len(values) + 1))
-                continue
-            roots = [-rest // lin] if rest % lin == 0 else []
-        else:
-            disc = lin * lin - 4 * g * rest
-            root = math.isqrt(disc) if disc >= 0 else -1
-            if root * root != disc:
-                continue
-            roots = [(s - lin) // (2 * g) for s in (root, -root)
-                     if (s - lin) % (2 * g) == 0]
-        places.update(2 * b - 1 if b > 0 else -2 * b
-                      for b in roots if b and -m <= b <= m)
-    return sorted(places)
+    return sorted(2 * b - 1 if b > 0 else -2 * b
+                  for b in _integer_roots(((g, lin, c),), goals,
+                                          values[-2]))
 
 
 def _check_search(bound: int, budget: Optional[int]) -> None:
@@ -694,13 +761,20 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     question is answered, so it draws as many candidates as the longer of
     the two searches alone, not their sum.
 
-    The walk goes run by run (`_scored_runs`). A run none of whose
-    vectors has an open question's square (`target`, or 0 for the pair
-    question; `_run_hits`) is charged to each open question as a whole,
-    and its candidates stay in `bounded_vectors` until a hit needs its
-    vector or the walk ends: then every candidate up to that draw is
-    pulled with one `islice`. So the walk draws exactly the candidates
-    that a candidate-by-candidate walk draws.
+    The walk goes item by item through `_scored_runs`, a run or a
+    stretch of short runs at a time. A stretch none of whose quadratics
+    takes an open question's square (`target`, or 0 for the pair
+    question) at an integer in its range is charged to each open question
+    as a whole; a stretch with such a hit is walked run by run. Likewise
+    a run none of whose vectors has such a square (`_run_hits`) is
+    charged as a whole, and its candidates stay in `bounded_vectors`
+    until a hit needs its vector or the walk ends: then every candidate
+    up to that draw is pulled with one `islice`. So the walk draws
+    exactly the candidates that a candidate-by-candidate walk draws.
+    The pair question keeps, for each coordinate j, the column of
+    (G u)_j over the earlier isotropic draws u, and pairs a new one v
+    with all of them at once as the sum of v_j times column j over its
+    nonzero entries.
     """
     _check_search(bound, budget)
     gram = sub.induced_gram()
@@ -717,7 +791,8 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     vector = witness = None
     if square_stop is None and pair_stop is None:
         return vector, witness
-    isotropic: list[tuple[Vector, Vector]] = []  # (u, G.u)
+    isotropic: list[Vector] = []
+    columns: list[list[int]] = [[] for _ in range(sub.rank)]  # (G u)_j
     rows = sub.form.sparse_rows
     vectors = bounded_vectors(sub.rank, bound)
     pulled = last = 0   # candidates pulled; the draw the last answer came at
@@ -753,61 +828,91 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
             stops.append(pair_stop)
         return tuple(goals), min(stops)
 
+    def pair_up(v: Vector, d: int) -> bool:
+        """Pair v, the isotropic draw d, with the earlier isotropic draws,
+        as many as the budget allows: True if that answers the pair
+        question (a pair, or the budget spent before a pairing); else v
+        joins them."""
+        nonlocal pair_stop, witness
+        # spend(d) left pair_stop > d: the budget allows the pairings with
+        # the first pair_stop - d - 1 earlier draws
+        allowed = min(pair_stop - d - 1, len(isotropic))
+        # sum v_j times column j over the nonzero v_j, lazily and in C
+        pairings = list(itertools.islice(reduce(partial(map, add), [
+            map(x.__mul__, columns[j]) for j, x in enumerate(v) if x]),
+            allowed))
+        first = [pairings.index(p) for p in (1, -1) if p in pairings]
+        if first:
+            t = min(first)
+            e, f = isotropic[t], (v if pairings[t] == 1 else vec_neg(v))
+            assert _gram_pairing(rows, e, e) == 0
+            assert _gram_pairing(rows, f, f) == 0
+            assert _gram_pairing(rows, e, f) == 1
+            witness = sub.to_parent(e), sub.to_parent(f)
+            return True
+        if allowed < len(isotropic):
+            return True
+        pair_stop -= allowed
+        isotropic.append(v)
+        for column, x in zip(columns, _gram_times(rows, v)):
+            column.append(x)
+        return False
+
     goals, stop = questions()
     drawn = 0   # the candidates the walk has passed, pulled or pending
-    for c, lin, g, values, prefix, place in _scored_runs(gram, bound):
-        if len(values) == 2:    # a short run m, -m: look before solving
-            m = values[0]
-            mid = c + g * m * m
-            hits = ((mid + m * lin in goals or mid - m * lin in goals)
-                    and _run_hits(c, lin, g, values, goals))
-        else:
-            hits = _run_hits(c, lin, g, values, goals)
-        if hits:
-            for k in hits:
-                d = drawn + k
-                spend(d)
+    for item in _scored_runs(gram, bound):
+        if len(item) == 6:      # a run
+            runs, count = (item,), len(item[3])
+        else:                   # a stretch: walk its runs only on a hit
+            count, quads, lim, runs = item
+            if not _integer_roots(quads, goals, lim):
+                runs = ()
+        # the draws before the run; in a stretch, a question whose budget
+        # is spent on the way keeps its goal to the stretch's end, where it
+        # is charged, and spend(d) answers it before any later hit
+        start = drawn
+        for c, lin, g, values, prefix, place in runs:
+            if len(values) == 2:    # a short run m, -m: look before solving
+                m = values[0]
+                mid = c + g * m * m
+                hits = ((mid + m * lin in goals or mid - m * lin in goals)
+                        and _run_hits(c, lin, g, values, goals))
+            else:
+                hits = _run_hits(c, lin, g, values, goals)
+            if hits:
+                for k in hits:
+                    d = start + k
+                    spend(d)
+                    if square_stop is None and pair_stop is None:
+                        break
+                    b = values[k - 1]
+                    q = c + b * (lin + g * b)
+                    square_hit = square_stop is not None and q == target
+                    pair_hit = pair_stop is not None and q == 0
+                    if not (square_hit or pair_hit):
+                        continue    # a question answered in the item
+                    v = draw(d)
+                    assert v == place(prefix + (b,))
+                    if square_hit:
+                        vector = sub.to_parent(v)
+                        square_stop = None
+                        last = d
+                    if pair_hit and pair_up(v, d):
+                        pair_stop = None
+                        last = d
                 if square_stop is None and pair_stop is None:
                     break
-                b = values[k - 1]
-                q = c + b * (lin + g * b)
-                square_hit = square_stop is not None and q == target
-                pair_hit = pair_stop is not None and q == 0
-                if not (square_hit or pair_hit):
-                    continue    # the goal of a question answered in the run
-                v = draw(d)
-                assert v == place(prefix + (b,))
-                if square_hit:
-                    vector = sub.to_parent(v)
-                    square_stop = None
-                    last = d
-                if pair_hit:
-                    for u, du in isotropic:
-                        if pair_stop <= d + 1:  # spent before this pairing
-                            break
-                        pair_stop -= 1
-                        p = sum(map(mul, du, v))
-                        if p == 1 or p == -1:
-                            e, f = u, (v if p == 1 else vec_neg(v))
-                            assert _gram_pairing(rows, e, e) == 0
-                            assert _gram_pairing(rows, f, f) == 0
-                            assert _gram_pairing(rows, e, f) == 1
-                            witness = sub.to_parent(e), sub.to_parent(f)
-                            break
-                    else:
-                        isotropic.append((v, _gram_times(rows, v)))
-                        continue
-                    pair_stop = None
-                    last = d
-            if square_stop is None and pair_stop is None:
-                break
-            goals, stop = questions()
-        drawn += len(values)
-        if drawn >= stop:
-            spend(drawn)
-            if square_stop is None and pair_stop is None:
-                break
-            goals, stop = questions()
+                goals, stop = questions()
+            start += len(values)
+        else:
+            drawn += count
+            if drawn >= stop:
+                spend(drawn)
+                if square_stop is None and pair_stop is None:
+                    break
+                goals, stop = questions()
+            continue
+        break   # every question is answered
     else:
         last = drawn    # the box is spent
     if last > pulled:

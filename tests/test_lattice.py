@@ -760,19 +760,37 @@ def scoring_grams(rng):
                 yield kind, gram
 
 
+def scored_runs(gram, bound):
+    """The runs of `_scored_runs`, each stretch expanded into its runs.
+    Each stretch's count is the length of its runs, and the values of its
+    quadratics over its range are the squares of their vectors."""
+    for item in lattice._scored_runs(gram, bound):
+        if len(item) == 6:
+            yield item
+            continue
+        count, quads, lim, runs = item
+        runs = list(runs)
+        assert count == sum(len(values) for _, _, _, values, _, _ in runs)
+        assert {a * x * x + b * x + c for a, b, c in quads
+                for x in range(-lim, lim + 1) if x} == {
+            c + b * (lin + g * b) for c, lin, g, values, _, _ in runs
+            for b in values}
+        yield from runs
+
+
 def scored_run_vectors(gram, bound):
     """(v, v.G.v) for the vectors of each run of `_scored_runs`, the
     square from the run's (c, lin, g)."""
-    for c, lin, g, values, prefix, place in lattice._scored_runs(gram, bound):
+    for c, lin, g, values, prefix, place in scored_runs(gram, bound):
         for b in values:
             yield place(prefix + (b,)), c + b * (lin + g * b)
 
 
 def test_scored_runs_match_the_pairing():
-    # each run's (c, lin, g) against bounded_vectors with a full pairing
-    # per vector: every box up to bound 7 in ranks 1 and 2 and up to the
-    # bound given below in ranks 3-5, where the first 5,000 vectors of the
-    # bound-7 box are compared
+    # each run's (c, lin, g), with the stretches expanded into their runs,
+    # against bounded_vectors with a full pairing per vector: every box up
+    # to bound 7 in ranks 1 and 2 and up to the bound given below in ranks
+    # 3-5, where the first 5,000 vectors of the bound-7 box are compared
     rng = random.Random(150)
     bounds = {1: 7, 2: 7, 3: 4, 4: 2, 5: 2}
     for kind, gram in scoring_grams(rng):
@@ -791,14 +809,15 @@ def test_scored_runs_match_the_pairing():
 
 
 def test_run_hits_are_the_places_of_the_goals():
-    # the hits of every run up to bound 6 in ranks 1-3, for each pair of
-    # goals, solved in the long runs (a quadratic, a linear or a constant
-    # square in b), against the run's squares value by value
+    # the hits of every run up to bound 6 in ranks 1-3, the stretches
+    # expanded into their runs, for each pair of goals, solved in the long
+    # runs (a quadratic, a linear or a constant square in b), against the
+    # run's squares value by value
     kinds = set()
     for _, gram in scoring_grams(random.Random(150)):
         if len(gram) > 3:
             continue
-        for c, lin, g, values, _, _ in lattice._scored_runs(gram, 6):
+        for c, lin, g, values, _, _ in scored_runs(gram, 6):
             squares = [c + b * (lin + g * b) for b in values]
             for goals in itertools.combinations(set(squares) | {-2, 0, 3},
                                                 2):
@@ -808,6 +827,79 @@ def test_run_hits_are_the_places_of_the_goals():
                 kinds.add("quadratic" if g else "linear" if lin
                           else "constant")
     assert kinds == {"quadratic", "linear", "constant"}
+
+
+def test_stretch_roots_match_brute_force():
+    # the stretch of an outer assignment o on a support whose last two
+    # places are i, j: (a, b) over low x (m, -m), with the square
+    # G_ii a^2 + (ci + 2 G_ij b) a + (c0 + lin0 b + G_jj b^2). Its roots,
+    # one quadratic in a for each b, against that square at every a and
+    # b: seeded coefficients, among them G_ii = 0, a zero linear or
+    # constant term and every a hitting, with one or two goals and m from
+    # 2 to 12
+    rng = random.Random(3101)
+    kinds = set()
+    for m in range(2, 13):
+        low = [x for a in range(1, m) for x in (a, -a)]
+        for _ in range(150):
+            gii, gij2, gjj = (rng.choice((0, rng.randint(-4, 4)))
+                              for _ in range(3))
+            c0, ci, lin0 = (rng.choice((0, rng.randint(-40, 40)))
+                            for _ in range(3))
+            if rng.random() < 0.1:
+                ci = -gij2 * m     # a zero linear term at b = m
+
+            def square(a, b):
+                return (gii * a * a + (ci + gij2 * b) * a
+                        + (c0 + lin0 * b + gjj * b * b))
+
+            quads = [(gii, ci + gij2 * b, c0 + lin0 * b + gjj * m * m)
+                     for b in (m, -m)]
+            squares = [square(a, b) for a in low for b in (m, -m)]
+            goals = tuple(rng.choice(squares + [rng.randint(-20, 20), 0,
+                                                quads[0][2]])
+                          for _ in range(rng.choice((1, 2))))
+            want = {a for a in low for b in (m, -m) if square(a, b) in goals}
+            assert lattice._integer_roots(quads, goals, m - 1) == want, (
+                quads, goals, m)
+            kinds.add(f"{len(goals)} goals")
+            kinds.add("hit" if want else "miss")
+            if gii == 0:
+                kinds.add("G_ii = 0")
+            if any(b == 0 for _, b, _ in quads):
+                kinds.add("zero linear term")
+            if any(c == 0 for _, _, c in quads):
+                kinds.add("zero constant")
+            if want == set(low):
+                kinds.add("every a")
+    assert kinds == {"1 goals", "2 goals", "hit", "miss", "G_ii = 0",
+                     "zero linear term", "zero constant", "every a"}
+
+
+def test_placers_are_built_once_per_support_reached(monkeypatch):
+    # bounded_vectors builds each support's placer in the m = 1 pass and
+    # only for the supports it reaches: all 22 of size 1 and the first 5
+    # of size 2 on a rank-22 box, not the C(22, 11) = 705,432 of size 11;
+    # _scored_runs reads each support of size >= 2 once
+    calls = []
+    for name in ("_placer", "_support"):
+        original = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name,
+                            lambda *args, original=original, name=name: (
+                                calls.append(name) or original(*args)))
+    head = list(itertools.islice(bounded_vectors(22, 20), 22 * 40 + 5 * 4))
+    assert head == list(itertools.islice(reference_bounded_vectors(22, 20),
+                                         len(head)))
+    assert calls == ["_placer"] * 27
+    calls.clear()
+    assert len(list(bounded_vectors(5, 3))) == 7 ** 5 - 1
+    assert calls == ["_placer"] * (2 ** 5 - 1)
+    calls.clear()
+    gram = [[(i * j) % 5 - 2 for j in range(5)] for i in range(5)]
+    for item in lattice._scored_runs(gram, 3):
+        pass
+    assert calls.count("_support") == 2 ** 5 - 1 - 5
+    assert calls.count("_placer") == 2 ** 5 - 1
 
 
 def search_sublattices(rng):
