@@ -76,8 +76,8 @@ def cmd_witten(args) -> int:
     m = load_manifold(args.file)
     w = parse_cli_vector(args.w, m.rank)
     n = args.degree
-    rhs = witten_rhs(m, w, n)
     if args.compare is None:
+        rhs = witten_rhs(m, w, n)
         # streamed in chunks: the whole text is never held at once
         if args.output:
             try:
@@ -88,6 +88,8 @@ def cmd_witten(args) -> int:
         else:
             rhs.write_text(sys.stdout)
         return 0
+    # the km file and the comparison degree are checked before any series
+    # is computed
     km = load_km(args.compare)
     if len(km.w) != m.rank:
         raise LoadError(f"{args.compare}: w has wrong rank")
@@ -95,7 +97,6 @@ def cmd_witten(args) -> int:
         if not m.form.is_characteristic(k):
             raise LoadError(f"{args.compare}: class {_fmt_vec(k)} is not "
                             "characteristic for this form")
-    lhs = km_series(km, m.form, n)
     mod = args.mod_degree if args.mod_degree is not None else n
     if args.inclusive:
         mod += 1  # inclusive reading: compare all degrees <= the stated one
@@ -103,6 +104,8 @@ def cmd_witten(args) -> int:
         raise TruncationError(
             f"cannot certify congruence mod degree {mod} at cap {n}; "
             "raise --degree")
+    rhs = witten_rhs(m, w, n)
+    lhs = km_series(km, m.form, n)
     diff = first_difference(lhs, rhs, mod)
     if diff is None:
         print(f"congruent mod {mod}")

@@ -28,7 +28,7 @@ from .lattice import (IntersectionForm, Vector, _gram_pairing, as_vector,
                       orthogonal_complement, vec_add)
 from .linsolve import LinearSystem
 from .series import (FormalSeries, HomogeneousPolynomial, _first_nonzero,
-                     gaussian_sum)
+                     _stored_sum, gaussian_sum)
 
 
 class Verdict(enum.Enum):
@@ -334,11 +334,15 @@ def fit_km_coefficients(target: FormalSeries,
     rank the solution b_r = X_r / L (integers) is fixed, and every later
     equation can only agree with it or be inconsistent; so a consistent
     prefix is checked against all monomials at once through the residual
-        weight L T - den sum_r X_r F_r,
-    an integer series formed degree by degree from the slices in hand,
-    up to its first nonzero degree. It is 0 exactly when the fit is
-    consistent; otherwise its lowest monomial is the first equation that
-    fails, which is the witness the full elimination reports.
+        weight L T - den S,   S = sum_r X_r F_r,
+    an integer series formed degree by degree up to its first nonzero
+    degree (`_first_nonzero`, called once). S is the kernel memo's stored
+    sum of these weights when it holds one (a round trip's `witten_rhs`
+    stored it), and otherwise its k parts X_r F_r from the slices in hand;
+    the solution's sum is never built here. Either way the residual is 0
+    exactly when the fit is consistent; otherwise its lowest monomial is
+    the first equation that fails, which is the witness the full
+    elimination reports.
 
     Raises TruncationError when degree_cap exceeds the target's cap: the
     target's coefficients at those degrees were truncated away, not 0.
@@ -366,10 +370,16 @@ def fit_km_coefficients(target: FormalSeries,
     if sol.status == "unique":
         values = [sol.values[i] for i in range(rank)]
         common = lcm(*(v.denominator for v in values))
+        solved = [(v.numerator * (common // v.denominator), b, k)
+                  for v, b, k in zip(values, basis, candidates) if v]
+        stored = _stored_sum(form, [(x, form.dual_coefficients(k))
+                                    for x, _, k in solved], n)
+        if stored is None:
+            parts = [(-target.den * x, b) for x, b, _ in solved]
+        else:
+            parts = [(-target.den, stored)]
         first = _first_nonzero(
-            [(target.weight * common, target.slices)]
-            + [(-target.den * v.numerator * (common // v.denominator), b)
-               for v, b in zip(values, basis) if v], n)
+            [(target.weight * common, target.slices)] + parts, n)
         if first is not None:
             return KMFitResult("inconsistent", {}, frozenset(), 0,
                                target._exponents(first[1]), ())

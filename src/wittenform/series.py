@@ -547,7 +547,10 @@ def gaussian_sum(form: IntersectionForm,
     summand holding the fiber, that is k runs on one H and one run on each
     other block. V starts at some degree s (s = n - 2 on E(n)), so the
     common blocks are read below cap - s only, and `_block_product` joins
-    them to V with F(a + b) = F_V(a) F_B(b). A negative cap is refused
+    them to V with F(a + b) = F_V(a) F_B(b). The memo also keeps the
+    slices of the whole sum, by its integer weights and each class's d, so
+    a sum asked for again (a round trip's `km_series` after `witten_rhs`)
+    runs nothing, common blocks included. A negative cap is refused
     before any class is read.
     """
     n = form.rank
@@ -565,18 +568,21 @@ def gaussian_sum(form: IntersectionForm,
     if not rest:
         slices = _MEMO.get(form, blocks, first, cap, quadratic)
         return FormalSeries._make(n, cap, slices, weight, den)
-    # the common blocks are those where every class has the first's d
-    differ = {i for _, d in rest for i, x in enumerate(d) if x != first[i]}
-    common = [block for block in blocks if differ.isdisjoint(block)]
-    varying = [block for block in blocks if not differ.isdisjoint(block)]
-    v = _weighted_sum(((w, _MEMO.get(form, varying, d, cap, quadratic))
-                       for w, d in weights), cap)
-    low = next((e for e, part in enumerate(v) if part), cap)
-    layout, gram = _layout(n, cap), form.sparse_rows if quadratic else None
-    factors = [list(islice(_slice_stream(layout, block, first, gram),
-                           cap - low)) for block in common]
-    return FormalSeries._make(n, cap, _block_product([v] + factors, cap),
-                              1, den)
+    slices = _MEMO.stored_sum(form, weights, cap, quadratic)
+    if slices is None:
+        # the common blocks are those where every class has the first's d
+        differ = {i for _, d in rest for i, x in enumerate(d) if x != first[i]}
+        common = [block for block in blocks if differ.isdisjoint(block)]
+        varying = [block for block in blocks if not differ.isdisjoint(block)]
+        v = _weighted_sum(((w, _MEMO.get(form, varying, d, cap, quadratic))
+                           for w, d in weights), cap)
+        low = next((e for e, part in enumerate(v) if part), cap)
+        layout, gram = _layout(n, cap), form.sparse_rows if quadratic else None
+        factors = [list(islice(_slice_stream(layout, block, first, gram),
+                               cap - low)) for block in common]
+        slices = _block_product([v] + factors, cap)
+        _MEMO.keep_sum(weights, quadratic, slices)
+    return FormalSeries._make(n, cap, slices, 1, den)
 
 
 def _weighted_sum(weighted, cap):
@@ -602,10 +608,15 @@ def _add_part(total, w, part):
 
 def _first_nonzero(weighted, cap):
     """(d, key): the lowest degree d < cap at which sum_r w_r F_r is nonzero,
-    for (w_r, slices of F_r) in `weighted`, and the lowest packed key there
-    (the first monomial in lex order); None when the sum is 0 below cap.
-    A degree's sum is formed only once every degree below it is 0."""
+    for (w_r, slices of F_r) in `weighted` (a list), and the lowest packed
+    key there (the first monomial in lex order); None when the sum is 0
+    below cap. A degree's sum is formed only once every degree below it is
+    0. With exactly two parts whose weights cancel, a degree where their
+    slices are equal dicts is 0 without a sum: that test runs in C."""
+    twins = len(weighted) == 2 and weighted[0][0] + weighted[1][0] == 0
     for d in range(cap):
+        if twins and weighted[0][1][d] == weighted[1][1][d]:
+            continue
         total = {}
         for w, slices in weighted:
             total = _add_part(total, w, slices[d])
@@ -725,39 +736,65 @@ class _Labels(dict):
 
 
 class _SliceMemo:
-    """The kernel's slices of the latest form object and cap, by (block
-    indices, d = G K on them, quadratic), holding at most `bound` F values
-    in all. A call with another form object or cap empties it; a class
-    that does not fit beside the stored ones is returned but not stored,
-    and nothing is evicted. Callers must not mutate the slices they get.
+    """The kernel's slices of the latest form object and cap, holding at
+    most `bound` F values in all (`entries`): each class's in `slices`, by
+    (block indices, d = G K on them, quadratic), and each sum's of several
+    classes in `sums`, by (its integer weights and each class's d, in call
+    order; quadratic). A call with another form object or cap empties
+    both; a class or sum that does not fit beside the stored ones is
+    returned but not stored, and nothing is evicted. Callers must not
+    mutate the slices they get.
     """
 
     def __init__(self, bound: int):
         self.bound = bound
         self.form = self.cap = None
         self.slices: dict = {}      # (indices, d on them, quadratic) -> slices
+        self.sums: dict = {}        # ((w_r, d_r) pairs, quadratic) -> slices
         self.entries = 0
 
     def get(self, form, blocks, d, cap, quadratic):
         """All `cap` slices of the class with G K = d on `blocks`."""
         if form is not self.form or cap != self.cap:
-            self.form, self.cap, self.slices, self.entries = form, cap, {}, 0
+            self.form, self.cap, self.entries = form, cap, 0
+            self.slices, self.sums = {}, {}
         indices = tuple([i for block in blocks for i in block])
         key = indices, tuple([d[i] for i in indices]), quadratic
         slices = self.slices.get(key)
         if slices is None:
             slices = _divided_power_slices(form, blocks, d, cap, quadratic)
-            size = sum(map(len, slices))
-            if self.entries + size <= self.bound:
-                self.slices[key] = slices
-                self.entries += size
+            self._keep(self.slices, key, slices)
         return slices
 
+    def stored_sum(self, form, weights, cap, quadratic):
+        """The stored slices of sum_r w_r F_r, for (w_r, d_r) in `weights`
+        (integer w_r, d_r = G K_r), or None; a miss changes nothing."""
+        if form is not self.form or cap != self.cap:
+            return None
+        return self.sums.get((tuple(weights), quadratic))
 
-# a round trip (witten_rhs, the fit's divided_powers, km_series) asks for
-# the same classes at the same form and cap three times
+    def keep_sum(self, weights, quadratic, slices):
+        """Store the slices of that sum, if they fit: a sum made at the
+        slot's form object and cap, which its classes' `get` calls set."""
+        self._keep(self.sums, (tuple(weights), quadratic), slices)
+
+    def _keep(self, table, key, slices):
+        size = _size(slices)
+        if self.entries + size <= self.bound:
+            table[key] = slices
+            self.entries += size
+
+
+# a round trip (witten_rhs, the fit's basis and residual, km_series) asks
+# for the same classes, and its sum, at the same form and cap three times
 _MEMO_ENTRIES = 8192
 _MEMO = _SliceMemo(_MEMO_ENTRIES)
+
+
+def _stored_sum(form, weights, cap):
+    """The memo's slices of the Gaussian sum (with Q) sum_r w_r F_r, for
+    (w_r, d_r) in `weights`, or None when it holds none."""
+    return _MEMO.stored_sum(form, weights, cap, True)
 
 
 def _divided_power_slices(form, blocks, d, cap, quadratic):

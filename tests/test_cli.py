@@ -293,7 +293,17 @@ def test_reads_across_key_layouts_build_no_fraction_view(fraction_views):
     assert (unpacked, views) == ([], [])
 
 
-def test_witten_compare_zero_denominator_exits_2(capsys, tmp_path):
+@pytest.fixture
+def no_series(monkeypatch):
+    """Fail the test if `witten` computes its series: a bad km file or
+    comparison degree is reported before `witten_rhs` runs."""
+    def refuse(*args):
+        raise AssertionError("witten_rhs ran before the km file was checked")
+
+    monkeypatch.setattr(wittenform.cli, "witten_rhs", refuse)
+
+
+def test_witten_compare_zero_denominator_exits_2(capsys, tmp_path, no_series):
     km_path = tmp_path / "bad.km"
     km_path.write_text("[km]\nw = " + " ".join(["0"] * 22)
                        + "\n\n[term]\na = 1/0\nk = " + " ".join(["0"] * 22)
@@ -321,7 +331,7 @@ def test_witten_compare_zero_denominator_exits_2(capsys, tmp_path):
 ], ids=["second km", "row in km", "row in term", "unknown section", "no km",
         "short class"])
 def test_witten_compare_km_file_structure_exits_2(capsys, tmp_path, text,
-                                                  line, message):
+                                                  line, message, no_series):
     km_path = tmp_path / "bad.km"
     km_path.write_text(text.format(z=" ".join(["0"] * 22)))
     code, out, err = run_cli(capsys, "--degree", "4", "witten", K3_PATH,
@@ -338,7 +348,8 @@ def test_witten_compare_km_file_structure_exits_2(capsys, tmp_path, text,
      "class 1" + ",0" * 21 + " is not characteristic for this form"),
 ], ids=["w of rank 21", "non-characteristic class"])
 def test_witten_compare_km_that_misfits_the_form_exits_2(capsys, tmp_path, w,
-                                                         k, message):
+                                                         k, message,
+                                                         no_series):
     km_path = tmp_path / "bad.km"
     km_path.write_text(f"[km]\nw = {w}\n\n[term]\na = 1\nk = {k}\n")
     code, out, err = run_cli(capsys, "--degree", "4", "witten", K3_PATH,
@@ -358,7 +369,7 @@ def test_witten_compare_inclusive_flag(capsys, tmp_path):
     assert out.strip() == "congruent mod 6"   # <= 5 means < 6
 
 
-def test_witten_compare_beyond_cap_refused(capsys, tmp_path):
+def test_witten_compare_beyond_cap_refused(capsys, tmp_path, no_series):
     km = witten_consistent_km(k3_manifold(), (0,) * 22)
     km_path = tmp_path / "k3.km"
     km_path.write_text(km_to_text(km))

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -18,7 +18,7 @@ from wittenform.series import (FormalSeries, HomogeneousPolynomial,
                                divided_powers, exp_linear, exp_quadratic,
                                first_difference, gaussian_sum, linear_series,
                                monomial_label, quadratic_series)
-from wittenform import lattice, series
+from wittenform import invariants, lattice, series
 from wittenform.manifold_io import manifold_to_text
 from wittenform.selftest import check_series_identities
 from wittenform.synthetic import random_manifold, random_unimodular_form
@@ -1506,6 +1506,230 @@ def test_round_trip_memo_keeps_the_classes_that_fit(memo, monkeypatch):
     assert memo.runs - runs == 5
 
 
+def sum_key(form, classes, quadratic=True):
+    """The memo's key of a sum of several classes: the integer weights
+    over the lcm of their denominators and each class's d, in call order."""
+    den = lcm(*(Fraction(c).denominator for c, _ in classes))
+    return tuple((int(c * den), form.dual_coefficients(k))
+                 for c, k in classes if c), quadratic
+
+
+@pytest.fixture
+def sums_formed(monkeypatch):
+    """The number of `_weighted_sum` calls: one per sum the kernel forms."""
+    calls = []
+    real = series._weighted_sum
+
+    def counted(weighted, cap):
+        calls.append(cap)
+        return real(weighted, cap)
+
+    monkeypatch.setattr(series, "_weighted_sum", counted)
+    return calls
+
+
+@pytest.fixture
+def residual_parts(monkeypatch):
+    """The number of parts of each residual that `fit_km_coefficients`
+    hands to `_first_nonzero`: 2 when it reads the memo's stored sum, the
+    target and one per nonzero class otherwise."""
+    calls = []
+    real = invariants._first_nonzero
+
+    def counted(weighted, cap):
+        calls.append(len(weighted))
+        return real(weighted, cap)
+
+    monkeypatch.setattr(invariants, "_first_nonzero", counted)
+    return calls
+
+
+def test_memo_warm_sum_runs_no_stream(memo, sums_formed):
+    # a warm identical sum is read whole from the memo: no class, no
+    # common block and no weighted sum runs again
+    rng = random.Random(45)
+    one_block = random_unimodular_form(rng, 3, ops=9)
+    cases = [(one_block, [[(1, (1, 0, -1)), (Fraction(-2, 3), (0, 2, 1)),
+                           (3, (1, 1, 1))]])]
+    for form in (elliptic_manifold(4).form, interleaved_form()):
+        cases.append((form, [c for name, (c, _) in route_classes(form).items()
+                             if name != "single"]))
+    for form, sums in cases:
+        for classes in sums:
+            memo.form = None        # an empty slot: the first call is cold
+            cold = gaussian_sum(form, classes, 6)
+            runs, formed = memo.runs, len(sums_formed)
+            memo.streams.clear()
+            warm = gaussian_sum(form, classes, 6)
+            assert (memo.runs, len(sums_formed), memo.streams) == (
+                runs, formed, [])
+            assert warm.slices is cold.slices
+            assert cold.slices is memo.sums[sum_key(form, classes)]
+            assert (warm.weight, warm.den) == (cold.weight, cold.den)
+            assert warm == cold
+            assert warm.to_text() == cold.to_text()
+            # the same integer weights over another denominator: the same
+            # slices, read at that denominator
+            sevenths = [(Fraction(c) / 7, k) for c, k in classes]
+            assert sum_key(form, sevenths) == sum_key(form, classes)
+            scaled = gaussian_sum(form, sevenths, 6)
+            assert scaled.slices is cold.slices and memo.streams == []
+            assert scaled == cold * Fraction(1, 7)
+
+
+def test_memo_sum_key_separates_weights_classes_quadratic_cap_and_form(
+        memo, sums_formed):
+    rng = random.Random(46)
+    form = random_unimodular_form(rng, 3, ops=9)
+    twin = IntersectionForm(form.gram)      # equal Gram, another object
+    k1, k2, k3 = (1, 0, -1), (0, 2, 1), (1, 1, 1)
+    base = [(1, k1), (Fraction(-2, 3), k2)]
+    first = gaussian_sum(form, base, 6)
+    assert first == product_route(form, base, 6)
+    assert list(memo.sums) == [sum_key(form, base)]
+    assert len(sums_formed) == 1
+    misses = [
+        ("other weights", form, [(1, k1), (Fraction(2, 3), k2)], 6, True),
+        ("proportional weights", form, [(2, k1), (Fraction(-4, 3), k2)], 6,
+         True),
+        ("other classes", form, [(1, k1), (Fraction(-2, 3), k3)], 6, True),
+        ("no Q", form, base, 6, False),
+        ("other cap", form, base, 5, True),
+        ("other form object", twin, base, 6, True),
+    ]
+    for formed, (label, f, classes, cap, quadratic) in enumerate(misses, 2):
+        got = gaussian_sum(f, classes, cap, quadratic)
+        assert len(sums_formed) == formed, label
+        if quadratic:
+            assert got == product_route(f, classes, cap), label
+        else:
+            assert got == fraction_sum(3, cap, [
+                (c, exp_by_products(linear_series(f, k, cap)))
+                for c, k in classes]), label
+        assert memo.sums[sum_key(f, classes, quadratic)] is got.slices, label
+    # the last call took the slot for the twin: the form's sums are gone
+    assert memo.form is twin and list(memo.sums) == [sum_key(twin, base)]
+
+
+def test_memo_sums_count_against_the_one_bound(memo, sums_formed):
+    # on a form of one block a class's entry is its divided powers; a sum
+    # is stored after its classes, only if it fits beside them
+    rng = random.Random(47)
+    form = random_unimodular_form(rng, 3, ops=9)
+    assert gram_components(form.sparse_rows) == [[0, 1, 2]]
+    cap = 6
+    classes = [(1, (1, 0, -1)), (-3, (0, 2, 1)), (2, (1, 1, 1))]
+    want = product_route(form, classes, cap)
+    sizes = [len(divided_powers(form, k, cap)) for _, k in classes]
+    size = len(want.terms)
+    key = sum_key(form, classes)
+    for bound, kept in [(sum(sizes) + size - 1, False),
+                        (sum(sizes) + size, True)]:
+        memo.bound = bound
+        memo.form = None        # an empty slot
+        got = gaussian_sum(form, classes, cap)
+        assert got == want
+        assert (key in memo.sums) is kept
+        assert memo.entries == sum(sizes) + size * kept <= bound
+        assert sorted(stored_sizes(memo).values()) == sorted(sizes)
+        formed = len(sums_formed)
+        again = gaussian_sum(form, classes, cap)
+        assert again == want
+        assert len(sums_formed) == formed + (not kept)
+    # a class that does not fit beside a stored sum is not stored either
+    memo.bound = sum(sizes) + size
+    extra = (-1, 1, 0)
+    assert gaussian_sum(form, [(1, extra)], cap) == product_route(
+        form, [(1, extra)], cap)
+    assert memo.entries == memo.bound and len(stored_sizes(memo)) == 3
+
+
+def test_round_trip_forms_each_class_and_its_sum_once(memo, sums_formed,
+                                                      residual_parts):
+    # at the default bound: witten_rhs runs each class and forms the sum,
+    # the fit checks its solution against the stored sum (two residual
+    # parts), and km_series reads the sum back
+    rng = random.Random(48)
+    cases = [(elliptic_manifold(4), 6)] + [
+        (random_manifold(rng, max_rank=4, max_classes=3), 5)
+        for _ in range(20)]
+    hits = 0
+    for m, cap in cases:
+        classes = m.basic_classes()
+        if len(classes) < 2 or (
+                m.rank != 46 and len(gram_components(m.form.sparse_rows)) > 1):
+            continue
+        w = (0,) * m.rank
+        runs, formed = memo.runs, len(sums_formed)
+        residual_parts.clear()
+        target = witten_rhs(m, w, cap)
+        fit = fit_km_coefficients(target, classes, w, m.form, cap)
+        assert fit.status == "unique"
+        km = KMData(w=w, terms=tuple((fit.a_values[k], k) for k in classes))
+        again = km_series(km, m.form, cap)
+        assert again == target and again.slices is target.slices
+        # each class runs once, on the whole of a one-block form; on E(4)
+        # once on the fiber's block (witten_rhs) and once on every block
+        # (the fit's basis)
+        assert memo.runs - runs == len(classes) * (1 + (m.rank == 46))
+        assert len(sums_formed) - formed == 1
+        assert residual_parts == [2]
+        hits += 1
+    assert hits >= 6
+
+
+def test_fit_reads_the_same_witness_from_the_stored_sum(memo,
+                                                        residual_parts):
+    # a target bumped past the fit's prefix solves to the stored sum's
+    # weights; its residual read against that sum names the witness the
+    # k class parts name
+    rng = random.Random(49)
+    routes = {1: 0, 2: 0, 3: 0}
+    for _ in range(30):
+        m = random_manifold(rng, max_rank=4, max_classes=3)
+        classes = m.basic_classes()
+        w = tuple(rng.randint(-1, 1) for _ in range(m.rank))
+        cap = rng.randint(3, 6)
+        target = witten_rhs(m, w, cap)
+        mono = tuple(rng.choice(sorted(target.terms)))
+        for tgt in (target, target + FormalSeries(m.rank, cap,
+                                                  {mono: Fraction(1, 3)})):
+            residual_parts.clear()
+            stored = fit_km_coefficients(tgt, classes, w, m.form, cap)
+            memo.sums.clear()
+            by_parts = fit_km_coefficients(tgt, classes, w, m.form, cap)
+            assert stored == by_parts, (m, w, cap, mono)
+            if residual_parts[0] == 2 < residual_parts[1]:
+                routes[len(classes)] += 1
+                # solved as for the target: the residual is the bump
+                assert stored.witness == (None if tgt is target else mono)
+    # the stored route (two parts, then k + 1 parts) was taken with two
+    # and three classes
+    assert routes[2] > 0 and routes[3] > 0, routes
+
+
+def test_first_difference_trusts_equal_slices_only_when_weights_cancel():
+    rng = random.Random(50)
+    form = random_unimodular_form(rng, 3, ops=9)
+    b = gaussian_sum(form, [(1, (1, 0, -1)), (Fraction(1, 2), (0, 2, 1))], 5)
+    a = b * 2
+    assert a.slices is b.slices and (a.weight, a.den) != (b.weight, b.den)
+    exps, ca, cb = first_difference(a, b, 5)
+    assert exps == (0, 0, 0) and ca == 2 * cb != 0
+    c = FormalSeries(3, 5, b.terms) * 2     # equal values, its own slices
+    assert first_difference(a, c, 5) is None
+    assert first_difference(b * 2, a, 5) is None
+    # cancelling weights over slices that differ at one degree only: that
+    # degree is summed, and its first monomial found
+    slices = [dict(part) for part in b.slices]
+    key = min(slices[3])
+    slices[3][key] += 1
+    f = FormalSeries._make(3, 5, slices, b.weight, b.den)
+    exps, cf, cb = first_difference(f, b, 5)
+    assert exps == b._exponents(key) and sum(exps) == 3
+    assert cf - cb == Fraction(b.weight, prod(map(factorial, exps)) * b.den)
+
+
 # ---------------------------------------------------------------------------
 # elliptic surfaces, whose classes differ in one block only
 
@@ -1576,10 +1800,11 @@ def test_elliptic_sum_runs_each_class_on_the_fiber_block_only(memo):
     assert memo.streams == [fiber] * 3 + rest
     assert {key[0] for key in memo.slices} == {fiber}
     assert len(rhs.terms) == 69
-    # again: the classes from the memo, the other blocks run again
+    # again: the whole sum from the memo, common blocks included
     memo.streams.clear()
     assert witten_rhs(m, zero, 6) == rhs and memo.runs == 3
-    assert memo.streams == rest
+    assert memo.streams == []
+    assert [sum(map(len, v)) for v in memo.sums.values()] == [69]
     # the class 0 alone has no common block: it runs on every block
     memo.streams.clear()
     full = divided_powers(m.form, zero, 6)
@@ -1589,7 +1814,7 @@ def test_elliptic_sum_runs_each_class_on_the_fiber_block_only(memo):
     on_fiber = [size for key, size in stored_sizes(memo).items()
                 if key[0] == fiber]
     assert memo.runs == 4 and len(on_fiber) == 3
-    assert memo.entries == len(full) + sum(on_fiber)
+    assert memo.entries == len(full) + sum(on_fiber) + 69
 
 
 def test_one_block_sums_run_every_class_on_the_whole_form(memo):
