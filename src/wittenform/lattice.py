@@ -12,15 +12,18 @@ computed by fraction-free (Bareiss) elimination, once per distinct
 orthogonal block of the Gram (copies of one block share the result),
 orthogonal complements by integer row reduction, and searches for vectors
 of prescribed square or hyperbolic pairs by bounded exhaustive
-enumeration. One walk of the box (`find_witnesses`) answers both search
-questions, each with its own budget and stopping point;
-`find_vector_with_square` and `find_hyperbolic_pair` ask it one question
-each. The walk goes run by run (`_scored_runs`): along a run of
-`bounded_vectors`, vectors that differ only in their last nonzero entry
+enumeration. The box order on supports of size >= 2 lives in one
+generator (`_assignments`), which both `bounded_vectors` (the vectors)
+and `_scored_runs` (the runs) read. One walk of the box
+(`find_witnesses`) answers both search questions, each with its own
+budget and stopping point; `find_vector_with_square` and
+`find_hyperbolic_pair` ask it one question each. The walk goes run by
+run: along a run, vectors that differ only in their last nonzero entry
 b, the square is a quadratic in b, which the walk solves for the squares
-it seeks. A stretch of two-long runs is solved in one step, by the
-quadratics that give its squares; the candidates of a run or a stretch
-without a hit are drawn in bulk.
+it seeks, and a stretch of two-long runs is solved in one step. The walk
+places its own hits; at its end it pulls the candidates it passed from
+`bounded_vectors` in one `islice`, so that a count on `bounded_vectors`
+sees every one of them.
 
 A search returns None at once, before drawing a candidate, when the
 sublattice's form rules a witness out: a definite form has no nonzero
@@ -516,41 +519,58 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
     repeat=size - 1)` (the support's other entries), the run is prefix +
     (b,), with b over vals if the prefix holds +-m and over (m, -m)
     otherwise. Only vectors holding an entry +-m are built, so the cost is
-    proportional to the vectors yielded. For each assignment of the
-    support's outer entries, `itertools.product` builds the whole
-    assignments (0, outer..., a, b) of its last two entries: over vals x
-    vals if the outer ones hold +-m, else over low x (m, -m) then
-    (m, -m) x vals, low being vals without +-m. Each support's placer is
-    built once, in the m = 1 pass, so a support the caller never reaches
-    costs nothing.
+    proportional to the vectors yielded. On supports of size >= 2 the
+    order of m, supports and outer assignments lives in one generator,
+    `_assignments`, which `_scored_runs` reads too; for each outer
+    assignment, `itertools.product` builds the whole assignments
+    (0, outer..., a, b) of the last two entries: over vals x vals if the
+    outer ones hold +-m, else over low x (m, -m) then (m, -m) x vals, low
+    being vals without +-m. `find_witnesses` places its own hits and
+    pulls from here once, at its end, only so that a count on this
+    generator sees every candidate the walk passed.
     """
     if rank == 0 or bound < 1:
         return
-    for size in range(1, rank + 1):
-        low: list[int] = []   # [1, -1, ..., m-1, -(m-1)]
-        vals: list[int] = []  # low + [m, -m]
-        placers: list[itemgetter] = []
-        for m in range(1, bound + 1):
+    singles = [_placer(rank, (j,)) for j in range(rank)]
+    for m in range(1, bound + 1):
+        for place in singles:
+            yield place((0, m))
+            yield place((0, -m))
+    for m, low, vals, place, outer, holds in _assignments(
+            rank, bound, partial(_placer, rank)):
+        fixed = tuple(zip((0,) + outer))    # ((0,), (outer_1,), ...)
+        if holds:
+            yield from map(place, itertools.product(*fixed, vals, vals))
+        else:
             tops = (m, -m)
-            vals += tops
-            for place in (placers if m > 1 else _building(
-                    map(partial(_placer, rank),
-                        itertools.combinations(range(rank), size)), placers)):
-                if size == 1:
-                    yield place((0, m))
-                    yield place((0, -m))
-                    continue
-                for head in itertools.product((0,), *[vals] * (size - 2)):
-                    fixed = tuple(zip(head))    # ((0,), (outer_1,), ...)
-                    if m in head or -m in head:
-                        yield from map(place, itertools.product(
-                            *fixed, vals, vals))
-                    else:
-                        yield from map(place, itertools.product(
-                            *fixed, low, tops))
-                        yield from map(place, itertools.product(
-                            *fixed, tops, vals))
-            low += tops
+            yield from map(place, itertools.product(*fixed, low, tops))
+            yield from map(place, itertools.product(*fixed, tops, vals))
+
+
+def _assignments(rank: int, bound: int, prepare) -> Iterator[tuple]:
+    """The box order of `bounded_vectors` on supports of size >= 2, the
+    one place it is stated: by support size, then m, then support in
+    `combinations` order, then assignment `outer` of the support's outer
+    entries (all but its last two) in `product` order over vals.
+
+    One item per outer assignment: (m, low, vals, prepare(support), outer,
+    holds), vals being [1, -1, ..., m, -m], low the same without +-m (both
+    lists grow with m, so read them before the next item) and holds
+    whether outer holds +-m. Each support is prepared once, in the m = 1
+    pass, so a support the caller never reaches costs nothing."""
+    for size in range(2, rank + 1):
+        low: list[int] = []
+        vals: list[int] = []
+        prepared: list = []
+        for m in range(1, bound + 1):
+            vals += (m, -m)
+            for support in (prepared if m > 1 else _building(
+                    map(prepare, itertools.combinations(range(rank), size)),
+                    prepared)):
+                for outer in itertools.product(vals, repeat=size - 2):
+                    yield (m, low, vals, support, outer,
+                           m in outer or -m in outer)
+            low += (m, -m)
 
 
 def _building(items: Iterator, built: list) -> Iterator:
@@ -585,7 +605,9 @@ def _support(gram, support: tuple) -> tuple:
 
 def _scored_runs(gram, bound: int) -> Iterator[tuple]:
     """The runs of `bounded_vectors(len(gram), bound)`, in its order, with
-    stretches of two-long runs gathered into one item each.
+    stretches of two-long runs gathered into one item each. The order on
+    supports of size >= 2 comes from `_assignments`, as the vectors' does,
+    and the walk (`find_witnesses`) places its hits from the runs itself.
 
     A run is (c, lin, g, values, prefix, place): its vectors are
     place(prefix + (b,)) for b in `values`, which is (m, -m) for a short
@@ -615,41 +637,29 @@ def _scored_runs(gram, bound: int) -> Iterator[tuple]:
         yield (2 * n, {(0, 0, g * m * m) for g in diag}, 1,
                [(0, 0, g, tops, (0,), place)
                 for g, place in zip(diag, singles)])
-    for size in range(2, n + 1):
-        low: list[int] = []
-        vals: list[int] = []
-        supports: list[tuple] = []
-        for m in range(1, bound + 1):
-            tops = (m, -m)
-            vals += tops
-            count = 2 * len(low)
-            for place, g, gii, gij2, col_i, col_j, block in (
-                    supports if m > 1 else _building(
-                        map(partial(_support, gram),
-                            itertools.combinations(range(n), size)),
-                        supports)):
-                gm = g * m * m
-                for outer in itertools.product(vals, repeat=size - 2):
-                    head = (0,) + outer
-                    c0 = sum(map(mul, outer, [sum(map(mul, row, outer))
-                                              for row in block]))
-                    ci = 2 * sum(map(mul, outer, col_i))
-                    lin0 = 2 * sum(map(mul, outer, col_j))
-                    if m in outer or -m in outer:
-                        for a in vals:
-                            yield (c0 + a * (ci + gii * a), lin0 + a * gij2,
-                                   g, vals, head + (a,), place)
-                        continue
-                    if count:
-                        quads = ((gii, ci + gij2 * m, c0 + lin0 * m + gm),
-                                 (gii, ci - gij2 * m, c0 - lin0 * m + gm))
-                        yield count, quads, m - 1, _short_runs(
-                            c0, ci, gii, lin0, gij2, g, low, tops, head,
-                            place)
-                    for a in tops:
-                        yield (c0 + a * (ci + gii * a), lin0 + a * gij2,
-                               g, vals, head + (a,), place)
-            low += tops
+    for m, low, vals, support, outer, holds in _assignments(
+            n, bound, partial(_support, gram)):
+        place, g, gii, gij2, col_i, col_j, block = support
+        head = (0,) + outer
+        c0 = sum(map(mul, outer, [sum(map(mul, row, outer))
+                                  for row in block]))
+        ci = 2 * sum(map(mul, outer, col_i))
+        lin0 = 2 * sum(map(mul, outer, col_j))
+        if holds:
+            for a in vals:
+                yield (c0 + a * (ci + gii * a), lin0 + a * gij2, g, vals,
+                       head + (a,), place)
+            continue
+        tops = (m, -m)
+        if low:
+            gm = g * m * m
+            quads = ((gii, ci + gij2 * m, c0 + lin0 * m + gm),
+                     (gii, ci - gij2 * m, c0 - lin0 * m + gm))
+            yield 2 * len(low), quads, m - 1, _short_runs(
+                c0, ci, gii, lin0, gij2, g, low, tops, head, place)
+        for a in tops:
+            yield (c0 + a * (ci + gii * a), lin0 + a * gij2, g, vals,
+                   head + (a,), place)
 
 
 def _short_runs(c0, ci, gii, lin0, gij2, g, low, tops, head,
@@ -718,10 +728,8 @@ def find_vector_with_square(sub: Sublattice, target: int, bound: int = 20,
     """First vector in `sub` (parent coordinates) of prescribed self-pairing.
 
     Exhaustive over sublattice coordinates in [-bound, bound] when budget is
-    None. On a definite sublattice a target of 0 or of the other sign
-    returns None at once, with no candidate drawn: there is no such
-    vector. Otherwise None means "not found within the bound/budget", not
-    a proof of non-existence.
+    None. This is `find_witnesses` asked the square question alone; its
+    docstring says when None comes at once and what None means.
     """
     return find_witnesses(sub, bound, budget, target=target)[0]
 
@@ -734,11 +742,8 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
     Isotropic vectors are collected in enumeration order and every new one
     is paired against the earlier ones, so small witnesses are found without
     sweeping the whole box. Soundness of any returned pair is asserted.
-    Without drawing a candidate, None comes at once on a definite
-    sublattice, which has no isotropic vector, and on one of rank at most
-    2 unless its form is even with determinant -1: a pair spans a
-    unimodular H, and in rank 2 that is the whole lattice. Otherwise None
-    means exhausted bound or budget, not non-existence.
+    This is `find_witnesses` asked the pair question alone; its docstring
+    says when None comes at once and what None means.
     """
     return find_witnesses(sub, bound, budget, pair=True)[1]
 
@@ -754,7 +759,9 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     question when `pair` is true; an unasked question answers None. Each
     question keeps its own budget, its own early return from the form and
     its own stopping point, so its answer is the one its search alone
-    (`find_vector_with_square`, `find_hyperbolic_pair`) gives. A draw costs
+    (`find_vector_with_square`, `find_hyperbolic_pair`) gives. The early
+    returns, with no candidate drawn, are the module docstring's; any
+    other None means "not found within the bound/budget". A draw costs
     each open question 1, and a pairing of an isotropic draw against an
     earlier one costs the pair question 1 more; a question whose budget is
     spent when it is charged answers None. The walk ends when every
@@ -767,10 +774,12 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     question) at an integer in its range is charged to each open question
     as a whole; a stretch with such a hit is walked run by run. Likewise
     a run none of whose vectors has such a square (`_run_hits`) is
-    charged as a whole, and its candidates stay in `bounded_vectors`
-    until a hit needs its vector or the walk ends: then every candidate
-    up to that draw is pulled with one `islice`. So the walk draws
-    exactly the candidates that a candidate-by-candidate walk draws.
+    charged as a whole. The walk places each hit itself, as
+    place(prefix + (b,)) from its run. When it ends, it pulls the
+    candidates up to its last answer's draw from `bounded_vectors` in one
+    `islice`; nothing reads them, but a count on `bounded_vectors` then
+    sees every candidate the walk passed, exactly the candidates a
+    candidate-by-candidate walk draws.
     The pair question keeps, for each coordinate j, the column of
     (G u)_j over the earlier isotropic draws u, and pairs a new one v
     with all of them at once as the sum of v_j times column j over its
@@ -794,15 +803,7 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     isotropic: list[Vector] = []
     columns: list[list[int]] = [[] for _ in range(sub.rank)]  # (G u)_j
     rows = sub.form.sparse_rows
-    vectors = bounded_vectors(sub.rank, bound)
-    pulled = last = 0   # candidates pulled; the draw the last answer came at
-
-    def draw(d: int) -> Vector:
-        """The d-th candidate, pulling every pending one before it."""
-        nonlocal pulled
-        v = next(itertools.islice(vectors, d - pulled - 1, None))
-        pulled = d
-        return v
+    last = 0    # the draw the last answer came at
 
     def spend(d: int) -> None:
         """Answer None to each open question whose budget is spent by draw
@@ -859,7 +860,7 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
         return False
 
     goals, stop = questions()
-    drawn = 0   # the candidates the walk has passed, pulled or pending
+    drawn = 0   # the candidates the walk has passed
     for item in _scored_runs(gram, bound):
         if len(item) == 6:      # a run
             runs, count = (item,), len(item[3])
@@ -872,13 +873,7 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
         # is charged, and spend(d) answers it before any later hit
         start = drawn
         for c, lin, g, values, prefix, place in runs:
-            if len(values) == 2:    # a short run m, -m: look before solving
-                m = values[0]
-                mid = c + g * m * m
-                hits = ((mid + m * lin in goals or mid - m * lin in goals)
-                        and _run_hits(c, lin, g, values, goals))
-            else:
-                hits = _run_hits(c, lin, g, values, goals)
+            hits = _run_hits(c, lin, g, values, goals)
             if hits:
                 for k in hits:
                     d = start + k
@@ -891,8 +886,7 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
                     pair_hit = pair_stop is not None and q == 0
                     if not (square_hit or pair_hit):
                         continue    # a question answered in the item
-                    v = draw(d)
-                    assert v == place(prefix + (b,))
+                    v = place(prefix + (b,))
                     if square_hit:
                         vector = sub.to_parent(v)
                         square_stop = None
@@ -915,9 +909,12 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
         break   # every question is answered
     else:
         last = drawn    # the box is spent
-    if last > pulled:
-        draw(last)
-    vectors.close()
+    if last:
+        # one pull of the candidates the walk passed, so that a count on
+        # bounded_vectors sees each of them
+        vectors = bounded_vectors(sub.rank, bound)
+        next(itertools.islice(vectors, last - 1, None))
+        vectors.close()
     return vector, witness
 
 

@@ -84,6 +84,14 @@ def test_non_characteristic_c1_rejected_even_relaxed():
         simple_manifold(H, 2, -2, [((1, 0), 1)])
 
 
+def test_construction_checks_w2_and_c1_lengths():
+    # checked even relaxed, before the characteristic check reads c1
+    with pytest.raises(DimensionMismatch, match="w2 length"):
+        simple_manifold(H, 2, -2, [], w2=(0,))
+    with pytest.raises(DimensionMismatch, match="does not match rank 2"):
+        simple_manifold(H, 2, -2, [((0, 0, 0), 1)])
+
+
 def test_sign_exponent_parity():
     # non-characteristic class on an odd form can make it half-integral
     form = diagonal_form([1])
@@ -248,6 +256,13 @@ def test_mmp_k3_vacuous():
     assert mmp_vanishing_check(k3, (0,) * 22) is Verdict.VACUOUS
 
 
+def test_mmp_vanishing_check_refuses_non_integral_c():
+    m = simple_manifold(H, 1, 0, [((0, 0), 1)])
+    assert m.characteristic_number().denominator != 1
+    with pytest.raises(NonIntegralError, match="not an integer"):
+        mmp_vanishing_check(m, (0, 0))
+
+
 def test_mmp_nonzero_constant_fails():
     m = simple_manifold(H, 4, -4, [((0, 0), 1)])   # c = 4, window degree 2
     assert mmp_vanishing_check(m, (0, 0)) is Verdict.FAIL
@@ -310,6 +325,8 @@ def test_fit_rejects_duplicates():
     with pytest.raises(ValueError):
         fit_km_coefficients(FormalSeries.zero(2, 4), [(0, 0), (0, 0)],
                             (0, 0), H, 4)
+    with pytest.raises(ValueError, match="no candidate classes"):
+        fit_km_coefficients(FormalSeries.zero(2, 4), [], (0, 0), H, 4)
 
 
 def test_fit_underdetermined_when_cap_too_small():
@@ -656,6 +673,11 @@ def test_hypotheses_mod2_congruence_fail():
     report = check_theorem_hypotheses(k3, w, lam, "level0")
     statuses = {e.name: e.status for e in report.entries}
     assert statuses["mod2_congruence"] == "fail"
+
+
+def test_hypotheses_reject_an_unknown_variant():
+    with pytest.raises(ValueError, match="variant must be one of"):
+        check_theorem_hypotheses(k3_manifold(), None, None, "level2")
 
 
 def test_hypotheses_report_text_format():

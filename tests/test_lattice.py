@@ -1264,3 +1264,13 @@ def test_congruent_mod2_examples():
     assert not congruent_mod2(H, (1, 0), (1, 1), (0, 0))      # (0,-1) = (0,1) mod 2
     with pytest.raises(DimensionMismatch):
         congruent_mod2(H, (1, 0, 0), (0, 0), (0, 0))
+    with pytest.raises(DimensionMismatch, match="w2 length"):
+        congruent_mod2(H, (1, 0), (0, 0), (0, 0, 1))
+
+
+def test_to_parent_checks_the_coordinate_length():
+    sub = orthogonal_complement(direct_sum(H, H), [(1, 0, 0, 0)])
+    assert sub.rank == 3
+    for coords in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(DimensionMismatch, match="coordinate length"):
+            sub.to_parent(coords)

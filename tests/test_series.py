@@ -452,6 +452,41 @@ def test_parse_rejects_garbage():
         FormalSeries.parse("series vars=2 cap=3\n1\n5 * h1^3")
 
 
+def test_caller_input_checks_raise_their_documented_errors():
+    with pytest.raises(TypeError, match="exact rational, got float"):
+        FormalSeries(1, 3, {(1,): 0.5})
+    with pytest.raises(DimensionMismatch, match="does not have 3 entries"):
+        FormalSeries(3, 3, {(1, 0): 1})
+    s = S(2, 4, {(0, 0): 1, (1, 0): 2})
+    with pytest.raises(DimensionMismatch, match="wrong length"):
+        s.coefficient((1,))
+    with pytest.raises(ValueError, match="non-negative integer"):
+        s ** -1
+    for var in (-1, 2):
+        with pytest.raises(DimensionMismatch, match=f"index {var}"):
+            s.derivative(var)
+    with pytest.raises(ValueError, match="empty series text"):
+        FormalSeries.parse(" \n ")
+    with pytest.raises(ValueError, match="duplicate monomial"):
+        FormalSeries.parse("series vars=2 cap=3\n1 * h1^1\n2 * h1^1")
+    with pytest.raises(ValueError, match="h3 out of range"):
+        FormalSeries.parse("series vars=2 cap=3\n1 * h3^1")
+    with pytest.raises(TruncationError, match="degree 3 >= cap 3"):
+        HomogeneousPolynomial(2, 3, degree=3)
+
+
+def test_operators_defer_on_a_non_series_operand():
+    # NotImplemented lets Python try the other operand, then raise
+    s = S(1, 3, {(0,): 1})
+    for other in ("x", 0.5):
+        for op in ("__eq__", "__add__", "__sub__", "__mul__"):
+            assert getattr(s, op)(other) is NotImplemented, (op, other)
+    assert s != "x"
+    for op in (lambda: s + "x", lambda: s - 0.5, lambda: s * 0.5):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_first_difference_reports_smallest_monomial():
     a = S(2, 6, {(0, 0): 1, (1, 1): 2, (3, 0): 5})
     b = S(2, 6, {(0, 0): 1, (1, 1): 3, (2, 0): 7})

@@ -233,6 +233,8 @@ def test_fit_problem_rejects_mixed_delta_m():
     obs2 = witten_observation(m, w, lam, 2, 1)
     with pytest.raises(ValueError):
         FitProblem((obs1, obs2))
+    with pytest.raises(ValueError, match="at least one observation"):
+        FitProblem(())
 
 
 def test_observation_degree_checked():
