@@ -20,10 +20,14 @@ budget and stopping point; `find_vector_with_square` and
 `find_hyperbolic_pair` ask it one question each. The walk goes run by
 run: along a run, vectors that differ only in their last nonzero entry
 b, the square is a quadratic in b, which the walk solves for the squares
-it seeks, and a stretch of two-long runs is solved in one step. The walk
-places its own hits; at its end it pulls the candidates it passed from
-`bounded_vectors` in one `islice`, so that a count on `bounded_vectors`
-sees every one of them.
+it seeks, and a stretch of two-long runs is solved in one step. An
+isotropic draw u is paired with others only if gcd(G u) == 1, since
+e.f == 1 needs gcd(G e) == 1; a draw with another gcd is charged to the
+budget exactly as before, so answers, draws and budget charges are those
+of a walk that pairs every isotropic draw. The walk places its own hits;
+at its end it pulls the candidates it passed from `bounded_vectors` in
+one `islice`, so that a count on `bounded_vectors` sees every one of
+them.
 
 A search returns None at once, before drawing a candidate, when the
 sublattice's form rules a witness out: a definite form has no nonzero
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from operator import add, itemgetter, mul
@@ -505,7 +510,8 @@ def orthogonal_complement(form: IntersectionForm,
 # bounded enumeration and searches
 
 def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
-    """All nonzero integer vectors with |coords| <= bound, sparse-first.
+    """An iterator (not a generator) over all nonzero integer vectors with
+    |coords| <= bound, sparse-first.
 
     Ordered by support size, then top magnitude m = max |coord|, then
     support position in `combinations` order, then assignment in `product`
@@ -519,32 +525,38 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
     repeat=size - 1)` (the support's other entries), the run is prefix +
     (b,), with b over vals if the prefix holds +-m and over (m, -m)
     otherwise. Only vectors holding an entry +-m are built, so the cost is
-    proportional to the vectors yielded. On supports of size >= 2 the
-    order of m, supports and outer assignments lives in one generator,
-    `_assignments`, which `_scored_runs` reads too; for each outer
-    assignment, `itertools.product` builds the whole assignments
+    proportional to the vectors yielded. The vectors are one
+    `itertools.chain` of pieces `map(place, itertools.product(...))`, each
+    built when the chain reaches it, so a pull runs in C. On supports of
+    size >= 2 the order of m, supports and outer assignments lives in one
+    generator, `_assignments`, which `_scored_runs` reads too; for each
+    outer assignment, `itertools.product` builds the whole assignments
     (0, outer..., a, b) of the last two entries: over vals x vals if the
     outer ones hold +-m, else over low x (m, -m) then (m, -m) x vals, low
     being vals without +-m. `find_witnesses` places its own hits and
     pulls from here once, at its end, only so that a count on this
-    generator sees every candidate the walk passed.
+    iterator sees every candidate the walk passed.
     """
-    if rank == 0 or bound < 1:
-        return
+    return itertools.chain.from_iterable(_pieces(rank, bound))
+
+
+def _pieces(rank: int, bound: int) -> Iterator[Iterator[Vector]]:
+    """The pieces of `bounded_vectors`, in its order: one per size-1
+    support and m, and one or two per outer assignment."""
     singles = [_placer(rank, (j,)) for j in range(rank)]
     for m in range(1, bound + 1):
+        tops = (m, -m)
         for place in singles:
-            yield place((0, m))
-            yield place((0, -m))
+            yield map(place, itertools.product((0,), tops))
     for m, low, vals, place, outer, holds in _assignments(
             rank, bound, partial(_placer, rank)):
         fixed = tuple(zip((0,) + outer))    # ((0,), (outer_1,), ...)
         if holds:
-            yield from map(place, itertools.product(*fixed, vals, vals))
+            yield map(place, itertools.product(*fixed, vals, vals))
         else:
             tops = (m, -m)
-            yield from map(place, itertools.product(*fixed, low, tops))
-            yield from map(place, itertools.product(*fixed, tops, vals))
+            yield map(place, itertools.product(*fixed, low, tops))
+            yield map(place, itertools.product(*fixed, tops, vals))
 
 
 def _assignments(rank: int, bound: int, prepare) -> Iterator[tuple]:
@@ -776,14 +788,21 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     a run none of whose vectors has such a square (`_run_hits`) is
     charged as a whole. The walk places each hit itself, as
     place(prefix + (b,)) from its run. When it ends, it pulls the
-    candidates up to its last answer's draw from `bounded_vectors` in one
-    `islice`; nothing reads them, but a count on `bounded_vectors` then
-    sees every candidate the walk passed, exactly the candidates a
-    candidate-by-candidate walk draws.
-    The pair question keeps, for each coordinate j, the column of
-    (G u)_j over the earlier isotropic draws u, and pairs a new one v
-    with all of them at once as the sum of v_j times column j over its
-    nonzero entries.
+    candidates up to its last answer's draw from a temporary
+    `bounded_vectors` iterator in one `islice`; nothing reads them, but a
+    count on `bounded_vectors` then sees every candidate the walk passed,
+    exactly the candidates a candidate-by-candidate walk draws, and the
+    count lands before the walk returns.
+    The pair question pairs only isotropic draws u with gcd(G u) == 1:
+    u.w is a multiple of gcd(G u), so e.f == 1 needs gcd 1. A draw with
+    another gcd (G u == 0 included) is neither paired nor kept, but it is
+    charged exactly as before (the pairings its budget allows, and a place
+    among the earlier draws of every later one), so budget charges and
+    answers are those of a walk that pairs every isotropic draw. For each
+    kept draw the walk holds its place among all isotropic draws and, for
+    each coordinate j, (G u)_j in column j; a new draw of gcd 1 is paired
+    at once with the kept draws in its allowed prefix, found by bisecting
+    their places (`_pairings`).
     """
     _check_search(bound, budget)
     gram = sub.induced_gram()
@@ -800,8 +819,12 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     vector = witness = None
     if square_stop is None and pair_stop is None:
         return vector, witness
-    isotropic: list[Vector] = []
-    columns: list[list[int]] = [[] for _ in range(sub.rank)]  # (G u)_j
+    isotropic = 0   # the isotropic draws so far
+    # the isotropic draws u with gcd(G u) == 1, their places among all
+    # isotropic draws, and for each coordinate j the column of (G u)_j
+    kept: list[Vector] = []
+    places: list[int] = []
+    columns: list[list[int]] = [[] for _ in range(sub.rank)]
     rows = sub.form.sparse_rows
     last = 0    # the draw the last answer came at
 
@@ -833,30 +856,35 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
         """Pair v, the isotropic draw d, with the earlier isotropic draws,
         as many as the budget allows: True if that answers the pair
         question (a pair, or the budget spent before a pairing); else v
-        joins them."""
-        nonlocal pair_stop, witness
+        joins them. Only draws with gcd(G u) == 1 are paired or kept,
+        since u.w is a multiple of gcd(G u); every draw is charged."""
+        nonlocal pair_stop, witness, isotropic
         # spend(d) left pair_stop > d: the budget allows the pairings with
         # the first pair_stop - d - 1 earlier draws
-        allowed = min(pair_stop - d - 1, len(isotropic))
-        # sum v_j times column j over the nonzero v_j, lazily and in C
-        pairings = list(itertools.islice(reduce(partial(map, add), [
-            map(x.__mul__, columns[j]) for j, x in enumerate(v) if x]),
-            allowed))
-        first = [pairings.index(p) for p in (1, -1) if p in pairings]
-        if first:
-            t = min(first)
-            e, f = isotropic[t], (v if pairings[t] == 1 else vec_neg(v))
-            assert _gram_pairing(rows, e, e) == 0
-            assert _gram_pairing(rows, f, f) == 0
-            assert _gram_pairing(rows, e, f) == 1
-            witness = sub.to_parent(e), sub.to_parent(f)
-            return True
-        if allowed < len(isotropic):
+        allowed = min(pair_stop - d - 1, isotropic)
+        gv = _gram_times(rows, v)
+        can_pair = math.gcd(*gv) == 1
+        if can_pair:
+            # the kept draws among the allowed ones
+            pairings = _pairings(v, columns, bisect_left(places, allowed))
+            first = [pairings.index(p) for p in (1, -1) if p in pairings]
+            if first:
+                t = min(first)
+                e, f = kept[t], (v if pairings[t] == 1 else vec_neg(v))
+                assert _gram_pairing(rows, e, e) == 0
+                assert _gram_pairing(rows, f, f) == 0
+                assert _gram_pairing(rows, e, f) == 1
+                witness = sub.to_parent(e), sub.to_parent(f)
+                return True
+        if allowed < isotropic:
             return True
         pair_stop -= allowed
-        isotropic.append(v)
-        for column, x in zip(columns, _gram_times(rows, v)):
-            column.append(x)
+        if can_pair:
+            kept.append(v)
+            places.append(isotropic)
+            for column, x in zip(columns, gv):
+                column.append(x)
+        isotropic += 1
         return False
 
     goals, stop = questions()
@@ -911,11 +939,19 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
         last = drawn    # the box is spent
     if last:
         # one pull of the candidates the walk passed, so that a count on
-        # bounded_vectors sees each of them
-        vectors = bounded_vectors(sub.rank, bound)
-        next(itertools.islice(vectors, last - 1, None))
-        vectors.close()
+        # bounded_vectors sees each of them; the pulled iterator is a
+        # temporary, so a wrapper's count lands before the walk returns
+        next(itertools.islice(bounded_vectors(sub.rank, bound), last - 1,
+                              None))
     return vector, witness
+
+
+def _pairings(v: Vector, columns: list[list[int]], count: int) -> list[int]:
+    """v.u for the first `count` draws u whose G u `columns` holds (column
+    j being (G u)_j over the draws): the sum of v_j times column j over the
+    nonzero v_j, lazily and in C."""
+    return list(itertools.islice(reduce(partial(map, add), [
+        map(x.__mul__, columns[j]) for j, x in enumerate(v) if x]), count))
 
 
 def _is_hyperbolic_plane(gram) -> bool:

@@ -451,11 +451,13 @@ def test_hypotheses_negative_budget_exit_2(capsys):
 
 def test_hypotheses_golden_on_the_bundled_corpus(capsys):
     # hypotheses stdout on the 11 bundled files, both variants, at bound 20
-    # with the default budget and at bound 80 with budget 20000
+    # with the default budget, at bound 80 with budget 20000, and at the
+    # small budgets of bound 5 with budget 300 and bound 40 with budget
+    # 2000, which mix pass and unknown-bounded answers
     golden = os.path.join(os.path.dirname(__file__), "hypotheses_golden.json")
     with open(golden, encoding="utf-8") as fh:
         cases = json.load(fh)
-    assert len(cases) == 44
+    assert len(cases) == 88
     for case in cases:
         code, out, err = run_cli(capsys, "hypotheses",
                                  bundled_path(case["file"]), *case["args"])

@@ -1,7 +1,8 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -16,7 +17,7 @@ from wittenform.lattice import (IntersectionForm, Sublattice, bounded_vectors,
                                 find_hyperbolic_pair, find_vector_with_square,
                                 find_witnesses, gram_components,
                                 hyperbolic_plane, integer_kernel,
-                                orthogonal_complement)
+                                orthogonal_complement, vec_neg)
 from wittenform.selftest import (box_vectors, brute_pairing,
                                  check_lattice_oracles, check_parity_lemma,
                                  random_forms)
@@ -1019,20 +1020,52 @@ def drawn(monkeypatch):
     return counts
 
 
-def test_joint_walk_matches_reference_at_larger_bounds(drawn, monkeypatch):
+@pytest.fixture
+def reference_draws(monkeypatch):
+    """The candidates the reference searches draw, one count per search."""
+    counts = []
+    monkeypatch.setitem(globals(), "reference_bounded_vectors",
+                        counting(reference_bounded_vectors, counts))
+    return counts
+
+
+def walk_against_references(sub, bound, target, budget, drawn,
+                            reference_draws):
+    """Each search alone and the joint walk at `budget` against the
+    references: both answers; each search alone draws the candidates its
+    reference draws, or none when the form rules its witness out, and the
+    joint walk draws those of the longer one. Returns the references'
+    (vector, spent, pair, pair_spent)."""
+    reference_draws.clear()
+    vector, spent = reference_vector_with_square(sub, target, bound, budget)
+    pair, pair_spent = reference_hyperbolic_pair(sub, bound, budget)
+    alone = []
+    for search, want in ((find_vector_with_square, vector),
+                         (find_hyperbolic_pair, pair)):
+        drawn.clear()
+        args = (target,) if search is find_vector_with_square else ()
+        assert search(sub, *args, bound=bound, budget=budget) == want, (
+            search.__name__, sub.induced_gram(), bound, target, budget)
+        assert drawn in ([], [reference_draws[len(alone)]])
+        alone += drawn
+    drawn.clear()
+    assert find_witnesses(sub, bound, budget, target=target,
+                          pair=True) == (vector, pair), (
+        sub.induced_gram(), bound, target, budget)
+    assert drawn == ([max(alone)] if alone else [])
+    return vector, spent, pair, pair_spent
+
+
+def test_joint_walk_matches_reference_at_larger_bounds(drawn,
+                                                       reference_draws):
     # bounds 5-7, whose runs are up to 14 long: quadratic hits deep in
     # long runs, budgets that end mid-run, linear runs (zero diagonals)
     # and runs where every value hits (the zero forms). On a seeded sample
     # of the scoring Grams, every budget up to spent + 2 answers both
-    # questions as the references do; the sweep stops at 250 and then
-    # tries 5,000, which reaches rank 3's full supports, since the zero
-    # forms' pair references pair each isotropic draw with every earlier
-    # one. Each search alone draws the candidates its reference draws, or
-    # none when the form rules its witness out, and the joint walk draws
-    # those of the longer one
-    reference_draws = []
-    monkeypatch.setitem(globals(), "reference_bounded_vectors",
-                        counting(reference_bounded_vectors, reference_draws))
+    # questions as the references do, and each walk draws the candidates
+    # they draw; the sweep stops at 250 and then tries 5,000, which
+    # reaches rank 3's full supports, since the zero forms' pair
+    # references pair each isotropic draw with every earlier one
     rng = random.Random(5152)
     checked = set()
     for kind, gram in scoring_grams(random.Random(150)):
@@ -1046,23 +1079,8 @@ def test_joint_walk_matches_reference_at_larger_bounds(drawn, monkeypatch):
         target = rng.choice((brute_pairing(gram, point, point),) * 2
                             + (rng.randint(-3, 4),))
         for budget in [*range(1, 251), 5_000]:
-            reference_draws.clear()
-            vector, spent = reference_vector_with_square(sub, target, bound,
-                                                         budget)
-            pair, pair_spent = reference_hyperbolic_pair(sub, bound, budget)
-            alone = []
-            for search, want in ((find_vector_with_square, vector),
-                                 (find_hyperbolic_pair, pair)):
-                drawn.clear()
-                args = (target,) if search is find_vector_with_square else ()
-                assert search(sub, *args, bound=bound, budget=budget) == want
-                assert drawn in ([], [reference_draws[len(alone)]])
-                alone += drawn
-            drawn.clear()
-            assert find_witnesses(sub, bound, budget, target=target,
-                                  pair=True) == (vector, pair), (
-                kind, gram, bound, target, budget)
-            assert drawn == ([max(alone)] if alone else [])
+            vector, spent, pair, pair_spent = walk_against_references(
+                sub, bound, target, budget, drawn, reference_draws)
             if spent <= budget - 2 and pair_spent <= budget - 2:
                 assert find_witnesses(sub, bound, target=target,
                                       pair=True) == (vector, pair)
@@ -1073,6 +1091,106 @@ def test_joint_walk_matches_reference_at_larger_bounds(drawn, monkeypatch):
     assert {kind for kind, _ in checked} >= {"random", "zero diagonal",
                                               "indefinite", "zero"}
     assert ("zero", True) in checked
+
+
+def gram_times(gram, v):
+    """G v, by the rows of the dense Gram."""
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in gram)
+
+
+def unpairable_sublattices(rng):
+    """Seeded full sublattices rich in isotropic vectors u with
+    gcd(G u) > 1, which can never be in a hyperbolic pair: summands H(2)
+    and <2> + <-2> (whose isotropic vectors all have an even gcd) beside an
+    H, last, and the Gram sheared by unimodular changes of basis, which keep
+    each gcd, so that the pair lies deep in the box. Each comes with a
+    bound at which the pair reference finds its pair after 20 to 800
+    charges."""
+    h2, d2, h = [[0, 2], [2, 0]], [[2, 0], [0, -2]], [[0, 1], [1, 0]]
+    for parts in ((h2, h), (d2, h), (h2, [[2]], h), ([[-2]], h2, h),
+                  (h2, d2, h), (h2, h2, h)):
+        n = sum(map(len, parts))
+        block = [[0] * n for _ in range(n)]
+        at = 0
+        for part in parts:
+            for i, row in enumerate(part):
+                block[at + i][at:at + len(row)] = row
+            at += len(part)
+        for _ in range(3):
+            # e_i <- e_i + s e_j: row and column i gain s times j's
+            gram = [list(row) for row in block]
+            for _ in range(rng.randint(1, 6)):
+                i, j = rng.sample(range(n), 2)
+                s = rng.choice((1, -1))
+                gram[i] = [a + s * b for a, b in zip(gram[i], gram[j])]
+                for row in gram:
+                    row[i] += s * row[j]
+            sub = Sublattice.full(IntersectionForm(
+                gram, require_unimodular=False))
+            bound = 3 if n == 4 else 2
+            pair, spent = reference_hyperbolic_pair(sub, bound)
+            if pair is not None and 20 <= spent <= 800:
+                yield sub, bound
+
+
+def isotropic_draws(gram, bound):
+    """The reference's isotropic draws in box order, each with gcd(G u),
+    which divides u.w for every w: 1 for a draw that can be in a pair."""
+    return [(v, gcd(*gram_times(gram, v)))
+            for v in reference_bounded_vectors(len(gram), bound)
+            if brute_pairing(gram, v, v) == 0]
+
+
+def test_draws_that_cannot_pair_are_charged_at_every_budget(
+        drawn, reference_draws):
+    # draws with gcd(G u) > 1 are neither paired nor kept, but each is
+    # charged as before: its pairings, and a place among the earlier draws
+    # of every later one. At every budget up to spent + 2, both answers
+    # and every walk's draws are the references', which pair every
+    # isotropic draw with every earlier one
+    rng = random.Random(3434)
+    checked = unpaired = 0
+    for sub, bound in unpairable_sublattices(random.Random(343)):
+        gram = sub.induced_gram()
+        pair, pair_spent = reference_hyperbolic_pair(sub, bound)
+        point = [rng.randint(-bound, bound) for _ in gram]
+        target = rng.choice((brute_pairing(gram, point, point), 2, -2))
+        _, spent = reference_vector_with_square(sub, target, bound)
+        for budget in range(1, max(spent, pair_spent) + 3):
+            walk_against_references(sub, bound, target, budget, drawn,
+                                    reference_draws)
+        # the pair's f is the last draw the pair reference makes
+        draws = isotropic_draws(gram, bound)
+        f = next(k for k, (v, _) in enumerate(draws)
+                 if v in (pair[1], vec_neg(pair[1])))
+        unpaired += sum(g != 1 for _, g in draws[:f])
+        checked += 1
+    assert checked >= 12 and unpaired >= 90
+
+
+def test_only_draws_that_can_pair_are_paired(monkeypatch):
+    # a spy on the pairings: each draw paired has gcd(G v) == 1, and it is
+    # paired with exactly the earlier draws of gcd 1 (their columns G u),
+    # in box order
+    calls = []
+    pairings = lattice._pairings
+
+    def spy(v, columns, count):
+        calls.append((v, list(zip(*(column[:count] for column in columns)))))
+        return pairings(v, columns, count)
+
+    monkeypatch.setattr(lattice, "_pairings", spy)
+    for sub, bound in unpairable_sublattices(random.Random(343)):
+        gram = sub.induced_gram()
+        calls.clear()
+        e, f = find_hyperbolic_pair(sub, bound)
+        can_pair = [v for v, g in isotropic_draws(gram, bound) if g == 1]
+        last = next(k for k, v in enumerate(can_pair) if v in (f, vec_neg(f)))
+        assert [v for v, _ in calls] == can_pair[:last + 1]
+        for k, (v, columns) in enumerate(calls):
+            assert columns == [gram_times(gram, u) for u in can_pair[:k]]
+        assert e in can_pair[:last]
+    assert len(calls) > 1
 
 
 def test_walk_cost_is_linear_in_the_bound(drawn):
@@ -1107,6 +1225,36 @@ def test_joint_walk_draws_the_longer_search_only(drawn):
         drawn.clear()
         find_witnesses(sub, 3, budget, target=target, pair=True)
         assert drawn == [max(alone)], (target, budget)
+
+
+def test_the_count_lands_before_the_walk_returns(monkeypatch):
+    # with the cycle collector off, only reference counting can finish the
+    # pulled iterator: each walk has appended exactly one count, the
+    # candidates it passed, by the time it returns (the draws of
+    # test_joint_walk_draws_the_longer_search_only)
+    counts = []
+    monkeypatch.setattr(lattice, "bounded_vectors",
+                        counting(bounded_vectors, counts))
+    sub = orthogonal_complement(direct_sum(H, H, diagonal_form([1, -1])),
+                                [(1, 0, 0, 0, 0, 0)])
+    box = list(reference_bounded_vectors(3, 3))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for target, budget, passed in ((0, None, 5), (1, None, 7),
+                                       (-2, None, 48), (100, None, 7 ** 5 - 1),
+                                       (5, 40, 41), (0, 4, 3), (-2, 3, 4),
+                                       (1, 1, 2)):
+            counts.clear()
+            find_witnesses(sub, 3, budget, target=target, pair=True)
+            assert counts == [passed], (target, budget)
+        # a pull that stops inside a piece of the chain yields the box's
+        # first k vectors
+        for k in range(len(box) + 1):
+            assert list(itertools.islice(bounded_vectors(3, 3), k)) == box[:k]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_searches_ruled_out_by_the_form_draw_no_candidate(monkeypatch,
