@@ -27,7 +27,9 @@ budget exactly as before, so answers, draws and budget charges are those
 of a walk that pairs every isotropic draw. The walk places its own hits;
 at its end it pulls the candidates it passed from `bounded_vectors` in
 one `islice`, so that a count on `bounded_vectors` sees every one of
-them.
+them. Each piece of `bounded_vectors` is an `itertools.product` of
+placed pools, so that pull, which drops every vector, reuses one tuple
+and costs about what building the pieces costs.
 
 A search returns None at once, before drawing a candidate, when the
 sublattice's form rules a witness out: a definite form has no nonzero
@@ -526,37 +528,47 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
     (b,), with b over vals if the prefix holds +-m and over (m, -m)
     otherwise. Only vectors holding an entry +-m are built, so the cost is
     proportional to the vectors yielded. The vectors are one
-    `itertools.chain` of pieces `map(place, itertools.product(...))`, each
-    built when the chain reaches it, so a pull runs in C. On supports of
-    size >= 2 the order of m, supports and outer assignments lives in one
-    generator, `_assignments`, which `_scored_runs` reads too; for each
-    outer assignment, `itertools.product` builds the whole assignments
-    (0, outer..., a, b) of the last two entries: over vals x vals if the
-    outer ones hold +-m, else over low x (m, -m) then (m, -m) x vals, low
-    being vals without +-m. `find_witnesses` places its own hits and
-    pulls from here once, at its end, only so that a count on this
-    iterator sees every candidate the walk passed.
+    `itertools.chain` of pieces (`_pieces`), each built when the chain
+    reaches it and each an `itertools.product` of placed pools: the
+    support's placer puts (0,) on every coordinate off the support,
+    (outer_k,) on each outer place and the pools of the last two entries
+    on the last two places. Only those two pools hold more than one
+    value, so `product` yields the order above, and it builds each
+    vector whole, in C. A consumer that drops each vector before the next
+    (an `islice` that skips them) gets one reused tuple; one that keeps
+    them gets a fresh tuple each, since `product` reuses its tuple only
+    when nothing else refers to it. On supports of size >= 2 the order of
+    m, supports and outer assignments lives in one generator,
+    `_assignments`, which `_scored_runs` reads too; for each outer
+    assignment the last two entries run over vals x vals if the outer
+    ones hold +-m, else over low x (m, -m) then (m, -m) x vals, low being
+    vals without +-m. `find_witnesses` places its own hits and pulls from
+    here once, at its end, only so that a count on this iterator sees
+    every candidate the walk passed.
     """
     return itertools.chain.from_iterable(_pieces(rank, bound))
 
 
 def _pieces(rank: int, bound: int) -> Iterator[Iterator[Vector]]:
     """The pieces of `bounded_vectors`, in its order: one per size-1
-    support and m, and one or two per outer assignment."""
+    support and m, and one or two per outer assignment, each the
+    `itertools.product` of the pools its support's placer places: ((0,),
+    tops) on a size-1 support, and on a larger one ((0,), (outer_1,), ...,
+    X, Y), X and Y the pools of its last two entries."""
     singles = [_placer(rank, (j,)) for j in range(rank)]
     for m in range(1, bound + 1):
         tops = (m, -m)
         for place in singles:
-            yield map(place, itertools.product((0,), tops))
+            yield itertools.product(*place(((0,), tops)))
     for m, low, vals, place, outer, holds in _assignments(
             rank, bound, partial(_placer, rank)):
         fixed = tuple(zip((0,) + outer))    # ((0,), (outer_1,), ...)
         if holds:
-            yield map(place, itertools.product(*fixed, vals, vals))
+            yield itertools.product(*place((*fixed, vals, vals)))
         else:
             tops = (m, -m)
-            yield map(place, itertools.product(*fixed, low, tops))
-            yield map(place, itertools.product(*fixed, tops, vals))
+            yield itertools.product(*place((*fixed, low, tops)))
+            yield itertools.product(*place((*fixed, tops, vals)))
 
 
 def _assignments(rank: int, bound: int, prepare) -> Iterator[tuple]:
@@ -593,10 +605,11 @@ def _building(items: Iterator, built: list) -> Iterator:
 
 
 def _placer(rank: int, support: tuple) -> itemgetter:
-    """The itemgetter that places an assignment (0, a_1, ..., a_size) on
-    `support`: coordinate support[k] reads a_(k+1) and every other
-    coordinate the leading 0. An itemgetter of one index returns the item,
-    not a 1-tuple, hence the slice when rank == 1."""
+    """The itemgetter that places a sequence (x_0, x_1, ..., x_size) on
+    `support`: coordinate support[k] reads x_(k+1) and every other
+    coordinate x_0. The walk places assignments (0, a_1, ..., a_size),
+    `_pieces` pools ((0,), ...). An itemgetter of one index returns the
+    item, not a 1-tuple, hence the slice when rank == 1."""
     idx = [0] * rank
     for slot, pos in enumerate(support, 1):
         idx[pos] = slot

@@ -695,6 +695,20 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "{bad}"),
+    ("--degree", "4", "witten", K3_PATH, "--compare", "{bad}"),
+    ("fit", "{bad}"),
+], ids=["manifold", "km", "fit"])
+def test_undecodable_file_exits_2_naming_it(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, *(a.format(bad=bad) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
 def test_negative_degree_exit_2(capsys):
     code, out, err = run_cli(capsys, "--degree", "-1", "witten", K3_PATH)
     assert code == 2

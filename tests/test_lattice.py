@@ -1,5 +1,6 @@
 import gc
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import gcd, prod
@@ -724,6 +725,28 @@ def test_bounded_vectors_match_reference():
     assert (list(itertools.islice(bounded_vectors(6, 30), 50_000))
             == list(itertools.islice(reference_bounded_vectors(6, 30),
                                      50_000)))
+    # rank 22 is K3's complement: each piece places 22 pools
+    assert (list(itertools.islice(bounded_vectors(22, 3), 50_000))
+            == list(itertools.islice(reference_bounded_vectors(22, 3),
+                                     50_000)))
+
+
+def test_a_pull_that_drops_its_vectors_sees_the_reference():
+    # each piece is an itertools.product, which reuses its result tuple
+    # when the consumer has dropped it: a consumer that drops every vector
+    # still sees the reference sequence, and vectors it keeps are fresh
+    # tuples that later vectors do not overwrite
+    for rank in range(6):
+        for bound in range(6):
+            assert (sum(1 for _ in bounded_vectors(rank, bound))
+                    == sum(1 for _ in reference_bounded_vectors(rank, bound)))
+            assert all(map(operator.eq, bounded_vectors(rank, bound),
+                           reference_bounded_vectors(rank, bound)))
+            vectors = bounded_vectors(rank, bound)
+            kept = list(itertools.islice(vectors, 0, None, 7))
+            assert next(vectors, None) is None
+            assert kept == list(itertools.islice(
+                reference_bounded_vectors(rank, bound), 0, None, 7))
 
 
 def test_bounded_vectors_cost_is_linear_in_the_bound():
