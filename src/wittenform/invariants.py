@@ -487,6 +487,12 @@ def check_theorem_hypotheses(m: ManifoldData, w: Optional[Sequence[int]],
     """
     if variant not in THEOREM_TARGETS:
         raise ValueError(f"variant must be one of {sorted(THEOREM_TARGETS)}")
+    # a vector of the wrong length is refused before the walk, whatever
+    # the walk finds
+    if w is not None:
+        w = m.form._check_vector(w)
+    if lambda_ is not None:
+        lambda_ = m.form._check_vector(lambda_)
     target = THEOREM_TARGETS[variant] - (m.chi + m.sigma)
     basics = m.basic_classes()
     complement = orthogonal_complement(m.form, basics)
@@ -512,23 +518,19 @@ def check_theorem_hypotheses(m: ManifoldData, w: Optional[Sequence[int]],
             "abundant", "unknown-bounded",
             f"no hyperbolic pair within bound {search_bound}"))
 
-    lam: Optional[Vector] = (m.form._check_vector(lambda_)
-                             if lambda_ is not None else found)
+    lam: Optional[Vector] = lambda_ if lambda_ is not None else found
     if lam is None:
         entries.append(HypothesisEntry(
             "lambda_exists", "unknown-bounded",
             f"no vector of square {target} within bound {search_bound}"))
-        w_used = as_vector(w) if w is not None else mod2_reduce(m.w2)
+        w_used = w if w is not None else mod2_reduce(m.w2)
         entries.append(HypothesisEntry("lambda_in_complement", "unknown-bounded"))
         entries.append(HypothesisEntry("lambda_square", "unknown-bounded"))
         entries.append(HypothesisEntry("mod2_congruence", "unknown-bounded"))
     else:
         entries.append(HypothesisEntry(
             "lambda_exists", "pass", "supplied" if lambda_ is not None else "searched"))
-        if w is not None:
-            w_used = m.form._check_vector(w)
-        else:
-            w_used = vec_add(lam, m.w2)
+        w_used = w if w is not None else vec_add(lam, m.w2)
         in_comp = all(m.form.pairing(lam, b) == 0 for b in basics)
         entries.append(HypothesisEntry(
             "lambda_in_complement", "pass" if in_comp else "fail",

@@ -14,14 +14,14 @@ orthogonal complements by integer row reduction, and searches for vectors
 of prescribed square or hyperbolic pairs by bounded exhaustive
 enumeration. The box order on supports of size >= 2 lives in one
 generator (`_assignments`), which both `bounded_vectors` (the vectors)
-and `_scored_runs` (the runs) read. One walk of the box
+and `_scored_pieces` (what the walk scores) read. One walk of the box
 (`find_witnesses`) answers both search questions, each with its own
 budget and stopping point; `find_vector_with_square` and
-`find_hyperbolic_pair` ask it one question each. The walk goes run by
-run: along a run, vectors that differ only in their last nonzero entry
-b, the square is a quadratic in b, which the walk solves for the squares
-it seeks, and a stretch of two-long runs is solved in one step. An
-isotropic draw u is paired with others only if gcd(G u) == 1, since
+`find_hyperbolic_pair` ask it one question each. The walk goes piece by
+piece, all size-1 vectors at one m being one piece: where only the last
+two entries vary, the square is a quadratic in the entry of the longer
+pool, solved once per value of the shorter one for the squares it seeks.
+An isotropic draw u is paired with others only if gcd(G u) == 1, since
 e.f == 1 needs gcd(G e) == 1; a draw with another gcd is charged to the
 budget exactly as before, so answers, draws and budget charges are those
 of a walk that pairs every isotropic draw. The walk places its own hits;
@@ -522,79 +522,75 @@ def bounded_vectors(rank: int, bound: int) -> Iterator[Vector]:
     so structured lattices (hyperbolic summands and the like) are hit long
     before the box is exhausted.
 
-    The order falls into runs, the stretches of vectors that differ only
-    in their last nonzero entry: for each prefix in `product(vals,
-    repeat=size - 1)` (the support's other entries), the run is prefix +
-    (b,), with b over vals if the prefix holds +-m and over (m, -m)
-    otherwise. Only vectors holding an entry +-m are built, so the cost is
-    proportional to the vectors yielded. The vectors are one
-    `itertools.chain` of pieces (`_pieces`), each built when the chain
-    reaches it and each an `itertools.product` of placed pools: the
-    support's placer puts (0,) on every coordinate off the support,
-    (outer_k,) on each outer place and the pools of the last two entries
-    on the last two places. Only those two pools hold more than one
-    value, so `product` yields the order above, and it builds each
-    vector whole, in C. A consumer that drops each vector before the next
-    (an `islice` that skips them) gets one reused tuple; one that keeps
-    them gets a fresh tuple each, since `product` reuses its tuple only
-    when nothing else refers to it. On supports of size >= 2 the order of
-    m, supports and outer assignments lives in one generator,
-    `_assignments`, which `_scored_runs` reads too; for each outer
-    assignment the last two entries run over vals x vals if the outer
-    ones hold +-m, else over low x (m, -m) then (m, -m) x vals, low being
-    vals without +-m. `find_witnesses` places its own hits and pulls from
-    here once, at its end, only so that a count on this iterator sees
-    every candidate the walk passed.
+    The order falls into pieces, each built when the chain reaches it:
+    on a support of size 1 the vectors +-m e_j, and on a larger one, for
+    each assignment of its outer entries (all but its last two), the last
+    two entries over one pool pair (X, Y) in `product` order. The order
+    of m, supports, outer assignments and pool pairs is stated once, in
+    `_assignments`: the pairs are vals x vals if the outer entries hold
+    +-m, else low x (m, -m) then (m, -m) x vals, low being vals without
+    +-m. Only vectors holding an entry +-m are built, so the cost is
+    proportional to the vectors yielded. Each piece (`_pieces`) is an
+    `itertools.product` of placed pools: (0,) off the support, (outer_k,)
+    on each outer place and X, Y on the last two, so `product` builds
+    each vector whole, in C. A consumer that drops each vector before the
+    next (an `islice` that skips them) gets one reused tuple; one that
+    keeps them gets a fresh tuple each, since `product` reuses its tuple
+    only when nothing else refers to it. The search walk
+    (`find_witnesses`) scores the same pieces (`_scored_pieces`) and
+    pulls from here once, at its end, only so that a count on this
+    iterator sees every candidate the walk passed.
     """
     return itertools.chain.from_iterable(_pieces(rank, bound))
 
 
 def _pieces(rank: int, bound: int) -> Iterator[Iterator[Vector]]:
     """The pieces of `bounded_vectors`, in its order: one per size-1
-    support and m, and one or two per outer assignment, each the
-    `itertools.product` of the pools its support's placer places: ((0,),
-    tops) on a size-1 support, and on a larger one ((0,), (outer_1,), ...,
-    X, Y), X and Y the pools of its last two entries."""
+    support and m, and one per pool pair (X, Y) of each outer assignment
+    of `_assignments`, each the `itertools.product` of the pools its
+    support's placer places: ((0,), tops) on a size-1 support, and on a
+    larger one ((0,), (outer_1,), ..., X, Y), the fixed pools built once
+    per assignment."""
     singles = [_placer(rank, (j,)) for j in range(rank)]
     for m in range(1, bound + 1):
         tops = (m, -m)
         for place in singles:
             yield itertools.product(*place(((0,), tops)))
-    for m, low, vals, place, outer, holds in _assignments(
-            rank, bound, partial(_placer, rank)):
-        fixed = tuple(zip((0,) + outer))    # ((0,), (outer_1,), ...)
-        if holds:
-            yield itertools.product(*place((*fixed, vals, vals)))
-        else:
-            tops = (m, -m)
-            yield itertools.product(*place((*fixed, low, tops)))
-            yield itertools.product(*place((*fixed, tops, vals)))
+    for place, outer, pools in _assignments(rank, bound,
+                                            partial(_placer, rank)):
+        fixed = ((0,), *zip(outer))     # ((0,), (outer_1,), ...)
+        for xs, ys in pools:
+            yield itertools.product(*place((*fixed, xs, ys)))
 
 
 def _assignments(rank: int, bound: int, prepare) -> Iterator[tuple]:
     """The box order of `bounded_vectors` on supports of size >= 2, the
     one place it is stated: by support size, then m, then support in
     `combinations` order, then assignment `outer` of the support's outer
-    entries (all but its last two) in `product` order over vals.
+    entries (all but its last two) in `product` order over vals =
+    (1, -1, ..., m, -m), then the pool pairs (X, Y) of the last two
+    entries, each in `product` order.
 
-    One item per outer assignment: (m, low, vals, prepare(support), outer,
-    holds), vals being [1, -1, ..., m, -m], low the same without +-m (both
-    lists grow with m, so read them before the next item) and holds
-    whether outer holds +-m. Each support is prepared once, in the m = 1
-    pass, so a support the caller never reaches costs nothing."""
+    One item per outer assignment: (prepare(support), outer, pools), the
+    pools ((vals, vals),) if outer holds +-m, else ((low, tops), (tops,
+    vals)), with tops = (m, -m) and low = vals without +-m, so each vector
+    holding +-m comes once (at m = 1 low is empty and its pair left out).
+    Each support is prepared once, in the m = 1 pass, so a support the
+    caller never reaches costs nothing."""
     for size in range(2, rank + 1):
-        low: list[int] = []
-        vals: list[int] = []
+        vals: tuple[int, ...] = ()
         prepared: list = []
         for m in range(1, bound + 1):
-            vals += (m, -m)
+            tops = (m, -m)
+            low, vals = vals, vals + tops
+            held = ((vals, vals),)
+            split = ((low, tops), (tops, vals)) if low else ((tops, vals),)
             for support in (prepared if m > 1 else _building(
                     map(prepare, itertools.combinations(range(rank), size)),
                     prepared)):
                 for outer in itertools.product(vals, repeat=size - 2):
-                    yield (m, low, vals, support, outer,
-                           m in outer or -m in outer)
-            low += (m, -m)
+                    yield (support, outer,
+                           held if m in outer or -m in outer else split)
 
 
 def _building(items: Iterator, built: list) -> Iterator:
@@ -607,9 +603,9 @@ def _building(items: Iterator, built: list) -> Iterator:
 def _placer(rank: int, support: tuple) -> itemgetter:
     """The itemgetter that places a sequence (x_0, x_1, ..., x_size) on
     `support`: coordinate support[k] reads x_(k+1) and every other
-    coordinate x_0. The walk places assignments (0, a_1, ..., a_size),
-    `_pieces` pools ((0,), ...). An itemgetter of one index returns the
-    item, not a 1-tuple, hence the slice when rank == 1."""
+    coordinate x_0. The walk's hits place assignments (0, a_1, ...,
+    a_size), `_pieces` pools ((0,), ...). An itemgetter of one index
+    returns the item, not a 1-tuple, hence the slice when rank == 1."""
     idx = [0] * rank
     for slot, pos in enumerate(support, 1):
         idx[pos] = slot
@@ -617,83 +613,77 @@ def _placer(rank: int, support: tuple) -> itemgetter:
 
 
 def _support(gram, support: tuple) -> tuple:
-    """What the runs on `support` (of size >= 2) read of the Gram:
-    (place, G_jj, G_ii, 2 G_ij, the column G_pi and the column G_pj over
+    """What the pieces on `support` (of size >= 2) read of the Gram:
+    (place, G_ii, G_jj, 2 G_ij, the column G_pi and the column G_pj over
     the outer places p, the outer places' block), i and j being the last
     two places of the support."""
     *outside, i, j = support
-    return (_placer(len(gram), support), gram[j][j], gram[i][i],
+    return (_placer(len(gram), support), gram[i][i], gram[j][j],
             2 * gram[i][j], [gram[p][i] for p in outside],
             [gram[p][j] for p in outside],
             [[gram[p][r] for r in outside] for p in outside])
 
 
-def _scored_runs(gram, bound: int) -> Iterator[tuple]:
-    """The runs of `bounded_vectors(len(gram), bound)`, in its order, with
-    stretches of two-long runs gathered into one item each. The order on
-    supports of size >= 2 comes from `_assignments`, as the vectors' does,
-    and the walk (`find_witnesses`) places its hits from the runs itself.
-
-    A run is (c, lin, g, values, prefix, place): its vectors are
-    place(prefix + (b,)) for b in `values`, which is (m, -m) for a short
-    run and vals for a long one (a list that grows with m, so read it
-    before the next item), and the square of each is c + b (lin + g b),
-    with c the square of the prefix, lin twice the prefix's pairing with
-    the last support vector e_j, and g = G_jj.
-
-    A stretch is (count, quads, lim, runs): `count` consecutive
-    candidates, which are the vectors of the runs in the iterator `runs`
-    (read it before the next item), and whose squares are the values of
-    the quadratics a x^2 + b x + c, (a, b, c) in `quads`, at the integers
-    0 < |x| <= lim. The size-1 runs at one m are one stretch, with the
-    constant quadratics G_jj m^2. On a larger support, the short runs of
-    an assignment `outer` of the outer entries that holds no +-m are one
-    stretch: the last two entries (x, b) run over low x (m, -m), and the
-    square is G_ii x^2 + (ci + 2 G_ij b) x + (c0 + lin0 b + G_jj m^2),
-    one quadratic in x for each b, with c0 = o.G.o, ci = 2 (G o)_i and
-    lin0 = 2 (G o)_j summed once per assignment. The run of each value a
-    of the next entry then has c = c0 + a (ci + G_ii a) and
-    lin = lin0 + 2 a G_ij."""
+def _scored_pieces(gram, bound: int) -> Iterator[tuple]:
+    """The pieces of `bounded_vectors(len(gram), bound)`, in its order,
+    as the walk (`find_witnesses`) reads them: (count, hits, args), with
+    `count` the piece's candidates and hits(*args, goals) the list of
+    (k, square, vector) over its vectors whose square is one of `goals`,
+    k counted from 1 in piece order. The size-1 vectors at one m are one
+    piece, the band (`_band_hits`); a larger support has the pieces
+    `_pieces` builds from `_assignments`, one per pool pair (X, Y) of an
+    outer assignment o (`_piece_hits`). The square of o + x e_i + y e_j,
+    i and j the support's last two places, is c0 + ci x + G_ii x^2 +
+    lin0 y + G_jj y^2 + 2 G_ij x y, with c0 = o.G.o, ci = 2 (G o)_i and
+    lin0 = 2 (G o)_j summed once per assignment."""
     n = len(gram)
     diag = [gram[j][j] for j in range(n)]
     singles = [_placer(n, (j,)) for j in range(n)]
     for m in range(1, bound + 1):
-        tops = (m, -m)
-        yield (2 * n, {(0, 0, g * m * m) for g in diag}, 1,
-               [(0, 0, g, tops, (0,), place)
-                for g, place in zip(diag, singles)])
-    for m, low, vals, support, outer, holds in _assignments(
-            n, bound, partial(_support, gram)):
-        place, g, gii, gij2, col_i, col_j, block = support
-        head = (0,) + outer
+        yield 2 * n, _band_hits, (m, diag, singles)
+    for support, outer, pools in _assignments(n, bound,
+                                              partial(_support, gram)):
+        place, gii, gjj, gij2, col_i, col_j, block = support
+        head = (0, *outer)
         c0 = sum(map(mul, outer, [sum(map(mul, row, outer))
                                   for row in block]))
         ci = 2 * sum(map(mul, outer, col_i))
         lin0 = 2 * sum(map(mul, outer, col_j))
-        if holds:
-            for a in vals:
-                yield (c0 + a * (ci + gii * a), lin0 + a * gij2, g, vals,
-                       head + (a,), place)
-            continue
-        tops = (m, -m)
-        if low:
-            gm = g * m * m
-            quads = ((gii, ci + gij2 * m, c0 + lin0 * m + gm),
-                     (gii, ci - gij2 * m, c0 - lin0 * m + gm))
-            yield 2 * len(low), quads, m - 1, _short_runs(
-                c0, ci, gii, lin0, gij2, g, low, tops, head, place)
-        for a in tops:
-            yield (c0 + a * (ci + gii * a), lin0 + a * gij2, g, vals,
-                   head + (a,), place)
+        for xs, ys in pools:
+            yield len(xs) * len(ys), _piece_hits, (
+                place, gii, gjj, gij2, c0, ci, lin0, head, xs, ys)
 
 
-def _short_runs(c0, ci, gii, lin0, gij2, g, low, tops, head,
-                place) -> Iterator[tuple]:
-    """The short runs of a stretch of `_scored_runs`, one for each a in
-    `low`."""
-    for a in low:
-        yield (c0 + a * (ci + gii * a), lin0 + a * gij2, g, tops,
-               head + (a,), place)
+def _band_hits(m: int, diag, singles, goals: Sequence[int]) -> list[tuple]:
+    """The hits of the band at m: the vectors m e_j, -m e_j in order of
+    j, of square G_jj m^2."""
+    return [(2 * j + k, g * m * m, place((0, b)))
+            for j, (g, place) in enumerate(zip(diag, singles))
+            if g * m * m in goals for k, b in ((1, m), (2, -m))]
+
+
+def _piece_hits(place, gii, gjj, gij2, c0, ci, lin0, head, xs, ys,
+                goals: Sequence[int]) -> list[tuple]:
+    """The hits of the piece o + x e_i + y e_j, (x, y) over xs x ys in
+    `product` order, o = head[1:]. At each value of the shorter pool (ys
+    on a tie) the square is a quadratic in the other entry, whose pool
+    `_assignments` makes the interval 1, -1, ..., k, -k (v at place
+    2|v| - 1 if v > 0, 2|v| if v < 0); `_integer_roots` solves it."""
+    width = len(ys)
+    if len(xs) >= width:    # x at each y
+        found = [((2 * abs(x) - 1 - (x > 0)) * width + k, x, y)
+                 for k, y in enumerate(ys, 1)
+                 for x in _integer_roots(
+                     ((gii, ci + gij2 * y, c0 + y * (lin0 + gjj * y)),),
+                     goals, len(xs) // 2)]
+    else:                   # y at each x
+        found = [(k * width + 2 * abs(y) - (y > 0), x, y)
+                 for k, x in enumerate(xs)
+                 for y in _integer_roots(
+                     ((gjj, lin0 + gij2 * x, c0 + x * (ci + gii * x)),),
+                     goals, width // 2)]
+    return [(k, c0 + x * (ci + gii * x) + y * (lin0 + gjj * y + gij2 * x),
+             place((*head, x, y))) for k, x, y in sorted(found)]
 
 
 def _integer_roots(quads, goals: Sequence[int], lim: int) -> set[int]:
@@ -724,21 +714,6 @@ def _integer_roots(quads, goals: Sequence[int], lim: int) -> set[int]:
     if roots:
         roots = {x for x in roots if x and -lim <= x <= lim}
     return roots
-
-
-def _run_hits(c: int, lin: int, g: int, values: Sequence[int],
-              goals: Sequence[int]) -> list[int]:
-    """The places, counted from 1, of a run's vectors whose square
-    c + b (lin + g b) is one of `goals`, in run order. A short run (m, -m)
-    is evaluated at both values. A long one, 1, -1, ..., m, -m, where b
-    sits at place 2b - 1 if b > 0 and -2b if b < 0, is solved for each
-    goal by `_integer_roots`."""
-    if len(values) == 2:
-        return [k for k, b in enumerate(values, 1)
-                if c + b * (lin + g * b) in goals]
-    return sorted(2 * b - 1 if b > 0 else -2 * b
-                  for b in _integer_roots(((g, lin, c),), goals,
-                                          values[-2]))
 
 
 def _check_search(bound: int, budget: Optional[int]) -> None:
@@ -793,19 +768,17 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     question is answered, so it draws as many candidates as the longer of
     the two searches alone, not their sum.
 
-    The walk goes item by item through `_scored_runs`, a run or a
-    stretch of short runs at a time. A stretch none of whose quadratics
-    takes an open question's square (`target`, or 0 for the pair
-    question) at an integer in its range is charged to each open question
-    as a whole; a stretch with such a hit is walked run by run. Likewise
-    a run none of whose vectors has such a square (`_run_hits`) is
-    charged as a whole. The walk places each hit itself, as
-    place(prefix + (b,)) from its run. When it ends, it pulls the
-    candidates up to its last answer's draw from a temporary
-    `bounded_vectors` iterator in one `islice`; nothing reads them, but a
-    count on `bounded_vectors` then sees every candidate the walk passed,
-    exactly the candidates a candidate-by-candidate walk draws, and the
-    count lands before the walk returns.
+    The walk goes piece by piece through `_scored_pieces`: the band of
+    size-1 vectors at each m, then the pieces of the larger supports. A
+    piece none of whose vectors has an open question's square (`target`,
+    or 0 for the pair question) is charged to each open question whole;
+    otherwise its hits, which the piece solves for and places, are taken
+    in piece order. When the walk ends, it pulls the candidates up to
+    its last answer's draw from a temporary `bounded_vectors` iterator in
+    one `islice`; nothing reads them, but a count on `bounded_vectors`
+    then sees every candidate the walk passed, exactly the candidates a
+    candidate-by-candidate walk draws, and the count lands before the
+    walk returns.
     The pair question pairs only isotropic draws u with gcd(G u) == 1:
     u.w is a multiple of gcd(G u), so e.f == 1 needs gcd 1. A draw with
     another gcd (G u == 0 included) is neither paired nor kept, but it is
@@ -902,52 +875,27 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
 
     goals, stop = questions()
     drawn = 0   # the candidates the walk has passed
-    for item in _scored_runs(gram, bound):
-        if len(item) == 6:      # a run
-            runs, count = (item,), len(item[3])
-        else:                   # a stretch: walk its runs only on a hit
-            count, quads, lim, runs = item
-            if not _integer_roots(quads, goals, lim):
-                runs = ()
-        # the draws before the run; in a stretch, a question whose budget
-        # is spent on the way keeps its goal to the stretch's end, where it
-        # is charged, and spend(d) answers it before any later hit
-        start = drawn
-        for c, lin, g, values, prefix, place in runs:
-            hits = _run_hits(c, lin, g, values, goals)
-            if hits:
-                for k in hits:
-                    d = start + k
-                    spend(d)
-                    if square_stop is None and pair_stop is None:
-                        break
-                    b = values[k - 1]
-                    q = c + b * (lin + g * b)
-                    square_hit = square_stop is not None and q == target
-                    pair_hit = pair_stop is not None and q == 0
-                    if not (square_hit or pair_hit):
-                        continue    # a question answered in the item
-                    v = place(prefix + (b,))
-                    if square_hit:
-                        vector = sub.to_parent(v)
-                        square_stop = None
-                        last = d
-                    if pair_hit and pair_up(v, d):
-                        pair_stop = None
-                        last = d
-                if square_stop is None and pair_stop is None:
-                    break
-                goals, stop = questions()
-            start += len(values)
-        else:
-            drawn += count
-            if drawn >= stop:
-                spend(drawn)
-                if square_stop is None and pair_stop is None:
-                    break
-                goals, stop = questions()
-            continue
-        break   # every question is answered
+    for count, hits, args in _scored_pieces(gram, bound):
+        # a question whose budget is spent inside the piece keeps its goal
+        # to the piece's end, where it is charged, and spend(d) answers it
+        # before any later hit
+        found = hits(*args, goals)
+        for k, q, v in found:
+            d = drawn + k
+            spend(d)
+            if square_stop is not None and q == target:
+                vector = sub.to_parent(v)
+                square_stop = None
+                last = d
+            if pair_stop is not None and q == 0 and pair_up(v, d):
+                pair_stop = None
+                last = d
+        drawn += count
+        if found or drawn >= stop:
+            spend(drawn)
+            if square_stop is None and pair_stop is None:
+                break   # every question is answered
+            goals, stop = questions()
     else:
         last = drawn    # the box is spent
     if last:

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from wittenform import invariants
 from wittenform.corpus import elliptic_manifold, k3_manifold, load_bundled
 from wittenform.errors import (DimensionMismatch, NonCharacteristicError,
                                NonIntegralError, TruncationError)
@@ -673,6 +674,30 @@ def test_hypotheses_mod2_congruence_fail():
     report = check_theorem_hypotheses(k3, w, lam, "level0")
     statuses = {e.name: e.status for e in report.entries}
     assert statuses["mod2_congruence"] == "fail"
+
+
+@pytest.mark.parametrize("bound, budget", [(1, 1), (20, None)])
+@pytest.mark.parametrize("given", ["w", "lambda_"])
+def test_hypotheses_check_the_vectors_before_the_walk(given, bound, budget,
+                                                      monkeypatch):
+    # a vector of the wrong length is refused before the walk, whether the
+    # walk would find its witnesses (bound 20) or not (bound 1, budget 1)
+    m = load_bundled("synthetic_05.manifold")
+    assert m.form.rank == 7
+    walks = []
+    walk = invariants.find_witnesses
+    monkeypatch.setattr(invariants, "find_witnesses",
+                        lambda *args, **kw: walks.append(args) or walk(
+                            *args, **kw))
+    vectors = {"w": None, "lambda_": None, given: (1,)}
+    with pytest.raises(DimensionMismatch, match="length 1 in a rank-7"):
+        check_theorem_hypotheses(m, vectors["w"], vectors["lambda_"],
+                                 "level0", search_bound=bound, budget=budget)
+    assert walks == []
+    # the same call with no vector given walks once
+    check_theorem_hypotheses(m, None, None, "level0", search_bound=bound,
+                             budget=budget)
+    assert len(walks) == 1
 
 
 def test_hypotheses_reject_an_unknown_variant():

@@ -784,73 +784,75 @@ def scoring_grams(rng):
                 yield kind, gram
 
 
-def scored_runs(gram, bound):
-    """The runs of `_scored_runs`, each stretch expanded into its runs.
-    Each stretch's count is the length of its runs, and the values of its
-    quadratics over its range are the squares of their vectors."""
-    for item in lattice._scored_runs(gram, bound):
-        if len(item) == 6:
-            yield item
-            continue
-        count, quads, lim, runs = item
-        runs = list(runs)
-        assert count == sum(len(values) for _, _, _, values, _, _ in runs)
-        assert {a * x * x + b * x + c for a, b, c in quads
-                for x in range(-lim, lim + 1) if x} == {
-            c + b * (lin + g * b) for c, lin, g, values, _, _ in runs
-            for b in values}
-        yield from runs
+def scored_pieces(gram, bound):
+    """(count, hits, args, want) for the pieces of `_scored_pieces`, want
+    being the piece's `count` vectors of `bounded_vectors` with the square
+    of each from a full pairing; read to its end, the pieces must hold
+    every vector of the box."""
+    rows = lattice._sparse(gram)
+    vectors = bounded_vectors(len(gram), bound)
+    for count, hits, args in lattice._scored_pieces(gram, bound):
+        want = [(v, lattice._gram_pairing(rows, v, v))
+                for v in itertools.islice(vectors, count)]
+        assert len(want) == count
+        yield count, hits, args, want
+    assert next(vectors, None) is None
 
 
-def scored_run_vectors(gram, bound):
-    """(v, v.G.v) for the vectors of each run of `_scored_runs`, the
-    square from the run's (c, lin, g)."""
-    for c, lin, g, values, prefix, place in scored_runs(gram, bound):
-        for b in values:
-            yield place(prefix + (b,)), c + b * (lin + g * b)
-
-
-def test_scored_runs_match_the_pairing():
-    # each run's (c, lin, g), with the stretches expanded into their runs,
-    # against bounded_vectors with a full pairing per vector: every box up
-    # to bound 7 in ranks 1 and 2 and up to the bound given below in ranks
-    # 3-5, where the first 5,000 vectors of the bound-7 box are compared
+def test_scored_pieces_match_the_pairing():
+    # each piece's count, and its vectors and their squares from its hits
+    # when it is asked for every square it takes, against bounded_vectors
+    # with a full pairing per vector: every box up to bound 7 in ranks 1
+    # and 2 and up to the bound given below in ranks 3-5, where the pieces
+    # that hold the first 5,000 vectors of the bound-7 box are compared
     rng = random.Random(150)
     bounds = {1: 7, 2: 7, 3: 4, 4: 2, 5: 2}
     for kind, gram in scoring_grams(rng):
         rank = len(gram)
         if kind == "degenerate" and rank > 1:
             assert _det(gram) == 0
-        rows = lattice._sparse(gram)
-        for bound in range(1, bounds[rank] + 1):
-            assert list(scored_run_vectors(gram, bound)) == [
-                (v, lattice._gram_pairing(rows, v, v))
-                for v in bounded_vectors(rank, bound)], (gram, bound)
-        head = itertools.islice(scored_run_vectors(gram, 7), 5_000)
-        assert list(head) == [
-            (v, lattice._gram_pairing(rows, v, v))
-            for v in itertools.islice(bounded_vectors(rank, 7), 5_000)]
+        for bound in sorted({*range(1, bounds[rank] + 1), 7}):
+            seen = 0
+            for count, hits, args, want in scored_pieces(gram, bound):
+                goals = tuple({q for _, q in want})
+                assert [(k, v, q) for k, q, v in hits(*args, goals)] == [
+                    (k, v, q) for k, (v, q) in enumerate(want, 1)], (
+                        gram, bound, args)
+                seen += count
+                if bound > bounds[rank] and seen >= 5_000:
+                    break
 
 
-def test_run_hits_are_the_places_of_the_goals():
-    # the hits of every run up to bound 6 in ranks 1-3, the stretches
-    # expanded into their runs, for each pair of goals, solved in the long
-    # runs (a quadratic, a linear or a constant square in b), against the
-    # run's squares value by value
+def test_piece_hits_are_the_places_of_the_goals():
+    # the hits of every piece up to bound 8 in ranks 1 and 2 and bound 4
+    # in rank 3, for each pair of goals, against the piece's squares value
+    # by value: the band, and pieces whose square in the solved entry is
+    # quadratic, linear or constant, solved along either pool
     kinds = set()
+    bounds = {1: 8, 2: 8, 3: 4}
     for _, gram in scoring_grams(random.Random(150)):
         if len(gram) > 3:
             continue
-        for c, lin, g, values, _, _ in scored_runs(gram, 6):
-            squares = [c + b * (lin + g * b) for b in values]
-            for goals in itertools.combinations(set(squares) | {-2, 0, 3},
-                                                2):
-                assert lattice._run_hits(c, lin, g, values, goals) == [
-                    k for k, q in enumerate(squares, 1) if q in goals]
-            if len(values) > 2:
-                kinds.add("quadratic" if g else "linear" if lin
-                          else "constant")
-    assert kinds == {"quadratic", "linear", "constant"}
+        for count, hits, args, want in scored_pieces(gram, bounds[len(gram)]):
+            squares = {q for _, q in want} | {-2, 0, 3}
+            for goals in itertools.combinations(squares, 2):
+                assert hits(*args, goals) == [
+                    (k, q, v) for k, (v, q) in enumerate(want, 1)
+                    if q in goals], (gram, args, goals)
+            if hits is lattice._band_hits:
+                kinds.add("band")
+                continue
+            _, gii, gjj, gij2, _, ci, lin0, _, xs, ys = args
+            if len(xs) >= len(ys):
+                kinds.add("x at each y")
+                quads = [(gii, ci + gij2 * y) for y in ys]
+            else:
+                kinds.add("y at each x")
+                quads = [(gjj, lin0 + gij2 * x) for x in xs]
+            kinds.update("quadratic" if a else "linear" if b else "constant"
+                         for a, b in quads)
+    assert kinds == {"band", "x at each y", "y at each x", "quadratic",
+                     "linear", "constant"}
 
 
 def test_stretch_roots_match_brute_force():
@@ -904,7 +906,7 @@ def test_placers_are_built_once_per_support_reached(monkeypatch):
     # bounded_vectors builds each support's placer in the m = 1 pass and
     # only for the supports it reaches: all 22 of size 1 and the first 5
     # of size 2 on a rank-22 box, not the C(22, 11) = 705,432 of size 11;
-    # _scored_runs reads each support of size >= 2 once
+    # _scored_pieces reads each support of size >= 2 once
     calls = []
     for name in ("_placer", "_support"):
         original = getattr(lattice, name)
@@ -920,10 +922,26 @@ def test_placers_are_built_once_per_support_reached(monkeypatch):
     assert calls == ["_placer"] * (2 ** 5 - 1)
     calls.clear()
     gram = [[(i * j) % 5 - 2 for j in range(5)] for i in range(5)]
-    for item in lattice._scored_runs(gram, 3):
+    for item in lattice._scored_pieces(gram, 3):
         pass
     assert calls.count("_support") == 2 ** 5 - 1 - 5
     assert calls.count("_placer") == 2 ** 5 - 1
+
+
+def test_the_band_is_one_piece_per_m():
+    # on K3's complement, rank 22, the size-1 vectors at each m are one
+    # piece of 44 candidates: the walk at bound 80 takes 80 band pieces
+    # before its first size-2 piece, not 1,760 pieces of one support each
+    m = load_bundled("k3.manifold")
+    sub = orthogonal_complement(m.form, m.basic_classes())
+    assert sub.rank == 22
+    head = list(itertools.islice(
+        lattice._scored_pieces(sub.induced_gram(), 80), 81))
+    assert [(count, hits, args[0]) for count, hits, args in head[:80]] == [
+        (44, lattice._band_hits, k) for k in range(1, 81)]
+    count, hits, args = head[80]
+    assert hits is lattice._piece_hits
+    assert args[7] == (0,)      # a size-2 support: no outer entries
 
 
 def search_sublattices(rng):
