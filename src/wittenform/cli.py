@@ -71,6 +71,13 @@ def cmd_info(args) -> int:
 
 
 def cmd_witten(args) -> int:
+    if args.compare is None:
+        # both flags only shape the comparison; without one they would be
+        # dropped and the whole series printed
+        for flag, given in (("--mod-degree", args.mod_degree is not None),
+                            ("--inclusive", args.inclusive)):
+            if given:
+                raise ValueError(f"{flag} needs --compare")
     if args.mod_degree is not None and args.mod_degree < 0:
         raise ValueError(f"--mod-degree {args.mod_degree} is negative")
     m = load_manifold(args.file)
@@ -218,8 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate class; omit to search")
     p.add_argument("--w", default=None,
                    help="class w; default lambda + w2, which satisfies the congruence")
-    p.add_argument("--bound", type=int, default=20)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--bound", type=int, default=20,
+                   help="search the complement's coordinates in "
+                        "[-bound, bound] (default 20)")
+    p.add_argument("--budget", type=int, default=2_000_000,
+                   help="candidates each search may draw before it reports "
+                        "unknown-bounded (default 2000000)")
 
     p = sub.add_parser("levels", help="enumerate contributing spin-c strata")
     p.set_defaults(func=cmd_levels)

@@ -16,20 +16,22 @@ enumeration. The box order on supports of size >= 2 lives in one
 generator (`_assignments`), which both `bounded_vectors` (the vectors)
 and `_scored_pieces` (what the walk scores) read. One walk of the box
 (`find_witnesses`) answers both search questions, each with its own
-budget and stopping point; `find_vector_with_square` and
-`find_hyperbolic_pair` ask it one question each. The walk goes piece by
-piece, all size-1 vectors at one m being one piece: where only the last
-two entries vary, the square is a quadratic in the entry of the longer
-pool, solved once per value of the shorter one for the squares it seeks.
-An isotropic draw u is paired with others only if gcd(G u) == 1, since
-e.f == 1 needs gcd(G e) == 1; a draw with another gcd is charged to the
-budget exactly as before, so answers, draws and budget charges are those
-of a walk that pairs every isotropic draw. The walk places its own hits;
-at its end it pulls the candidates it passed from `bounded_vectors` in
-one `islice`, so that a count on `bounded_vectors` sees every one of
-them. Each piece of `bounded_vectors` is an `itertools.product` of
-placed pools, so that pull, which drops every vector, reuses one tuple
-and costs about what building the pieces costs.
+stopping point; `find_vector_with_square` and `find_hyperbolic_pair` ask
+it one question each, and budgets count draws only. The walk goes piece
+by piece, all size-1 vectors at one m being one piece: where only the
+last two entries vary, the square is a quadratic in the entry of the
+longer pool, solved once per value of the shorter one for the squares it
+seeks. The pair is not searched for: an isotropic e lies in a copy of H
+exactly when gcd(G e) == 1 and e is not characteristic (G e != diag(G)
+mod 2), and then it has a partner f with f.f == 0 and e.f == 1, built in
+exact integers (`_partner`). So the pair question answers at the first
+isotropic draw that passes this O(rank) test, and its f may lie outside
+the box. The walk places its own hits; at its end it pulls the
+candidates it passed from `bounded_vectors` in one `islice`, so that a
+count on `bounded_vectors` sees every one of them. Each piece of
+`bounded_vectors` is an `itertools.product` of placed pools, so that
+pull, which drops every vector, reuses one tuple and costs about what
+building the pieces costs.
 
 A search returns None at once, before drawing a candidate, when the
 sublattice's form rules a witness out: a definite form has no nonzero
@@ -47,10 +49,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
-from operator import add, itemgetter, mul
+from functools import cached_property, partial
+from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, UnimodularityError
@@ -68,10 +69,6 @@ def vec_add(u: Sequence[int], v: Sequence[int]) -> Vector:
 
 def vec_sub(u: Sequence[int], v: Sequence[int]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(u: Sequence[int]) -> Vector:
-    return tuple(-a for a in u)
 
 
 def mod2_reduce(u: Sequence[int]) -> Vector:
@@ -392,10 +389,20 @@ def gram_components(rows) -> list[list[int]]:
 def integer_kernel(rows: Sequence[Sequence[int]], width: int) -> list[Vector]:
     """Basis of the lattice {x in Z^width : r . x == 0 for all r in rows}.
 
-    Row-reduces [A^T | I] with unimodular integer row operations; the rows
-    whose left block vanishes carry a kernel basis. The kernel of an integer
-    matrix is saturated, so the basis is primitive as returned.
+    The rows of `_row_reduced` whose left block vanishes carry a kernel
+    basis. The kernel of an integer matrix is saturated, so the basis is
+    primitive as returned.
     """
+    work, pivot = _row_reduced(rows, width)
+    return [tuple(row[len(rows):]) for row in work[pivot:]]
+
+
+def _row_reduced(rows: Sequence[Sequence[int]],
+                 width: int) -> tuple[list[list[int]], int]:
+    """[A^T | I], A the matrix of `rows`, row-reduced with unimodular
+    integer row operations, and the number of its pivot rows. Each row is
+    [A x | x] for its own x; the rows past the pivots have A x == 0. For
+    one row r of gcd 1, the pivot row is [+-1 | x] with r . x == +-1."""
     m = len(rows)
     work = []
     for i in range(width):
@@ -426,7 +433,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], width: int) -> list[Vector]:
                 work[pivot] = [x * p + y * q for p, q in zip(prow, rrow)]
                 work[r] = [-pb * p + pa * q for p, q in zip(prow, rrow)]
         pivot += 1
-    return [tuple(row[m:]) for row in work[pivot:]]
+    return work, pivot
 
 
 @dataclass(frozen=True)
@@ -739,9 +746,9 @@ def find_hyperbolic_pair(sub: Sublattice, bound: int = 20,
                          ) -> Optional[tuple[Vector, Vector]]:
     """Search `sub` for e, f with e.e == f.f == 0 and e.f == 1.
 
-    Isotropic vectors are collected in enumeration order and every new one
-    is paired against the earlier ones, so small witnesses are found without
-    sweeping the whole box. Soundness of any returned pair is asserted.
+    e is the first isotropic vector in enumeration order that lies in a
+    copy of H, and f is built from it (`_partner`), not searched for, so
+    f may lie outside the box. Soundness of any returned pair is asserted.
     This is `find_witnesses` asked the pair question alone; its docstring
     says when None comes at once and what None means.
     """
@@ -756,146 +763,71 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     of the box [-bound, bound]^rank in the order of `bounded_vectors`.
 
     The square question is asked when `target` is not None, the pair
-    question when `pair` is true; an unasked question answers None. Each
-    question keeps its own budget, its own early return from the form and
-    its own stopping point, so its answer is the one its search alone
-    (`find_vector_with_square`, `find_hyperbolic_pair`) gives. The early
-    returns, with no candidate drawn, are the module docstring's; any
-    other None means "not found within the bound/budget". A draw costs
-    each open question 1, and a pairing of an isotropic draw against an
-    earlier one costs the pair question 1 more; a question whose budget is
-    spent when it is charged answers None. The walk ends when every
-    question is answered, so it draws as many candidates as the longer of
-    the two searches alone, not their sum.
+    question when `pair` is true; an unasked question answers None. The
+    square question answers at the first draw of square `target`. The
+    pair question answers at the first isotropic draw e that lies in a
+    copy of H, which `_partner` tests in O(rank) and completes to (e, f);
+    f is built, not drawn, and may lie outside the box. Each question
+    keeps its own early return from the form and its own stopping point,
+    so its answer is the one its search alone (`find_vector_with_square`,
+    `find_hyperbolic_pair`) gives. The early returns, with no candidate
+    drawn, are the module docstring's; any other None means "not found
+    within the bound/budget". Budgets count draws only: a draw costs each
+    open question 1, and a question still open at draw budget + 1 answers
+    None. The walk ends when every question is answered, so it draws as
+    many candidates as the longer of the two searches alone, not their
+    sum.
 
     The walk goes piece by piece through `_scored_pieces`: the band of
     size-1 vectors at each m, then the pieces of the larger supports. A
     piece none of whose vectors has an open question's square (`target`,
-    or 0 for the pair question) is charged to each open question whole;
-    otherwise its hits, which the piece solves for and places, are taken
-    in piece order. When the walk ends, it pulls the candidates up to
-    its last answer's draw from a temporary `bounded_vectors` iterator in
-    one `islice`; nothing reads them, but a count on `bounded_vectors`
-    then sees every candidate the walk passed, exactly the candidates a
+    or 0 for the pair question) is passed whole; otherwise its hits,
+    which the piece solves for and places, are taken in piece order. When
+    the walk ends, it pulls the candidates up to its last answer's draw
+    from a temporary `bounded_vectors` iterator in one `islice`; nothing
+    reads them, but a count on `bounded_vectors` then sees every
+    candidate the walk passed, exactly the candidates a
     candidate-by-candidate walk draws, and the count lands before the
     walk returns.
-    The pair question pairs only isotropic draws u with gcd(G u) == 1:
-    u.w is a multiple of gcd(G u), so e.f == 1 needs gcd 1. A draw with
-    another gcd (G u == 0 included) is neither paired nor kept, but it is
-    charged exactly as before (the pairings its budget allows, and a place
-    among the earlier draws of every later one), so budget charges and
-    answers are those of a walk that pairs every isotropic draw. For each
-    kept draw the walk holds its place among all isotropic draws and, for
-    each coordinate j, (G u)_j in column j; a new draw of gcd 1 is paired
-    at once with the kept draws in its allowed prefix, found by bisecting
-    their places (`_pairings`).
     """
     _check_search(bound, budget)
     gram = sub.induced_gram()
     sign = sub._definite_sign
-    limit = math.inf if budget is None else budget
-    # an open question holds the draw at which it finds its budget spent,
-    # an answered one None
-    square_stop = pair_stop = None
-    if target is not None and not (sign and sign * target <= 0):
-        square_stop = limit + 1
-    if pair and not (sign or (sub.rank <= 2
-                              and not _is_hyperbolic_plane(gram))):
-        pair_stop = limit + 1
+    seek_square = target is not None and not (sign and sign * target <= 0)
+    seek_pair = pair and not (sign or (sub.rank <= 2
+                                       and not _is_hyperbolic_plane(gram)))
     vector = witness = None
-    if square_stop is None and pair_stop is None:
+    if not (seek_square or seek_pair):
         return vector, witness
-    isotropic = 0   # the isotropic draws so far
-    # the isotropic draws u with gcd(G u) == 1, their places among all
-    # isotropic draws, and for each coordinate j the column of (G u)_j
-    kept: list[Vector] = []
-    places: list[int] = []
-    columns: list[list[int]] = [[] for _ in range(sub.rank)]
-    rows = sub.form.sparse_rows
-    last = 0    # the draw the last answer came at
-
-    def spend(d: int) -> None:
-        """Answer None to each open question whose budget is spent by draw
-        d."""
-        nonlocal square_stop, pair_stop, last
-        if square_stop is not None and square_stop <= d:
-            last = max(last, square_stop)
-            square_stop = None
-        if pair_stop is not None and pair_stop <= d:
-            last = max(last, pair_stop)
-            pair_stop = None
-
-    def questions() -> tuple[tuple[int, ...], float]:
-        """The squares the open questions seek, and the first draw at which
-        one of them finds its budget spent."""
-        goals = []
-        stops = [math.inf]
-        if square_stop is not None:
-            goals.append(target)
-            stops.append(square_stop)
-        if pair_stop is not None:
-            goals.append(0)
-            stops.append(pair_stop)
-        return tuple(goals), min(stops)
-
-    def pair_up(v: Vector, d: int) -> bool:
-        """Pair v, the isotropic draw d, with the earlier isotropic draws,
-        as many as the budget allows: True if that answers the pair
-        question (a pair, or the budget spent before a pairing); else v
-        joins them. Only draws with gcd(G u) == 1 are paired or kept,
-        since u.w is a multiple of gcd(G u); every draw is charged."""
-        nonlocal pair_stop, witness, isotropic
-        # spend(d) left pair_stop > d: the budget allows the pairings with
-        # the first pair_stop - d - 1 earlier draws
-        allowed = min(pair_stop - d - 1, isotropic)
-        gv = _gram_times(rows, v)
-        can_pair = math.gcd(*gv) == 1
-        if can_pair:
-            # the kept draws among the allowed ones
-            pairings = _pairings(v, columns, bisect_left(places, allowed))
-            first = [pairings.index(p) for p in (1, -1) if p in pairings]
-            if first:
-                t = min(first)
-                e, f = kept[t], (v if pairings[t] == 1 else vec_neg(v))
-                assert _gram_pairing(rows, e, e) == 0
-                assert _gram_pairing(rows, f, f) == 0
-                assert _gram_pairing(rows, e, f) == 1
-                witness = sub.to_parent(e), sub.to_parent(f)
-                return True
-        if allowed < isotropic:
-            return True
-        pair_stop -= allowed
-        if can_pair:
-            kept.append(v)
-            places.append(isotropic)
-            for column, x in zip(columns, gv):
-                column.append(x)
-        isotropic += 1
-        return False
-
-    goals, stop = questions()
+    # the draw at which an open question finds its budget spent
+    stop = math.inf if budget is None else budget + 1
+    form = sub.form
+    goals = (target,) * seek_square + (0,) * seek_pair
     drawn = 0   # the candidates the walk has passed
+    last = 0    # the draw the last answer came at
     for count, hits, args in _scored_pieces(gram, bound):
-        # a question whose budget is spent inside the piece keeps its goal
-        # to the piece's end, where it is charged, and spend(d) answers it
-        # before any later hit
-        found = hits(*args, goals)
-        for k, q, v in found:
+        for k, q, v in hits(*args, goals):
             d = drawn + k
-            spend(d)
-            if square_stop is not None and q == target:
+            if d >= stop:
+                break
+            if seek_square and q == target:
                 vector = sub.to_parent(v)
-                square_stop = None
+                seek_square = False
+                goals = (0,) * seek_pair
                 last = d
-            if pair_stop is not None and q == 0 and pair_up(v, d):
-                pair_stop = None
+            if seek_pair and q == 0 and (f := _partner(form, v)) is not None:
+                witness = sub.to_parent(v), sub.to_parent(f)
+                seek_pair = False
+                goals = (target,) * seek_square
                 last = d
+            if not goals:
+                break
+        if not goals:
+            break       # every question is answered
         drawn += count
-        if found or drawn >= stop:
-            spend(drawn)
-            if square_stop is None and pair_stop is None:
-                break   # every question is answered
-            goals, stop = questions()
+        if drawn >= stop:
+            last = stop     # each open question finds its budget spent
+            break
     else:
         last = drawn    # the box is spent
     if last:
@@ -907,12 +839,43 @@ def find_witnesses(sub: Sublattice, bound: int = 20,
     return vector, witness
 
 
-def _pairings(v: Vector, columns: list[list[int]], count: int) -> list[int]:
-    """v.u for the first `count` draws u whose G u `columns` holds (column
-    j being (G u)_j over the draws): the sum of v_j times column j over the
-    nonzero v_j, lazily and in C."""
-    return list(itertools.islice(reduce(partial(map, add), [
-        map(x.__mul__, columns[j]) for j, x in enumerate(v) if x]), count))
+def _partner(form: IntersectionForm, e: Vector) -> Optional[Vector]:
+    """f with f.f == 0 and e.f == 1 in `form` for its isotropic e, or None
+    when e lies in no copy of H.
+
+    e lies in a copy of H exactly when gcd(G e) == 1 and some x with
+    e.x == 1 has an even square; then f = x - (x.x / 2) e (the splitting
+    of H off a primitive isotropic vector; Milnor-Husemoller, Symmetric
+    Bilinear Forms, 1973). Such x are x0 + e^perp, which mod 2 are all
+    the x with (G e).x == 1, and x.x == diag(G).x mod 2. So the square is
+    odd on all of them exactly when G e == diag(G) mod 2, i.e. e is
+    characteristic, and the test costs G e, a gcd and a parity: O(rank),
+    no kernel. x0 is the pivot row of the one-row reduction of G e
+    (`_row_reduced`), size-reduced in exact integers against the basis of
+    e^perp that the same reduction gives (x0 -= round(x0 . b / b . b) b
+    for each basis vector b in turn, with the Euclidean dot product); if
+    its square is odd, the first basis vector of odd square is added, and
+    the test guarantees there is one.
+    """
+    ge = form.dual_coefficients(e)
+    if math.gcd(*ge) != 1 or form.is_characteristic(e):
+        return None
+    (unit, *x), *kernel = _row_reduced([ge], form.rank)[0]
+    x = [unit * a for a in x]
+    kernel = [row[1:] for row in kernel]
+    for b in kernel:
+        bb = sum(map(mul, b, b))
+        c = (2 * sum(map(mul, x, b)) + bb) // (2 * bb)
+        if c:
+            x = [a - c * y for a, y in zip(x, b)]
+    if form.square(x) % 2:
+        x = vec_add(x, next(b for b in kernel if form.square(b) % 2))
+    half = form.square(x) // 2
+    f = tuple([a - half * y for a, y in zip(x, e)])
+    assert form.square(e) == 0
+    assert form.square(f) == 0
+    assert form.pairing(e, f) == 1
+    return f
 
 
 def _is_hyperbolic_plane(gram) -> bool:

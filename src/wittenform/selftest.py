@@ -11,6 +11,7 @@ checks at full scale.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -191,7 +192,9 @@ def check_lattice_oracles(rng: random.Random, forms, bound: int,
     """For each form, over the box [-bound, bound]^n with pairings summed
     from the Gram matrix: find_vector_with_square finds a vector of square
     t exactly when the box holds one, for each t in `targets`;
-    find_hyperbolic_pair finds a pair exactly when the box holds one; and,
+    find_hyperbolic_pair finds a pair exactly when the box holds an
+    isotropic vector that lies in a copy of H (`_completes`), and its e is
+    such a box vector (its f is built and may lie outside the box); and,
     for one spanning vector drawn from [-2, 2]^n after the form, a box
     vector lies in the integer span of orthogonal_complement's basis
     exactly when it is orthogonal to the spanning vector. Asked both
@@ -217,12 +220,12 @@ def check_lattice_oracles(rng: random.Random, forms, bound: int,
                 return fail(f"square {target} search gave {mine} on {g}")
             searches += 1
 
-        isotropic = [v for v in box if any(v) and squares[v] == 0]
-        oracle = any(brute_pairing(g, e, f) == 1
-                     for e in isotropic for f in isotropic)
+        completes = [v for v in box
+                     if any(v) and squares[v] == 0 and _completes(g, v)]
+        oracle = bool(completes)
         mine = find_hyperbolic_pair(sub, bound=bound)
-        sound = mine is None or [brute_pairing(g, e, f) for e in mine
-                                 for f in mine] == [0, 1, 1, 0]
+        sound = mine is None or (mine[0] in completes and [
+            brute_pairing(g, e, f) for e in mine for f in mine] == [0, 1, 1, 0])
         if (mine is not None) != oracle or not sound:
             return fail(f"pair search gave {mine} on {g}")
         searches += 1
@@ -241,6 +244,20 @@ def check_lattice_oracles(rng: random.Random, forms, bound: int,
         members += len(box)
         n_forms += 1
     return _passed(name, forms=n_forms, searches=searches, vectors=members)
+
+
+def _completes(gram, e) -> bool:
+    """True iff the isotropic e lies in a copy of H, i.e. some x has
+    e.x == 1 and an even square: the pairings of e with the basis vectors
+    have gcd 1, and e is not characteristic, since x.x == e.x mod 2 for
+    every x when it is, and otherwise x' = b + (1 - e.b) x has e.x' == 1
+    and an even square for a basis vector b with e.b != b.b mod 2 and an
+    x of odd square (Milnor-Husemoller, Symmetric Bilinear Forms, 1973)."""
+    basis = [tuple(int(i == j) for j in range(len(gram)))
+             for i in range(len(gram))]
+    pairings = [brute_pairing(gram, e, b) for b in basis]
+    return math.gcd(*pairings) == 1 and any(
+        (p - brute_pairing(gram, b, b)) % 2 for p, b in zip(pairings, basis))
 
 
 def _in_span(basis, v) -> bool:

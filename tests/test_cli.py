@@ -409,6 +409,21 @@ def test_witten_compare_negative_mod_degree_exits_2(capsys, tmp_path):
     assert err == "error: --mod-degree -2 is negative\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mod-degree", "2"], "--mod-degree needs --compare"),
+    (["--inclusive"], "--inclusive needs --compare"),
+], ids=["mod-degree", "inclusive"])
+def test_witten_comparison_flags_need_compare(capsys, flags, message):
+    # without --compare these flags shape nothing: they are refused, not
+    # dropped while the whole series is printed
+    path = bundled_path("synthetic_05.manifold")
+    before = flags if flags == ["--inclusive"] else []
+    after = [] if before else flags
+    code, out, err = run_cli(capsys, "--degree", "4", *before, "witten",
+                             path, *after)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_hypotheses_k3_pass(capsys):
     code, out, _ = run_cli(capsys, "hypotheses", K3_PATH,
                            "--variant", "level0")
@@ -463,6 +478,50 @@ def test_hypotheses_golden_on_the_bundled_corpus(capsys):
                                  bundled_path(case["file"]), *case["args"])
         assert (code, out, err) == (0, case["stdout"], ""), (case["file"],
                                                              case["args"])
+        check_printed_witnesses(case["file"], case["stdout"])
+
+
+def bundled_gram_and_classes(name):
+    """The Gram rows and the basic classes (the c1 of each [spinc] entry
+    with sw != 0) of a bundled file, read off its text line by line."""
+    with open(bundled_path(name), encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    rank = int(lines[lines.index("[form]") + 1].split("=")[1])
+    start = lines.index("[form]") + 2
+    gram = [list(map(int, line.split())) for line in lines[start:start + rank]]
+    classes = []
+    for k, line in enumerate(lines):
+        if line == "[spinc]":
+            c1 = list(map(int, lines[k + 1].split("=")[1].split()))
+            if int(lines[k + 2].split("=")[1]) != 0:
+                classes.append(c1)
+    return gram, classes
+
+
+def check_printed_witnesses(name, text):
+    """Each witness a hypotheses report prints, checked from the file's
+    Gram: e.e == f.f == 0, e.f == 1, lambda.lambda == the target square,
+    and e, f and lambda orthogonal to every basic class. f is built, not
+    searched for, so the golden pins it only through these pairings."""
+    gram, classes = bundled_gram_and_classes(name)
+
+    def pairing(u, v):
+        return sum(a * g * b for a, row in zip(u, gram)
+                   for g, b in zip(row, v))
+
+    found = dict(re.findall(r"^witness (\w+)=(\S+)$", text, re.M))
+    witnesses = {key: [int(x) for x in value.split(",")]
+                 for key, value in found.items()}
+    target = int(re.search(r"target_square=(-?\d+)", text).group(1))
+    if "e" in witnesses:
+        e, f = witnesses["e"], witnesses["f"]
+        assert [pairing(u, v) for u in (e, f) for v in (e, f)] == [
+            0, 1, 1, 0], (name, e, f)
+    if "lambda" in witnesses:
+        assert pairing(witnesses["lambda"], witnesses["lambda"]) == target
+    for key, v in witnesses.items():
+        assert all(pairing(v, c) == 0 for c in classes), (name, key, v)
+    assert ("e" in witnesses) == ("hypothesis=abundant status=pass" in text)
 
 
 def fit_golden_files():

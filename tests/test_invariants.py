@@ -658,13 +658,20 @@ def test_hypotheses_b_plus_one_fails():
 
 
 def test_hypotheses_bound_too_small_reports_unknown():
-    k3 = k3_manifold()
-    report = check_theorem_hypotheses(k3, None, None, "level0",
-                                      search_bound=20, budget=2)
+    # the first isotropic vector of synthetic_06's complement that lies in
+    # a copy of H is its 5th candidate: a budget of 4 reports the search
+    # unknown-bounded, never fail, and a budget of 5 finds the pair
+    m = load_bundled("synthetic_06.manifold")
+    report = check_theorem_hypotheses(m, None, None, "level0",
+                                      search_bound=20, budget=4)
     statuses = {e.name: e.status for e in report.entries}
     assert statuses["abundant"] == "unknown-bounded"
     assert report.overall in ("unknown-bounded", "fail")
     assert all(e.status != "fail" for e in report.entries)
+    report = check_theorem_hypotheses(m, None, None, "level0",
+                                      search_bound=20, budget=5)
+    statuses = {e.name: e.status for e in report.entries}
+    assert statuses["abundant"] == "pass"
 
 
 def test_hypotheses_mod2_congruence_fail():

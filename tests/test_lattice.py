@@ -18,7 +18,7 @@ from wittenform.lattice import (IntersectionForm, Sublattice, bounded_vectors,
                                 find_hyperbolic_pair, find_vector_with_square,
                                 find_witnesses, gram_components,
                                 hyperbolic_plane, integer_kernel,
-                                orthogonal_complement, vec_neg)
+                                orthogonal_complement)
 from wittenform.selftest import (box_vectors, brute_pairing,
                                  check_lattice_oracles, check_parity_lemma,
                                  random_forms)
@@ -695,26 +695,52 @@ def reference_vector_with_square(sub, target, bound, budget=None):
     return None, spent
 
 
+def completable(gram, e):
+    """True iff the isotropic e lies in a copy of H, i.e. some x has
+    e.x == 1 and an even square. Some x has e.x == 1 iff the pairings of e
+    with the basis have gcd 1. And x.x == e.x mod 2 for every x iff e is
+    characteristic, i.e. e.b == b.b mod 2 for each basis vector b; if
+    e.b != b.b mod 2 and x.x is odd, x' = b + (1 - e.b) x has e.x' == 1
+    and x'.x' == b.b + 1 - e.b == 0 mod 2."""
+    basis = [tuple(int(i == j) for j in range(len(gram)))
+             for i in range(len(gram))]
+    pairings = [brute_pairing(gram, e, b) for b in basis]
+    return gcd(*pairings) == 1 and any(
+        (p - brute_pairing(gram, b, b)) % 2 for p, b in zip(pairings, basis))
+
+
 def reference_hyperbolic_pair(sub, bound, budget=None):
+    """(e, spent): e the first isotropic draw that `completable` accepts, in
+    parent coordinates, or None; a draw costs 1 and nothing else does."""
     gram = sub.induced_gram()
-    isotropic = []
     spent = 0
     for v in reference_bounded_vectors(sub.rank, bound):
         if budget is not None and spent == budget:
             return None, spent
         spent += 1
-        if brute_pairing(gram, v, v) != 0:
-            continue
-        for u in isotropic:
-            if budget is not None and spent == budget:
-                return None, spent
-            spent += 1
-            p = brute_pairing(gram, u, v)
-            if p == 1 or p == -1:
-                f = v if p == 1 else tuple(-x for x in v)
-                return (sub.to_parent(u), sub.to_parent(f)), spent
-        isotropic.append(v)
+        if brute_pairing(gram, v, v) == 0 and completable(gram, v):
+            return sub.to_parent(v), spent
     return None, spent
+
+
+def pair_e(sub, pair):
+    """The e of `pair`, a search's (e, f) or None, once the pair is checked
+    in parent coordinates: e.e == f.f == 0 and e.f == 1. f is built, not
+    drawn, so only these pairings pin it."""
+    if pair is None:
+        return None
+    e, f = pair
+    gram = sub.parent.gram
+    assert [brute_pairing(gram, u, v) for u in pair for v in pair] == [
+        0, 1, 1, 0], (sub.basis, pair)
+    return e
+
+
+def walk_answers(sub, *args, **kwargs):
+    """find_witnesses(sub, ...) as (vector, e), the pair checked by
+    `pair_e`."""
+    vector, pair = find_witnesses(sub, *args, **kwargs)
+    return vector, pair_e(sub, pair)
 
 
 def test_bounded_vectors_match_reference():
@@ -996,8 +1022,8 @@ def test_searches_match_reference_at_every_budget():
                         sub, t, bound=bound, budget=b),
                      lambda b, t=t: reference_vector_with_square(
                         sub, t, bound, b)) for t in (-2, -1, 0, 1, 3)]
-            runs.append((lambda b: find_hyperbolic_pair(sub, bound=bound,
-                                                        budget=b),
+            runs.append((lambda b: pair_e(sub, find_hyperbolic_pair(
+                             sub, bound=bound, budget=b)),
                          lambda b: reference_hyperbolic_pair(sub, bound, b)))
             for mine, ref in runs:
                 witness, spent = ref(None)
@@ -1010,8 +1036,8 @@ def test_searches_match_reference_at_every_budget():
 
 
 def test_joint_walk_matches_reference_at_every_budget():
-    # both questions at once, each with its own budget: every answer is
-    # the one the reference gives for that question alone
+    # both questions at once, each with the budget: every answer is the
+    # one the reference gives for that question alone
     rng = random.Random(5151)
     checked = 0
     for sub in search_sublattices(rng):
@@ -1021,7 +1047,7 @@ def test_joint_walk_matches_reference_at_every_budget():
             for target in range(-2, 4):
                 vector, spent = reference_vector_with_square(sub, target,
                                                              bound)
-                assert (find_witnesses(sub, bound, target=target, pair=True)
+                assert (walk_answers(sub, bound, target=target, pair=True)
                         == (vector, pair))
                 for budget in range(1, max(spent, pair_spent) + 3):
                     if budget not in pairs:
@@ -1031,7 +1057,7 @@ def test_joint_walk_matches_reference_at_every_budget():
                     if budget < spent + 3:
                         vector = reference_vector_with_square(
                             sub, target, bound, budget)[0]
-                    assert find_witnesses(
+                    assert walk_answers(
                         sub, bound, budget, target=target, pair=True) == (
                         vector, pairs[budget]), (sub, bound, target, budget)
                 checked += 1
@@ -1084,14 +1110,17 @@ def walk_against_references(sub, bound, target, budget, drawn,
     for search, want in ((find_vector_with_square, vector),
                          (find_hyperbolic_pair, pair)):
         drawn.clear()
-        args = (target,) if search is find_vector_with_square else ()
-        assert search(sub, *args, bound=bound, budget=budget) == want, (
-            search.__name__, sub.induced_gram(), bound, target, budget)
+        if search is find_vector_with_square:
+            got = search(sub, target, bound=bound, budget=budget)
+        else:
+            got = pair_e(sub, search(sub, bound=bound, budget=budget))
+        assert got == want, (search.__name__, sub.induced_gram(), bound,
+                             target, budget)
         assert drawn in ([], [reference_draws[len(alone)]])
         alone += drawn
     drawn.clear()
-    assert find_witnesses(sub, bound, budget, target=target,
-                          pair=True) == (vector, pair), (
+    assert walk_answers(sub, bound, budget, target=target,
+                        pair=True) == (vector, pair), (
         sub.induced_gram(), bound, target, budget)
     assert drawn == ([max(alone)] if alone else [])
     return vector, spent, pair, pair_spent
@@ -1105,8 +1134,8 @@ def test_joint_walk_matches_reference_at_larger_bounds(drawn,
     # of the scoring Grams, every budget up to spent + 2 answers both
     # questions as the references do, and each walk draws the candidates
     # they draw; the sweep stops at 250 and then tries 5,000, which
-    # reaches rank 3's full supports, since the zero forms' pair
-    # references pair each isotropic draw with every earlier one
+    # reaches rank 3's full supports, since no isotropic draw of a zero
+    # form can be completed and its pair reference spends the box
     rng = random.Random(5152)
     checked = set()
     for kind, gram in scoring_grams(random.Random(150)):
@@ -1123,8 +1152,8 @@ def test_joint_walk_matches_reference_at_larger_bounds(drawn,
             vector, spent, pair, pair_spent = walk_against_references(
                 sub, bound, target, budget, drawn, reference_draws)
             if spent <= budget - 2 and pair_spent <= budget - 2:
-                assert find_witnesses(sub, bound, target=target,
-                                      pair=True) == (vector, pair)
+                assert walk_answers(sub, bound, target=target,
+                                    pair=True) == (vector, pair)
                 break
         checked.add((kind, budget == 5_000))
     # the sample holds each kind with a distinct run shape, and a zero
@@ -1139,99 +1168,147 @@ def gram_times(gram, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in gram)
 
 
-def unpairable_sublattices(rng):
-    """Seeded full sublattices rich in isotropic vectors u with
-    gcd(G u) > 1, which can never be in a hyperbolic pair: summands H(2)
-    and <2> + <-2> (whose isotropic vectors all have an even gcd) beside an
-    H, last, and the Gram sheared by unimodular changes of basis, which keep
-    each gcd, so that the pair lies deep in the box. Each comes with a
-    bound at which the pair reference finds its pair after 20 to 800
-    charges."""
-    h2, d2, h = [[0, 2], [2, 0]], [[2, 0], [0, -2]], [[0, 1], [1, 0]]
-    for parts in ((h2, h), (d2, h), (h2, [[2]], h), ([[-2]], h2, h),
-                  (h2, d2, h), (h2, h2, h)):
-        n = sum(map(len, parts))
-        block = [[0] * n for _ in range(n)]
-        at = 0
-        for part in parts:
-            for i, row in enumerate(part):
-                block[at + i][at:at + len(row)] = row
-            at += len(part)
-        for _ in range(3):
-            # e_i <- e_i + s e_j: row and column i gain s times j's
-            gram = [list(row) for row in block]
-            for _ in range(rng.randint(1, 6)):
-                i, j = rng.sample(range(n), 2)
-                s = rng.choice((1, -1))
-                gram[i] = [a + s * b for a, b in zip(gram[i], gram[j])]
-                for row in gram:
-                    row[i] += s * row[j]
+def sheared(gram, rng, ops):
+    """`gram` after `ops` seeded unimodular changes of basis e_i <- e_i +
+    s e_j (row and column i gain s times j's), which keep the lattice, its
+    parity and every gcd(G u) but move its vectors in the box order."""
+    gram = [list(row) for row in gram]
+    if len(gram) < 2:
+        return gram
+    for _ in range(ops):
+        i, j = rng.sample(range(len(gram)), 2)
+        s = rng.choice((1, -1))
+        gram[i] = [a + s * b for a, b in zip(gram[i], gram[j])]
+        for row in gram:
+            row[i] += s * row[j]
+    return gram
+
+
+def block_gram(*parts):
+    """The Gram of the orthogonal sum of the dense Grams `parts`."""
+    n = sum(map(len, parts))
+    gram = [[0] * n for _ in range(n)]
+    at = 0
+    for part in parts:
+        for i, row in enumerate(part):
+            gram[at + i][at:at + len(row)] = row
+        at += len(part)
+    return gram
+
+
+HG, H2, ONE, MINUS, TWO = ([[0, 1], [1, 0]], [[0, 2], [2, 0]], [[1]], [[-1]],
+                           [[2]])
+
+
+def completion_grams(rng):
+    """Seeded Grams of ranks 1-5 for the pair question, each sheared:
+    odd and even, unimodular or not (H(2), <2>), degenerate and zero
+    (from `scoring_grams`), with isotropic vectors that cannot be
+    completed because gcd(G u) > 1 (H(2), <2> + <-2>) or because they are
+    characteristic (<1> + <-1> + <2>)."""
+    for parts in ((ONE,), (HG,), (ONE, MINUS), (HG, ONE), (HG, MINUS),
+                  (ONE, ONE, MINUS), (ONE, MINUS, TWO), (H2, HG), (HG, HG),
+                  ([[2, 0], [0, -2]], HG), (TWO, MINUS, HG), (H2, ONE, MINUS),
+                  (ONE, MINUS, TWO, HG), (H2, HG, ONE), (ONE, ONE, MINUS,
+                                                         MINUS, MINUS)):
+        block = block_gram(*parts)
+        for _ in range(2):
+            yield sheared(block, rng, rng.randint(1, 6))
+    for rank in range(1, 6):
+        yield [list(row) for row in random_unimodular_form(rng, rank).gram]
+    for kind, gram in scoring_grams(rng):
+        if rng.random() < 0.3:
+            yield gram
+
+
+def test_the_pair_is_the_first_completable_draw_at_every_budget(drawn):
+    # the walk answers the first isotropic draw that `completable` accepts,
+    # with f checked, or None, at every budget up to spent + 2, and draws
+    # the candidates up to that draw, or budget + 1 (none when the form
+    # rules the pair out). Every isotropic draw of the box is completed by
+    # `_partner` exactly when `completable` accepts it
+    kinds, skipped = set(), set()
+    bounds = {1: 3, 2: 3, 3: 3, 4: 2, 5: 1}
+    for gram in completion_grams(random.Random(3737)):
+        rank = len(gram)
+        sub = Sublattice.full(IntersectionForm(gram,
+                                               require_unimodular=False))
+        bound = bounds[rank]
+        e, spent = reference_hyperbolic_pair(sub, bound)
+        for budget in range(1, spent + 3):
+            drawn.clear()
+            assert pair_e(sub, find_hyperbolic_pair(sub, bound, budget)) == (
+                e if spent <= budget else None), (gram, budget)
+            assert drawn == [min(spent, budget + 1)] or (
+                drawn == [] and e is None), (gram, budget, drawn)
+        for k, v in enumerate(reference_bounded_vectors(rank, bound), 1):
+            if brute_pairing(gram, v, v) != 0:
+                continue
+            f = lattice._partner(sub.form, v)
+            assert (f is not None) == completable(gram, v), (gram, v)
+            if f is not None:
+                assert (brute_pairing(gram, f, f),
+                        brute_pairing(gram, v, f)) == (0, 1)
+            elif k < spent:
+                skipped.add("gcd" if gcd(*gram_times(gram, v)) != 1
+                            else "characteristic")
+        det = _det(gram)
+        kinds.add((rank, "even" if all(gram[i][i] % 2 == 0
+                                       for i in range(rank)) else "odd",
+                   "unimodular" if det in (1, -1) else "not unimodular",
+                   "found" if e is not None else "none"))
+    assert skipped == {"gcd", "characteristic"}
+    assert {rank for rank, *_ in kinds} == {1, 2, 3, 4, 5}
+    assert {kind[1:3] for kind in kinds} == {
+        (parity, modulus) for parity in ("even", "odd")
+        for modulus in ("unimodular", "not unimodular")}
+    assert {kind[3] for kind in kinds if kind[0] == 5} == {"found", "none"}
+
+
+def test_no_pair_where_every_isotropic_draw_is_characteristic(drawn):
+    # on <1> + <-1> + <2> an isotropic u = (a, b, c) has a^2 - b^2 = -2c^2,
+    # so gcd(G u) = gcd(a, b, 2c) is 1 only when a and b are odd, and then
+    # u is characteristic: every x with u.x == 1 has an odd square. The
+    # walk spends the box, sheared or not, and finds no pair
+    rng = random.Random(12)
+    for bound in (1, 2, 3, 4):
+        for gram in (block_gram(ONE, MINUS, TWO),
+                     sheared(block_gram(ONE, MINUS, TWO), rng, 4)):
             sub = Sublattice.full(IntersectionForm(
                 gram, require_unimodular=False))
-            bound = 3 if n == 4 else 2
-            pair, spent = reference_hyperbolic_pair(sub, bound)
-            if pair is not None and 20 <= spent <= 800:
-                yield sub, bound
+            drawn.clear()
+            assert find_hyperbolic_pair(sub, bound) is None
+            assert drawn == [(2 * bound + 1) ** 3 - 1]
+            box = list(reference_bounded_vectors(3, bound))
+            units = [v for v in box if brute_pairing(gram, v, v) == 0
+                     and gcd(*gram_times(gram, v)) == 1]
+            assert units and not any(completable(gram, v) for v in units)
+            for v in units:
+                assert all(brute_pairing(gram, x, x) % 2 == 1 for x in box
+                           if brute_pairing(gram, v, x) == 1)
 
 
-def isotropic_draws(gram, bound):
-    """The reference's isotropic draws in box order, each with gcd(G u),
-    which divides u.w for every w: 1 for a draw that can be in a pair."""
-    return [(v, gcd(*gram_times(gram, v)))
-            for v in reference_bounded_vectors(len(gram), bound)
-            if brute_pairing(gram, v, v) == 0]
-
-
-def test_draws_that_cannot_pair_are_charged_at_every_budget(
-        drawn, reference_draws):
-    # draws with gcd(G u) > 1 are neither paired nor kept, but each is
-    # charged as before: its pairings, and a place among the earlier draws
-    # of every later one. At every budget up to spent + 2, both answers
-    # and every walk's draws are the references', which pair every
-    # isotropic draw with every earlier one
-    rng = random.Random(3434)
-    checked = unpaired = 0
-    for sub, bound in unpairable_sublattices(random.Random(343)):
-        gram = sub.induced_gram()
-        pair, pair_spent = reference_hyperbolic_pair(sub, bound)
-        point = [rng.randint(-bound, bound) for _ in gram]
-        target = rng.choice((brute_pairing(gram, point, point), 2, -2))
-        _, spent = reference_vector_with_square(sub, target, bound)
-        for budget in range(1, max(spent, pair_spent) + 3):
-            walk_against_references(sub, bound, target, budget, drawn,
-                                    reference_draws)
-        # the pair's f is the last draw the pair reference makes
-        draws = isotropic_draws(gram, bound)
-        f = next(k for k, (v, _) in enumerate(draws)
-                 if v in (pair[1], vec_neg(pair[1])))
-        unpaired += sum(g != 1 for _, g in draws[:f])
-        checked += 1
-    assert checked >= 12 and unpaired >= 90
-
-
-def test_only_draws_that_can_pair_are_paired(monkeypatch):
-    # a spy on the pairings: each draw paired has gcd(G v) == 1, and it is
-    # paired with exactly the earlier draws of gcd 1 (their columns G u),
-    # in box order
-    calls = []
-    pairings = lattice._pairings
-
-    def spy(v, columns, count):
-        calls.append((v, list(zip(*(column[:count] for column in columns)))))
-        return pairings(v, columns, count)
-
-    monkeypatch.setattr(lattice, "_pairings", spy)
-    for sub, bound in unpairable_sublattices(random.Random(343)):
-        gram = sub.induced_gram()
-        calls.clear()
-        e, f = find_hyperbolic_pair(sub, bound)
-        can_pair = [v for v, g in isotropic_draws(gram, bound) if g == 1]
-        last = next(k for k, v in enumerate(can_pair) if v in (f, vec_neg(f)))
-        assert [v for v, _ in calls] == can_pair[:last + 1]
-        for k, (v, columns) in enumerate(calls):
-            assert columns == [gram_times(gram, u) for u in can_pair[:k]]
-        assert e in can_pair[:last]
-    assert len(calls) > 1
+def test_characteristic_draws_before_the_pair_are_skipped(drawn):
+    # sheared <1> + <-1> + <2> + H: the walk skips the isotropic draws of
+    # gcd 1 that are characteristic and answers the first completable
+    # draw, after skipping 4 on some forms
+    rng = random.Random(0)
+    base = block_gram(ONE, MINUS, TWO, HG)
+    most = 0
+    for _ in range(40):
+        gram = sheared(base, rng, rng.randint(2, 6))
+        sub = Sublattice.full(IntersectionForm(gram, require_unimodular=False))
+        units = [v for v in reference_bounded_vectors(5, 2)
+                 if brute_pairing(gram, v, v) == 0
+                 and gcd(*gram_times(gram, v)) == 1]
+        first = next(k for k, v in enumerate(units) if completable(gram, v))
+        drawn.clear()
+        e, f = find_hyperbolic_pair(sub, 2)
+        assert e == units[first]
+        assert (brute_pairing(gram, f, f), brute_pairing(gram, e, f)) == (0, 1)
+        assert drawn == [reference_hyperbolic_pair(sub, 2)[1]]
+        most = max(most, first)
+    assert most >= 4
 
 
 def test_walk_cost_is_linear_in_the_bound(drawn):
@@ -1245,16 +1322,17 @@ def test_walk_cost_is_linear_in_the_bound(drawn):
 
 def test_joint_walk_draws_the_longer_search_only(drawn):
     # the complement of e in H + H + <1> + <-1> is <e> + H + <1> + <-1>:
-    # the pair comes at draw 5, square 0 at draw 1, squares 1 and -2 at
-    # draws 7 and 48, square 100 never (the whole box of 7^5 - 1); budgets
-    # stop the square question (5, 40), the pair question (0, 4) or both,
+    # the pair comes at draw 3, the first vector of the H (draws 1 and 2,
+    # +-e, have G u == 0), square 0 at draw 1, squares 1 and -2 at draws
+    # 7 and 48, square 100 never (the whole box of 7^5 - 1); budgets stop
+    # the square question (5, 40), the pair question (0, 2) or both,
     # one draw after the budget is spent
     sub = orthogonal_complement(direct_sum(H, H, diagonal_form([1, -1])),
                                 [(1, 0, 0, 0, 0, 0)])
-    for target, budget, alone in ((0, None, [1, 5]), (1, None, [7, 5]),
-                                  (-2, None, [48, 5]),
-                                  (100, None, [7 ** 5 - 1, 5]),
-                                  (5, 40, [41, 5]), (0, 4, [1, 3]),
+    for target, budget, alone in ((0, None, [1, 3]), (1, None, [7, 3]),
+                                  (-2, None, [48, 3]),
+                                  (100, None, [7 ** 5 - 1, 3]),
+                                  (5, 40, [41, 3]), (0, 2, [1, 3]),
                                   (-2, 3, [4, 3]), (1, 1, [2, 2])):
         for search, draws in ((lambda: find_vector_with_square(
                                    sub, target, 3, budget), alone[0]),
@@ -1282,9 +1360,9 @@ def test_the_count_lands_before_the_walk_returns(monkeypatch):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for target, budget, passed in ((0, None, 5), (1, None, 7),
+        for target, budget, passed in ((0, None, 3), (1, None, 7),
                                        (-2, None, 48), (100, None, 7 ** 5 - 1),
-                                       (5, 40, 41), (0, 4, 3), (-2, 3, 4),
+                                       (5, 40, 41), (0, 2, 3), (-2, 3, 4),
                                        (1, 1, 2)):
             counts.clear()
             find_witnesses(sub, 3, budget, target=target, pair=True)
@@ -1415,7 +1493,11 @@ def test_find_vector_with_square_examples():
 def test_search_budget_cancellation():
     sub = Sublattice.full(direct_sum(H, H, H))
     assert find_vector_with_square(sub, -6, bound=20, budget=3) is None
-    assert find_hyperbolic_pair(sub, bound=20, budget=2) is None
+    # on <1> + <-1> + H the pair comes at draw 5, the first vector of the H
+    sub = Sublattice.full(direct_sum(diagonal_form([1, -1]), H))
+    assert find_hyperbolic_pair(sub, bound=20, budget=4) is None
+    assert find_hyperbolic_pair(sub, bound=20, budget=5) == (
+        (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_search_rejects_budget_below_one():

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from wittenform import lattice, selftest, series
-from wittenform.lattice import Sublattice, diagonal_form, hyperbolic_plane
+from wittenform.lattice import (IntersectionForm, Sublattice, diagonal_form,
+                                hyperbolic_plane)
 from wittenform.synthetic import random_manifold
 
 
@@ -75,6 +76,17 @@ CASES = {
         lambda search: lambda sub, t, bound: search(sub, t, bound=bound - 1),
         lambda: selftest.check_lattice_oracles(
             random.Random(4), [diagonal_form([1])], 3, range(-9, 10))),
+    # this sheared H's first isotropic vector that lies in a copy of H is
+    # (3, 2), in the box [-3, 3]^2, and its partner (5, 3) is not: a
+    # search that wants its f in the box finds no pair
+    "pair search that wants its partner in the box": (
+        selftest, "find_hyperbolic_pair",
+        lambda search: lambda sub, bound: (
+            lambda pair: pair if pair and max(map(abs, pair[1])) <= bound
+            else None)(search(sub, bound=bound)),
+        lambda: selftest.check_lattice_oracles(
+            random.Random(6), [IntersectionForm([[-12, 19], [19, -30]])], 3,
+            ())),
     "complement basis missing a vector": (
         selftest, "orthogonal_complement",
         lambda comp: lambda form, spanning: Sublattice(
