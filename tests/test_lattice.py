@@ -1201,11 +1201,12 @@ HG, H2, ONE, MINUS, TWO = ([[0, 1], [1, 0]], [[0, 2], [2, 0]], [[1]], [[-1]],
 
 
 def completion_grams(rng):
-    """Seeded Grams of ranks 1-5 for the pair question, each sheared:
-    odd and even, unimodular or not (H(2), <2>), degenerate and zero
-    (from `scoring_grams`), with isotropic vectors that cannot be
-    completed because gcd(G u) > 1 (H(2), <2> + <-2>) or because they are
-    characteristic (<1> + <-1> + <2>)."""
+    """Seeded Grams of ranks 1-5 for the pair question: sheared block
+    sums, odd and even, unimodular or not (H(2), <2>), with isotropic
+    vectors that cannot be completed because gcd(G u) > 1 (H(2),
+    <2> + <-2>) or because they are characteristic (<1> + <-1> + <2>);
+    random unimodular forms; and a sample of `scoring_grams`, degenerate
+    and zero ones among them."""
     for parts in ((ONE,), (HG,), (ONE, MINUS), (HG, ONE), (HG, MINUS),
                   (ONE, ONE, MINUS), (ONE, MINUS, TWO), (H2, HG), (HG, HG),
                   ([[2, 0], [0, -2]], HG), (TWO, MINUS, HG), (H2, ONE, MINUS),
@@ -1216,7 +1217,7 @@ def completion_grams(rng):
             yield sheared(block, rng, rng.randint(1, 6))
     for rank in range(1, 6):
         yield [list(row) for row in random_unimodular_form(rng, rank).gram]
-    for kind, gram in scoring_grams(rng):
+    for _, gram in scoring_grams(rng):
         if rng.random() < 0.3:
             yield gram
 
